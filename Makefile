@@ -14,7 +14,9 @@ BENCHTIME_PIPELINE ?= 3x
 ## the obs metrics registry, the forest trainer and the external sorter
 ## plus its spill/merge consumers (the streaming pipeline) get an
 ## explicit vet + race pass so CI keeps gating them even if the package
-## list is ever narrowed.
+## list is ever narrowed. It also runs a 10 s smoke of the binary
+## record codec's fuzz target and the benchmark module's own tests
+## (perfbench is a separate module, so ./... does not reach it).
 check: lint-determinism bench-compile
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -34,6 +36,8 @@ check: lint-determinism bench-compile
 	$(GO) test -race ./internal/linkd/
 	$(GO) test -race -run 'TestSpill|TestStreamReport' ./internal/population/ ./internal/report/
 	$(GO) test -race ./...
+	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/fingerprint/
+	cd perfbench && $(GO) test .
 
 ## lint-determinism: grep-based guard — the simulation packages must be
 ## pure functions of the seed (no time.Now, no global math/rand, no

@@ -33,7 +33,7 @@ import (
 	"fpdyn/internal/storage"
 )
 
-// Options configures a Sorter. Less, Encode and Decode are required;
+// Options configures a Sorter. Less, Encode and NewDecoder are required;
 // the zero value of everything else has a usable default.
 type Options[T any] struct {
 	// Dir is the spill directory; created if absent. Required.
@@ -44,9 +44,11 @@ type Options[T any] struct {
 	// Encode appends the encoding of v to dst and returns the extended
 	// slice (the append-style contract avoids per-item allocations).
 	Encode func(dst []byte, v T) ([]byte, error)
-	// Decode parses one encoded item. The payload slice is only valid
-	// during the call.
-	Decode func(payload []byte) (T, error)
+	// NewDecoder returns the decode function for one merge stream. Each
+	// Merge calls it once, so a decoder may carry state across the
+	// stream's items (a string intern table) without locking. The
+	// payload slice is only valid during the decode call.
+	NewDecoder func() func(payload []byte) (T, error)
 	// MaxRunItems bounds the Push buffer: when it fills, the buffer is
 	// sorted and spilled as one run (default 65536).
 	MaxRunItems int
@@ -104,8 +106,8 @@ func New[T any](opts Options[T]) (*Sorter[T], error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("extsort: Dir is required")
 	}
-	if opts.Less == nil || opts.Encode == nil || opts.Decode == nil {
-		return nil, fmt.Errorf("extsort: Less, Encode and Decode are required")
+	if opts.Less == nil || opts.Encode == nil || opts.NewDecoder == nil {
+		return nil, fmt.Errorf("extsort: Less, Encode and NewDecoder are required")
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("extsort: %w", err)
@@ -226,6 +228,7 @@ func (s *Sorter[T]) Merge() (*Stream[T], error) {
 		s.frozen = true
 	}
 	st := &Stream[T]{s: s}
+	decode := s.opts.NewDecoder()
 	for i, path := range s.runs {
 		f, err := os.Open(path)
 		if err != nil {
@@ -233,11 +236,12 @@ func (s *Sorter[T]) Merge() (*Stream[T], error) {
 			return nil, fmt.Errorf("extsort: open run: %w", err)
 		}
 		r := &runReader[T]{
-			s:    s,
-			path: path,
-			f:    f,
-			br:   bufio.NewReaderSize(f, 1<<18),
-			idx:  i,
+			s:      s,
+			path:   path,
+			f:      f,
+			br:     bufio.NewReaderSize(f, 1<<18),
+			idx:    i,
+			decode: decode,
 		}
 		ok, err := r.advance()
 		if err != nil {
@@ -273,20 +277,22 @@ type writerOnly struct{ f storage.SegmentFile }
 func (w writerOnly) Write(p []byte) (int, error) { return w.f.Write(p) }
 
 // runReader is one run's read head: the current decoded item plus the
-// buffered file reader behind it.
+// buffered file reader behind it. The heads of one Stream share its
+// decoder.
 type runReader[T any] struct {
-	s    *Sorter[T]
-	path string
-	f    *os.File
-	br   *bufio.Reader
-	idx  int
-	cur  T
-	off  int64
+	s      *Sorter[T]
+	path   string
+	f      *os.File
+	br     *bufio.Reader
+	idx    int
+	decode func(payload []byte) (T, error)
+	cur    T
+	off    int64 // start of the next frame
 }
 
 // advance reads and decodes the next frame. ok=false on a clean EOF at
-// a frame boundary; torn or corrupt frames are hard errors naming the
-// run file and offset.
+// a frame boundary; torn, corrupt or undecodable frames are hard errors
+// naming the run file and the frame's start offset.
 func (r *runReader[T]) advance() (ok bool, err error) {
 	payload, err := storage.ReadFrame(r.br, r.s.opts.MaxFrame)
 	if err != nil {
@@ -295,11 +301,11 @@ func (r *runReader[T]) advance() (ok bool, err error) {
 		}
 		return false, fmt.Errorf("extsort: run %s at byte %d: %w", filepath.Base(r.path), r.off, err)
 	}
-	r.off += int64(len(payload)) + 8
-	v, err := r.s.opts.Decode(payload)
+	v, err := r.decode(payload)
 	if err != nil {
 		return false, fmt.Errorf("extsort: run %s at byte %d: decode: %w", filepath.Base(r.path), r.off, err)
 	}
+	r.off += int64(len(payload)) + 8
 	r.cur = v
 	return true, nil
 }
@@ -367,8 +373,8 @@ func (h mergeHeap[T]) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx
 }
-func (h mergeHeap[T]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap[T]) Push(x any)         { *h = append(*h, x.(*runReader[T])) }
+func (h mergeHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap[T]) Push(x any)   { *h = append(*h, x.(*runReader[T])) }
 func (h *mergeHeap[T]) Pop() any {
 	old := *h
 	n := len(old)

@@ -8,12 +8,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"fpdyn/internal/faultinject"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
 )
+
+func decodeInt() func([]byte) (int, error) {
+	return func(p []byte) (int, error) { return strconv.Atoi(string(p)) }
+}
 
 // intSorter builds a Sorter[int] over a test directory.
 func intSorter(t *testing.T, maxRun int, reg *obs.Registry) *Sorter[int] {
@@ -22,7 +27,7 @@ func intSorter(t *testing.T, maxRun int, reg *obs.Registry) *Sorter[int] {
 		Dir:         filepath.Join(t.TempDir(), "spill"),
 		Less:        func(a, b int) bool { return a < b },
 		Encode:      func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
-		Decode:      func(p []byte) (int, error) { return strconv.Atoi(string(p)) },
+		NewDecoder:  decodeInt,
 		MaxRunItems: maxRun,
 		Registry:    reg,
 		Name:        "test",
@@ -223,10 +228,10 @@ func TestCorruptRunFails(t *testing.T) {
 func TestSpillWriteFault(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options[int]{
-		Dir:    filepath.Join(dir, "spill"),
-		Less:   func(a, b int) bool { return a < b },
-		Encode: func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
-		Decode: func(p []byte) (int, error) { return strconv.Atoi(string(p)) },
+		Dir:        filepath.Join(dir, "spill"),
+		Less:       func(a, b int) bool { return a < b },
+		Encode:     func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
+		NewDecoder: decodeInt,
 		OpenFile: func(path string) (storage.SegmentFile, error) {
 			f, err := os.Create(path)
 			if err != nil {
@@ -282,5 +287,76 @@ func TestMetrics(t *testing.T) {
 	snap = reg.Snapshot()
 	if got := snap.Gauges[key("extsort_merge_heap_size")]; got != 0 {
 		t.Fatalf("heap gauge after drain = %v, want 0", got)
+	}
+}
+
+// TestFrameErrorOffsets pins the offset a failing frame is reported at:
+// a payload that passes its CRC but fails to decode, and a payload whose
+// CRC fails, both name the start of their own frame. Each frame of
+// "10", "20", ... is 8 header bytes plus 2 payload bytes, so the third
+// frame starts at byte 20.
+func TestFrameErrorOffsets(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt bool
+	}{{"decode", false}, {"checksum", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			merges := 0
+			s, err := New(Options[int]{
+				Dir:    filepath.Join(t.TempDir(), "spill"),
+				Less:   func(a, b int) bool { return a < b },
+				Encode: func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
+				NewDecoder: func() func([]byte) (int, error) {
+					merges++
+					return func(p []byte) (int, error) {
+						if string(p) == "30" {
+							return 0, errors.New("undecodable")
+						}
+						return strconv.Atoi(string(p))
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			items := []int{10, 20, 40, 50}
+			if !tc.corrupt {
+				items = []int{10, 20, 30, 40}
+			}
+			if err := s.WriteRun(items); err != nil {
+				t.Fatal(err)
+			}
+			if tc.corrupt {
+				path := filepath.Join(s.opts.Dir, "run-000000.seg")
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[28] ^= 0xFF // first payload byte of the third frame
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for pass := 1; pass <= 2; pass++ {
+				st, err := s.Merge()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for err == nil {
+					var ok bool
+					if _, ok, err = st.Next(); !ok && err == nil {
+						t.Fatal("bad frame merged without error")
+					}
+				}
+				st.Close()
+				if want := "run-000000.seg at byte 20:"; !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+				if merges != pass {
+					t.Fatalf("%d merges built %d decoders", pass, merges)
+				}
+			}
+		})
 	}
 }

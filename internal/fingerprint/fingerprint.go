@@ -2,8 +2,9 @@
 // the study: every feature of the paper's Table 1, a schema for generic
 // feature iteration (the diff engine, the statistics pipeline and the
 // FP-Stalker linker all walk features generically), stable hashing for
-// anonymous-set grouping, and JSON serialization for the collection
-// protocol.
+// anonymous-set grouping, JSON serialization for the collection
+// protocol, and a binary record codec for the streamed pipeline's
+// spill runs.
 package fingerprint
 
 import (

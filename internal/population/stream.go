@@ -19,7 +19,8 @@ package population
 // only decides when state is spilled, never what is emitted.
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -39,10 +40,10 @@ import (
 // plus its ground truth, the unit the run files frame and the merged
 // stream yields.
 type StreamItem struct {
-	Rec        *fingerprint.Record `json:"rec"`
-	Instance   int                 `json:"inst"`
-	VisitIndex int                 `json:"vi"`
-	Truth      []EventType         `json:"truth,omitempty"`
+	Rec        *fingerprint.Record
+	Instance   int
+	VisitIndex int
+	Truth      []EventType
 }
 
 // StreamOptions configures the out-of-core path. The zero value works:
@@ -117,33 +118,77 @@ func itemLess(a, b StreamItem) bool {
 	return a.Instance < b.Instance
 }
 
+var errBadItem = errors.New("population: malformed spilled item")
+
+// encodeItem is the run files' item codec: Instance and VisitIndex as
+// varints, the Truth events as a count plus strings, then the record in
+// the fingerprint binary codec. An empty Truth reads back as nil.
 func encodeItem(dst []byte, v StreamItem) ([]byte, error) {
-	b, err := json.Marshal(&v)
-	if err != nil {
-		return dst, err
+	dst = binary.AppendVarint(dst, int64(v.Instance))
+	dst = binary.AppendVarint(dst, int64(v.VisitIndex))
+	dst = binary.AppendUvarint(dst, uint64(len(v.Truth)))
+	for _, e := range v.Truth {
+		dst = fingerprint.AppendString(dst, string(e))
 	}
-	return append(dst, b...), nil
+	return fingerprint.AppendRecord(dst, v.Rec), nil
 }
 
-func decodeItem(p []byte) (StreamItem, error) {
+// newItemDecoder returns the decoder for one merge stream; its
+// fingerprint.Decoder interns strings across the stream's records.
+func newItemDecoder() func([]byte) (StreamItem, error) {
+	d := fingerprint.NewDecoder()
+	return func(p []byte) (StreamItem, error) { return decodeItem(d, p) }
+}
+
+func decodeItem(d *fingerprint.Decoder, p []byte) (StreamItem, error) {
 	var v StreamItem
-	err := json.Unmarshal(p, &v)
-	return v, err
+	inst, n1 := binary.Varint(p)
+	if n1 <= 0 {
+		return v, errBadItem
+	}
+	vi, n2 := binary.Varint(p[n1:])
+	if n2 <= 0 {
+		return v, errBadItem
+	}
+	p = p[n1+n2:]
+	count, n := binary.Uvarint(p)
+	if n <= 0 || count > uint64(len(p)-n) {
+		return v, errBadItem
+	}
+	p = p[n:]
+	if count > 0 {
+		v.Truth = make([]EventType, count)
+	}
+	for i := range v.Truth {
+		s, rest, err := d.String(p)
+		if err != nil {
+			return v, err
+		}
+		v.Truth[i], p = EventType(s), rest
+	}
+	v.Rec = new(fingerprint.Record)
+	rest, err := d.Decode(p, v.Rec)
+	if err != nil {
+		return v, err
+	}
+	if len(rest) != 0 {
+		return v, errBadItem
+	}
+	v.Instance, v.VisitIndex = int(inst), int(vi)
+	return v, nil
 }
 
 // NewSpillSorter builds an extsort sorter for StreamItem runs under
-// dir, ordered by (time, serial). The report's by-instance re-sort
-// reuses the same codec with a different order through extsort
-// directly; this helper is the (time, serial) record stream.
+// dir, ordered by (time, serial), with the binary item codec.
 func NewSpillSorter(dir, name string, reg *obs.Registry, open func(string) (storage.SegmentFile, error)) (*extsort.Sorter[StreamItem], error) {
 	return extsort.New(extsort.Options[StreamItem]{
-		Dir:      dir,
-		Less:     itemLess,
-		Encode:   encodeItem,
-		Decode:   decodeItem,
-		OpenFile: open,
-		Registry: reg,
-		Name:     name,
+		Dir:        dir,
+		Less:       itemLess,
+		Encode:     encodeItem,
+		NewDecoder: newItemDecoder,
+		OpenFile:   open,
+		Registry:   reg,
+		Name:       name,
 	})
 }
 

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"fpdyn/internal/faultinject"
+	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/hashutil"
 	"fpdyn/internal/storage"
 )
@@ -218,5 +221,108 @@ func TestSpillTornSegment(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("torn spill segment streamed without error")
+	}
+}
+
+// jsonItem is the JSON form the run files carried before the binary
+// codec, omitempty Truth included.
+type jsonItem struct {
+	Rec        *fingerprint.Record `json:"rec"`
+	Instance   int                 `json:"inst"`
+	VisitIndex int                 `json:"vi"`
+	Truth      []EventType         `json:"truth,omitempty"`
+}
+
+// TestSpillCodecMatchesJSON is the JSON-equivalence property on the
+// spill codec: for every simulated item plus the edge cases, the binary
+// round trip is reflect.DeepEqual to the JSON round trip the run files
+// used to make.
+func TestSpillCodecMatchesJSON(t *testing.T) {
+	ds := Simulate(streamTestConfig(2))
+	items := make([]StreamItem, 0, len(ds.Records)+8)
+	for i, r := range ds.Records {
+		items = append(items, StreamItem{Rec: r, Instance: ds.TrueInstance[i], VisitIndex: ds.VisitIndex[i], Truth: ds.Truth[i]})
+	}
+	edge := func(mut func(*StreamItem)) {
+		it := StreamItem{Rec: ds.Records[0], Instance: 7, VisitIndex: -1, Truth: []EventType{EvBrowserUpdate}}
+		rec := *it.Rec
+		fp := rec.FP.Clone()
+		rec.FP = fp
+		it.Rec = &rec
+		mut(&it)
+		items = append(items, it)
+	}
+	edge(func(it *StreamItem) { it.Truth = []EventType{} })
+	edge(func(it *StreamItem) { it.Truth = nil; it.Rec.FP = nil })
+	edge(func(it *StreamItem) { it.Rec.FP.Fonts, it.Rec.FP.Plugins = []string{}, nil })
+	edge(func(it *StreamItem) { it.Rec.Time = time.Time{} })
+	edge(func(it *StreamItem) { it.Rec.Time = it.Rec.Time.In(time.FixedZone("", -(3*3600 + 1800))) })
+	edge(func(it *StreamItem) {
+		it.Rec.UserID, it.Rec.FP.Fonts = "ユーザー", []string{"微软雅黑", "😀"}
+	})
+	edge(func(it *StreamItem) { it.Truth = []EventType{"", "ünïcode"}; it.Instance = 1 << 40 })
+
+	dec := newItemDecoder()
+	for i, it := range items {
+		p, err := encodeItem(nil, it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec(p)
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+		b, err := json.Marshal(jsonItem(it))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want jsonItem
+		if err := json.Unmarshal(b, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, StreamItem(want)) {
+			t.Fatalf("item %d: binary round trip\n%+v\nJSON round trip\n%+v", i, got, want)
+		}
+	}
+}
+
+// TestSpillConcurrentStreams drains two merges of the same spill from
+// two goroutines (opening them stays on one, as the sorter requires):
+// each stream has its own decoder, so under -race this shows the
+// intern tables are not shared.
+func TestSpillConcurrentStreams(t *testing.T) {
+	sd, err := SimulateSpill(streamTestConfig(2), StreamOptions{UsersPerBatch: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Close()
+	counts := make([]int, 2)
+	errs := make(chan error, len(counts))
+	for i := range counts {
+		st, err := sd.Stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		go func(i int) {
+			for {
+				_, ok, err := st.Next()
+				if err != nil || !ok {
+					errs <- err
+					return
+				}
+				counts[i]++
+			}
+		}(i)
+	}
+	for range counts {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range counts {
+		if n != sd.Records {
+			t.Fatalf("stream %d yielded %d records, want %d", i, n, sd.Records)
+		}
 	}
 }

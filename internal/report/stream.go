@@ -23,7 +23,8 @@ package report
 // in-memory Reporter's bytes for the same records.
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -140,9 +141,46 @@ type StreamReporter struct {
 // (time, serial)-sorted, so Seq preserves exactly that order within
 // each group).
 type grouped struct {
-	ID  string              `json:"id"`
-	Seq int64               `json:"seq"`
-	Rec *fingerprint.Record `json:"rec"`
+	ID  string
+	Seq int64
+	Rec *fingerprint.Record
+}
+
+// encodeGrouped is the regroup runs' item codec: the ID, Seq as a
+// varint, then the record in the fingerprint binary codec.
+func encodeGrouped(dst []byte, v grouped) ([]byte, error) {
+	dst = fingerprint.AppendString(dst, v.ID)
+	dst = binary.AppendVarint(dst, v.Seq)
+	return fingerprint.AppendRecord(dst, v.Rec), nil
+}
+
+var errBadGrouped = errors.New("report: malformed regroup item")
+
+// newGroupedDecoder returns the decoder for one merge stream; its
+// fingerprint.Decoder interns strings across the stream's records.
+func newGroupedDecoder() func([]byte) (grouped, error) {
+	d := fingerprint.NewDecoder()
+	return func(p []byte) (grouped, error) {
+		var v grouped
+		id, p, err := d.String(p)
+		if err != nil {
+			return v, err
+		}
+		seq, n := binary.Varint(p)
+		if n <= 0 {
+			return v, errBadGrouped
+		}
+		v.Rec = new(fingerprint.Record)
+		rest, err := d.Decode(p[n:], v.Rec)
+		if err != nil {
+			return v, err
+		}
+		if len(rest) != 0 {
+			return v, errBadGrouped
+		}
+		v.ID, v.Seq = id, seq
+		return v, nil
+	}
 }
 
 func groupedLess(a, b grouped) bool {
@@ -233,20 +271,10 @@ func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opt
 		defer os.RemoveAll(root)
 	}
 	sorter, err := extsort.New(extsort.Options[grouped]{
-		Dir:  filepath.Join(root, "regroup"),
-		Less: groupedLess,
-		Encode: func(dst []byte, v grouped) ([]byte, error) {
-			b, err := json.Marshal(&v)
-			if err != nil {
-				return dst, err
-			}
-			return append(dst, b...), nil
-		},
-		Decode: func(p []byte) (grouped, error) {
-			var v grouped
-			err := json.Unmarshal(p, &v)
-			return v, err
-		},
+		Dir:         filepath.Join(root, "regroup"),
+		Less:        groupedLess,
+		Encode:      encodeGrouped,
+		NewDecoder:  newGroupedDecoder,
 		MaxRunItems: chunkSize,
 		OpenFile:    opts.OpenFile,
 		Registry:    opts.Registry,
