@@ -49,8 +49,11 @@ lint-determinism:
 ## bench_*_test.go harnesses, so a refactor cannot silently rot them —
 ## the JSON emitters (TestEmit*Bench) are env-gated and skip unless
 ## their BENCH_*_OUT is set, so only the Benchmark* functions run here.
+## The simulator's and the rasterizer's layer benchmarks
+## (BenchmarkSimulateSpill, BenchmarkRender, ...) get the same smoke.
 bench-compile:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -timeout 20m .
+	$(GO) test -run=NONE -bench=. -benchtime=1x -timeout 20m ./internal/population/ ./internal/canvas/
 
 ## chaos: the crash-recovery suite, repeated to shake out schedule- and
 ## timing-dependent bugs: kill/restart mid-stream, torn WAL tails,

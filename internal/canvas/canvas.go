@@ -21,7 +21,7 @@
 package canvas
 
 import (
-	"fmt"
+	"strconv"
 
 	"fpdyn/internal/hashutil"
 )
@@ -49,6 +49,10 @@ type Params struct {
 
 // Image is a rasterized grayscale canvas. The zero value is an empty
 // (all-background) canvas ready to use.
+//
+// An Image is immutable once rendered: the simulator's per-run render
+// memo and the datasets' dedup image stores share *Image pointers, so
+// writing to Pix would change every record that references the image.
 type Image struct {
 	Pix [Height][Width]byte
 }
@@ -174,4 +178,4 @@ func RenderGPU(g GPUInfo) *Image {
 	return img
 }
 
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
+func itoa(n int) string { return strconv.Itoa(n) }

@@ -49,12 +49,15 @@ type device struct {
 	audioRate  int
 	audioChans int
 
-	baseFonts []string // OS base + per-device optional subset
+	baseFonts []string // OS base + per-device optional subset; fixed at creation
 	office    bool     // Microsoft Office installed (full font set)
 	officeUpd bool     // the Jan-2018 Office update applied (adds MT Extra)
 	adobe     bool
 	libre     bool
 	wps       bool
+	// fontList caches the font list for the flags in fontKey.
+	fontKey  fontFlags
+	fontList []string
 
 	emojiMajor int // device emoji pack design generation
 	emojiMinor int // device emoji rendering generation
@@ -119,8 +122,25 @@ func (dv *device) changesBetween(from, to time.Time) []devChange {
 	return out
 }
 
-// fonts assembles the device's current font list from its components.
+// fontFlags is the font-affecting install state of a device; set
+// marks a filled cache entry.
+type fontFlags struct {
+	set, office, officeUpd, adobe, libre, wps bool
+}
+
+// fonts returns the device's current font list as a fresh slice the
+// caller may modify. The list is rebuilt only when an install flag
+// changed since the last call.
 func (dv *device) fonts() []string {
+	k := fontFlags{true, dv.office, dv.officeUpd, dv.adobe, dv.libre, dv.wps}
+	if dv.fontKey != k {
+		dv.fontKey, dv.fontList = k, dv.buildFonts()
+	}
+	return append([]string(nil), dv.fontList...)
+}
+
+// buildFonts assembles the device's font list from its components.
+func (dv *device) buildFonts() []string {
 	out := append([]string(nil), dv.baseFonts...)
 	if dv.office {
 		out = fingerprint.AddFonts(out, fontdb.OfficeDetect)
@@ -325,9 +345,10 @@ func formatPixelRatio(pr float64) string {
 }
 
 // render produces the visit record for the instance at time now.
-// Rendered canvas and GPU images are registered into the dataset's
-// image stores (the server's dedup value store keeps full content,
-// which is what lets the offline analysis pixel-diff canvases).
+// Canvas and GPU images come from the run's render memo and are
+// registered into the dataset's image stores (the server's dedup value
+// store keeps full content, which is what lets the offline analysis
+// pixel-diff canvases).
 func (in *instance) render(now time.Time, vs visitState, ds *Dataset) *fingerprint.Record {
 	dv := in.dev
 	ua := in.ua()
@@ -364,17 +385,14 @@ func (in *instance) render(now time.Time, vs visitState, ds *Dataset) *fingerpri
 		screen = "800x600"
 	}
 
-	cp := in.canvasParams()
-	cimg := canvas.Render(cp)
-	chash := cimg.Hash()
+	cimg, chash := ds.renders.canvasImage(in.canvasParams())
 	if _, ok := ds.CanvasImages[chash]; !ok {
 		ds.CanvasImages[chash] = cimg
 	}
 
 	gi := dv.gpu
 	gi.Driver = dv.driverGen*100 + dv.directX + in.dxOverride
-	gimg := canvas.RenderGPU(gi)
-	ghash := gimg.Hash()
+	gimg, ghash := ds.renders.gpuImage(gi)
 	if _, ok := ds.CanvasImages[ghash]; !ok {
 		ds.CanvasImages[ghash] = gimg
 	}

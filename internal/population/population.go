@@ -59,6 +59,9 @@ type Dataset struct {
 	// that claimed each GPU image hash — the spill path's cross-batch
 	// first-wins tiebreak (stream.go).
 	gpuFirst map[string]gpuFirstKey
+	// renders is the render memo of the run that produced the Dataset;
+	// the result and every shard Dataset of one run share it.
+	renders *renderMemo
 }
 
 // gpuFirstKey orders GPUImageInfo claims the way the serial visit
@@ -104,6 +107,7 @@ func simulateSerial(cfg Config) *Dataset {
 		CanvasImages: make(map[string]*canvas.Image),
 		GPUImageInfo: make(map[string]canvas.GPUInfo),
 		Geo:          geoip.New(cfg.Cities),
+		renders:      new(renderMemo),
 	}
 
 	var instances []*instance

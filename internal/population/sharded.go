@@ -75,8 +75,10 @@ func simulateSharded(cfg Config) *Dataset {
 	}
 
 	// Phase 3: per-shard visit loops into private Datasets. The shards
-	// share the immutable Geo; image stores are merged afterwards
-	// (identical hash → identical content, so first-wins is exact).
+	// share the immutable Geo and the run's render memo; image stores
+	// are merged afterwards (identical hash → identical content, so
+	// first-wins is exact).
+	renders := new(renderMemo)
 	parallel.ForEach(workers, len(shards), func(i int) {
 		sh := shards[i]
 		sh.out = &Dataset{
@@ -84,6 +86,7 @@ func simulateSharded(cfg Config) *Dataset {
 			CanvasImages: make(map[string]*canvas.Image),
 			GPUImageInfo: make(map[string]canvas.GPUInfo),
 			Geo:          geo,
+			renders:      renders,
 		}
 		simulateVisits(cfg, sh.instances, sh.out)
 	})
@@ -97,6 +100,7 @@ func simulateSharded(cfg Config) *Dataset {
 		GPUImageInfo: make(map[string]canvas.GPUInfo),
 		Geo:          geo,
 		NumInstances: instBase,
+		renders:      renders,
 	}
 	total := 0
 	for _, sh := range shards {

@@ -106,6 +106,7 @@ type SpilledDataset struct {
 	Geo          *geoip.DB
 	Records      int // total records spilled
 
+	renders *renderMemo // the run's render memo, spanning every batch
 	sorter  *extsort.Sorter[StreamItem]
 	root    string // spill root; removed on Close when ownRoot
 	ownRoot bool
@@ -220,6 +221,7 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 		CanvasImages: make(map[string]*canvas.Image),
 		GPUImageInfo: make(map[string]canvas.GPUInfo),
 		Geo:          geoip.New(cfg.Cities),
+		renders:      new(renderMemo),
 		sorter:       sorter,
 		root:         root,
 		ownRoot:      ownRoot,
@@ -309,6 +311,7 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 				CanvasImages: make(map[string]*canvas.Image),
 				GPUImageInfo: make(map[string]canvas.GPUInfo),
 				Geo:          sd.Geo,
+				renders:      sd.renders,
 			}
 			if gpuBest != nil {
 				sh.out.gpuFirst = make(map[string]gpuFirstKey)

@@ -326,3 +326,23 @@ func TestSpillConcurrentStreams(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSimulateSpill runs simulate-and-spill at the shape of
+// perfbench's pipeline workload: 4,000 users under a 6 MiB budget
+// (several spilled runs), sharded across every core.
+func BenchmarkSimulateSpill(b *testing.B) {
+	cfg := DefaultConfig(4000)
+	cfg.Seed = 1
+	cfg.Workers = -1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sd, err := SimulateSpill(cfg, StreamOptions{MemBudget: 6 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(sd.Records), "records/op")
+		if err := sd.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
