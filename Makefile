@@ -34,7 +34,7 @@ check: lint-determinism bench-compile
 	$(GO) test -race ./internal/scriptsim/
 	$(GO) test -race ./internal/extsort/
 	$(GO) test -race ./internal/linkd/
-	$(GO) test -race -run 'TestSpill|TestStreamReport' ./internal/population/ ./internal/report/
+	$(GO) test -race -run 'TestSpill|TestStreamReport|TestSimulateGolden|TestShardedWorkerCountInvariance' ./internal/population/ ./internal/report/
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/fingerprint/
 	cd perfbench && $(GO) test .

@@ -27,7 +27,7 @@ func main() {
 	deployment := flag.Bool("deployment", false, "simulate the §2.2.2 hot patches and partial outage")
 	out := flag.String("o", "dataset.jsonl", "output snapshot path")
 	truth := flag.String("truth", "", "optional path for the ground-truth sidecar (instance serials and cause labels)")
-	workers := flag.Int("workers", 0, "simulation worker count: 0 = serial reproduction path, -1 = NumCPU")
+	workers := flag.Int("workers", 0, "simulation worker count: 1 = serial, 0 or -1 = NumCPU; the output is the same for every value")
 	stageTiming := flag.String("stage-timing", "", "path for the per-stage wall-time/records-per-sec JSON (empty disables)")
 	stream := flag.Bool("stream", false, "out-of-core mode: spill the simulation to sorted segment files and stream the snapshot (and truth sidecar) from the merged runs in bounded memory")
 	spillDir := flag.String("spill-dir", "", "spill directory for -stream run files (empty = temp dir, removed afterwards)")

@@ -29,7 +29,7 @@ func main() {
 	scenario := flag.String("scenario", population.ScenarioPaper,
 		"population preset: "+strings.Join(population.Scenarios(), ", "))
 	what := flag.String("what", "all", "comma-separated artifacts: table1,table2,table3,fig2,fig3,fig4,fig5,fig6,fig7,fig8,fig12,estimate,insight1,insight3,compression,tradeoff,stemming or all")
-	workers := flag.Int("workers", 0, "worker count for the simulate/ground-truth/diff/classify pipeline: 0 = serial reproduction path, -1 = NumCPU")
+	workers := flag.Int("workers", 0, "worker count for the simulate/ground-truth/diff/classify pipeline: 1 = serial, 0 or -1 = NumCPU; the output is the same for every value")
 	stageTiming := flag.String("stage-timing", "", "path for the per-stage wall-time/records-per-sec JSON (empty disables)")
 	stream := flag.Bool("stream", false, "out-of-core pipeline: spill the simulation to sorted segment files and stream the analyses in bounded memory (sections: summary, estimate, table2)")
 	spillDir := flag.String("spill-dir", "", "spill directory for -stream run files (empty = temp dir, removed afterwards)")

@@ -8,9 +8,7 @@
 //
 // The convention for worker knobs in this package is: a count >= 1 is
 // used as given (1 = serial, in-order execution on the calling
-// goroutine), anything else resolves to runtime.NumCPU(). Callers that
-// reserve 0 for "legacy serial path" (population.Config, cmd/fpreport,
-// cmd/fpgen) map that sentinel before reaching this package.
+// goroutine), anything else resolves to runtime.NumCPU().
 package parallel
 
 import (

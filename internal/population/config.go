@@ -9,13 +9,10 @@ type Config struct {
 	Seed  int64
 	Users int
 
-	// Workers selects the simulation execution path. 0 (the zero value)
-	// is the legacy serial path — the reproduction baseline whose RNG
-	// stream every calibrated output was validated against. Any other
-	// value runs the sharded path: per-user sub-RNGs simulated on a
-	// worker pool, deterministic in Seed and identical for every worker
-	// count (1 uses a single worker, negative resolves to
-	// runtime.NumCPU()).
+	// Workers is the simulation's worker-pool size, resolved by
+	// parallel.Resolve: 1 runs serially, 0 (the zero value) or negative
+	// uses runtime.NumCPU(). Every user draws from its own sub-RNG, so
+	// the output is identical for every value.
 	Workers int
 
 	// Deployment window; defaults to the paper's Stage-3 window,

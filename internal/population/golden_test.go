@@ -7,10 +7,9 @@ import "testing"
 // caching, so they catch a caching bug that changes every generation
 // path the same way — something the path-versus-path equality tests in
 // stream_test.go cannot see.
-// Workers 0 is the legacy serial stream; -1 (NumCPU) stands for the
-// sharded path, whose output is worker-count invariant.
+// -1 (NumCPU) stands for every worker count: the output is worker-count
+// invariant (TestShardedWorkerCountInvariance).
 var goldenDigests = map[int]uint64{
-	0:  0x83eb6fc7d60fb6de,
 	-1: 0xe3181f5999a125fc,
 }
 
@@ -24,9 +23,8 @@ func goldenConfig(workers int) Config {
 // TestSimulateGolden checks the in-memory and the spilled generator
 // against the pinned digests.
 func TestSimulateGolden(t *testing.T) {
-	for _, workers := range []int{0, -1} {
+	for workers, want := range goldenDigests {
 		cfg := goldenConfig(workers)
-		want := goldenDigests[workers]
 		if got := datasetDigest(t, Simulate(cfg)); got != want {
 			t.Errorf("workers=%d: Simulate digest %#016x, want %#016x", workers, got, want)
 		}

@@ -33,7 +33,6 @@ type devChange struct {
 // sharing is what produces the paper's cross-browser leaks (a Samsung
 // Browser update visible in Chrome's canvas, Insight 1.1).
 type device struct {
-	serial   int
 	platform platformChoice
 	osVer    useragent.Version
 	model    string // mobile device model; "" on desktop
@@ -80,12 +79,10 @@ type device struct {
 }
 
 // cloneDevice returns an exact hardware/environment twin of src with
-// its own serial and an empty change schedule — the §2.3.3
-// computer-lab scenario where identical machines collapse into one
-// browser ID.
-func cloneDevice(src *device, serial int) *device {
+// an empty change schedule — the §2.3.3 computer-lab scenario where
+// identical machines collapse into one browser ID.
+func cloneDevice(src *device) *device {
 	dv := *src
-	dv.serial = serial
 	dv.isClone = true
 	dv.baseFonts = append([]string(nil), src.baseFonts...)
 	dv.extraLangs = append([]string(nil), src.extraLangs...)
@@ -398,14 +395,6 @@ func (in *instance) render(now time.Time, vs visitState, ds *Dataset) *fingerpri
 	}
 	if _, ok := ds.GPUImageInfo[ghash]; !ok {
 		ds.GPUImageInfo[ghash] = gi
-		if ds.gpuFirst != nil {
-			// Integrated GPUs can rasterize identical images, so the hash
-			// can collide across distinct GPUInfo values; record which
-			// render claimed it so the spill path (stream.go) can merge
-			// per-shard maps with the serial path's global-timeline
-			// first-wins semantics.
-			ds.gpuFirst[ghash] = gpuFirstKey{t: now, serial: in.serial}
-		}
 	}
 
 	audioRate := dv.audioRate

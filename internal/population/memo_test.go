@@ -78,9 +78,9 @@ func checkRenderMemo(t *testing.T, m *renderMemo, records []*fingerprint.Record,
 }
 
 // TestSpillRenderMemoExact checks the memo of in-memory and spilled
-// runs on the serial and the sharded path: every cached image equals a
-// fresh render and hashes to its cached hash, and the memo holds
-// exactly the images the records reference.
+// runs at two worker counts: every cached image equals a fresh render
+// and hashes to its cached hash, and the memo holds exactly the images
+// the records reference.
 func TestSpillRenderMemoExact(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		cfg := streamTestConfig(workers)
@@ -148,7 +148,7 @@ func TestFontMemoFlipsAndAliasing(t *testing.T) {
 	cfg := DefaultConfig(1)
 	rng := rand.New(rand.NewSource(5))
 	geo := geoip.New(cfg.Cities)
-	dv := newDevice(rng, cfg, geo, 0)
+	dv := newDevice(rng, cfg, geo)
 	dv.office, dv.officeUpd, dv.adobe, dv.libre, dv.wps = false, false, false, false, false
 	chrome := newInstance(rng, cfg, 0, "u", dv, useragent.Chrome)
 	firefox := newInstance(rng, cfg, 1, "u", dv, useragent.Firefox)

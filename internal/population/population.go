@@ -55,53 +55,18 @@ type Dataset struct {
 	Geo          *geoip.DB
 	NumInstances int
 
-	// gpuFirst, when non-nil, records the (time, serial) of the render
-	// that claimed each GPU image hash — the spill path's cross-batch
-	// first-wins tiebreak (stream.go).
-	gpuFirst map[string]gpuFirstKey
 	// renders is the render memo of the run that produced the Dataset;
 	// the result and every shard Dataset of one run share it.
 	renders *renderMemo
 }
 
-// gpuFirstKey orders GPUImageInfo claims the way the serial visit
-// timeline does: by time, then instance serial.
-type gpuFirstKey struct {
-	t      time.Time
-	serial int
-}
-
-func (k gpuFirstKey) before(o gpuFirstKey) bool {
-	if !k.t.Equal(o.t) {
-		return k.t.Before(o.t)
-	}
-	return k.serial < o.serial
-}
-
 // Simulate generates a dataset under the given configuration. The
-// output is fully deterministic in cfg.Seed.
-//
-// cfg.Workers selects the execution path. Workers == 0 is the legacy
-// serial path: one RNG stream threads through every user in order,
-// which is the reproduction baseline all calibrated outputs were
-// validated against. Workers != 0 is the sharded path (sharded.go):
-// each user gets a sub-RNG derived from the seed and the user hash, so
-// user shards simulate independently on a worker pool and merge into
-// the same global time order — the result is identical for every
-// worker count at a given seed (Workers: 1 and Workers: NumCPU produce
-// the same Dataset), though its RNG draws differ from the Workers == 0
-// stream.
+// output is fully deterministic in cfg.Seed: each user draws from its
+// own userSeed sub-RNG, so the whole population simulates as one
+// batch (sharded.go) on a pool of cfg.Workers goroutines and merges
+// into one global time order — the same Dataset at every worker count,
+// and the same record sequence SimulateSpill streams.
 func Simulate(cfg Config) *Dataset {
-	if cfg.Workers != 0 {
-		return simulateSharded(cfg)
-	}
-	return simulateSerial(cfg)
-}
-
-// simulateSerial is the legacy single-threaded generator: one shared
-// RNG for the creation pass, then the global visit timeline.
-func simulateSerial(cfg Config) *Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	ds := &Dataset{
 		Cfg:          cfg,
 		CanvasImages: make(map[string]*canvas.Image),
@@ -109,27 +74,26 @@ func simulateSerial(cfg Config) *Dataset {
 		Geo:          geoip.New(cfg.Cities),
 		renders:      new(renderMemo),
 	}
-
-	var instances []*instance
-	devSerial := 0
-	for u := 0; u < cfg.Users; u++ {
-		ins, devs := buildUser(rng, cfg, ds.Geo, u, len(instances), devSerial)
-		instances = append(instances, ins...)
-		devSerial += len(devs)
+	shards, numInstances := simulateBatch(cfg, ds.Geo, ds.renders, 0, cfg.Users, 0)
+	items := mergeBatch(shards, ds.CanvasImages, ds.GPUImageInfo)
+	ds.NumInstances = numInstances
+	ds.Records = make([]*fingerprint.Record, len(items))
+	ds.TrueInstance = make([]int, len(items))
+	ds.VisitIndex = make([]int, len(items))
+	ds.Truth = make([][]EventType, len(items))
+	for i, it := range items {
+		ds.Records[i], ds.TrueInstance[i] = it.Rec, it.Instance
+		ds.VisitIndex[i], ds.Truth[i] = it.VisitIndex, it.Truth
 	}
-	ds.NumInstances = len(instances)
-	simulateVisits(cfg, instances, ds)
 	return ds
 }
 
 // buildUser creates one user's devices and browser instances and
-// schedules their device-level changes. Instance serials are assigned
-// from instBase up, device serials from devBase up; the caller keeps
-// the running totals (serial path) or renumbers afterwards (sharded
-// path). All randomness is drawn from rng, so the serial path's shared
-// stream and the sharded path's per-user sub-streams run the exact
-// same draw sequence per user.
-func buildUser(rng *rand.Rand, cfg Config, geo *geoip.DB, u, instBase, devBase int) ([]*instance, []*device) {
+// schedules their device-level changes. Instance serials are
+// user-local, counted from 0; simulateBatch renumbers them into the
+// global numbering. All randomness is drawn from rng, the user's own
+// sub-stream.
+func buildUser(rng *rand.Rand, cfg Config, geo *geoip.DB, u int) ([]*instance, []*device) {
 	userID := userHash(cfg.Seed, u)
 	var instances []*instance
 	var devices []*device
@@ -146,9 +110,9 @@ func buildUser(rng *rand.Rand, cfg Config, geo *geoip.DB, u, instBase, devBase i
 			// with exactly the same configuration (a computer lab).
 			// Identical stable features merge them into one browser ID,
 			// and their cookies interleave.
-			dv = cloneDevice(firstDev, devBase+len(devices))
+			dv = cloneDevice(firstDev)
 		} else {
-			dv = newDevice(rng, cfg, geo, devBase+len(devices))
+			dv = newDevice(rng, cfg, geo)
 		}
 		devices = append(devices, dv)
 		nBrowsers := 1
@@ -166,7 +130,7 @@ func buildUser(rng *rand.Rand, cfg Config, geo *geoip.DB, u, instBase, devBase i
 				family = pickBrowser(rng, dv.platform)
 			}
 			used[family] = true
-			in := newInstance(rng, cfg, instBase+len(instances), userID, dv, family)
+			in := newInstance(rng, cfg, len(instances), userID, dv, family)
 			instances = append(instances, in)
 			devInstances = append(devInstances, in)
 			if family == useragent.Samsung {
@@ -185,19 +149,19 @@ func buildUser(rng *rand.Rand, cfg Config, geo *geoip.DB, u, instBase, devBase i
 }
 
 // simulateVisits runs the visit loop over the given instances in
-// global time order, appending records and ground truth to out. The
+// time order, appending records and ground truth to out. The
 // instances' serials must be contiguous starting at
-// instances[0].serial (true for the full population and for a per-user
-// shard alike). Randomness comes from per-instance RNG streams keyed
-// by the instance serial, so visit behaviour is independent of how the
-// population was partitioned into simulateVisits calls.
+// instances[0].serial (true for a user's shard). Randomness comes from
+// per-instance RNG streams keyed by the global instance serial, so
+// visit behaviour is independent of how the population was
+// partitioned into simulateVisits calls.
 func simulateVisits(cfg Config, instances []*instance, out *Dataset) {
 	if len(instances) == 0 {
 		return
 	}
 	base := instances[0].serial
 
-	// Global visit timeline.
+	// The shard's visit timeline.
 	type visitRef struct {
 		in *instance
 		k  int
@@ -328,10 +292,9 @@ func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
 }
 
 // newDevice creates a device with sampled hardware and environment.
-func newDevice(rng *rand.Rand, cfg Config, geo *geoip.DB, serial int) *device {
+func newDevice(rng *rand.Rand, cfg Config, geo *geoip.DB) *device {
 	p := pickPlatform(rng)
 	dv := &device{
-		serial:   serial,
 		platform: p,
 		// City population is heavily skewed: most of a European site's
 		// users come from a handful of large cities. The cube bias puts

@@ -10,29 +10,25 @@ package population
 // (time, serial) back into the global record order. Only one batch of
 // per-user simulation state plus one merge head per run is ever live.
 //
-// Determinism discipline: the streamed sequence is byte-identical to the
-// in-memory path at the same Config — Workers == 0 threads the single
-// legacy RNG through the batched creation passes (the visit loops
-// already draw from per-instance streams keyed by global serial, so
-// partitioning is invisible), and Workers != 0 reproduces the sharded
-// path's per-user sub-RNGs and prefix-sum serial numbering. Batch size
+// Determinism discipline: the streamed sequence is byte-identical to
+// Simulate at the same Config. Both run the same batch generator
+// (sharded.go), whose per-user sub-RNGs and prefix-sum serial
+// numbering do not depend on where the batch boundaries fall, and the
+// per-instance visit streams are keyed by global serial. Batch size
 // only decides when state is spilled, never what is emitted.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"fpdyn/internal/canvas"
 	"fpdyn/internal/extsort"
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/geoip"
 	"fpdyn/internal/obs"
-	"fpdyn/internal/parallel"
 	"fpdyn/internal/storage"
 )
 
@@ -197,8 +193,7 @@ func NewSpillSorter(dir, name string, reg *obs.Registry, open func(string) (stor
 // is simulated, sorted by (time, serial) and spilled as one run, then
 // the per-batch state is dropped. The result streams the identical
 // record sequence the in-memory Simulate would return for the same
-// Config — for the legacy serial path (Workers == 0) and the sharded
-// path (any other worker count) alike.
+// Config.
 func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err error) {
 	stop := opts.Timings.Start("simulate_spill")
 	root := opts.SpillDir
@@ -234,132 +229,13 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 		}
 	}()
 
-	// Workers == 0 is the legacy serial reproduction path: one shared
-	// RNG threads through every user's creation in order, across batch
-	// boundaries. Any other value reproduces the sharded path.
-	var serialRNG *rand.Rand
-	if cfg.Workers == 0 {
-		serialRNG = rand.New(rand.NewSource(cfg.Seed))
-	}
-	visitWorkers := cfg.Workers
-	if visitWorkers == 0 {
-		visitWorkers = 1
-	}
-
-	// gpuBest tracks, per GPU image hash, the earliest (time, serial)
-	// render claim seen so far across batches — the serial path's
-	// global-timeline first-wins, reconstructed from per-shard maps.
-	// Only the Workers == 0 reproduction path needs it: the sharded
-	// in-memory path merges in shard order, which the batch loop's
-	// user-ordered fold already matches.
-	var gpuBest map[string]gpuFirstKey
-	if cfg.Workers == 0 {
-		gpuBest = make(map[string]gpuFirstKey)
-	}
-
 	batchSize := opts.usersPerBatch()
-	instBase, devBase := 0, 0
+	instBase := 0
 	for u0 := 0; u0 < cfg.Users; u0 += batchSize {
-		u1 := u0 + batchSize
-		if u1 > cfg.Users {
-			u1 = cfg.Users
-		}
-		n := u1 - u0
-
-		// Creation. The serial path draws from the shared stream in user
-		// order; the sharded path builds each user from its own sub-RNG
-		// with shard-local serials, renumbered by the running prefix sums
-		// — the exact numbering simulateSharded assigns.
+		u1 := min(u0+batchSize, cfg.Users)
 		var shards []*userShard
-		if cfg.Workers == 0 {
-			shards = make([]*userShard, n)
-			for i := 0; i < n; i++ {
-				ins, devs := buildUser(serialRNG, cfg, sd.Geo, u0+i, instBase, devBase)
-				shards[i] = &userShard{instances: ins, devices: devs}
-				instBase += len(ins)
-				devBase += len(devs)
-			}
-		} else {
-			shards = parallel.Map(cfg.Workers, n, func(i int) *userShard {
-				rng := rand.New(rand.NewSource(userSeed(cfg, u0+i)))
-				ins, devs := buildUser(rng, cfg, sd.Geo, u0+i, 0, 0)
-				return &userShard{instances: ins, devices: devs}
-			})
-			for _, sh := range shards {
-				for _, in := range sh.instances {
-					in.serial += instBase
-				}
-				for _, dv := range sh.devices {
-					dv.serial += devBase
-					for i := range dv.schedule {
-						if dv.schedule[i].except >= 0 {
-							dv.schedule[i].except += instBase
-						}
-					}
-				}
-				instBase += len(sh.instances)
-				devBase += len(sh.devices)
-			}
-		}
-
-		// Visits: per-shard loops into private outputs (per-instance RNG
-		// streams keyed by global serial make the partitioning invisible).
-		parallel.ForEach(visitWorkers, n, func(i int) {
-			sh := shards[i]
-			sh.out = &Dataset{
-				Cfg:          cfg,
-				CanvasImages: make(map[string]*canvas.Image),
-				GPUImageInfo: make(map[string]canvas.GPUInfo),
-				Geo:          sd.Geo,
-				renders:      sd.renders,
-			}
-			if gpuBest != nil {
-				sh.out.gpuFirst = make(map[string]gpuFirstKey)
-			}
-			simulateVisits(cfg, sh.instances, sh.out)
-		})
-
-		// Collect the batch timeline, sort by (time, serial), spill as
-		// one run; fold the dedup image stores (identical hash →
-		// identical content, so first-wins is exact).
-		total := 0
-		for _, sh := range shards {
-			total += len(sh.out.Records)
-		}
-		items := make([]StreamItem, 0, total)
-		for _, sh := range shards {
-			out := sh.out
-			for i := range out.Records {
-				items = append(items, StreamItem{
-					Rec:        out.Records[i],
-					Instance:   out.TrueInstance[i],
-					VisitIndex: out.VisitIndex[i],
-					Truth:      out.Truth[i],
-				})
-			}
-			for h, img := range out.CanvasImages {
-				if _, ok := sd.CanvasImages[h]; !ok {
-					sd.CanvasImages[h] = img
-				}
-			}
-			// GPU image hashes can collide across distinct GPUInfo values
-			// (integrated GPUs cluster), so the winner matters. Workers ==
-			// 0 reproduces the serial path's global-timeline first-wins
-			// via the recorded claim keys; the sharded path merges in
-			// shard (user) order exactly like simulateSharded.
-			for h, info := range out.GPUImageInfo {
-				if gpuBest != nil {
-					k := out.gpuFirst[h]
-					if old, ok := gpuBest[h]; !ok || k.before(old) {
-						gpuBest[h] = k
-						sd.GPUImageInfo[h] = info
-					}
-				} else if _, ok := sd.GPUImageInfo[h]; !ok {
-					sd.GPUImageInfo[h] = info
-				}
-			}
-		}
-		sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+		shards, instBase = simulateBatch(cfg, sd.Geo, sd.renders, u0, u1, instBase)
+		items := mergeBatch(shards, sd.CanvasImages, sd.GPUImageInfo)
 		if err := sorter.WriteRun(items); err != nil {
 			return nil, err
 		}
@@ -391,9 +267,6 @@ func (sd *SpilledDataset) Runs() int { return sd.sorter.Runs() }
 // SpillRoot returns the spill root directory (the report's by-instance
 // re-sort spills its runs under the same root).
 func (sd *SpilledDataset) SpillRoot() string { return sd.root }
-
-// Registry returns nothing; metrics are registered on the Registry the
-// caller passed in StreamOptions.
 
 // Close deletes the spilled runs (and the temp root, when owned).
 func (sd *SpilledDataset) Close() error {

@@ -57,8 +57,7 @@ func datasetDigest(t *testing.T, ds *Dataset) uint64 {
 
 // TestSpillDigestEquality is the tentpole determinism gate: the spill
 // path must reproduce the in-memory Simulate byte-for-byte at every
-// worker count — the legacy serial stream (Workers 0) and the sharded
-// path (1 and 8).
+// worker count (0 resolves to NumCPU, like -1).
 func TestSpillDigestEquality(t *testing.T) {
 	for _, workers := range []int{0, 1, 8} {
 		cfg := streamTestConfig(workers)

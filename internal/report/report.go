@@ -47,11 +47,11 @@ func New(ds *population.Dataset, w io.Writer) *Reporter {
 // NewWorkers is New with the processing pipeline fanned out over a
 // worker pool: ground-truth key hashing, per-instance diff chains and
 // the batch classification of every changed dynamics all run on up to
-// `workers` goroutines (0 or 1 = serial, negative = NumCPU). The
-// processed state — and therefore every table and figure — is
-// identical for every worker count; the batch pass also warms the
-// classifier's memo so the report sections reuse classifications
-// instead of re-deriving them.
+// `workers` goroutines (1 = serial; 0 or negative = NumCPU, via
+// parallel.Resolve). The processed state — and therefore every table
+// and figure — is identical for every worker count; the batch pass
+// also warms the classifier's memo so the report sections reuse
+// classifications instead of re-deriving them.
 func NewWorkers(ds *population.Dataset, w io.Writer, workers int) *Reporter {
 	return NewWorkersTimed(ds, w, workers, nil)
 }
@@ -62,9 +62,6 @@ func NewWorkers(ds *population.Dataset, w io.Writer, workers int) *Reporter {
 // machine-readable stage-timing JSON alongside BENCH_pipeline.json. A
 // nil timings is a no-op.
 func NewWorkersTimed(ds *population.Dataset, w io.Writer, workers int, timings *obs.Timings) *Reporter {
-	if workers == 0 {
-		workers = 1
-	}
 	stop := timings.Start("ground_truth")
 	gt := browserid.BuildParallel(ds.Records, workers)
 	stop(len(ds.Records))

@@ -99,8 +99,8 @@ func SpillSource(sd *population.SpilledDataset) RecordSource {
 // StreamOptions configures the out-of-core report pipeline.
 type StreamOptions struct {
 	// Workers is the pool size for hashing, diffing and classifying
-	// chunks (0 or 1 = serial, negative = NumCPU). Output is identical
-	// for every value.
+	// chunks (1 = serial; 0 or negative = NumCPU, via parallel.Resolve).
+	// Output is identical for every value.
 	Workers int
 	// SpillDir hosts the regroup sort's run files (subdirectory
 	// "regroup"); empty means a fresh temp directory. Removed when the
@@ -196,9 +196,6 @@ func groupedLess(a, b grouped) bool {
 // hashes for the classifier (nil-able via dynamics.MapImages(nil)).
 func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opts StreamOptions) (*StreamReporter, error) {
 	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
 	chunkSize := opts.chunk()
 	r := &StreamReporter{w: w}
 
