@@ -402,8 +402,19 @@ func (r *Reporter) Fig12() {
 func (r *Reporter) Insight1() {
 	fmt.Fprintln(r.w, "Insight 1.1: emoji leaks (canvas changes revealing co-installed software updates)")
 	rep := inference.EmojiLeaks(r.changed, r.cl)
-	for fam, n := range rep.LeakingDynamics {
-		fmt.Fprintf(r.w, "  %-18s %d leaking dynamics, %d instances\n", fam, n, rep.LeakingInstances[fam])
+	fams := make([]string, 0, len(rep.LeakingDynamics))
+	for fam := range rep.LeakingDynamics {
+		fams = append(fams, fam)
+	}
+	// Descending leaking-dynamics count, ties by name (textplot.BarMap's order).
+	sort.Slice(fams, func(i, j int) bool {
+		if a, b := rep.LeakingDynamics[fams[i]], rep.LeakingDynamics[fams[j]]; a != b {
+			return a > b
+		}
+		return fams[i] < fams[j]
+	})
+	for _, fam := range fams {
+		fmt.Fprintf(r.w, "  %-18s %d leaking dynamics, %d instances\n", fam, rep.LeakingDynamics[fam], rep.LeakingInstances[fam])
 	}
 	patch := inference.UnpatchedWindows7(r.changed, r.cl, r.gt.Instances)
 	if patch.UpdateObserved > 0 {

@@ -146,3 +146,22 @@ func TestGroundTruthExposed(t *testing.T) {
 		t.Fatal("ground truth not exposed")
 	}
 }
+
+// TestInsight1FixedOrder renders Insight 1 repeatedly on a world with
+// several emoji-leaking browser families: the family rows must come out
+// in the same order every time, not in map order.
+func TestInsight1FixedOrder(t *testing.T) {
+	r, buf := reporter(t)
+	r.Insight1()
+	first := buf.String()
+	if n := strings.Count(first, "leaking dynamics"); n < 2 {
+		t.Fatalf("world has %d leaking families, need at least 2 to test the order", n)
+	}
+	for i := 0; i < 20; i++ {
+		buf.Reset()
+		r.Insight1()
+		if got := buf.String(); got != first {
+			t.Fatalf("render %d differs:\n--- got ---\n%s\n--- first ---\n%s", i+1, got, first)
+		}
+	}
+}

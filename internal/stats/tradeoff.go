@@ -29,9 +29,16 @@ func FeatureEntropy(firstRecords []*fingerprint.Record) map[fingerprint.ID]float
 		for _, r := range firstRecords {
 			counts[r.FP.Value(desc.ID).Key()]++
 		}
+		// Sum in sorted-key order: float addition is not associative,
+		// and map order would make the low bits vary run to run.
+		keys := make([]string, 0, len(counts))
+		for k := range counts {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 		h := 0.0
-		for _, c := range counts {
-			p := float64(c) / n
+		for _, k := range keys {
+			p := float64(counts[k]) / n
 			h -= p * math.Log2(p)
 		}
 		out[desc.ID] = h
