@@ -154,7 +154,10 @@ func UpdateCorrelations(dyns []*dynamics.Dynamics, cl *dynamics.Classifier) []Up
 		if out[i].Update != out[j].Update {
 			return out[i].Update < out[j].Update
 		}
-		return out[i].Feature < out[j].Feature
+		if out[i].Feature != out[j].Feature {
+			return out[i].Feature < out[j].Feature
+		}
+		return out[i].Platform < out[j].Platform
 	})
 	return out
 }

@@ -222,3 +222,32 @@ func BenchmarkImplicit(b *testing.B) {
 		Implicit(dyns, 3)
 	}
 }
+
+// TestUpdateCorrelationsTieOrder: rows equal in count, update and
+// feature must still come out in one order (by platform), not in map
+// order.
+func TestUpdateCorrelationsTieOrder(t *testing.T) {
+	var dyns []*dynamics.Dynamics
+	for _, os := range []string{useragent.Windows, useragent.Linux, useragent.MacOSX} {
+		from := &fingerprint.Record{FP: &fingerprint.Fingerprint{
+			UserAgent: useragent.UA{Browser: useragent.Firefox, BrowserVersion: useragent.V(58), OS: os, OSVersion: useragent.V(10)}.String(),
+			Fonts:     []string{"Arial"},
+		}}
+		to := &fingerprint.Record{FP: &fingerprint.Fingerprint{
+			UserAgent: useragent.UA{Browser: useragent.Firefox, BrowserVersion: useragent.V(59), OS: os, OSVersion: useragent.V(10)}.String(),
+			Fonts:     []string{"Arial", "Bahnschrift"},
+		}}
+		dyns = append(dyns, &dynamics.Dynamics{BrowserID: os, From: from, To: to, Delta: diff.Diff(from.FP, to.FP)})
+	}
+	for i := 0; i < 20; i++ {
+		rows := UpdateCorrelations(dyns, &dynamics.Classifier{})
+		if len(rows) != 3 {
+			t.Fatalf("rows = %v", rows)
+		}
+		for k := 1; k < len(rows); k++ {
+			if rows[k-1].Platform >= rows[k].Platform {
+				t.Fatalf("run %d: rows not ordered by platform: %+v", i, rows)
+			}
+		}
+	}
+}
