@@ -73,7 +73,14 @@ func BenchmarkTable1FeatureStats(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.FeatureTable(w.ds.Records, w.dyns)
+		acc := stats.NewFeatureAccumulator()
+		for _, r := range w.ds.Records {
+			acc.AddRecord(r.FP)
+		}
+		for _, d := range w.dyns {
+			acc.AddDelta(d.Delta)
+		}
+		acc.Rows()
 	}
 }
 
@@ -82,7 +89,7 @@ func BenchmarkFigure3IdentifierBreakdown(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.UserBrowserCookie(w.gt)
+		w.gt.Accumulate().IdentifierCounts()
 	}
 }
 
@@ -91,7 +98,13 @@ func BenchmarkFigure4VisitSeries(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.VisitSeries(w.ds.Records, w.gt.IDs, 7*24*time.Hour)
+		acc := stats.NewVisitAccumulator(7 * 24 * time.Hour)
+		seen := map[string]bool{}
+		for j, r := range w.ds.Records {
+			acc.Add(r.Time, !seen[w.gt.IDs[j]])
+			seen[w.gt.IDs[j]] = true
+		}
+		acc.Series()
 	}
 }
 
@@ -100,16 +113,26 @@ func BenchmarkFigure5And6TypeBreakdown(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.TypeBreakdown(w.gt)
+		var types stats.TypeBreakdown
+		for _, recs := range w.gt.Instances {
+			types.Add(recs[0])
+		}
 	}
 }
 
 func BenchmarkFigure7Stability(b *testing.B) {
 	w := world(b)
+	changes := map[string]int{}
+	for _, d := range w.changed {
+		changes[d.BrowserID]++
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.StabilityBreakdown(w.gt, 12)
+		cells := stats.StabilityBreakdown{}
+		for id, recs := range w.gt.Instances {
+			cells.Add(len(recs), changes[id], 12)
+		}
 	}
 }
 
@@ -339,7 +362,11 @@ func BenchmarkTable3UpdateCorrelations(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		correlate.UpdateCorrelations(w.changed, w.cl)
+		acc := correlate.NewUpdateAccumulator(w.cl)
+		for _, d := range w.changed {
+			acc.Add(d)
+		}
+		acc.Rows()
 	}
 }
 
@@ -348,8 +375,11 @@ func BenchmarkFigure12AdoptionSeries(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		correlate.AdoptionSeries(w.changed, useragent.Chrome, 64,
-			w.ds.Cfg.Start, w.ds.Cfg.End, 7*24*time.Hour, w.gt.NumInstances())
+		acc := correlate.NewAdoptionAccumulator(useragent.Chrome, 64, w.ds.Cfg.Start, w.ds.Cfg.End, 7*24*time.Hour)
+		for _, d := range w.changed {
+			acc.Add(d)
+		}
+		acc.Series(w.gt.NumInstances())
 	}
 }
 
@@ -358,20 +388,25 @@ func BenchmarkInsight1EmojiLeaks(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inference.EmojiLeaks(w.changed, w.cl)
+		var rep inference.EmojiLeakReport
+		for _, d := range w.changed {
+			rep.Add(d, w.cl.Classify(d))
+		}
 	}
 }
 
 func BenchmarkInsight1SoftwareFromFonts(b *testing.B) {
 	w := world(b)
-	latest := map[string]*fingerprint.Fingerprint{}
-	for id, recs := range w.gt.Instances {
-		latest[id] = recs[len(recs)-1].FP
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inference.SoftwareFromFonts(w.changed, latest)
+		var rep inference.SoftwareReport
+		for _, d := range w.changed {
+			rep.AddDynamics(d)
+		}
+		for _, recs := range w.gt.Instances {
+			rep.AddLatest(recs[len(recs)-1].FP)
+		}
 	}
 }
 
@@ -380,7 +415,11 @@ func BenchmarkInsight1GPUInference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inference.GPUInference(w.ds.Records, w.ds.GPUImageInfo)
+		acc := inference.NewGPUAccumulator()
+		for _, r := range w.ds.Records {
+			acc.Add(r)
+		}
+		acc.Report(w.ds.GPUImageInfo)
 	}
 }
 
@@ -398,7 +437,11 @@ func BenchmarkInsight3ImplicitCorrelations(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		correlate.Implicit(w.changed, 3)
+		acc := correlate.NewImplicitAccumulator()
+		for _, d := range w.changed {
+			acc.Add(d)
+		}
+		acc.Correlations(3)
 	}
 }
 
@@ -430,7 +473,11 @@ func BenchmarkAblationDeltaVsPair(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, deltas, ratio := stats.DeltaCompression(w.changed)
+		acc := stats.NewCompressionAccumulator()
+		for _, d := range w.changed {
+			acc.Add(d)
+		}
+		pairs, deltas, ratio := acc.Result()
 		if pairs < deltas || ratio < 1 {
 			b.Fatalf("compression inverted: %d pairs, %d deltas", pairs, deltas)
 		}

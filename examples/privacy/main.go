@@ -1,70 +1,27 @@
 // Privacy: run the paper's Insight 1 inferences on a simulated
 // population — emoji leaks of co-installed software updates, font-based
 // software detection, GPU image → renderer inference, and impossible-
-// travel VPN detection.
+// travel VPN detection — through the report's insight1 section.
 package main
 
 import (
 	"fmt"
-	"sort"
+	"os"
 
-	"fpdyn/internal/browserid"
 	"fpdyn/internal/dynamics"
-	"fpdyn/internal/fingerprint"
-	"fpdyn/internal/inference"
 	"fpdyn/internal/population"
+	"fpdyn/internal/report"
 )
 
 func main() {
 	cfg := population.DefaultConfig(2500)
 	cfg.Seed = 7
 	ds := population.Simulate(cfg)
-	gt := browserid.Build(ds.Records)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	cl := &dynamics.Classifier{Images: dynamics.MapImages(ds.CanvasImages)}
-
-	fmt.Println("== Insight 1.1: emoji updates leak co-installed software ==")
-	emoji := inference.EmojiLeaks(dyns, cl)
-	if emoji.Total == 0 {
-		fmt.Println("no emoji leaks observed at this scale")
+	r, err := report.NewStream(report.DatasetSource(ds), dynamics.MapImages(ds.CanvasImages), os.Stdout,
+		report.StreamOptions{}, "insight1")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	for fam, n := range emoji.LeakingDynamics {
-		fmt.Printf("  %s: %d emoji-only canvas changes (%d instances) — e.g. a Samsung Browser\n"+
-			"    update visible from this browser's canvas\n", fam, n, emoji.LeakingInstances[fam])
-	}
-
-	fmt.Println("\n== Insight 1.2: fonts leak software installs/updates ==")
-	latest := map[string]*fingerprint.Fingerprint{}
-	for id, recs := range gt.Instances {
-		latest[id] = recs[len(recs)-1].FP
-	}
-	sw := inference.SoftwareFromFonts(dyns, latest)
-	fmt.Printf("  MS Office updated (MT Extra appeared): %d instances\n", sw.OfficeUpdateInstances)
-	fmt.Printf("  MS Office installed (font signature):  %d instances\n", sw.OfficeInstalledInstances)
-	fmt.Printf("  Adobe / LibreOffice / WPS installs:    %d / %d / %d\n",
-		sw.AdobeInstances, sw.LibreInstances, sw.WPSInstances)
-
-	fmt.Println("\n== Insight 1.3: GPU images identify masked renderers ==")
-	gpu := inference.GPUInference(ds.Records, ds.GPUImageInfo)
-	fmt.Printf("  %d distinct GPU images; %.0f%% map to one renderer, %.0f%% to ≤3\n",
-		gpu.DistinctImages, 100*gpu.UniqueShare, 100*gpu.WithinThreeShare)
-	vendors := make([]string, 0, len(gpu.VendorAccuracy))
-	for v := range gpu.VendorAccuracy {
-		vendors = append(vendors, v)
-	}
-	sort.Strings(vendors)
-	for _, v := range vendors {
-		fmt.Printf("  %-28s %.0f%% unique\n", v, 100*gpu.VendorAccuracy[v])
-	}
-
-	fmt.Println("\n== Insight 1.4: impossible travel exposes VPN/proxy use ==")
-	vel := inference.Velocity(gt.Instances, ds.Geo)
-	fmt.Printf("  %d movement pairs: %d slow, %d plane-speed, %d impossible\n",
-		vel.Pairs, vel.Slow, vel.Mid, vel.Impossible)
-	for i, c := range vel.Cases {
-		if i == 5 {
-			break
-		}
-		fmt.Printf("  VPN case: %s → %s in %s (%.0f km/h)\n", c.FromCity, c.ToCity, c.Gap, c.SpeedKmh)
-	}
+	r.Render("insight1")
 }

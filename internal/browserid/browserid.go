@@ -82,11 +82,6 @@ type GroundTruth struct {
 	// Instances groups records by canonical browser ID, each group in
 	// time order.
 	Instances map[string][]*fingerprint.Record
-	// UserInstances maps each user ID to the set of canonical browser
-	// IDs it was seen with.
-	UserInstances map[string]map[string]bool
-
-	uf unionFind // union-find over initial IDs
 }
 
 // Build constructs browser IDs for a raw dataset. Records must be in
@@ -108,26 +103,15 @@ func BuildParallel(records []*fingerprint.Record, workers int) *GroundTruth {
 		return InitialID(records[i])
 	})
 	for i, r := range records {
-		b.observe(r, initial[i])
+		b.ObserveWithID(r, initial[i])
 	}
 	b.Seal()
 
-	gt := &GroundTruth{
-		Instances:     make(map[string][]*fingerprint.Record),
-		UserInstances: make(map[string]map[string]bool),
-		uf:            b.uf,
-	}
-	gt.IDs = make([]string, len(records))
+	gt := &GroundTruth{IDs: make([]string, len(records)), Instances: make(map[string][]*fingerprint.Record)}
 	for i, r := range records {
-		id := gt.uf.find(initial[i])
+		id := b.CanonicalOf(initial[i])
 		gt.IDs[i] = id
 		gt.Instances[id] = append(gt.Instances[id], r)
-		set := gt.UserInstances[r.UserID]
-		if set == nil {
-			set = make(map[string]bool)
-			gt.UserInstances[r.UserID] = set
-		}
-		set[id] = true
 	}
 	return gt
 }
@@ -180,50 +164,38 @@ func (gt *GroundTruth) InstanceIDs() []string {
 	return ids
 }
 
+// Accumulate feeds every instance, in sorted ID order, to an
+// EstimateAccumulator: the §2.3.3 rates, the population shares and the
+// Figure 3 identifier counts all read from it.
+func (gt *GroundTruth) Accumulate() *EstimateAccumulator {
+	e := NewEstimateAccumulator()
+	var seq []string
+	for _, id := range gt.InstanceIDs() {
+		recs := gt.Instances[id]
+		seq = seq[:0]
+		for _, rec := range recs {
+			if rec.Cookie != "" {
+				seq = append(seq, rec.Cookie)
+			}
+		}
+		e.AddInstance(id, recs[0].UserID, seq)
+	}
+	return e
+}
+
+// Estimate computes the §2.3.3 false positive/negative rates.
+func (gt *GroundTruth) Estimate() Rates { return gt.Accumulate().Rates() }
+
 // MultiBrowserUserShare returns the fraction of users seen with more
 // than one browser instance (the paper: 14% of users use multiple
 // devices; over 15% use more than one browser).
 func (gt *GroundTruth) MultiBrowserUserShare() float64 {
-	if len(gt.UserInstances) == 0 {
-		return 0
-	}
-	multi := 0
-	for _, set := range gt.UserInstances {
-		if len(set) > 1 {
-			multi++
-		}
-	}
-	return float64(multi) / float64(len(gt.UserInstances))
-}
-
-// CookieCounts returns, per canonical browser ID, the number of
-// distinct non-empty cookies observed (Figure 3's bottom bar input).
-func (gt *GroundTruth) CookieCounts() map[string]int {
-	out := make(map[string]int, len(gt.Instances))
-	for id, recs := range gt.Instances {
-		seen := make(map[string]bool)
-		for _, r := range recs {
-			if r.Cookie != "" {
-				seen[r.Cookie] = true
-			}
-		}
-		out[id] = len(seen)
-	}
-	return out
+	return gt.Accumulate().MultiBrowserUserShare()
 }
 
 // CookieClearingShare returns the fraction of browser instances with
 // more than one cookie — the instances that cleared cookies at least
 // once (paper: ~32%).
 func (gt *GroundTruth) CookieClearingShare() float64 {
-	if len(gt.Instances) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range gt.CookieCounts() {
-		if c > 1 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(gt.Instances))
+	return gt.Accumulate().CookieClearingShare()
 }

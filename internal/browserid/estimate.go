@@ -37,76 +37,11 @@ type Rates struct {
 	InterleavedInstances []string
 }
 
-// Estimate computes the false positive/negative rates for the built
-// ground truth.
-func (gt *GroundTruth) Estimate() Rates {
-	var r Rates
-	total := len(gt.Instances)
-	if total == 0 {
-		return r
-	}
-
-	// False positives: interleaved recurring cookies within an instance.
-	for _, id := range gt.InstanceIDs() {
-		if hasInterleavedCookies(cookieSequence(gt, id)) {
-			r.InterleavedInstances = append(r.InterleavedInstances, id)
-		}
-	}
-	r.FalsePositiveRate = float64(len(r.InterleavedInstances)) / float64(total)
-
-	// False negatives: count instances whose cookie is shared with a
-	// *different* final instance (these survived linking because the
-	// user IDs differ, e.g. faked identities, or an iTunes backup moved
-	// a cookie between devices).
-	cookieInstances := make(map[string]map[string]bool)
-	for id, recs := range gt.Instances {
-		for _, rec := range recs {
-			if rec.Cookie == "" {
-				continue
-			}
-			set := cookieInstances[rec.Cookie]
-			if set == nil {
-				set = make(map[string]bool)
-				cookieInstances[rec.Cookie] = set
-			}
-			set[id] = true
-		}
-	}
-	abnormal := make(map[string]bool)
-	for _, set := range cookieInstances {
-		if len(set) > 1 {
-			for id := range set {
-				abnormal[id] = true
-			}
-		}
-	}
-	r.AbnormalSharedCookieRate = float64(len(abnormal)) / float64(total)
-	r.CookieClearingShare = gt.CookieClearingShare()
-	r.FalseNegativeRate = r.AbnormalSharedCookieRate * r.CookieClearingShare / maxf(1-r.CookieClearingShare, 1e-9)
-	if r.FalseNegativeRate > 1 {
-		r.FalseNegativeRate = 1
-	}
-	return r
-}
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// cookieSequence returns the time-ordered sequence of non-empty cookies
-// for one instance.
-func cookieSequence(gt *GroundTruth, id string) []string {
-	recs := gt.Instances[id]
-	seq := make([]string, 0, len(recs))
-	for _, rec := range recs {
-		if rec.Cookie != "" {
-			seq = append(seq, rec.Cookie)
-		}
-	}
-	return seq
 }
 
 // hasInterleavedCookies reports whether the sequence contains two

@@ -22,8 +22,5 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial.Instances, par.Instances) {
 			t.Fatalf("workers=%d: instance grouping differs", workers)
 		}
-		if !reflect.DeepEqual(serial.UserInstances, par.UserInstances) {
-			t.Fatalf("workers=%d: user→instances map differs", workers)
-		}
 	}
 }

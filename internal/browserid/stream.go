@@ -9,7 +9,7 @@ import "fpdyn/internal/fingerprint"
 //
 //	pass 1: for each record in time order, b.Observe(r)
 //	        b.Seal()
-//	pass 2: re-stream, b.CanonicalID(r) per record
+//	pass 2: re-stream, b.CanonicalOf(InitialID(r)) per record
 //
 // Pass 1 runs the same cookie-linking union pass BuildParallel runs (the
 // first initial ID seen with a (user, cookie) pair owns it; a second ID
@@ -37,12 +37,7 @@ func NewStreamBuilder() *StreamBuilder {
 // Observe feeds one pass-1 record. Records must arrive in time order —
 // the owner of a (user, cookie) pair is the first initial ID seen with
 // it, which is what makes the linking deterministic.
-func (b *StreamBuilder) Observe(r *fingerprint.Record) {
-	if b.sealed {
-		panic("browserid: Observe after Seal")
-	}
-	b.observe(r, InitialID(r))
-}
+func (b *StreamBuilder) Observe(r *fingerprint.Record) { b.ObserveWithID(r, InitialID(r)) }
 
 // ObserveWithID is Observe with the initial ID precomputed — callers
 // (BuildParallel, the streaming report) hash IDs on a worker pool and
@@ -51,11 +46,6 @@ func (b *StreamBuilder) ObserveWithID(r *fingerprint.Record, id string) {
 	if b.sealed {
 		panic("browserid: Observe after Seal")
 	}
-	b.observe(r, id)
-}
-
-// observe is the shared pass-1 bookkeeping.
-func (b *StreamBuilder) observe(r *fingerprint.Record, id string) {
 	b.uf.union(id, id) // ensure present
 	if r.Cookie == "" {
 		return
@@ -77,31 +67,26 @@ func (b *StreamBuilder) Seal() {
 	b.cookieOwner = nil
 }
 
-// CanonicalID returns the canonical (post-linking) browser ID of a
-// record. Valid after Seal; equals the gt.IDs entry BuildParallel
-// assigns the same record.
-func (b *StreamBuilder) CanonicalID(r *fingerprint.Record) string {
-	return b.CanonicalOf(InitialID(r))
-}
-
-// CanonicalOf resolves a precomputed initial ID to its canonical root.
+// CanonicalOf resolves an initial ID to its canonical (post-linking)
+// root. Valid after Seal; for a record's InitialID it equals the gt.IDs
+// entry BuildParallel assigns the same record.
 func (b *StreamBuilder) CanonicalOf(initialID string) string {
 	if !b.sealed {
-		panic("browserid: CanonicalID before Seal")
+		panic("browserid: CanonicalOf before Seal")
 	}
 	return b.uf.find(initialID)
 }
 
-// EstimateAccumulator computes the §2.3.3 browser-ID error estimate and
-// the user/cookie population shares from per-instance summaries, so a
-// stream grouped by canonical browser ID can produce the same Rates,
-// MultiBrowserUserShare and CookieClearingShare as the in-memory
-// GroundTruth without holding any records. Feed one AddInstance call
-// per canonical browser ID, in sorted ID order (the grouped merge
-// yields that order; Rates.InterleavedInstances preserves it).
+// EstimateAccumulator computes the §2.3.3 browser-ID error estimate,
+// the user/cookie population shares and the Figure 3 identifier counts
+// from per-instance summaries, so a stream grouped by canonical browser
+// ID needs no records; GroundTruth.Accumulate feeds it the same way.
+// Feed one AddInstance call per canonical browser ID, in sorted ID
+// order (the grouped merge yields that order;
+// Rates.InterleavedInstances preserves it).
 type EstimateAccumulator struct {
 	instances   int
-	clearing    int // instances with >1 distinct cookie
+	cookies     map[int]int // instances by distinct-cookie count
 	interleaved []string
 
 	// cookieFirst maps each cookie to the first instance seen with it;
@@ -119,6 +104,7 @@ type EstimateAccumulator struct {
 // NewEstimateAccumulator returns an empty accumulator.
 func NewEstimateAccumulator() *EstimateAccumulator {
 	return &EstimateAccumulator{
+		cookies:       make(map[int]int),
 		cookieFirst:   make(map[string]string),
 		abnormal:      make(map[string]bool),
 		userInstances: make(map[string]int),
@@ -137,9 +123,7 @@ func (e *EstimateAccumulator) AddInstance(id, user string, cookieSeq []string) {
 	for _, c := range cookieSeq {
 		distinct[c] = true
 	}
-	if len(distinct) > 1 {
-		e.clearing++
-	}
+	e.cookies[len(distinct)]++
 	for c := range distinct {
 		if first, ok := e.cookieFirst[c]; ok {
 			if first != id {
@@ -158,7 +142,19 @@ func (e *EstimateAccumulator) NumInstances() int { return e.instances }
 // NumUsers returns the number of distinct users seen.
 func (e *EstimateAccumulator) NumUsers() int { return len(e.userInstances) }
 
-// MultiBrowserUserShare matches GroundTruth.MultiBrowserUserShare.
+// IdentifierCounts returns Figure 3's two histograms: users by their
+// number of browser instances, and instances by their number of
+// distinct cookies.
+func (e *EstimateAccumulator) IdentifierCounts() (instancesPerUser, cookiesPerInstance map[int]int) {
+	instancesPerUser = make(map[int]int)
+	for _, n := range e.userInstances {
+		instancesPerUser[n]++
+	}
+	return instancesPerUser, e.cookies
+}
+
+// MultiBrowserUserShare returns the fraction of users seen with more
+// than one browser instance.
 func (e *EstimateAccumulator) MultiBrowserUserShare() float64 {
 	if len(e.userInstances) == 0 {
 		return 0
@@ -172,16 +168,16 @@ func (e *EstimateAccumulator) MultiBrowserUserShare() float64 {
 	return float64(multi) / float64(len(e.userInstances))
 }
 
-// CookieClearingShare matches GroundTruth.CookieClearingShare.
+// CookieClearingShare returns the fraction of instances with more than
+// one distinct cookie.
 func (e *EstimateAccumulator) CookieClearingShare() float64 {
 	if e.instances == 0 {
 		return 0
 	}
-	return float64(e.clearing) / float64(e.instances)
+	return float64(e.instances-e.cookies[0]-e.cookies[1]) / float64(e.instances)
 }
 
-// Rates returns the §2.3.3 estimate, identical to GroundTruth.Estimate
-// over the same instances.
+// Rates returns the §2.3.3 estimate.
 func (e *EstimateAccumulator) Rates() Rates {
 	var r Rates
 	if e.instances == 0 {

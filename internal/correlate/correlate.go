@@ -45,41 +45,56 @@ func (c Correlation) Label() string {
 	return fingerprint.Describe(c.A).Name + " ↔ " + fingerprint.Describe(c.B).Name
 }
 
-// Implicit mines pairwise dynamics correlations following the paper's
-// §4 methodology: rank feature pairs that appear together in dynamics
-// and keep those whose joint appearance is disproportionate to their
-// separate appearances. Pairs must co-occur at least minTogether times.
-// IP features are excluded (they co-move with travel trivially).
-// Results are sorted by descending lift, then joint count.
-func Implicit(dyns []*dynamics.Dynamics, minTogether int) []Correlation {
-	count := make([]int, fingerprint.NumFeatures)
-	joint := map[[2]fingerprint.ID]int{}
-	n := 0
-	for _, d := range dyns {
-		if !d.CoreChanged() {
+// ImplicitAccumulator counts feature moves and joint moves over the
+// core-changed dynamics fed to it, in any order.
+type ImplicitAccumulator struct {
+	count []int
+	joint map[[2]fingerprint.ID]int
+	n     int
+}
+
+// NewImplicitAccumulator returns an empty accumulator.
+func NewImplicitAccumulator() *ImplicitAccumulator {
+	return &ImplicitAccumulator{
+		count: make([]int, fingerprint.NumFeatures),
+		joint: map[[2]fingerprint.ID]int{},
+	}
+}
+
+// Add feeds one dynamics; those without a core change are skipped. IP
+// features are excluded (they co-move with travel trivially).
+func (a *ImplicitAccumulator) Add(d *dynamics.Dynamics) {
+	if !d.CoreChanged() {
+		return
+	}
+	a.n++
+	var core []fingerprint.ID
+	for _, id := range d.Delta.FeatureIDs() {
+		if fingerprint.Describe(id).IsIP {
 			continue
 		}
-		n++
-		ids := d.Delta.FeatureIDs()
-		var core []fingerprint.ID
-		for _, id := range ids {
-			if fingerprint.Describe(id).IsIP {
-				continue
-			}
-			core = append(core, id)
-			count[id]++
-		}
-		for i := 0; i < len(core); i++ {
-			for j := i + 1; j < len(core); j++ {
-				joint[[2]fingerprint.ID{core[i], core[j]}]++
-			}
+		core = append(core, id)
+		a.count[id]++
+	}
+	for i := 0; i < len(core); i++ {
+		for j := i + 1; j < len(core); j++ {
+			a.joint[[2]fingerprint.ID{core[i], core[j]}]++
 		}
 	}
+}
+
+// Correlations mines pairwise dynamics correlations following the
+// paper's §4 methodology: rank feature pairs that appear together in
+// dynamics and keep those whose joint appearance is disproportionate to
+// their separate appearances. Pairs must co-occur at least minTogether
+// times. Results are sorted by descending lift, then joint count.
+func (a *ImplicitAccumulator) Correlations(minTogether int) []Correlation {
+	count, n := a.count, a.n
 	if n == 0 {
 		return nil
 	}
 	var out []Correlation
-	for pair, together := range joint {
+	for pair, together := range a.joint {
 		if together < minTogether {
 			continue
 		}
@@ -111,39 +126,52 @@ type UpdateCorrelation struct {
 	Count    int
 }
 
-// UpdateCorrelations aggregates, per observed browser/OS update, the
+// UpdateAccumulator aggregates, per observed browser/OS update, the
 // co-changing canvas/font/plugin features — Table 3. The classifier
 // provides canvas subtype resolution via its image store.
-func UpdateCorrelations(dyns []*dynamics.Dynamics, cl *dynamics.Classifier) []UpdateCorrelation {
-	counts := map[UpdateCorrelation]int{}
-	for _, d := range dyns {
-		if !d.Delta.Has(fingerprint.FeatUserAgent) {
-			continue
-		}
-		from, err1 := useragent.CachedParse(d.From.FP.UserAgent)
-		to, err2 := useragent.CachedParse(d.To.FP.UserAgent)
-		if err1 != nil || err2 != nil || from.Browser != to.Browser || from.OS != to.OS {
-			continue
-		}
-		var update string
-		switch {
-		case to.BrowserVersion.Compare(from.BrowserVersion) > 0:
-			if to.BrowserVersion.Major == from.BrowserVersion.Major {
-				update = fmt.Sprintf("%s %s→%s", to.Browser, from.BrowserVersion, to.BrowserVersion)
-			} else {
-				update = fmt.Sprintf("%s %d→%d", to.Browser, from.BrowserVersion.Major, to.BrowserVersion.Major)
-			}
-		case to.OSVersion.Compare(from.OSVersion) > 0:
-			update = fmt.Sprintf("%s %s→%s", to.OS, from.OSVersion, to.OSVersion)
-		default:
-			continue
-		}
-		for _, feat := range correlatedFeatures(d, cl) {
-			counts[UpdateCorrelation{Update: update, Platform: to.OS, Feature: feat}]++
-		}
+type UpdateAccumulator struct {
+	cl     *dynamics.Classifier
+	counts map[UpdateCorrelation]int
+}
+
+// NewUpdateAccumulator returns an empty accumulator.
+func NewUpdateAccumulator(cl *dynamics.Classifier) *UpdateAccumulator {
+	return &UpdateAccumulator{cl: cl, counts: map[UpdateCorrelation]int{}}
+}
+
+// Add feeds one dynamics; those without a same-browser, same-OS
+// version step are skipped.
+func (a *UpdateAccumulator) Add(d *dynamics.Dynamics) {
+	if !d.Delta.Has(fingerprint.FeatUserAgent) {
+		return
 	}
-	out := make([]UpdateCorrelation, 0, len(counts))
-	for k, n := range counts {
+	from, err1 := useragent.CachedParse(d.From.FP.UserAgent)
+	to, err2 := useragent.CachedParse(d.To.FP.UserAgent)
+	if err1 != nil || err2 != nil || from.Browser != to.Browser || from.OS != to.OS {
+		return
+	}
+	var update string
+	switch {
+	case to.BrowserVersion.Compare(from.BrowserVersion) > 0:
+		if to.BrowserVersion.Major == from.BrowserVersion.Major {
+			update = fmt.Sprintf("%s %s→%s", to.Browser, from.BrowserVersion, to.BrowserVersion)
+		} else {
+			update = fmt.Sprintf("%s %d→%d", to.Browser, from.BrowserVersion.Major, to.BrowserVersion.Major)
+		}
+	case to.OSVersion.Compare(from.OSVersion) > 0:
+		update = fmt.Sprintf("%s %s→%s", to.OS, from.OSVersion, to.OSVersion)
+	default:
+		return
+	}
+	for _, feat := range correlatedFeatures(d, a.cl) {
+		a.counts[UpdateCorrelation{Update: update, Platform: to.OS, Feature: feat}]++
+	}
+}
+
+// Rows returns the Table 3 rows by descending count.
+func (a *UpdateAccumulator) Rows() []UpdateCorrelation {
+	out := make([]UpdateCorrelation, 0, len(a.counts))
+	for k, n := range a.counts {
 		k.Count = n
 		out = append(out, k)
 	}
@@ -221,41 +249,56 @@ type AdoptionPoint struct {
 	Count int
 }
 
-// AdoptionSeries computes a Figure 12 curve: bucketed counts of
-// update-to-target dynamics for one browser family, as a percentage of
-// totalInstances. start/end bound the window.
-func AdoptionSeries(dyns []*dynamics.Dynamics, family string, targetMajor int,
-	start, end time.Time, bucket time.Duration, totalInstances int) []AdoptionPoint {
-	var series []AdoptionPoint
+// AdoptionAccumulator computes a Figure 12 curve: bucketed counts of
+// update-to-target dynamics for one browser family.
+type AdoptionAccumulator struct {
+	family      string
+	targetMajor int
+	start       time.Time
+	bucket      time.Duration
+	series      []AdoptionPoint
+}
+
+// NewAdoptionAccumulator returns an empty curve over [start, end).
+func NewAdoptionAccumulator(family string, targetMajor int, start, end time.Time, bucket time.Duration) *AdoptionAccumulator {
+	a := &AdoptionAccumulator{family: family, targetMajor: targetMajor, start: start, bucket: bucket}
 	for t := start; t.Before(end); t = t.Add(bucket) {
-		series = append(series, AdoptionPoint{Start: t})
+		a.series = append(a.series, AdoptionPoint{Start: t})
 	}
-	for _, d := range dyns {
-		if !d.Delta.Has(fingerprint.FeatUserAgent) {
-			continue
-		}
-		from, err1 := useragent.CachedParse(d.From.FP.UserAgent)
-		to, err2 := useragent.CachedParse(d.To.FP.UserAgent)
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		if to.Browser != family || from.Browser != family {
-			continue
-		}
-		if to.BrowserVersion.Major != targetMajor || from.BrowserVersion.Major >= targetMajor {
-			continue
-		}
-		i := int(d.To.Time.Sub(start) / bucket)
-		if i >= 0 && i < len(series) {
-			series[i].Count++
-		}
+	return a
+}
+
+// Add feeds one dynamics; only updates to the target major version
+// within the family count.
+func (a *AdoptionAccumulator) Add(d *dynamics.Dynamics) {
+	if !d.Delta.Has(fingerprint.FeatUserAgent) {
+		return
 	}
+	from, err1 := useragent.CachedParse(d.From.FP.UserAgent)
+	to, err2 := useragent.CachedParse(d.To.FP.UserAgent)
+	if err1 != nil || err2 != nil {
+		return
+	}
+	if to.Browser != a.family || from.Browser != a.family {
+		return
+	}
+	if to.BrowserVersion.Major != a.targetMajor || from.BrowserVersion.Major >= a.targetMajor {
+		return
+	}
+	i := int(d.To.Time.Sub(a.start) / a.bucket)
+	if i >= 0 && i < len(a.series) {
+		a.series[i].Count++
+	}
+}
+
+// Series returns the curve as a percentage of totalInstances.
+func (a *AdoptionAccumulator) Series(totalInstances int) []AdoptionPoint {
 	if totalInstances > 0 {
-		for i := range series {
-			series[i].Pct = 100 * float64(series[i].Count) / float64(totalInstances)
+		for i := range a.series {
+			a.series[i].Pct = 100 * float64(a.series[i].Count) / float64(totalInstances)
 		}
 	}
-	return series
+	return a.series
 }
 
 // PeakAfter returns the index of the series' maximum at or after the

@@ -51,7 +51,11 @@ func TestImplicitFindsCookieStorageCoupling(t *testing.T) {
 			fp.TimezoneOffset = 120
 		}))
 	}
-	cors := Implicit(dyns, 3)
+	acc := NewImplicitAccumulator()
+	for _, d := range dyns {
+		acc.Add(d)
+	}
+	cors := acc.Correlations(3)
 	if len(cors) == 0 {
 		t.Fatal("no correlations found")
 	}
@@ -66,21 +70,19 @@ func TestImplicitFindsCookieStorageCoupling(t *testing.T) {
 }
 
 func TestImplicitMinTogether(t *testing.T) {
-	dyns := []*dynamics.Dynamics{
-		craftDyn("a", func(fp *fingerprint.Fingerprint) {
-			fp.CookieEnabled = false
-			fp.LocalStorage = false
-		}),
-	}
-	if cors := Implicit(dyns, 2); len(cors) != 0 {
+	acc := NewImplicitAccumulator()
+	acc.Add(craftDyn("a", func(fp *fingerprint.Fingerprint) {
+		fp.CookieEnabled = false
+		fp.LocalStorage = false
+	}))
+	if cors := acc.Correlations(2); len(cors) != 0 {
 		t.Fatalf("minTogether ignored: %v", cors)
 	}
 }
 
 func TestImplicitOnWorldFindsKnownCouplings(t *testing.T) {
 	_, gt := world(t)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	cors := Implicit(dyns, 2)
+	cors := worldImplicit(gt).Correlations(2)
 	if len(cors) == 0 {
 		t.Fatal("no correlations mined")
 	}
@@ -104,8 +106,7 @@ func TestGPUAudioCouplingOnWorld(t *testing.T) {
 	// Insight 3 example 3: the DirectX driver update changes GPU type
 	// and audio sample rate together.
 	_, gt := world(t)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	cors := Implicit(dyns, 2)
+	cors := worldImplicit(gt).Correlations(2)
 	for _, c := range cors {
 		pair := map[fingerprint.ID]bool{c.A: true, c.B: true}
 		if pair[fingerprint.FeatGPUType] && pair[fingerprint.FeatAudio] {
@@ -128,7 +129,9 @@ func TestUpdateCorrelationsCrafted(t *testing.T) {
 		CanvasHash: "new", Fonts: []string{"Arial", "Bahnschrift"},
 	}}
 	d := &dynamics.Dynamics{BrowserID: "x", From: from, To: to, Delta: diff.Diff(from.FP, to.FP)}
-	rows := UpdateCorrelations([]*dynamics.Dynamics{d}, &dynamics.Classifier{})
+	acc := NewUpdateAccumulator(&dynamics.Classifier{})
+	acc.Add(d)
+	rows := acc.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -141,9 +144,11 @@ func TestUpdateCorrelationsCrafted(t *testing.T) {
 
 func TestUpdateCorrelationsOnWorld(t *testing.T) {
 	ds, gt := world(t)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	cl := &dynamics.Classifier{Images: dynamics.MapImages(ds.CanvasImages)}
-	rows := UpdateCorrelations(dyns, cl)
+	acc := NewUpdateAccumulator(&dynamics.Classifier{Images: dynamics.MapImages(ds.CanvasImages)})
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		acc.Add(d)
+	}
+	rows := acc.Rows()
 	if len(rows) == 0 {
 		t.Fatal("no update correlations")
 	}
@@ -166,13 +171,15 @@ func TestUpdateCorrelationsOnWorld(t *testing.T) {
 
 func TestAdoptionSeriesFollowsRelease(t *testing.T) {
 	ds, gt := world(t)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	start, end := ds.Cfg.Start, ds.Cfg.End
 	week := 7 * 24 * time.Hour
 
 	// Chrome 64 released 2018-01-24: adoption must be zero before the
 	// release and show a peak after it.
-	series := AdoptionSeries(dyns, useragent.Chrome, 64, start, end, week, gt.NumInstances())
+	acc := NewAdoptionAccumulator(useragent.Chrome, 64, ds.Cfg.Start, ds.Cfg.End, week)
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		acc.Add(d)
+	}
+	series := acc.Series(gt.NumInstances())
 	release := time.Date(2018, 1, 24, 0, 0, 0, 0, time.UTC)
 	totalBefore, totalAfter := 0, 0
 	for _, p := range series {
@@ -196,14 +203,26 @@ func TestAdoptionSeriesFollowsRelease(t *testing.T) {
 
 func TestAdoptionSeriesEmptyFamily(t *testing.T) {
 	_, gt := world(t)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	series := AdoptionSeries(dyns, "Netscape", 4,
-		corWorld.Cfg.Start, corWorld.Cfg.End, 7*24*time.Hour, gt.NumInstances())
+	acc := NewAdoptionAccumulator("Netscape", 4, corWorld.Cfg.Start, corWorld.Cfg.End, 7*24*time.Hour)
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		acc.Add(d)
+	}
+	series := acc.Series(gt.NumInstances())
 	for _, p := range series {
 		if p.Count != 0 {
 			t.Fatal("phantom adoptions for unknown family")
 		}
 	}
+}
+
+// worldImplicit feeds every changed dynamics of gt to an
+// ImplicitAccumulator.
+func worldImplicit(gt *browserid.GroundTruth) *ImplicitAccumulator {
+	acc := NewImplicitAccumulator()
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		acc.Add(d)
+	}
+	return acc
 }
 
 func minInt(a, b int) int {
@@ -219,7 +238,11 @@ func BenchmarkImplicit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Implicit(dyns, 3)
+		acc := NewImplicitAccumulator()
+		for _, d := range dyns {
+			acc.Add(d)
+		}
+		acc.Correlations(3)
 	}
 }
 
@@ -240,7 +263,11 @@ func TestUpdateCorrelationsTieOrder(t *testing.T) {
 		dyns = append(dyns, &dynamics.Dynamics{BrowserID: os, From: from, To: to, Delta: diff.Diff(from.FP, to.FP)})
 	}
 	for i := 0; i < 20; i++ {
-		rows := UpdateCorrelations(dyns, &dynamics.Classifier{})
+		acc := NewUpdateAccumulator(&dynamics.Classifier{})
+		for _, d := range dyns {
+			acc.Add(d)
+		}
+		rows := acc.Rows()
 		if len(rows) != 3 {
 			t.Fatalf("rows = %v", rows)
 		}

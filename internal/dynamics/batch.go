@@ -3,35 +3,12 @@ package dynamics
 import "fpdyn/internal/parallel"
 
 // ClassifyAll classifies every dynamics concurrently and returns the
-// classifications in input order. Each dynamics is classified exactly
-// once; the results are also memoized on the classifier, so the
-// report's downstream passes (Table 2/3, correlation updates, the
-// insight sections) get cache hits from their per-dynamics Classify
-// calls instead of re-running the decision rules.
-//
-// The rules themselves only read shared state — the immutable image
-// store and the concurrency-safe cached UA parser — so the parallel
-// pass is safe, and ordered collection keeps the output identical for
-// every worker count.
-func (c *Classifier) ClassifyAll(dyns []*Dynamics, workers int) []Classification {
-	out := c.ClassifyBatch(dyns, workers)
-	if c.memo == nil {
-		c.memo = make(map[*Dynamics]Classification, len(dyns))
-	}
-	for i, d := range dyns {
-		c.memo[d] = out[i]
-	}
-	return out
-}
-
-// ClassifyBatch classifies every dynamics concurrently and returns the
-// classifications in input order, WITHOUT memoizing. This is the
-// streaming path's entry point: there the dynamics are transient chunk
-// objects that are dropped after accumulation, and a memo keyed by
-// their identity would retain every chunk for the whole run. Output is
+// classifications in input order. The rules only read shared state —
+// the immutable image store and the concurrency-safe cached UA parser —
+// so the parallel pass is safe, and ordered collection keeps the output
 // identical for every worker count.
-func (c *Classifier) ClassifyBatch(dyns []*Dynamics, workers int) []Classification {
+func (c *Classifier) ClassifyAll(dyns []*Dynamics, workers int) []Classification {
 	return parallel.Map(workers, len(dyns), func(i int) Classification {
-		return c.classify(dyns[i])
+		return c.Classify(dyns[i])
 	})
 }

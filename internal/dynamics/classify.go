@@ -32,13 +32,6 @@ func (m MapImages) Image(hash string) (*canvas.Image, bool) {
 // 87.6% in the paper).
 type Classifier struct {
 	Images ImageProvider
-
-	// memo caches per-dynamics classifications, keyed by identity.
-	// ClassifyAll fills it once (after its parallel pass, so there are
-	// no concurrent writes); later Classify calls for the same dynamics
-	// — Table 2/3 tallies, correlation updates, report insights — hit
-	// the cache instead of re-running the rules.
-	memo map[*Dynamics]Classification
 }
 
 // Classify determines the causes behind one piece of dynamics,
@@ -46,17 +39,8 @@ type Classifier struct {
 // update semantics, recognize user-action signatures (consistency
 // flips, aspect-preserving resolution changes, Flash toggles,
 // storage/cookie couplings), and attribute the rest to environment
-// updates with font/canvas signature matching. Results computed by a
-// prior ClassifyAll are returned from the cache.
+// updates with font/canvas signature matching.
 func (c *Classifier) Classify(d *Dynamics) Classification {
-	if cl, ok := c.memo[d]; ok {
-		return cl
-	}
-	return c.classify(d)
-}
-
-// classify runs the decision rules (uncached).
-func (c *Classifier) classify(d *Dynamics) Classification {
 	var cl Classification
 	delta := d.Delta
 	from, to := d.From.FP, d.To.FP

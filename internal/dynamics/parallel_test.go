@@ -46,8 +46,7 @@ func TestGenerateGroupedParallelMatchesSerial(t *testing.T) {
 }
 
 // TestClassifyAllMatchesClassify: the batch pass must agree with the
-// one-at-a-time rules at every worker count, and the memo it leaves
-// behind must serve identical classifications.
+// one-at-a-time rules at every worker count.
 func TestClassifyAllMatchesClassify(t *testing.T) {
 	ds, gt := simulatedGT(t, 150)
 	changed := Changed(Generate(gt))
@@ -66,11 +65,6 @@ func TestClassifyAllMatchesClassify(t *testing.T) {
 		got := c.ClassifyAll(changed, workers)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: batch classifications differ from serial Classify", workers)
-		}
-		for i, d := range changed {
-			if !reflect.DeepEqual(c.Classify(d), want[i]) {
-				t.Fatalf("workers=%d: memoized Classify(%d) differs", workers, i)
-			}
 		}
 	}
 }

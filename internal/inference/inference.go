@@ -23,7 +23,8 @@ import (
 
 // EmojiLeakReport counts dynamics whose canvas change is confined to
 // the emoji band without an accompanying browser/OS update — the
-// signature of another program updating the device's emoji assets.
+// signature of another program updating the device's emoji assets. The
+// zero value is an empty report; Add accumulates into it.
 type EmojiLeakReport struct {
 	// LeakingDynamics counts emoji-only canvas changes not explained by
 	// a browser or OS update, keyed by the observing browser family.
@@ -32,39 +33,31 @@ type EmojiLeakReport struct {
 	LeakingInstances map[string]int
 	// Total is the total number of such leaks.
 	Total int
+
+	seen map[[2]string]bool // (family, browser ID) pairs counted
 }
 
-// EmojiLeaks scans classified dynamics for cross-software emoji leaks.
-// The classifier must have image access for subtype resolution.
-func EmojiLeaks(dyns []*dynamics.Dynamics, cl *dynamics.Classifier) EmojiLeakReport {
-	rep := EmojiLeakReport{
-		LeakingDynamics:  map[string]int{},
-		LeakingInstances: map[string]int{},
+// Add feeds one dynamics with its classification; the classifier must
+// have image access for subtype resolution.
+func (r *EmojiLeakReport) Add(d *dynamics.Dynamics, c dynamics.Classification) {
+	if !d.Delta.Has(fingerprint.FeatCanvas) || !c.Has(dynamics.CauseCanvasEmoji) {
+		return
 	}
-	seen := map[string]map[string]bool{}
-	for _, d := range dyns {
-		if !d.Delta.Has(fingerprint.FeatCanvas) {
-			continue
-		}
-		c := cl.Classify(d)
-		if !c.Has(dynamics.CauseCanvasEmoji) {
-			continue
-		}
-		fam := d.To.Browser
-		rep.LeakingDynamics[fam]++
-		rep.Total++
-		if seen[fam] == nil {
-			seen[fam] = map[string]bool{}
-		}
-		seen[fam][d.BrowserID] = true
+	if r.seen == nil {
+		r.LeakingDynamics, r.LeakingInstances, r.seen = map[string]int{}, map[string]int{}, map[[2]string]bool{}
 	}
-	for fam, set := range seen {
-		rep.LeakingInstances[fam] = len(set)
+	fam := d.To.Browser
+	r.LeakingDynamics[fam]++
+	r.Total++
+	if key := [2]string{fam, d.BrowserID}; !r.seen[key] {
+		r.seen[key] = true
+		r.LeakingInstances[fam]++
 	}
-	return rep
 }
 
-// SoftwareReport is the Insight 1.2 font-inference result.
+// SoftwareReport is the Insight 1.2 font-inference result. The zero
+// value is an empty report; AddDynamics and AddLatest accumulate into
+// it.
 type SoftwareReport struct {
 	// OfficeUpdateInstances had the "MT Extra" font added by a dynamics
 	// (the January-2018 Office update signature).
@@ -79,6 +72,8 @@ type SoftwareReport struct {
 	AdobeInstances int
 	LibreInstances int
 	WPSInstances   int
+
+	seen map[[2]string]bool // (signature, browser ID) pairs counted
 }
 
 // overlapCount counts how many of sig appear in add.
@@ -96,43 +91,42 @@ func overlapCount(add []string, sig []string) int {
 	return n
 }
 
-// SoftwareFromFonts runs the font-signature inferences over dynamics
-// and, for static detection, over each instance's latest fingerprint.
-func SoftwareFromFonts(dyns []*dynamics.Dynamics, latest map[string]*fingerprint.Fingerprint) SoftwareReport {
-	var rep SoftwareReport
-	officeUpd := map[string]bool{}
-	adobe := map[string]bool{}
-	libre := map[string]bool{}
-	wps := map[string]bool{}
-	for _, d := range dyns {
-		fd := d.Delta.Field(fingerprint.FeatFontList)
-		if fd == nil {
-			continue
+// AddDynamics runs the install/update signatures over one dynamics.
+func (r *SoftwareReport) AddDynamics(d *dynamics.Dynamics) {
+	fd := d.Delta.Field(fingerprint.FeatFontList)
+	if fd == nil {
+		return
+	}
+	// instance counts each (signature, instance) pair once.
+	instance := func(sig string, n *int) {
+		if r.seen == nil {
+			r.seen = map[[2]string]bool{}
 		}
-		switch {
-		case len(fd.Added) == 1 && fd.Added[0] == fontdb.MTExtra:
-			officeUpd[d.BrowserID] = true
-		case overlapCount(fd.Added, fontdb.OfficeDetect) >= len(fontdb.OfficeDetect)/2:
-			rep.OfficeInstallDynamics++
-		case overlapCount(fd.Added, fontdb.Adobe) >= len(fontdb.Adobe)/2:
-			adobe[d.BrowserID] = true
-		case overlapCount(fd.Added, fontdb.LibreOffice) >= len(fontdb.LibreOffice)/2:
-			libre[d.BrowserID] = true
-		case overlapCount(fd.Added, fontdb.WPS) >= len(fontdb.WPS)/2:
-			wps[d.BrowserID] = true
+		if key := [2]string{sig, d.BrowserID}; !r.seen[key] {
+			r.seen[key] = true
+			*n++
 		}
 	}
-	rep.OfficeUpdateInstances = len(officeUpd)
-	rep.AdobeInstances = len(adobe)
-	rep.LibreInstances = len(libre)
-	rep.WPSInstances = len(wps)
+	switch {
+	case len(fd.Added) == 1 && fd.Added[0] == fontdb.MTExtra:
+		instance("office", &r.OfficeUpdateInstances)
+	case overlapCount(fd.Added, fontdb.OfficeDetect) >= len(fontdb.OfficeDetect)/2:
+		r.OfficeInstallDynamics++
+	case overlapCount(fd.Added, fontdb.Adobe) >= len(fontdb.Adobe)/2:
+		instance("adobe", &r.AdobeInstances)
+	case overlapCount(fd.Added, fontdb.LibreOffice) >= len(fontdb.LibreOffice)/2:
+		instance("libre", &r.LibreInstances)
+	case overlapCount(fd.Added, fontdb.WPS) >= len(fontdb.WPS)/2:
+		instance("wps", &r.WPSInstances)
+	}
+}
 
-	for _, fp := range latest {
-		if overlapCount(fp.Fonts, fontdb.OfficeDetect) >= 9*len(fontdb.OfficeDetect)/10 {
-			rep.OfficeInstalledInstances++
-		}
+// AddLatest runs the static Office detection over one instance's latest
+// fingerprint.
+func (r *SoftwareReport) AddLatest(fp *fingerprint.Fingerprint) {
+	if overlapCount(fp.Fonts, fontdb.OfficeDetect) >= 9*len(fontdb.OfficeDetect)/10 {
+		r.OfficeInstalledInstances++
 	}
-	return rep
 }
 
 // GPUReport is the Insight 1.3 result: how precisely GPU images map
@@ -150,34 +144,45 @@ type GPUReport struct {
 	VendorAccuracy map[string]float64
 }
 
-// GPUInference builds the image→renderer candidate mapping from
-// observed records and scores its precision. truth maps each GPU image
-// hash to the GPU that rendered it (the simulator ground truth standing
-// in for the paper's correlation across browsers that expose the
-// renderer).
-func GPUInference(records []*fingerprint.Record, truth map[string]canvas.GPUInfo) GPUReport {
-	imageRenderers := map[string]map[string]bool{}
-	for _, r := range records {
-		h := r.FP.GPUImageHash
-		if h == "" {
-			continue
-		}
-		set := imageRenderers[h]
-		if set == nil {
-			set = map[string]bool{}
-			imageRenderers[h] = set
-		}
-		set[r.FP.GPURenderer] = true
+// GPUAccumulator builds the image→renderer candidate mapping from
+// observed records.
+type GPUAccumulator struct {
+	imageRenderers map[string]map[string]bool
+}
+
+// NewGPUAccumulator returns an empty accumulator.
+func NewGPUAccumulator() *GPUAccumulator {
+	return &GPUAccumulator{imageRenderers: map[string]map[string]bool{}}
+}
+
+// Add feeds one record.
+func (a *GPUAccumulator) Add(r *fingerprint.Record) {
+	h := r.FP.GPUImageHash
+	if h == "" {
+		return
 	}
+	set := a.imageRenderers[h]
+	if set == nil {
+		set = map[string]bool{}
+		a.imageRenderers[h] = set
+	}
+	set[r.FP.GPURenderer] = true
+}
+
+// Report scores the mapping's precision. truth maps each GPU image hash
+// to the GPU that rendered it (the simulator ground truth standing in
+// for the paper's correlation across browsers that expose the
+// renderer).
+func (a *GPUAccumulator) Report(truth map[string]canvas.GPUInfo) GPUReport {
 	rep := GPUReport{VendorAccuracy: map[string]float64{}}
-	rep.DistinctImages = len(imageRenderers)
+	rep.DistinctImages = len(a.imageRenderers)
 	if rep.DistinctImages == 0 {
 		return rep
 	}
 	unique, within3 := 0, 0
 	vendorTotal := map[string]int{}
 	vendorUnique := map[string]int{}
-	for h, set := range imageRenderers {
+	for h, set := range a.imageRenderers {
 		if len(set) == 1 {
 			unique++
 		}

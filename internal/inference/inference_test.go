@@ -29,8 +29,10 @@ func world(t testing.TB) (*population.Dataset, *browserid.GroundTruth) {
 func TestEmojiLeaksOnWorld(t *testing.T) {
 	ds, gt := world(t)
 	cl := &dynamics.Classifier{Images: dynamics.MapImages(ds.CanvasImages)}
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	rep := EmojiLeaks(dyns, cl)
+	var rep EmojiLeakReport
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		rep.Add(d, cl.Classify(d))
+	}
 	t.Logf("emoji leaks: total=%d per-family=%v", rep.Total, rep.LeakingDynamics)
 	if rep.Total == 0 {
 		t.Skip("no emoji leaks at this scale/seed")
@@ -48,19 +50,19 @@ func TestSoftwareFromFontsCrafted(t *testing.T) {
 		to := &fingerprint.Record{FP: &fingerprint.Fingerprint{Fonts: fingerprint.AddFonts([]string{"Arial"}, added)}}
 		return &dynamics.Dynamics{BrowserID: id, From: from, To: to, Delta: diff.Diff(from.FP, to.FP)}
 	}
-	dyns := []*dynamics.Dynamics{
+	var rep SoftwareReport
+	for _, d := range []*dynamics.Dynamics{
 		mk("b1", []string{fontdb.MTExtra}),
 		mk("b2", fontdb.OfficeDetect),
 		mk("b3", fontdb.LibreOffice),
 		mk("b4", fontdb.Adobe),
 		mk("b5", fontdb.WPS),
 		mk("b6", []string{"Random Font"}),
+	} {
+		rep.AddDynamics(d)
 	}
-	latest := map[string]*fingerprint.Fingerprint{
-		"s1": {Fonts: fingerprint.AddFonts([]string{"Arial"}, fontdb.OfficeDetect)},
-		"s2": {Fonts: []string{"Arial"}},
-	}
-	rep := SoftwareFromFonts(dyns, latest)
+	rep.AddLatest(&fingerprint.Fingerprint{Fonts: fingerprint.AddFonts([]string{"Arial"}, fontdb.OfficeDetect)})
+	rep.AddLatest(&fingerprint.Fingerprint{Fonts: []string{"Arial"}})
 	if rep.OfficeUpdateInstances != 1 {
 		t.Errorf("office updates = %d, want 1", rep.OfficeUpdateInstances)
 	}
@@ -76,23 +78,27 @@ func TestSoftwareFromFontsCrafted(t *testing.T) {
 }
 
 func TestSoftwareFromFontsOnWorld(t *testing.T) {
-	ds, gt := world(t)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	latest := map[string]*fingerprint.Fingerprint{}
-	for id, recs := range gt.Instances {
-		latest[id] = recs[len(recs)-1].FP
+	_, gt := world(t)
+	var rep SoftwareReport
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		rep.AddDynamics(d)
 	}
-	rep := SoftwareFromFonts(dyns, latest)
+	for _, recs := range gt.Instances {
+		rep.AddLatest(recs[len(recs)-1].FP)
+	}
 	t.Logf("software report: %+v", rep)
 	if rep.OfficeInstalledInstances == 0 {
 		t.Error("no Office installations detected statically; 35% of Windows devices have Office")
 	}
-	_ = ds
 }
 
 func TestGPUInference(t *testing.T) {
 	ds, _ := world(t)
-	rep := GPUInference(ds.Records, ds.GPUImageInfo)
+	acc := NewGPUAccumulator()
+	for _, r := range ds.Records {
+		acc.Add(r)
+	}
+	rep := acc.Report(ds.GPUImageInfo)
 	if rep.DistinctImages == 0 {
 		t.Fatal("no GPU images")
 	}
@@ -111,7 +117,7 @@ func TestGPUInference(t *testing.T) {
 }
 
 func TestGPUInferenceEmpty(t *testing.T) {
-	rep := GPUInference(nil, nil)
+	rep := NewGPUAccumulator().Report(nil)
 	if rep.DistinctImages != 0 || rep.UniqueShare != 0 {
 		t.Fatalf("empty report = %+v", rep)
 	}

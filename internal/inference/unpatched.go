@@ -27,41 +27,43 @@ type PatchReport struct {
 	UnpatchedInstances int
 }
 
-// UnpatchedWindows7 reconstructs the pre-patch canvas reference set
+// PatchAccumulator reconstructs the pre-patch canvas reference set
 // from observed Windows 7 emoji-update dynamics and counts instances
-// still presenting it. latest maps browser ID to the instance's most
-// recent fingerprint; records supply the UA parse for platform
-// filtering.
-func UnpatchedWindows7(dyns []*dynamics.Dynamics, cl *dynamics.Classifier,
-	instances map[string][]*fingerprint.Record) PatchReport {
+// still presenting it. Dynamics and instances may arrive in any order:
+// the latest canvas hashes are tallied until the reference set is
+// complete.
+type PatchAccumulator struct {
+	rep    PatchReport
+	latest map[string]int // Windows 7 instances by latest canvas hash
+}
 
-	rep := PatchReport{OldHashes: map[string]bool{}}
-	for _, d := range dyns {
-		fd := d.Delta.Field(fingerprint.FeatCanvas)
-		if fd == nil {
-			continue
-		}
-		if !isWindows7(d.To) {
-			continue
-		}
-		c := cl.Classify(d)
-		if !c.Has(dynamics.CauseCanvasEmoji) {
-			continue
-		}
-		rep.UpdateObserved++
-		rep.OldHashes[fd.OldHash] = true
+// NewPatchAccumulator returns an empty accumulator.
+func NewPatchAccumulator() *PatchAccumulator {
+	return &PatchAccumulator{rep: PatchReport{OldHashes: map[string]bool{}}, latest: map[string]int{}}
+}
+
+// AddDynamics feeds one dynamics with its classification.
+func (a *PatchAccumulator) AddDynamics(d *dynamics.Dynamics, c dynamics.Classification) {
+	fd := d.Delta.Field(fingerprint.FeatCanvas)
+	if fd == nil || !isWindows7(d.To) || !c.Has(dynamics.CauseCanvasEmoji) {
+		return
 	}
-	if len(rep.OldHashes) == 0 {
-		return rep
+	a.rep.UpdateObserved++
+	a.rep.OldHashes[fd.OldHash] = true
+}
+
+// AddLatest feeds one instance's most recent record.
+func (a *PatchAccumulator) AddLatest(last *fingerprint.Record) {
+	if isWindows7(last) {
+		a.latest[last.FP.CanvasHash]++
 	}
-	for _, recs := range instances {
-		if len(recs) == 0 {
-			continue
-		}
-		last := recs[len(recs)-1]
-		if isWindows7(last) && rep.OldHashes[last.FP.CanvasHash] {
-			rep.UnpatchedInstances++
-		}
+}
+
+// Report returns the analysis over everything fed.
+func (a *PatchAccumulator) Report() PatchReport {
+	rep := a.rep
+	for h := range rep.OldHashes {
+		rep.UnpatchedInstances += a.latest[h]
 	}
 	return rep
 }

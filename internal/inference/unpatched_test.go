@@ -25,8 +25,14 @@ func TestUnpatchedWindows7OnWorld(t *testing.T) {
 		ds := population.Simulate(cfg)
 		gt := browserid.Build(ds.Records)
 		cl := &dynamics.Classifier{Images: dynamics.MapImages(ds.CanvasImages)}
-		dyns := dynamics.Changed(dynamics.Generate(gt))
-		rep := UnpatchedWindows7(dyns, cl, gt.Instances)
+		acc := NewPatchAccumulator()
+		for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+			acc.AddDynamics(d, cl.Classify(d))
+		}
+		for _, recs := range gt.Instances {
+			acc.AddLatest(recs[len(recs)-1])
+		}
+		rep := acc.Report()
 		t.Logf("seed %d: updates observed: %d; old hashes: %d; unpatched instances: %d",
 			seed, rep.UpdateObserved, len(rep.OldHashes), rep.UnpatchedInstances)
 		observed += rep.UpdateObserved
@@ -43,7 +49,7 @@ func TestUnpatchedWindows7OnWorld(t *testing.T) {
 }
 
 func TestUnpatchedWindows7Empty(t *testing.T) {
-	rep := UnpatchedWindows7(nil, &dynamics.Classifier{}, nil)
+	rep := NewPatchAccumulator().Report()
 	if rep.UpdateObserved != 0 || rep.UnpatchedInstances != 0 {
 		t.Fatalf("empty report = %+v", rep)
 	}

@@ -37,45 +37,71 @@ type VelocityCase struct {
 	SpeedKmh  float64
 }
 
-// Velocity computes implied movement speeds for every instance's
-// consecutive visit pairs. Cities are resolved through the geolocation
-// database by name.
-func Velocity(instances map[string][]*fingerprint.Record, geo *geoip.DB) VelocityReport {
-	var rep VelocityReport
-	vpn := map[string]VelocityCase{}
-	for id, recs := range instances {
-		for i := 1; i < len(recs); i++ {
-			a, okA := geo.ByName(recs[i-1].FP.IPCity)
-			b, okB := geo.ByName(recs[i].FP.IPCity)
-			if !okA || !okB || a.Name == b.Name {
-				continue
-			}
-			gap := recs[i].Time.Sub(recs[i-1].Time)
-			v := geoip.Velocity(a, b, gap)
-			rep.Pairs++
-			switch {
-			case v < 150:
-				rep.Slow++
-			case v <= geoip.VPNThresholdKmh:
-				rep.Mid++
-			default:
-				rep.Impossible++
-				if _, seen := vpn[id]; !seen {
-					vpn[id] = VelocityCase{
-						BrowserID: id, FromCity: a.Name, ToCity: b.Name,
-						Gap: gap, SpeedKmh: v,
-					}
-				}
+// VelocityAccumulator computes implied movement speeds for consecutive
+// visit pairs. Cities are resolved through the geolocation database by
+// name.
+type VelocityAccumulator struct {
+	geo *geoip.DB
+	rep VelocityReport
+	vpn map[string]VelocityCase // first impossible hop per browser ID
+}
+
+// NewVelocityAccumulator returns an empty accumulator over geo.
+func NewVelocityAccumulator(geo *geoip.DB) *VelocityAccumulator {
+	return &VelocityAccumulator{geo: geo, vpn: map[string]VelocityCase{}}
+}
+
+// Add feeds one consecutive visit pair of instance id. Each instance's
+// pairs must arrive in time order, so its case is its first impossible
+// hop.
+func (a *VelocityAccumulator) Add(id string, from, to *fingerprint.Record) {
+	x, okA := a.geo.ByName(from.FP.IPCity)
+	y, okB := a.geo.ByName(to.FP.IPCity)
+	if !okA || !okB || x.Name == y.Name {
+		return
+	}
+	gap := to.Time.Sub(from.Time)
+	v := geoip.Velocity(x, y, gap)
+	a.rep.Pairs++
+	switch {
+	case v < 150:
+		a.rep.Slow++
+	case v <= geoip.VPNThresholdKmh:
+		a.rep.Mid++
+	default:
+		a.rep.Impossible++
+		if _, seen := a.vpn[id]; !seen {
+			a.vpn[id] = VelocityCase{
+				BrowserID: id, FromCity: x.Name, ToCity: y.Name,
+				Gap: gap, SpeedKmh: v,
 			}
 		}
 	}
-	rep.VPNInstances = make([]string, 0, len(vpn))
-	for id := range vpn {
+}
+
+// Report returns the speeds with the VPN instances and their cases
+// sorted by browser ID.
+func (a *VelocityAccumulator) Report() VelocityReport {
+	rep := a.rep
+	rep.VPNInstances = make([]string, 0, len(a.vpn))
+	for id := range a.vpn {
 		rep.VPNInstances = append(rep.VPNInstances, id)
 	}
 	sort.Strings(rep.VPNInstances)
 	for _, id := range rep.VPNInstances {
-		rep.Cases = append(rep.Cases, vpn[id])
+		rep.Cases = append(rep.Cases, a.vpn[id])
 	}
 	return rep
+}
+
+// Velocity runs a VelocityAccumulator over every instance's
+// consecutive visit pairs.
+func Velocity(instances map[string][]*fingerprint.Record, geo *geoip.DB) VelocityReport {
+	a := NewVelocityAccumulator(geo)
+	for id, recs := range instances {
+		for i := 1; i < len(recs); i++ {
+			a.Add(id, recs[i-1], recs[i])
+		}
+	}
+	return a.Report()
 }

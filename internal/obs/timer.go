@@ -10,7 +10,7 @@ import (
 
 // StageTiming is the wall time and throughput of one named pipeline
 // stage — the schema of the machine-readable stage-timing JSON emitted
-// alongside BENCH_pipeline.json.
+// by cmd/fpreport and cmd/fpgen -stage-timing.
 type StageTiming struct {
 	Stage      string  `json:"stage"`
 	Records    int     `json:"records"`
@@ -46,7 +46,7 @@ func (t *Timings) Observe(stage string, records int, elapsed time.Duration) {
 // records the stage with the given record count:
 //
 //	stop := timings.Start("ground_truth")
-//	gt := browserid.BuildParallel(records, workers)
+//	gt := browserid.Build(records)
 //	stop(len(records))
 func (t *Timings) Start(stage string) func(records int) {
 	if t == nil {

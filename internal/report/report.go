@@ -1,523 +1,508 @@
 // Package report renders every table and figure of the paper's
-// evaluation to an io.Writer. cmd/fpreport is a thin flag wrapper over
-// this package; keeping the rendering here makes each artifact
-// regenerable (and testable) programmatically:
+// evaluation from a re-streamable record source. cmd/fpreport is a
+// thin flag wrapper over this package; keeping the rendering here makes
+// each artifact regenerable (and testable) programmatically:
 //
-//	r := report.New(ds, os.Stdout)
-//	r.Table2()
-//	r.Fig12()
+//	r, err := report.NewStream(report.DatasetSource(ds),
+//		dynamics.MapImages(ds.CanvasImages), os.Stdout, report.StreamOptions{},
+//		"table2", "fig12")
+//	r.Summary()
+//	r.Render("table2")
+//	r.Render("fig12")
+//
+// The pipeline makes three passes over the source:
+//
+//	pass 1  stream records    → browser-ID union pass (browserid.StreamBuilder)
+//	regroup re-stream records → external sort keyed (canonical ID, stream position)
+//	analyze merged stream     → per-instance chains: diff and classify in
+//	                            fixed-size parallel chunks, then fold every
+//	                            record, dynamics and instance into the
+//	                            requested sections' accumulators
+//
+// The regroup sort is what keeps memory flat: grouped by canonical ID,
+// each instance's records arrive contiguously in time order, so the
+// walk needs only the current instance's records' summary. What stays
+// resident is proportional to instances, users and distinct values (the
+// union-find, the estimate maps, the sections' tallies), never to
+// records.
+//
+// The Summary line, the §2.3.3 estimate and Table 2 are always
+// computed; every other section folds only when requested. Chunk
+// boundaries are deterministic (fixed ChunkSize over the merged order)
+// and chunks are classified with the ordered parallel.Map, so output is
+// byte-identical for every worker count and chunk size.
 package report
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"os"
+	"path/filepath"
 	"time"
 
 	"fpdyn/internal/browserid"
 	"fpdyn/internal/canvas"
-	"fpdyn/internal/correlate"
+	"fpdyn/internal/diff"
 	"fpdyn/internal/dynamics"
+	"fpdyn/internal/extsort"
 	"fpdyn/internal/fingerprint"
-	"fpdyn/internal/inference"
+	"fpdyn/internal/geoip"
 	"fpdyn/internal/obs"
+	"fpdyn/internal/parallel"
 	"fpdyn/internal/population"
-	"fpdyn/internal/stats"
-	"fpdyn/internal/stemming"
-	"fpdyn/internal/textplot"
-	"fpdyn/internal/useragent"
+	"fpdyn/internal/storage"
 )
 
-// Reporter holds the processed dataset every section draws from.
+// RecordSource is a re-streamable time-ordered record sequence (the
+// ground-truth build takes two passes) plus the dataset inputs some
+// sections need: the GPU truth (Insight 1.3), the geolocation database
+// (Insight 1.4) and the observation window (Figure 12).
+type RecordSource struct {
+	// each streams every record in time order to fn, stopping at the
+	// first error.
+	each       func(fn func(*fingerprint.Record) error) error
+	gpu        map[string]canvas.GPUInfo
+	geo        *geoip.DB
+	start, end time.Time
+}
+
+// DatasetSource adapts an in-memory dataset to a RecordSource.
+func DatasetSource(ds *population.Dataset) RecordSource {
+	each := func(fn func(*fingerprint.Record) error) error {
+		for _, rec := range ds.Records {
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return RecordSource{each: each, gpu: ds.GPUImageInfo, geo: ds.Geo, start: ds.Cfg.Start, end: ds.Cfg.End}
+}
+
+// SpillSource adapts a spilled simulation to a RecordSource.
+func SpillSource(sd *population.SpilledDataset) RecordSource {
+	each := func(fn func(*fingerprint.Record) error) error {
+		rs, err := sd.Stream()
+		if err != nil {
+			return err
+		}
+		defer rs.Close() // read-only run files
+		for {
+			item, ok, err := rs.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := fn(item.Rec); err != nil {
+				return err
+			}
+		}
+	}
+	return RecordSource{each: each, gpu: sd.GPUImageInfo, geo: sd.Geo, start: sd.Cfg.Start, end: sd.Cfg.End}
+}
+
+// chunks streams src in chunks of n records (the last may be shorter),
+// with each chunk's initial browser IDs hashed on the worker pool.
+func (src RecordSource) chunks(n, workers int, inFlight func(int), fn func(chunk []*fingerprint.Record, ids []string) error) error {
+	chunk := make([]*fingerprint.Record, 0, n)
+	flush := func() error {
+		inFlight(len(chunk))
+		ids := parallel.Map(workers, len(chunk), func(i int) string {
+			return browserid.InitialID(chunk[i])
+		})
+		err := fn(chunk, ids)
+		chunk = chunk[:0]
+		inFlight(0)
+		return err
+	}
+	err := src.each(func(rec *fingerprint.Record) error {
+		if chunk = append(chunk, rec); len(chunk) < n {
+			return nil
+		}
+		return flush()
+	})
+	if err != nil || len(chunk) == 0 {
+		return err
+	}
+	return flush()
+}
+
+// StreamOptions configures the report pipeline.
+type StreamOptions struct {
+	// Workers is the pool size for hashing, diffing and classifying
+	// chunks (1 = serial; 0 or negative = NumCPU, via parallel.Resolve).
+	// Output is identical for every value.
+	Workers int
+	// SpillDir hosts the regroup sort's run files (subdirectory
+	// "regroup"); empty means a fresh temp directory. Removed when the
+	// pipeline finishes either way.
+	SpillDir string
+	// ChunkSize is the number of records per parallel work chunk
+	// (default 8192). It shapes memory and parallelism, never output.
+	ChunkSize int
+	Registry  *obs.Registry
+	Timings   *obs.Timings
+	// OpenFile opens regroup run files (fault-injection hook).
+	OpenFile func(path string) (storage.SegmentFile, error)
+}
+
+func (o *StreamOptions) chunk() int {
+	if o.ChunkSize > 0 {
+		return o.ChunkSize
+	}
+	return 8192
+}
+
+// Reporter renders the report sections accumulated by NewStream.
 type Reporter struct {
-	w       io.Writer
-	ds      *population.Dataset
-	gt      *browserid.GroundTruth
-	dyns    []*dynamics.Dynamics
-	changed []*dynamics.Dynamics
-	cl      *dynamics.Classifier
+	w   io.Writer
+	src RecordSource
+	cl  *dynamics.Classifier
+
+	records      int64
+	numInstances int
+	numUsers     int
+	numDyns      int64
+	numChanged   int64
+	breakdown    *dynamics.Breakdown
+	est          *browserid.EstimateAccumulator
+
+	// renders holds the renderer of every requested section.
+	renders map[string]func()
 }
 
-// New processes a dataset once (ground truth + dynamics + classifier)
-// and returns a Reporter writing to w.
-func New(ds *population.Dataset, w io.Writer) *Reporter {
-	return NewWorkers(ds, w, 0)
+// instance is the analyze walk's state for the canonical browser
+// instance being folded. Hooks may read it but must not retain it.
+type instance struct {
+	ord         int // 1-based position in walk order
+	id          string
+	first, last *fingerprint.Record
+	visits      int
+	changes     int      // core-changed dynamics so far
+	cookies     []string // time-ordered non-empty cookies
 }
 
-// NewWorkers is New with the processing pipeline fanned out over a
-// worker pool: ground-truth key hashing, per-instance diff chains and
-// the batch classification of every changed dynamics all run on up to
-// `workers` goroutines (1 = serial; 0 or negative = NumCPU, via
-// parallel.Resolve). The processed state — and therefore every table
-// and figure — is identical for every worker count; the batch pass
-// also warms the classifier's memo so the report sections reuse
-// classifications instead of re-deriving them.
-func NewWorkers(ds *population.Dataset, w io.Writer, workers int) *Reporter {
-	return NewWorkersTimed(ds, w, workers, nil)
+// fold is one section: the accumulator hooks the analyze walk calls,
+// and the renderer that prints the result. Nil hooks are skipped.
+type fold struct {
+	// record sees every record, grouped by instance in time order,
+	// after the instance state counts it.
+	record func(in *instance, rec *fingerprint.Record)
+	// pair sees every consecutive-visit pair, changed or not.
+	pair func(d *dynamics.Dynamics)
+	// changed sees every core-changed pair with its classification.
+	changed func(d *dynamics.Dynamics, c dynamics.Classification)
+	// instance sees each instance after its last record.
+	instance func(in *instance)
+	render   func()
 }
 
-// NewWorkersTimed is NewWorkers with per-stage wall-time observability:
-// each pipeline stage (ground truth, dynamics, classify) is timed into
-// timings with its record count, so cmd/fpreport can emit the
-// machine-readable stage-timing JSON alongside BENCH_pipeline.json. A
-// nil timings is a no-op.
-func NewWorkersTimed(ds *population.Dataset, w io.Writer, workers int, timings *obs.Timings) *Reporter {
-	stop := timings.Start("ground_truth")
-	gt := browserid.BuildParallel(ds.Records, workers)
-	stop(len(ds.Records))
+// grouped is the regroup sort's item: a record keyed by its canonical
+// browser ID and its position in the time-ordered input (the input is
+// (time, serial)-sorted, so Seq preserves exactly that order within
+// each group).
+type grouped struct {
+	ID  string
+	Seq int64
+	Rec *fingerprint.Record
+}
 
-	stop = timings.Start("dynamics")
-	dyns := dynamics.GenerateParallel(gt, workers)
-	stop(len(dyns))
+// encodeGrouped is the regroup runs' item codec: the ID, Seq as a
+// varint, then the record in the fingerprint binary codec.
+func encodeGrouped(dst []byte, v grouped) ([]byte, error) {
+	dst = fingerprint.AppendString(dst, v.ID)
+	dst = binary.AppendVarint(dst, v.Seq)
+	return fingerprint.AppendRecord(dst, v.Rec), nil
+}
 
-	changed := dynamics.Changed(dyns)
-	cl := &dynamics.Classifier{Images: dynamics.MapImages(ds.CanvasImages)}
-	stop = timings.Start("classify")
-	cl.ClassifyAll(changed, workers)
-	stop(len(changed))
-	return &Reporter{
-		w:       w,
-		ds:      ds,
-		gt:      gt,
-		dyns:    dyns,
-		changed: changed,
-		cl:      cl,
+var errBadGrouped = errors.New("report: malformed regroup item")
+
+// newGroupedDecoder returns the decoder for one merge stream; its
+// fingerprint.Decoder interns strings across the stream's records.
+func newGroupedDecoder() func([]byte) (grouped, error) {
+	d := fingerprint.NewDecoder()
+	return func(p []byte) (grouped, error) {
+		var v grouped
+		id, p, err := d.String(p)
+		if err != nil {
+			return v, err
+		}
+		seq, n := binary.Varint(p)
+		if n <= 0 {
+			return v, errBadGrouped
+		}
+		v.Rec = new(fingerprint.Record)
+		rest, err := d.Decode(p[n:], v.Rec)
+		if err != nil {
+			return v, err
+		}
+		if len(rest) != 0 {
+			return v, errBadGrouped
+		}
+		v.ID, v.Seq = id, seq
+		return v, nil
 	}
 }
 
-// GroundTruth exposes the processed ground truth (cmd tools reuse it).
-func (r *Reporter) GroundTruth() *browserid.GroundTruth { return r.gt }
+func groupedLess(a, b grouped) bool {
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	return a.Seq < b.Seq
+}
+
+// NewStream runs the pipeline over src and returns a reporter that can
+// render the Summary, the §2.3.3 estimate, Table 2 and every requested
+// section (fpreport's -what names; see Sections). images resolves
+// canvas hashes for the classifier (nil-able via
+// dynamics.MapImages(nil)).
+func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opts StreamOptions, sections ...string) (*Reporter, error) {
+	workers := opts.Workers
+	chunkSize := opts.chunk()
+	r := &Reporter{w: w, src: src, cl: &dynamics.Classifier{Images: images}}
+	r.renders = map[string]func(){"estimate": r.estimate, "table2": r.table2}
+	var folds []fold
+	for _, name := range sections {
+		build, ok := sectionBuilders[name]
+		if !ok {
+			return nil, fmt.Errorf("report: unknown section %q", name)
+		}
+		if _, done := r.renders[name]; done {
+			continue
+		}
+		f := build(r)
+		r.renders[name] = f.render
+		folds = append(folds, f)
+	}
+
+	var chunkGauge *obs.Gauge
+	if opts.Registry != nil {
+		chunkGauge = opts.Registry.Gauge("report_stream_chunk_records", "records buffered in the current processing chunk")
+	}
+	inFlight := func(n int) {
+		if chunkGauge != nil {
+			chunkGauge.SetInt(int64(n))
+		}
+	}
+
+	// Pass 1: the cookie-linking union pass. Initial-ID hashing is the
+	// hot part and runs on the pool; the owner bookkeeping stays serial
+	// in stream order (the owner is the FIRST ID seen).
+	stop := opts.Timings.Start("ground_truth_pass1")
+	builder := browserid.NewStreamBuilder()
+	err := src.chunks(chunkSize, workers, inFlight, func(chunk []*fingerprint.Record, ids []string) error {
+		for i, rec := range chunk {
+			builder.ObserveWithID(rec, ids[i])
+		}
+		r.records += int64(len(chunk))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	builder.Seal()
+	stop(int(r.records))
+
+	// Regroup: re-stream, resolve canonical IDs, spill into an external
+	// sort keyed (canonical ID, stream position).
+	stop = opts.Timings.Start("regroup")
+	root := opts.SpillDir
+	if root == "" {
+		root, err = os.MkdirTemp("", "fpdyn-report-*")
+		if err != nil {
+			return nil, fmt.Errorf("report: spill dir: %w", err)
+		}
+		defer os.RemoveAll(root)
+	}
+	sorter, err := extsort.New(extsort.Options[grouped]{
+		Dir:         filepath.Join(root, "regroup"),
+		Less:        groupedLess,
+		Encode:      encodeGrouped,
+		NewDecoder:  newGroupedDecoder,
+		MaxRunItems: chunkSize,
+		OpenFile:    opts.OpenFile,
+		Registry:    opts.Registry,
+		Name:        "regroup",
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer sorter.Close()
+	var seq int64
+	err = src.chunks(chunkSize, workers, inFlight, func(chunk []*fingerprint.Record, ids []string) error {
+		for i, rec := range chunk {
+			// find() is a serial map walk; the expensive hash ran on the
+			// pool.
+			if err := sorter.Push(grouped{ID: builder.CanonicalOf(ids[i]), Seq: seq, Rec: rec}); err != nil {
+				return err
+			}
+			seq++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := sorter.Flush(); err != nil {
+		return nil, err
+	}
+	stop(int(r.records))
+
+	stop = opts.Timings.Start("analyze")
+	merge, err := sorter.Merge()
+	if err != nil {
+		return nil, err
+	}
+	defer merge.Close()
+	if err := r.analyze(merge, folds, workers, chunkSize, inFlight); err != nil {
+		return nil, err
+	}
+	stop(int(r.records))
+	return r, nil
+}
+
+// analyze walks the grouped merge. Each instance is a contiguous run in
+// time order, so the walk holds one instance's state at a time.
+// Consecutive pairs are diffed and the changed ones classified in
+// fixed-size parallel chunks; then every record, pair and instance of
+// the chunk folds, in merge order, into the core accumulators and the
+// requested sections' hooks.
+func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers, chunkSize int, inFlight func(int)) error {
+	acc := dynamics.NewAccumulator()
+	est := browserid.NewEstimateAccumulator()
+	var in instance
+	endInstance := func() {
+		if in.visits == 0 {
+			return
+		}
+		est.AddInstance(in.id, in.first.UserID, in.cookies)
+		for _, f := range folds {
+			if f.instance != nil {
+				f.instance(&in)
+			}
+		}
+	}
+
+	// step is one merged record; prev is its instance's previous record
+	// (nil on the instance's first).
+	type step struct {
+		id        string
+		prev, rec *fingerprint.Record
+	}
+	steps := make([]step, 0, chunkSize)
+	var changed []*dynamics.Dynamics
+	flush := func() {
+		if len(steps) == 0 {
+			return
+		}
+		inFlight(len(steps))
+		dyns := parallel.Map(workers, len(steps), func(i int) *dynamics.Dynamics {
+			s := steps[i]
+			if s.prev == nil {
+				return nil
+			}
+			return &dynamics.Dynamics{
+				BrowserID: s.id,
+				From:      s.prev,
+				To:        s.rec,
+				Delta:     diff.Diff(s.prev.FP, s.rec.FP),
+			}
+		})
+		changed = changed[:0]
+		for _, d := range dyns {
+			if d != nil && d.CoreChanged() {
+				changed = append(changed, d)
+			}
+		}
+		classes := r.cl.ClassifyAll(changed, workers)
+		k := 0
+		for i, s := range steps {
+			if s.prev == nil {
+				endInstance()
+				in = instance{ord: in.ord + 1, id: s.id, first: s.rec, cookies: in.cookies[:0]}
+			}
+			in.visits++
+			in.last = s.rec
+			if s.rec.Cookie != "" {
+				in.cookies = append(in.cookies, s.rec.Cookie)
+			}
+			for _, f := range folds {
+				if f.record != nil {
+					f.record(&in, s.rec)
+				}
+			}
+			d := dyns[i]
+			if d == nil {
+				continue
+			}
+			r.numDyns++
+			for _, f := range folds {
+				if f.pair != nil {
+					f.pair(d)
+				}
+			}
+			if k < len(changed) && changed[k] == d {
+				c := classes[k]
+				k++
+				r.numChanged++
+				in.changes++
+				acc.Add(d, c)
+				for _, f := range folds {
+					if f.changed != nil {
+						f.changed(d, c)
+					}
+				}
+			}
+		}
+		steps = steps[:0]
+		inFlight(0)
+	}
+
+	var curID string
+	var prev *fingerprint.Record
+	for {
+		g, ok, err := merge.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if g.ID != curID {
+			curID, prev = g.ID, nil
+		}
+		steps = append(steps, step{id: g.ID, prev: prev, rec: g.Rec})
+		prev = g.Rec
+		if len(steps) == chunkSize {
+			flush()
+		}
+	}
+	flush()
+	endInstance()
+
+	r.est = est
+	r.numInstances = est.NumInstances()
+	r.numUsers = est.NumUsers()
+	r.breakdown = acc.Finish(r.numInstances)
+	return nil
+}
 
 // Summary prints the dataset header line.
 func (r *Reporter) Summary() {
-	renderSummary(r.w, len(r.ds.Records), r.gt.NumInstances(), len(r.gt.UserInstances), len(r.dyns), len(r.changed))
+	fmt.Fprintf(r.w, "dataset: %d fingerprints, %d browser instances, %d users, %d dynamics (%d changed)\n\n",
+		r.records, r.numInstances, r.numUsers, r.numDyns, r.numChanged)
 }
 
-// renderSummary is the header line both the in-memory and the streaming
-// reporter print — byte-identical given the same counts.
-func renderSummary(w io.Writer, records, instances, users, dyns, changed int) {
-	fmt.Fprintf(w, "dataset: %d fingerprints, %d browser instances, %d users, %d dynamics (%d changed)\n\n",
-		records, instances, users, dyns, changed)
-}
-
-// Estimate prints the §2.3.3 browser-ID error estimation.
-func (r *Reporter) Estimate() {
-	renderEstimate(r.w, r.gt.Estimate(), r.gt.MultiBrowserUserShare())
-}
-
-func renderEstimate(w io.Writer, e browserid.Rates, multiShare float64) {
-	fmt.Fprintln(w, "§2.3.3 browser-ID error estimation")
-	fmt.Fprintf(w, "  abnormal shared-cookie rate: %.3f%% (paper: ~0.5%%)\n", 100*e.AbnormalSharedCookieRate)
-	fmt.Fprintf(w, "  cookie-clearing share:       %.1f%%  (paper: ~32%%)\n", 100*e.CookieClearingShare)
-	fmt.Fprintf(w, "  estimated false negatives:   %.3f%% (paper: ~0.3%%)\n", 100*e.FalseNegativeRate)
-	fmt.Fprintf(w, "  estimated false positives:   %.3f%% (paper: ~0.1%%)\n", 100*e.FalsePositiveRate)
-	fmt.Fprintf(w, "  multi-browser users:         %.1f%%  (paper: 14%%+)\n\n", 100*multiShare)
-}
-
-// Fig2 prints the identifiability-vs-anonymous-set-size table.
-func (r *Reporter) Fig2() {
-	inst := func(i int) string { return r.gt.IDs[i] }
-	curve := stats.AnonymitySets(r.ds.Records, inst, true, 10)
-	fmt.Fprintln(r.w, "Figure 2: % identifiable fingerprints vs anonymous-set size (with IP features)")
-	rows := [][]string{{"set size ≤", "overall"}}
-	type split struct {
-		name string
-		keep func(*fingerprint.Record) bool
+// Render prints one section by its fpreport -what name, followed by a
+// blank line. A section that was not requested from NewStream has
+// accumulated nothing, so rendering it is a caller bug and panics
+// rather than print zeros.
+func (r *Reporter) Render(name string) {
+	render, ok := r.renders[name]
+	if !ok {
+		panic(fmt.Sprintf("report: section %q was not requested from NewStream", name))
 	}
-	splits := []split{
-		{"desktop", func(rec *fingerprint.Record) bool { return !rec.Mobile }},
-		{"mobile", func(rec *fingerprint.Record) bool { return rec.Mobile }},
-		{"Firefox Mobile", func(rec *fingerprint.Record) bool { return rec.Browser == useragent.FirefoxMobile }},
-		{"Mobile Safari", func(rec *fingerprint.Record) bool { return rec.Browser == useragent.MobileSafari }},
-	}
-	curves := make([]stats.AnonymityCurve, len(splits))
-	for i, s := range splits {
-		idx := stats.Filter(r.ds.Records, s.keep)
-		sub := stats.Select(r.ds.Records, idx)
-		curves[i] = stats.AnonymitySets(sub, func(j int) string { return r.gt.IDs[idx[j]] }, true, 10)
-		rows[0] = append(rows[0], s.name)
-	}
-	for k := 1; k <= 10; k++ {
-		row := []string{fmt.Sprintf("%d", k), fmt.Sprintf("%.1f%%", curve.PctIdentifiable[k-1])}
-		for i := range splits {
-			row = append(row, fmt.Sprintf("%.1f%%", curves[i].PctIdentifiable[k-1]))
-		}
-		rows = append(rows, row)
-	}
-	textplot.Table(r.w, rows)
-	fmt.Fprintln(r.w)
-}
-
-// Table1 prints the per-feature distinct/unique statistics.
-func (r *Reporter) Table1() {
-	rows := stats.FeatureTable(r.ds.Records, r.dyns)
-	out := [][]string{{"Feature", "Distinct #", "Unique #", "Dyn Distinct #", "Dyn Unique #"}}
-	for _, row := range rows {
-		name := row.Name
-		if !row.IsGroup {
-			name = "  " + name
-		}
-		out = append(out, []string{
-			name,
-			fmt.Sprintf("%d", row.Distinct), fmt.Sprintf("%d", row.Unique),
-			fmt.Sprintf("%d", row.DynDistinct), fmt.Sprintf("%d", row.DynUnique),
-		})
-	}
-	fmt.Fprintln(r.w, "Table 1: static and dynamics value statistics per feature")
-	textplot.Table(r.w, out)
-	fmt.Fprintln(r.w)
-}
-
-// Fig3 prints the identifier breakdowns. Each histogram's total is
-// computed once and the per-bucket shares read through the cached-sum
-// path (Histogram.ShareOf).
-func (r *Reporter) Fig3() {
-	perUser, perBrowser := stats.UserBrowserCookie(r.gt)
-	userTotal := perUser.Total()
-	browserTotal := perBrowser.Total()
-	fmt.Fprintln(r.w, "Figure 3: identifier breakdowns")
-	one, two := perUser.ShareOf(1, userTotal), perUser.ShareOf(2, userTotal)
-	fmt.Fprintf(r.w, "  # browser IDs per user ID:  1: %.1f%%  2: %.1f%%  3+: %.1f%%  (paper: 86%% have one)\n",
-		100*one, 100*two, 100*(1-one-two))
-	multi := 1 - perBrowser.ShareOf(0, browserTotal) - perBrowser.ShareOf(1, browserTotal)
-	fmt.Fprintf(r.w, "  # cookies per browser ID:   1: %.1f%%  >1: %.1f%%  (paper: 32%% have more than one)\n\n",
-		100*perBrowser.ShareOf(1, browserTotal), 100*multi)
-}
-
-// Fig4 prints the weekly first-time/returning visit series.
-func (r *Reporter) Fig4() {
-	series := stats.VisitSeries(r.ds.Records, r.gt.IDs, 7*24*time.Hour)
-	xs := make([]string, len(series))
-	first := make([]float64, len(series))
-	ret := make([]float64, len(series))
-	for i, b := range series {
-		xs[i] = b.Start.Format("01-02")
-		first[i] = float64(b.FirstTime)
-		ret[i] = float64(b.Returning)
-	}
-	textplot.Series(r.w, "Figure 4: first-time visits per week", xs, first, 5)
-	textplot.Series(r.w, "Figure 4: returning visits per week", xs, ret, 5)
-	fmt.Fprintln(r.w)
-}
-
-// Fig5 prints the browser-type breakdown; Fig6 the OS-type breakdown.
-func (r *Reporter) Fig5() {
-	byBrowser, _ := stats.TypeBreakdown(r.gt)
-	textplot.BarMap(r.w, "Figure 5: browser instances by browser type", byBrowser, 46)
-	fmt.Fprintln(r.w)
-}
-
-// Fig6 prints the OS-type breakdown.
-func (r *Reporter) Fig6() {
-	_, byOS := stats.TypeBreakdown(r.gt)
-	textplot.BarMap(r.w, "Figure 6: browser instances by OS type", byOS, 46)
-	fmt.Fprintln(r.w)
-}
-
-// Fig7 prints fingerprint stability by visit count.
-func (r *Reporter) Fig7() {
-	cells := stats.StabilityBreakdown(r.gt, 12)
-	fmt.Fprintln(r.w, "Figure 7: fingerprint stability by visit count (share of instances with 0 dynamics)")
-	rows := [][]string{{"visits", "instances", "stable share"}}
-	for v := 2; v <= 12; v++ {
-		total := 0
-		for cell, n := range cells {
-			if cell.Visits == v {
-				total += n
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", v), fmt.Sprintf("%d", total),
-			fmt.Sprintf("%.1f%%", 100*stats.StableShareAtVisits(cells, v)),
-		})
-	}
-	textplot.Table(r.w, rows)
-	fmt.Fprintln(r.w)
-}
-
-// Table2 prints the classification of fingerprint dynamics.
-func (r *Reporter) Table2() {
-	renderTable2(r.w, dynamics.Analyze(r.changed, r.cl, r.gt.NumInstances()))
-}
-
-// renderTable2 renders a Breakdown as Table 2. The streaming reporter
-// produces the same Breakdown from its bounded-memory accumulator, so
-// both paths print identical bytes.
-func renderTable2(w io.Writer, b *dynamics.Breakdown) {
-	fmt.Fprintln(w, "Table 2: classification of fingerprint dynamics")
-	rows := [][]string{{"Category", "% of Changes", "% of Browser IDs"}}
-	subRows := func(byKey, instByKey map[string]int) {
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if byKey[keys[i]] != byKey[keys[j]] {
-				return byKey[keys[i]] > byKey[keys[j]]
-			}
-			return keys[i] < keys[j]
-		})
-		for _, k := range keys {
-			rows = append(rows, []string{
-				"  " + k,
-				fmt.Sprintf("%.2f%%", b.PctChanges(byKey[k])),
-				fmt.Sprintf("%.2f%%", b.PctInstances(instByKey[k])),
-			})
-		}
-	}
-	for _, cat := range []dynamics.Category{
-		dynamics.CatOSUpdate, dynamics.CatBrowserUpdate,
-		dynamics.CatUserAction, dynamics.CatEnvironment,
-	} {
-		rows = append(rows, []string{
-			string(cat),
-			fmt.Sprintf("%.2f%%", b.PctChanges(b.PureCategory[cat])),
-			fmt.Sprintf("%.2f%%", b.PctInstances(b.CategoryInstances[cat])),
-		})
-		switch cat {
-		case dynamics.CatOSUpdate:
-			subRows(b.OSUpdatesByOS, b.OSUpdateInstancesByOS)
-		case dynamics.CatBrowserUpdate:
-			subRows(b.BrowserUpdatesByFamily, b.BrowserUpdateInstancesByFamily)
-		}
-		var causes []dynamics.Cause
-		for cause := range b.CauseChanges {
-			if cause.Category() == cat {
-				causes = append(causes, cause)
-			}
-		}
-		sort.Slice(causes, func(i, j int) bool {
-			if b.CauseChanges[causes[i]] != b.CauseChanges[causes[j]] {
-				return b.CauseChanges[causes[i]] > b.CauseChanges[causes[j]]
-			}
-			return causes[i] < causes[j]
-		})
-		for _, cause := range causes {
-			if cause == dynamics.CauseOSUpdate || cause == dynamics.CauseBrowserUpdate {
-				continue
-			}
-			rows = append(rows, []string{
-				"  " + string(cause),
-				fmt.Sprintf("%.2f%%", b.PctChanges(b.CauseChanges[cause])),
-				fmt.Sprintf("%.2f%%", b.PctInstances(b.CauseInstances[cause])),
-			})
-		}
-	}
-	for _, label := range b.ComboLabels() {
-		rows = append(rows, []string{
-			label, fmt.Sprintf("%.2f%%", b.PctChanges(b.Combo[label])), "",
-		})
-	}
-	rows = append(rows, []string{
-		"Total (instances with ≥1 change)", "100%",
-		fmt.Sprintf("%.2f%%", b.PctInstances(b.InstancesWithChange)),
-	})
-	textplot.Table(w, rows)
-	if b.Unclassified > 0 {
-		fmt.Fprintf(w, "(unclassified: %d of %d)\n", b.Unclassified, b.TotalChanged)
-	}
-	fmt.Fprintln(w)
-}
-
-// Fig8 renders the Samsung 6.2 emoji update and its pixel diff.
-func (r *Reporter) Fig8() {
-	fmt.Fprintln(r.w, "Figure 8: Samsung Browser 6.2 emoji update as seen from a co-installed browser")
-	before := canvas.Render(canvas.Params{TextEngine: 3, TextWidth: 2, EmojiMajor: 6, EmojiMinor: 0})
-	after := canvas.Render(canvas.Params{TextEngine: 3, TextWidth: 2, EmojiMajor: 7, EmojiMinor: 0})
-	d := canvas.Diff(before, after)
-	fmt.Fprintf(r.w, "  canvas hash before: %s\n", before.Hash())
-	fmt.Fprintf(r.w, "  canvas hash after:  %s\n", after.Hash())
-	fmt.Fprintf(r.w, "  changed pixels: %d (text band: %d, emoji band: %d)\n",
-		d.Changed, d.TextChanged, d.EmojiChanged)
-	fmt.Fprintf(r.w, "  subtypes: %v, emoji-only: %v\n", d.Subtypes(), d.EmojiOnly())
-	fmt.Fprintln(r.w, "  pixel difference map (right band = emoji glyph):")
-	for y := 0; y < canvas.Height; y += 2 {
-		fmt.Fprint(r.w, "    ")
-		for x := 0; x < canvas.Width; x += 2 {
-			if before.Pix[y][x] != after.Pix[y][x] {
-				fmt.Fprint(r.w, "X")
-			} else {
-				fmt.Fprint(r.w, ".")
-			}
-		}
-		fmt.Fprintln(r.w)
-	}
-	fmt.Fprintln(r.w)
-}
-
-// Table3 prints update-correlated features.
-func (r *Reporter) Table3() {
-	rows := correlate.UpdateCorrelations(r.changed, r.cl)
-	fmt.Fprintln(r.w, "Table 3: feature correlations with browser/OS updates")
-	out := [][]string{{"Update", "Platform", "Correlated feature", "Count"}}
-	limit := 25
-	for _, row := range rows {
-		if limit == 0 {
-			break
-		}
-		limit--
-		out = append(out, []string{row.Update, row.Platform, row.Feature, fmt.Sprintf("%d", row.Count)})
-	}
-	textplot.Table(r.w, out)
-	fmt.Fprintln(r.w)
-}
-
-// Fig12 prints adoption curves for the marked releases.
-func (r *Reporter) Fig12() {
-	fmt.Fprintln(r.w, "Figure 12: % of instances with update dynamics per week")
-	week := 7 * 24 * time.Hour
-	type curve struct {
-		family  string
-		major   int
-		release time.Time
-	}
-	curves := []curve{
-		{useragent.Chrome, 64, time.Date(2018, 1, 24, 0, 0, 0, 0, time.UTC)},
-		{useragent.Chrome, 65, time.Date(2018, 3, 6, 0, 0, 0, 0, time.UTC)},
-		{useragent.Chrome, 66, time.Date(2018, 4, 17, 0, 0, 0, 0, time.UTC)},
-		{useragent.Firefox, 58, time.Date(2018, 1, 23, 0, 0, 0, 0, time.UTC)},
-		{useragent.Firefox, 59, time.Date(2018, 3, 13, 0, 0, 0, 0, time.UTC)},
-		{useragent.Firefox, 60, time.Date(2018, 5, 9, 0, 0, 0, 0, time.UTC)},
-	}
-	for _, c := range curves {
-		series := correlate.AdoptionSeries(r.changed, c.family, c.major,
-			r.ds.Cfg.Start, r.ds.Cfg.End, week, r.gt.NumInstances())
-		xs := make([]string, len(series))
-		ys := make([]float64, len(series))
-		for i, p := range series {
-			xs[i] = p.Start.Format("01-02")
-			ys[i] = p.Pct
-		}
-		textplot.Series(r.w,
-			fmt.Sprintf("%s → %d (released %s)", c.family, c.major, c.release.Format("2006-01-02")),
-			xs, ys, 4)
-	}
-	fmt.Fprintln(r.w)
-}
-
-// Insight1 prints the privacy-leak analyses.
-func (r *Reporter) Insight1() {
-	fmt.Fprintln(r.w, "Insight 1.1: emoji leaks (canvas changes revealing co-installed software updates)")
-	rep := inference.EmojiLeaks(r.changed, r.cl)
-	fams := make([]string, 0, len(rep.LeakingDynamics))
-	for fam := range rep.LeakingDynamics {
-		fams = append(fams, fam)
-	}
-	// Descending leaking-dynamics count, ties by name (textplot.BarMap's order).
-	sort.Slice(fams, func(i, j int) bool {
-		if a, b := rep.LeakingDynamics[fams[i]], rep.LeakingDynamics[fams[j]]; a != b {
-			return a > b
-		}
-		return fams[i] < fams[j]
-	})
-	for _, fam := range fams {
-		fmt.Fprintf(r.w, "  %-18s %d leaking dynamics, %d instances\n", fam, rep.LeakingDynamics[fam], rep.LeakingInstances[fam])
-	}
-	patch := inference.UnpatchedWindows7(r.changed, r.cl, r.gt.Instances)
-	if patch.UpdateObserved > 0 {
-		fmt.Fprintf(r.w, "  Windows 7 emoji patch: %d transitions observed (paper: 9); %d instances still unpatched (paper: 6,968)\n",
-			patch.UpdateObserved, patch.UnpatchedInstances)
-	}
-
-	fmt.Fprintln(r.w, "Insight 1.2: software inference from fonts")
-	latest := map[string]*fingerprint.Fingerprint{}
-	for id, recs := range r.gt.Instances {
-		latest[id] = recs[len(recs)-1].FP
-	}
-	sw := inference.SoftwareFromFonts(r.changed, latest)
-	fmt.Fprintf(r.w, "  Office update (MT Extra added):   %d instances (paper: 1,199)\n", sw.OfficeUpdateInstances)
-	fmt.Fprintf(r.w, "  Office install observed:          %d dynamics (paper: 7)\n", sw.OfficeInstallDynamics)
-	fmt.Fprintf(r.w, "  Office installed (static fonts):  %d instances (paper: 50,869)\n", sw.OfficeInstalledInstances)
-	fmt.Fprintf(r.w, "  Adobe/Libre/WPS installs:         %d / %d / %d instances\n",
-		sw.AdobeInstances, sw.LibreInstances, sw.WPSInstances)
-
-	fmt.Fprintln(r.w, "Insight 1.3: GPU image → renderer inference")
-	gpu := inference.GPUInference(r.ds.Records, r.ds.GPUImageInfo)
-	fmt.Fprintf(r.w, "  distinct images: %d; unique→renderer: %.0f%% (paper: 32%%); ≤3 renderers: %.0f%% (paper: 38%%)\n",
-		gpu.DistinctImages, 100*gpu.UniqueShare, 100*gpu.WithinThreeShare)
-	vendors := make([]string, 0, len(gpu.VendorAccuracy))
-	for v := range gpu.VendorAccuracy {
-		vendors = append(vendors, v)
-	}
-	sort.Strings(vendors)
-	for _, v := range vendors {
-		fmt.Fprintf(r.w, "    %-28s %.0f%%\n", v, 100*gpu.VendorAccuracy[v])
-	}
-
-	fmt.Fprintln(r.w, "Insight 1.4: IP velocity / VPN detection")
-	vel := inference.Velocity(r.gt.Instances, r.ds.Geo)
-	fmt.Fprintf(r.w, "  movement pairs: %d (slow <150km/h: %d, 150–2000: %d, impossible >2000: %d)\n",
-		vel.Pairs, vel.Slow, vel.Mid, vel.Impossible)
-	fmt.Fprintf(r.w, "  VPN/proxy instances: %d (paper: 2,916)\n", len(vel.VPNInstances))
-	for i, c := range vel.Cases {
-		if i == 3 {
-			break
-		}
-		fmt.Fprintf(r.w, "    case: %s → %s in %s (%.0f km/h)\n", c.FromCity, c.ToCity, c.Gap, c.SpeedKmh)
-	}
-	fmt.Fprintln(r.w)
-}
-
-// Insight3 prints the implicit dynamics correlations.
-func (r *Reporter) Insight3() {
-	fmt.Fprintln(r.w, "Insight 3: implicit dynamics correlations (top by lift, ≥3 joint)")
-	cors := correlate.Implicit(r.changed, 3)
-	for i, c := range cors {
-		if i == 12 {
-			break
-		}
-		fmt.Fprintf(r.w, "  %-52s together=%d lift=%.1f\n", c.Label(), c.Together, c.Lift)
-	}
-	fmt.Fprintln(r.w)
-}
-
-// Compression prints the §2.3 delta-vs-pair ablation.
-func (r *Reporter) Compression() {
-	pairs, deltas, ratio := stats.DeltaCompression(r.changed)
-	fmt.Fprintf(r.w, "§2.3 delta ablation: %d distinct fingerprint pairs vs %d distinct deltas (%.2fx compression)\n\n",
-		pairs, deltas, ratio)
-}
-
-// Tradeoff prints the uniqueness/linkability frontier.
-func (r *Reporter) Tradeoff() {
-	rows := stats.UniquenessLinkability(stats.FirstRecords(r.gt.Instances), r.changed)
-	fmt.Fprintln(r.w, "Future work: uniqueness (entropy) vs linkability (stability) per feature")
-	out := [][]string{{"Feature", "Entropy (bits)", "Instability (% of dynamics)", "Utility"}}
-	for _, row := range rows {
-		out = append(out, []string{
-			row.Name,
-			fmt.Sprintf("%.2f", row.EntropyBits),
-			fmt.Sprintf("%.1f%%", row.InstabilityPct),
-			fmt.Sprintf("%.2f", row.Utility),
-		})
-	}
-	textplot.Table(r.w, out)
-	fmt.Fprintln(r.w)
-}
-
-// Stemming prints the §6.1 feature-stemming comparison.
-func (r *Reporter) Stemming() {
-	rawChanged, stemChanged, pairs := stemming.StabilityGain(r.gt.Instances)
-	fmt.Fprintln(r.w, "§6.1 feature-stemming baseline (Pugliese et al.)")
-	if pairs > 0 {
-		fmt.Fprintf(r.w, "  consecutive pairs changed: raw %d/%d (%.1f%%), stemmed %d/%d (%.1f%%)\n",
-			rawChanged, pairs, 100*float64(rawChanged)/float64(pairs),
-			stemChanged, pairs, 100*float64(stemChanged)/float64(pairs))
-	}
-	inst := func(i int) string { return r.gt.IDs[i] }
-	raw := stats.AnonymitySets(r.ds.Records, inst, false, 1)
-	stemmed := make([]*fingerprint.Record, len(r.ds.Records))
-	for i, rec := range r.ds.Records {
-		cp := *rec
-		cp.FP = stemming.Stem(rec.FP)
-		stemmed[i] = &cp
-	}
-	st := stats.AnonymitySets(stemmed, inst, false, 1)
-	fmt.Fprintf(r.w, "  identifiable at anonymous-set size 1: raw %.1f%%, stemmed %.1f%%\n",
-		raw.PctIdentifiable[0], st.PctIdentifiable[0])
-	fmt.Fprintln(r.w, "  (stability improves but uniqueness drops — the paper's trade-off critique)")
+	render()
 	fmt.Fprintln(r.w)
 }

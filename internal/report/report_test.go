@@ -5,19 +5,30 @@ import (
 	"strings"
 	"testing"
 
+	"fpdyn/internal/dynamics"
 	"fpdyn/internal/population"
 )
 
-var repWorld *population.Dataset
+var (
+	repReporter *Reporter
+	repBuf      bytes.Buffer
+)
 
+// reporter returns a reporter over the 900-user world with every
+// section requested, its output buffer emptied.
 func reporter(t testing.TB) (*Reporter, *bytes.Buffer) {
-	if repWorld == nil {
+	if repReporter == nil {
 		cfg := population.DefaultConfig(900)
 		cfg.Seed = 6
-		repWorld = population.Simulate(cfg)
+		ds := population.Simulate(cfg)
+		r, err := NewStream(DatasetSource(ds), dynamics.MapImages(ds.CanvasImages), &repBuf, StreamOptions{}, Sections()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repReporter = r
 	}
-	var buf bytes.Buffer
-	return New(repWorld, &buf), &buf
+	repBuf.Reset()
+	return repReporter, &repBuf
 }
 
 // contains asserts every needle appears in the rendered output.
@@ -45,7 +56,7 @@ func TestEstimateSection(t *testing.T) {
 
 func TestFig2Section(t *testing.T) {
 	r, buf := reporter(t)
-	r.Fig2()
+	r.Render("fig2")
 	contains(t, buf, "Figure 2", "Mobile Safari", "desktop", "set size ≤")
 	// Ten threshold rows.
 	if got := strings.Count(buf.String(), "%"); got < 40 {
@@ -55,17 +66,17 @@ func TestFig2Section(t *testing.T) {
 
 func TestTable1Section(t *testing.T) {
 	r, buf := reporter(t)
-	r.Table1()
+	r.Render("table1")
 	contains(t, buf, "Table 1", "Font List", "User-agent", "Overall (excluding IP)", "Dyn Distinct #")
 }
 
 func TestFig3Through7Sections(t *testing.T) {
 	r, buf := reporter(t)
-	r.Fig3()
-	r.Fig4()
-	r.Fig5()
-	r.Fig6()
-	r.Fig7()
+	r.Render("fig3")
+	r.Render("fig4")
+	r.Render("fig5")
+	r.Render("fig6")
+	r.Render("fig7")
 	contains(t, buf,
 		"Figure 3", "browser IDs per user ID",
 		"Figure 4", "first-time visits",
@@ -86,7 +97,7 @@ func TestTable2Section(t *testing.T) {
 
 func TestFig8Section(t *testing.T) {
 	r, buf := reporter(t)
-	r.Fig8()
+	r.Render("fig8")
 	contains(t, buf, "Figure 8", "emoji-only: true", "pixel difference map")
 	// The diff map must mark changes only in the right (emoji) half.
 	for _, line := range strings.Split(buf.String(), "\n") {
@@ -102,20 +113,20 @@ func TestFig8Section(t *testing.T) {
 
 func TestTable3Section(t *testing.T) {
 	r, buf := reporter(t)
-	r.Table3()
+	r.Render("table3")
 	contains(t, buf, "Table 3", "Correlated feature")
 }
 
 func TestFig12Section(t *testing.T) {
 	r, buf := reporter(t)
-	r.Fig12()
+	r.Render("fig12")
 	contains(t, buf, "Figure 12", "Chrome → 64", "Firefox → 59", "released")
 }
 
 func TestInsightSections(t *testing.T) {
 	r, buf := reporter(t)
-	r.Insight1()
-	r.Insight3()
+	r.Render("insight1")
+	r.Render("insight3")
 	contains(t, buf,
 		"Insight 1.2", "Office", "Insight 1.3", "Insight 1.4", "VPN/proxy",
 		"Insight 3", "lift",
@@ -124,27 +135,20 @@ func TestInsightSections(t *testing.T) {
 
 func TestCompressionSection(t *testing.T) {
 	r, buf := reporter(t)
-	r.Compression()
+	r.Render("compression")
 	contains(t, buf, "delta ablation", "compression")
 }
 
 func TestTradeoffSection(t *testing.T) {
 	r, buf := reporter(t)
-	r.Tradeoff()
+	r.Render("tradeoff")
 	contains(t, buf, "uniqueness", "Entropy (bits)", "Font List")
 }
 
 func TestStemmingSection(t *testing.T) {
 	r, buf := reporter(t)
-	r.Stemming()
+	r.Render("stemming")
 	contains(t, buf, "feature-stemming", "identifiable at anonymous-set size 1")
-}
-
-func TestGroundTruthExposed(t *testing.T) {
-	r, _ := reporter(t)
-	if r.GroundTruth() == nil || r.GroundTruth().NumInstances() == 0 {
-		t.Fatal("ground truth not exposed")
-	}
 }
 
 // TestInsight1FixedOrder renders Insight 1 repeatedly on a world with
@@ -152,14 +156,14 @@ func TestGroundTruthExposed(t *testing.T) {
 // in the same order every time, not in map order.
 func TestInsight1FixedOrder(t *testing.T) {
 	r, buf := reporter(t)
-	r.Insight1()
+	r.Render("insight1")
 	first := buf.String()
 	if n := strings.Count(first, "leaking dynamics"); n < 2 {
 		t.Fatalf("world has %d leaking families, need at least 2 to test the order", n)
 	}
 	for i := 0; i < 20; i++ {
 		buf.Reset()
-		r.Insight1()
+		r.Render("insight1")
 		if got := buf.String(); got != first {
 			t.Fatalf("render %d differs:\n--- got ---\n%s\n--- first ---\n%s", i+1, got, first)
 		}

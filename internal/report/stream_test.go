@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"fpdyn/internal/dynamics"
@@ -13,29 +14,57 @@ import (
 	"fpdyn/internal/storage"
 )
 
-// inMemorySections renders the streaming-computable sections with the
-// legacy Reporter.
-func inMemorySections(t *testing.T, ds *population.Dataset) string {
+// goldenPath holds every section — Summary, then fpreport's -what all
+// order — for DefaultConfig(900) at seed 6, as the in-memory reporter
+// this package used to have printed it.
+const goldenPath = "testdata/all_users900_seed6.golden"
+
+func goldenConfig() population.Config {
+	cfg := population.DefaultConfig(900)
+	cfg.Seed = 6
+	return cfg
+}
+
+// renderAll runs the pipeline over src with every section requested
+// and renders the Summary and each section in print order.
+func renderAll(t *testing.T, src RecordSource, images dynamics.ImageProvider, opts StreamOptions) string {
 	t.Helper()
 	var buf bytes.Buffer
-	r := New(ds, &buf)
+	r, err := NewStream(src, images, &buf, opts, Sections()...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.Summary()
-	r.Estimate()
-	r.Table2()
+	for _, name := range Sections() {
+		r.Render(name)
+	}
 	return buf.String()
 }
 
-// TestStreamReportMatchesInMemory is the consumer-side determinism
-// gate: the streaming pipeline's Summary/Estimate/Table2 must print the
-// exact bytes the in-memory Reporter prints, for every worker count and
-// chunk size — including chunk sizes small enough to split instances
-// across chunks.
-func TestStreamReportMatchesInMemory(t *testing.T) {
-	cfg := population.DefaultConfig(200)
-	cfg.Seed = 11
-	ds := population.Simulate(cfg)
-	want := inMemorySections(t, ds)
+func checkGolden(t *testing.T, label, got string) {
+	t.Helper()
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: output differs from %s at line %d:\n got: %q\nwant: %q", label, goldenPath, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: output has %d lines, %s has %d", label, len(gl), goldenPath, len(wl))
+}
 
+// TestStreamReportMatchesInMemory is the determinism gate over an
+// in-memory dataset: every section must print the golden bytes for
+// every worker count and chunk size, including chunk sizes small
+// enough to split instances across chunks.
+func TestStreamReportMatchesInMemory(t *testing.T) {
+	ds := population.Simulate(goldenConfig())
 	for _, tc := range []struct {
 		workers, chunk int
 	}{
@@ -44,54 +73,60 @@ func TestStreamReportMatchesInMemory(t *testing.T) {
 		{8, 8192},
 		{8, 17},
 	} {
-		var buf bytes.Buffer
-		sr, err := NewStream(SliceSource(ds.Records), dynamics.MapImages(ds.CanvasImages), &buf,
+		got := renderAll(t, DatasetSource(ds), dynamics.MapImages(ds.CanvasImages),
 			StreamOptions{Workers: tc.workers, ChunkSize: tc.chunk})
-		if err != nil {
-			t.Fatalf("workers=%d chunk=%d: %v", tc.workers, tc.chunk, err)
-		}
-		sr.Summary()
-		sr.Estimate()
-		sr.Table2()
-		if got := buf.String(); got != want {
-			t.Fatalf("workers=%d chunk=%d: stream output differs from in-memory:\n--- stream ---\n%s\n--- in-memory ---\n%s",
-				tc.workers, tc.chunk, got, want)
-		}
+		checkGolden(t, "dataset source", got)
 	}
 }
 
 // TestStreamReportFromSpill runs the full out-of-core chain — spilled
-// simulation feeding the streaming report — and checks it against the
-// fully in-memory pipeline.
+// simulation feeding the report — with batches and chunks small enough
+// that both sorts spill many runs and chunks split instances, and
+// checks every section against the golden bytes.
 func TestStreamReportFromSpill(t *testing.T) {
-	cfg := population.DefaultConfig(150)
-	cfg.Seed = 3
+	cfg := goldenConfig()
 	cfg.Workers = 2
-	want := inMemorySections(t, population.Simulate(cfg))
-
-	sd, err := population.SimulateSpill(cfg, population.StreamOptions{UsersPerBatch: 40})
+	reg := obs.NewRegistry()
+	sd, err := population.SimulateSpill(cfg, population.StreamOptions{UsersPerBatch: 40, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sd.Close()
 
-	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	sr, err := NewStream(SpillSource(sd), dynamics.MapImages(sd.CanvasImages), &buf,
+	got := renderAll(t, SpillSource(sd), dynamics.MapImages(sd.CanvasImages),
 		StreamOptions{Workers: 2, ChunkSize: 64, SpillDir: sd.SpillRoot(), Registry: reg})
+	checkGolden(t, "spill source", got)
+
+	snap := reg.Snapshot()
+	for _, sort := range []string{"simulate", "regroup"} {
+		if n := snap.Counters[`extsort_runs_total{sort="`+sort+`"}`]; n < 2 {
+			t.Fatalf("%s sort spilled %d runs, want several", sort, n)
+		}
+	}
+}
+
+// TestRenderUnrequestedSection: a section not requested from NewStream
+// accumulated nothing, so rendering it must panic instead of printing
+// zeros; an unknown name is refused up front.
+func TestRenderUnrequestedSection(t *testing.T) {
+	ds := population.Simulate(population.DefaultConfig(40))
+	var buf bytes.Buffer
+	r, err := NewStream(DatasetSource(ds), dynamics.MapImages(ds.CanvasImages), &buf, StreamOptions{}, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr.Summary()
-	sr.Estimate()
-	sr.Table2()
-	if got := buf.String(); got != want {
-		t.Fatalf("spill-fed stream output differs:\n--- stream ---\n%s\n--- in-memory ---\n%s", got, want)
-	}
-
-	snap := reg.Snapshot()
-	if snap.Counters[`extsort_runs_total{sort="regroup"}`] == 0 {
-		t.Fatal("regroup sort spilled no runs at ChunkSize=64")
+	r.Render("fig3")
+	r.Render("table2") // always computed
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("rendering an unrequested section did not panic")
+			}
+		}()
+		r.Render("fig2")
+	}()
+	if _, err := NewStream(DatasetSource(ds), nil, &buf, StreamOptions{}, "fig99"); err == nil {
+		t.Error("unknown section accepted")
 	}
 }
 
@@ -100,7 +135,7 @@ func TestStreamReportFromSpill(t *testing.T) {
 func TestStreamReportSpillFault(t *testing.T) {
 	cfg := population.DefaultConfig(80)
 	ds := population.Simulate(cfg)
-	_, err := NewStream(SliceSource(ds.Records), dynamics.MapImages(ds.CanvasImages), os.Stderr,
+	_, err := NewStream(DatasetSource(ds), dynamics.MapImages(ds.CanvasImages), os.Stderr,
 		StreamOptions{
 			ChunkSize: 32,
 			OpenFile: func(path string) (storage.SegmentFile, error) {

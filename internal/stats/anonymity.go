@@ -2,9 +2,15 @@
 // anonymous-set identifiability (Figure 2), per-feature distinct/unique
 // value counts for static values and dynamics (Table 1), and the
 // population breakdowns of Figures 3–7.
+//
+// Each analysis is an accumulator fed one record, instance or dynamics
+// at a time, so the streamed report can run it over a dataset it never
+// holds; the slice entry points are loops over the same accumulators.
 package stats
 
 import (
+	"sort"
+
 	"fpdyn/internal/fingerprint"
 )
 
@@ -18,62 +24,79 @@ type AnonymityCurve struct {
 	PctIdentifiable []float64
 }
 
-// AnonymitySets computes the identifiability curve over a record set.
-// The anonymous set of a fingerprint value is the set of *browser
-// instances* sharing it; instanceOf gives each record its instance
-// identity (browser ID). includeIP adds the IP city/region/country
-// features, matching Figure 2's caption.
-func AnonymitySets(records []*fingerprint.Record, instanceOf func(i int) string, includeIP bool, maxK int) AnonymityCurve {
-	// fingerprint value → set of instances.
-	instSets := make(map[uint64]map[string]bool)
-	for i, r := range records {
-		h := r.FP.Hash(includeIP)
-		set := instSets[h]
-		if set == nil {
-			set = make(map[string]bool)
-			instSets[h] = set
-		}
-		set[instanceOf(i)] = true
+// anonSet is one fingerprint value's tally: the browser instances
+// sharing it and the records carrying it.
+type anonSet struct {
+	last, instances, records int
+}
+
+// AnonymityAccumulator builds the identifiability curve one record at a
+// time. The anonymous set of a fingerprint value is the set of browser
+// instances sharing it. Records must arrive grouped by instance (each
+// instance's records contiguous), so a value's instance count needs
+// only the last instance that carried it.
+type AnonymityAccumulator struct {
+	sets    map[uint64]anonSet
+	records int
+}
+
+// NewAnonymityAccumulator returns an empty accumulator.
+func NewAnonymityAccumulator() *AnonymityAccumulator {
+	return &AnonymityAccumulator{sets: make(map[uint64]anonSet)}
+}
+
+// Add feeds one record: instance is its browser instance's ordinal
+// (any value distinct per instance, never 0) and h its fingerprint
+// hash (fingerprint.Hash, with or without IP features).
+func (a *AnonymityAccumulator) Add(instance int, h uint64) {
+	s := a.sets[h]
+	if s.last != instance {
+		s.last = instance
+		s.instances++
 	}
+	s.records++
+	a.sets[h] = s
+	a.records++
+}
+
+// Curve returns the identifiability curve up to set size maxK.
+func (a *AnonymityAccumulator) Curve(maxK int) AnonymityCurve {
 	curve := AnonymityCurve{MaxK: maxK, PctIdentifiable: make([]float64, maxK)}
-	if len(records) == 0 {
+	if a.records == 0 {
 		return curve
 	}
 	// Count records by their fingerprint's anonymous-set size.
 	counts := make([]int, maxK+1)
-	for _, r := range records {
-		size := len(instSets[r.FP.Hash(includeIP)])
-		if size > maxK {
-			continue
+	for _, s := range a.sets {
+		if s.instances <= maxK {
+			counts[s.instances] += s.records
 		}
-		counts[size]++
 	}
 	cum := 0
 	for k := 1; k <= maxK; k++ {
 		cum += counts[k]
-		curve.PctIdentifiable[k-1] = 100 * float64(cum) / float64(len(records))
+		curve.PctIdentifiable[k-1] = 100 * float64(cum) / float64(a.records)
 	}
 	return curve
 }
 
-// Filter returns the subset of indexes whose record satisfies keep,
-// along with the filtered records — a helper for Figure 2's
-// per-platform and per-browser breakdowns.
-func Filter(records []*fingerprint.Record, keep func(*fingerprint.Record) bool) []int {
-	var idx []int
-	for i, r := range records {
-		if keep(r) {
-			idx = append(idx, i)
+// AnonymitySets computes the identifiability curve over a record set;
+// instanceOf gives each record its instance identity (browser ID).
+// includeIP adds the IP city/region/country features, matching Figure
+// 2's caption.
+func AnonymitySets(records []*fingerprint.Record, instanceOf func(i int) string, includeIP bool, maxK int) AnonymityCurve {
+	idx := make([]int, len(records))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return instanceOf(idx[a]) < instanceOf(idx[b]) })
+	acc := NewAnonymityAccumulator()
+	inst := 0
+	for k, i := range idx {
+		if k == 0 || instanceOf(i) != instanceOf(idx[k-1]) {
+			inst++
 		}
+		acc.Add(inst, records[i].FP.Hash(includeIP))
 	}
-	return idx
-}
-
-// Select materializes records at the given indexes.
-func Select(records []*fingerprint.Record, idx []int) []*fingerprint.Record {
-	out := make([]*fingerprint.Record, len(idx))
-	for i, j := range idx {
-		out[i] = records[j]
-	}
-	return out
+	return acc.Curve(maxK)
 }

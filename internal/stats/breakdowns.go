@@ -1,10 +1,9 @@
 package stats
 
 import (
+	"sort"
 	"time"
 
-	"fpdyn/internal/browserid"
-	"fpdyn/internal/diff"
 	"fpdyn/internal/fingerprint"
 )
 
@@ -38,20 +37,6 @@ func (h Histogram) Share(k int) float64 {
 	return h.ShareOf(k, h.Total())
 }
 
-// UserBrowserCookie computes the two Figure 3 histograms: the number
-// of browser IDs per user ID, and the number of cookies per browser ID.
-func UserBrowserCookie(gt *browserid.GroundTruth) (browserIDsPerUser, cookiesPerBrowser Histogram) {
-	browserIDsPerUser = Histogram{}
-	for _, set := range gt.UserInstances {
-		browserIDsPerUser[len(set)]++
-	}
-	cookiesPerBrowser = Histogram{}
-	for _, n := range gt.CookieCounts() {
-		cookiesPerBrowser[n]++
-	}
-	return browserIDsPerUser, cookiesPerBrowser
-}
-
 // VisitBucket is one time bucket of Figure 4.
 type VisitBucket struct {
 	Start     time.Time
@@ -59,41 +44,58 @@ type VisitBucket struct {
 	Returning int
 }
 
-// VisitSeries buckets visits into fixed windows, splitting first-time
-// from returning browser instances (Figure 4). records is the raw
-// time-ordered input and ids the per-record browser IDs (gt.IDs).
-func VisitSeries(records []*fingerprint.Record, ids []string, bucket time.Duration) []VisitBucket {
-	var out []VisitBucket
-	seen := map[string]bool{}
-	var cur *VisitBucket
-	for i, r := range records {
-		if cur == nil || r.Time.Sub(cur.Start) >= bucket {
-			out = append(out, VisitBucket{Start: r.Time.Truncate(bucket)})
-			cur = &out[len(out)-1]
-		}
-		if seen[ids[i]] {
-			cur.Returning++
-		} else {
-			seen[ids[i]] = true
-			cur.FirstTime++
-		}
+// VisitAccumulator buckets visits into fixed windows aligned to
+// multiples of the bucket length, splitting first-time from returning
+// browser instances (Figure 4). Visits may arrive in any order.
+type VisitAccumulator struct {
+	bucket  time.Duration
+	buckets map[int64]*VisitBucket
+}
+
+// NewVisitAccumulator returns an empty accumulator over windows of the
+// given length.
+func NewVisitAccumulator(bucket time.Duration) *VisitAccumulator {
+	return &VisitAccumulator{bucket: bucket, buckets: map[int64]*VisitBucket{}}
+}
+
+// Add counts one visit at t; first marks its instance's first visit.
+func (a *VisitAccumulator) Add(t time.Time, first bool) {
+	start := t.Truncate(a.bucket)
+	b := a.buckets[start.UnixNano()]
+	if b == nil {
+		b = &VisitBucket{Start: start}
+		a.buckets[start.UnixNano()] = b
 	}
+	if first {
+		b.FirstTime++
+	} else {
+		b.Returning++
+	}
+}
+
+// Series returns the non-empty buckets in time order.
+func (a *VisitAccumulator) Series() []VisitBucket {
+	out := make([]VisitBucket, 0, len(a.buckets))
+	for _, b := range a.buckets {
+		out = append(out, *b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
 }
 
 // TypeBreakdown counts browser instances by browser family and OS
-// family (Figures 5 and 6), using each instance's first record.
-func TypeBreakdown(gt *browserid.GroundTruth) (byBrowser, byOS map[string]int) {
-	byBrowser = map[string]int{}
-	byOS = map[string]int{}
-	for _, recs := range gt.Instances {
-		if len(recs) == 0 {
-			continue
-		}
-		byBrowser[recs[0].Browser]++
-		byOS[recs[0].OS]++
+// family (Figures 5 and 6). The zero value is an empty breakdown.
+type TypeBreakdown struct {
+	ByBrowser, ByOS map[string]int
+}
+
+// Add counts one instance by its first record.
+func (t *TypeBreakdown) Add(first *fingerprint.Record) {
+	if t.ByBrowser == nil {
+		t.ByBrowser, t.ByOS = map[string]int{}, map[string]int{}
 	}
-	return byBrowser, byOS
+	t.ByBrowser[first.Browser]++
+	t.ByOS[first.OS]++
 }
 
 // StabilityCell keys the Figure 7 matrix: instances with a given visit
@@ -103,33 +105,16 @@ type StabilityCell struct {
 	Dynamics int
 }
 
-// StabilityBreakdown computes Figure 7: for every browser instance,
-// its visit count and how many consecutive-visit pairs changed the
-// core fingerprint. maxVisits caps both axes (larger counts clamp into
-// the tail bucket, matching the figure).
-func StabilityBreakdown(gt *browserid.GroundTruth, maxVisits int) map[StabilityCell]int {
-	out := map[StabilityCell]int{}
-	for _, recs := range gt.Instances {
-		visits := len(recs)
-		if visits > maxVisits {
-			visits = maxVisits
-		}
-		changes := 0
-		for i := 1; i < len(recs); i++ {
-			d := diff.Diff(recs[i-1].FP, recs[i].FP)
-			for _, fd := range d.Fields {
-				if !fingerprint.Describe(fd.Feature).IsIP {
-					changes++
-					break
-				}
-			}
-		}
-		if changes > maxVisits {
-			changes = maxVisits
-		}
-		out[StabilityCell{visits, changes}]++
-	}
-	return out
+// StabilityBreakdown is the Figure 7 matrix: instance counts per
+// (visits, core-changing consecutive pairs) cell.
+type StabilityBreakdown map[StabilityCell]int
+
+// Add counts one instance with the given visit count and number of
+// consecutive-visit pairs that changed the core fingerprint. maxVisits
+// caps both axes (larger counts clamp into the tail bucket, matching
+// the figure).
+func (s StabilityBreakdown) Add(visits, changes, maxVisits int) {
+	s[StabilityCell{min(visits, maxVisits), min(changes, maxVisits)}]++
 }
 
 // StableShareAtVisits returns the fraction of instances with exactly v

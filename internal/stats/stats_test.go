@@ -65,20 +65,24 @@ func TestMobileFirefoxMostIdentifiable(t *testing.T) {
 	// identifiable than default-browser users, because installing a
 	// non-default browser is itself identifying.
 	ds, gt := world(t)
-	inst := func(idx []int) func(int) string {
-		return func(i int) string { return gt.IDs[idx[i]] }
+	subset := func(browser string) ([]*fingerprint.Record, func(int) string) {
+		var recs []*fingerprint.Record
+		var ids []string
+		for i, r := range ds.Records {
+			if r.Browser == browser {
+				recs = append(recs, r)
+				ids = append(ids, gt.IDs[i])
+			}
+		}
+		return recs, func(i int) string { return ids[i] }
 	}
-	ffIdx := Filter(ds.Records, func(r *fingerprint.Record) bool {
-		return r.Browser == useragent.FirefoxMobile
-	})
-	safIdx := Filter(ds.Records, func(r *fingerprint.Record) bool {
-		return r.Browser == useragent.MobileSafari
-	})
-	if len(ffIdx) < 30 || len(safIdx) < 30 {
+	ffRecs, ffInst := subset(useragent.FirefoxMobile)
+	safRecs, safInst := subset(useragent.MobileSafari)
+	if len(ffRecs) < 30 || len(safRecs) < 30 {
 		t.Skip("not enough mobile records at this scale")
 	}
-	ff := AnonymitySets(Select(ds.Records, ffIdx), inst(ffIdx), true, 5)
-	saf := AnonymitySets(Select(ds.Records, safIdx), inst(safIdx), true, 5)
+	ff := AnonymitySets(ffRecs, ffInst, true, 5)
+	saf := AnonymitySets(safRecs, safInst, true, 5)
 	t.Logf("Firefox Mobile k=5: %.1f%%; Mobile Safari k=5: %.1f%%",
 		ff.PctIdentifiable[4], saf.PctIdentifiable[4])
 	if ff.PctIdentifiable[4] < saf.PctIdentifiable[4] {
@@ -88,8 +92,14 @@ func TestMobileFirefoxMostIdentifiable(t *testing.T) {
 
 func TestFeatureTableShape(t *testing.T) {
 	ds, gt := world(t)
-	dyns := dynamics.Generate(gt)
-	rows := FeatureTable(ds.Records, dyns)
+	acc := NewFeatureAccumulator()
+	for _, r := range ds.Records {
+		acc.AddRecord(r.FP)
+	}
+	for _, d := range dynamics.Generate(gt) {
+		acc.AddDelta(d.Delta)
+	}
+	rows := acc.Rows()
 
 	byName := map[string]FeatureRow{}
 	for _, r := range rows {
@@ -132,8 +142,11 @@ func TestFeatureTableShape(t *testing.T) {
 
 func TestDeltaCompression(t *testing.T) {
 	_, gt := world(t)
-	dyns := dynamics.Changed(dynamics.Generate(gt))
-	pairs, deltas, ratio := DeltaCompression(dyns)
+	acc := NewCompressionAccumulator()
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		acc.Add(d)
+	}
+	pairs, deltas, ratio := acc.Result()
 	if pairs == 0 || deltas == 0 {
 		t.Fatal("no dynamics to compare")
 	}
@@ -145,7 +158,8 @@ func TestDeltaCompression(t *testing.T) {
 
 func TestUserBrowserCookieHistograms(t *testing.T) {
 	_, gt := world(t)
-	perUser, perBrowser := UserBrowserCookie(gt)
+	users, cookies := gt.Accumulate().IdentifierCounts()
+	perUser, perBrowser := Histogram(users), Histogram(cookies)
 	if perUser.Share(1) < 0.6 {
 		t.Errorf("single-browser users = %.2f, paper ~0.86", perUser.Share(1))
 	}
@@ -158,7 +172,13 @@ func TestUserBrowserCookieHistograms(t *testing.T) {
 
 func TestVisitSeries(t *testing.T) {
 	ds, gt := world(t)
-	series := VisitSeries(ds.Records, gt.IDs, 7*24*time.Hour)
+	acc := NewVisitAccumulator(7 * 24 * time.Hour)
+	seen := map[string]bool{}
+	for i, r := range ds.Records {
+		acc.Add(r.Time, !seen[gt.IDs[i]])
+		seen[gt.IDs[i]] = true
+	}
+	series := acc.Series()
 	if len(series) < 10 {
 		t.Fatalf("only %d weekly buckets over 8 months", len(series))
 	}
@@ -181,7 +201,11 @@ func TestVisitSeries(t *testing.T) {
 
 func TestTypeBreakdown(t *testing.T) {
 	_, gt := world(t)
-	byBrowser, byOS := TypeBreakdown(gt)
+	var types TypeBreakdown
+	for _, recs := range gt.Instances {
+		types.Add(recs[0])
+	}
+	byBrowser, byOS := types.ByBrowser, types.ByOS
 	if byOS[useragent.Windows] == 0 {
 		t.Fatal("no Windows instances")
 	}
@@ -200,7 +224,14 @@ func TestTypeBreakdown(t *testing.T) {
 
 func TestStabilityBreakdown(t *testing.T) {
 	_, gt := world(t)
-	cells := StabilityBreakdown(gt, 15)
+	changes := map[string]int{}
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		changes[d.BrowserID]++
+	}
+	cells := StabilityBreakdown{}
+	for id, recs := range gt.Instances {
+		cells.Add(len(recs), changes[id], 15)
+	}
 	total := 0
 	for _, n := range cells {
 		total += n
@@ -235,7 +266,14 @@ func BenchmarkFeatureTable(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FeatureTable(ds.Records, dyns)
+		acc := NewFeatureAccumulator()
+		for _, r := range ds.Records {
+			acc.AddRecord(r.FP)
+		}
+		for _, d := range dyns {
+			acc.AddDelta(d.Delta)
+		}
+		acc.Rows()
 	}
 }
 

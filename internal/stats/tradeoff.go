@@ -15,20 +15,59 @@ import (
 // feature so a fingerprinting tool can choose its feature set along
 // the frontier.
 
-// FeatureEntropy computes the Shannon entropy in bits of each feature
-// over one fingerprint per browser instance (using each instance's
-// first record avoids over-weighting loyal visitors).
-func FeatureEntropy(firstRecords []*fingerprint.Record) map[fingerprint.ID]float64 {
+// TradeoffAccumulator gathers both axes of the trade-off: feature
+// values over one fingerprint per browser instance (each instance's
+// first record, so loyal visitors are not over-weighted) and feature
+// moves over the changed dynamics.
+type TradeoffAccumulator struct {
+	values      []map[string]int // per feature: value key → instances
+	instances   int
+	changeCount []int // per feature: changed dynamics moving it
+	changed     int
+}
+
+// NewTradeoffAccumulator returns an empty accumulator.
+func NewTradeoffAccumulator() *TradeoffAccumulator {
+	a := &TradeoffAccumulator{
+		values:      make([]map[string]int, fingerprint.NumFeatures),
+		changeCount: make([]int, fingerprint.NumFeatures),
+	}
+	for i := range a.values {
+		a.values[i] = map[string]int{}
+	}
+	return a
+}
+
+// AddFirst counts one instance's first fingerprint.
+func (a *TradeoffAccumulator) AddFirst(fp *fingerprint.Fingerprint) {
+	a.instances++
+	for _, desc := range fingerprint.Schema {
+		a.values[desc.ID][fp.Value(desc.ID).Key()]++
+	}
+}
+
+// AddChanged counts one dynamics; those without a core change are
+// skipped.
+func (a *TradeoffAccumulator) AddChanged(d *dynamics.Dynamics) {
+	if !d.CoreChanged() {
+		return
+	}
+	a.changed++
+	for _, id := range d.Delta.FeatureIDs() {
+		a.changeCount[id]++
+	}
+}
+
+// entropy returns the Shannon entropy in bits of each feature over the
+// instances' first fingerprints.
+func (a *TradeoffAccumulator) entropy() map[fingerprint.ID]float64 {
 	out := make(map[fingerprint.ID]float64, fingerprint.NumFeatures)
-	n := float64(len(firstRecords))
+	n := float64(a.instances)
 	if n == 0 {
 		return out
 	}
 	for _, desc := range fingerprint.Schema {
-		counts := map[string]int{}
-		for _, r := range firstRecords {
-			counts[r.FP.Value(desc.ID).Key()]++
-		}
+		counts := a.values[desc.ID]
 		// Sum in sorted-key order: float addition is not associative,
 		// and map order would make the low bits vary run to run.
 		keys := make([]string, 0, len(counts))
@@ -61,27 +100,14 @@ type TradeoffRow struct {
 	Utility float64
 }
 
-// UniquenessLinkability builds the trade-off table from per-instance
-// first records and the changed dynamics. Rows are sorted by
-// descending utility.
-func UniquenessLinkability(firstRecords []*fingerprint.Record, changed []*dynamics.Dynamics) []TradeoffRow {
-	entropy := FeatureEntropy(firstRecords)
-	changeCount := make(map[fingerprint.ID]int, fingerprint.NumFeatures)
-	total := 0
-	for _, d := range changed {
-		if !d.CoreChanged() {
-			continue
-		}
-		total++
-		for _, id := range d.Delta.FeatureIDs() {
-			changeCount[id]++
-		}
-	}
+// Rows returns the trade-off table sorted by descending utility.
+func (a *TradeoffAccumulator) Rows() []TradeoffRow {
+	entropy := a.entropy()
 	rows := make([]TradeoffRow, 0, fingerprint.NumFeatures)
 	for _, desc := range fingerprint.Schema {
 		instab := 0.0
-		if total > 0 {
-			instab = 100 * float64(changeCount[desc.ID]) / float64(total)
+		if a.changed > 0 {
+			instab = 100 * float64(a.changeCount[desc.ID]) / float64(a.changed)
 		}
 		row := TradeoffRow{
 			Feature:        desc.ID,
@@ -103,21 +129,4 @@ func UniquenessLinkability(firstRecords []*fingerprint.Record, changed []*dynami
 		return rows[i].Name < rows[j].Name
 	})
 	return rows
-}
-
-// FirstRecords extracts each instance's first record from grouped
-// instances, in deterministic (ID-sorted) order.
-func FirstRecords(instances map[string][]*fingerprint.Record) []*fingerprint.Record {
-	ids := make([]string, 0, len(instances))
-	for id := range instances {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]*fingerprint.Record, 0, len(ids))
-	for _, id := range ids {
-		if recs := instances[id]; len(recs) > 0 {
-			out = append(out, recs[0])
-		}
-	}
-	return out
 }

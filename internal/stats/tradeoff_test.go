@@ -15,7 +15,11 @@ func TestFeatureEntropyBasics(t *testing.T) {
 	recs := []*fingerprint.Record{
 		mk([]string{"A"}, 4), mk([]string{"B"}, 4), mk([]string{"C"}, 4), mk([]string{"D"}, 4),
 	}
-	h := FeatureEntropy(recs)
+	acc := NewTradeoffAccumulator()
+	for _, r := range recs {
+		acc.AddFirst(r.FP)
+	}
+	h := acc.entropy()
 	// Four distinct font lists over four records: 2 bits.
 	if got := h[fingerprint.FeatFontList]; math.Abs(got-2) > 1e-9 {
 		t.Errorf("font entropy = %v, want 2", got)
@@ -27,15 +31,21 @@ func TestFeatureEntropyBasics(t *testing.T) {
 }
 
 func TestFeatureEntropyEmpty(t *testing.T) {
-	if h := FeatureEntropy(nil); len(h) != 0 {
+	if h := NewTradeoffAccumulator().entropy(); len(h) != 0 {
 		t.Fatalf("entropy of empty input = %v", h)
 	}
 }
 
 func TestUniquenessLinkabilityOnWorld(t *testing.T) {
 	ds, gt := world(t)
-	changed := dynamics.Changed(dynamics.Generate(gt))
-	rows := UniquenessLinkability(FirstRecords(gt.Instances), changed)
+	acc := NewTradeoffAccumulator()
+	for _, recs := range gt.Instances {
+		acc.AddFirst(recs[0].FP)
+	}
+	for _, d := range dynamics.Changed(dynamics.Generate(gt)) {
+		acc.AddChanged(d)
+	}
+	rows := acc.Rows()
 	if len(rows) != int(fingerprint.NumFeatures) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -70,18 +80,4 @@ func TestUniquenessLinkabilityOnWorld(t *testing.T) {
 			r.Name, r.EntropyBits, r.InstabilityPct, r.Utility)
 	}
 	_ = ds
-}
-
-func TestFirstRecordsDeterministic(t *testing.T) {
-	_, gt := world(t)
-	a := FirstRecords(gt.Instances)
-	b := FirstRecords(gt.Instances)
-	if len(a) != gt.NumInstances() {
-		t.Fatalf("first records = %d, instances = %d", len(a), gt.NumInstances())
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("FirstRecords not deterministic")
-		}
-	}
 }

@@ -124,22 +124,21 @@ func atoi(s string) (int, bool) {
 	return n, true
 }
 
-// StabilityGain compares raw and stemmed dynamics over grouped
-// instance records: the share of consecutive-visit pairs whose raw
-// fingerprint changed but whose stemmed fingerprint did not. This is
-// the improvement feature stemming buys.
-func StabilityGain(instances map[string][]*fingerprint.Record) (rawChanged, stemChanged, pairs int) {
-	for _, recs := range instances {
-		for i := 1; i < len(recs); i++ {
-			pairs++
-			a, b := recs[i-1].FP, recs[i].FP
-			if a.Hash(false) != b.Hash(false) {
-				rawChanged++
-				if Stem(a).Hash(false) != Stem(b).Hash(false) {
-					stemChanged++
-				}
-			}
+// GainAccumulator compares raw and stemmed dynamics one
+// consecutive-visit pair at a time: the pairs whose raw fingerprint
+// changed, and of those the ones whose stemmed fingerprint changed too.
+// The difference is the stability feature stemming buys.
+type GainAccumulator struct {
+	RawChanged, StemChanged, Pairs int
+}
+
+// Add feeds one consecutive-visit pair.
+func (g *GainAccumulator) Add(a, b *fingerprint.Fingerprint) {
+	g.Pairs++
+	if a.Hash(false) != b.Hash(false) {
+		g.RawChanged++
+		if Stem(a).Hash(false) != Stem(b).Hash(false) {
+			g.StemChanged++
 		}
 	}
-	return rawChanged, stemChanged, pairs
 }

@@ -95,7 +95,13 @@ func TestStemmingClaimsOnWorld(t *testing.T) {
 	gt := browserid.Build(ds.Records)
 
 	// Claim 1: stemming improves stability — many raw changes vanish.
-	rawChanged, stemChanged, pairs := StabilityGain(gt.Instances)
+	var gain GainAccumulator
+	for _, recs := range gt.Instances {
+		for i := 1; i < len(recs); i++ {
+			gain.Add(recs[i-1].FP, recs[i].FP)
+		}
+	}
+	rawChanged, stemChanged, pairs := gain.RawChanged, gain.StemChanged, gain.Pairs
 	if pairs == 0 || rawChanged == 0 {
 		t.Fatal("no dynamics to stem")
 	}

@@ -1,16 +1,17 @@
 package fpdyn
 
 // End-to-end golden test for the parallel analytic pipeline: the full
-// report rendered from a Workers:1 world must be byte-identical to the
-// one rendered from a Workers:NumCPU world. Run under -race (make
-// check does) this also exercises every concurrent stage — sharded
-// simulation, parallel ground truth, diff fan-out, batch
-// classification — for data races.
+// report rendered from a Workers:1 spilled world must be byte-identical
+// to the one rendered from a Workers:NumCPU world. Run under -race
+// (make check does) this also exercises every concurrent stage —
+// sharded simulation, the spill and regroup sorts, parallel ground
+// truth, diff fan-out, batch classification — for data races.
 
 import (
 	"bytes"
 	"testing"
 
+	"fpdyn/internal/dynamics"
 	"fpdyn/internal/population"
 	"fpdyn/internal/report"
 )
@@ -20,23 +21,23 @@ func renderAll(t *testing.T, workers int) []byte {
 	cfg := population.DefaultConfig(250)
 	cfg.Seed = 11
 	cfg.Workers = workers
-	ds := population.Simulate(cfg)
+	sd, err := population.SimulateSpill(cfg, population.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Close()
 	var buf bytes.Buffer
-	r := report.NewWorkers(ds, &buf, workers)
+	r, err := report.NewStream(report.SpillSource(sd), dynamics.MapImages(sd.CanvasImages), &buf,
+		report.StreamOptions{Workers: workers, SpillDir: sd.SpillRoot()}, report.Sections()...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.Summary()
-	r.Estimate()
-	r.Fig2()
-	r.Table1()
-	r.Fig3()
-	r.Fig7()
-	r.Table2()
-	r.Table3()
-	r.Insight1()
-	r.Insight3()
-	r.Compression()
+	for _, name := range report.Sections() {
+		r.Render(name)
+	}
 	return buf.Bytes()
 }
-
 func TestPipelineParallelReportByteIdentical(t *testing.T) {
 	serial := renderAll(t, 1)
 	parallel := renderAll(t, -1) // NumCPU
