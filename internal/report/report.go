@@ -160,13 +160,11 @@ type Reporter struct {
 	src RecordSource
 	cl  *dynamics.Classifier
 
-	records      int64
-	numInstances int
-	numUsers     int
-	numDyns      int64
-	numChanged   int64
-	breakdown    *dynamics.Breakdown
-	est          *browserid.EstimateAccumulator
+	records    int64
+	numDyns    int64
+	numChanged int64
+	breakdown  *dynamics.Breakdown
+	est        *browserid.EstimateAccumulator
 
 	// renders holds the renderer of every requested section.
 	renders map[string]func()
@@ -260,10 +258,11 @@ func groupedLess(a, b grouped) bool {
 func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opts StreamOptions, sections ...string) (*Reporter, error) {
 	workers := opts.Workers
 	chunkSize := opts.chunk()
-	r := &Reporter{w: w, src: src, cl: &dynamics.Classifier{Images: images}}
-	r.renders = map[string]func(){"estimate": r.estimate, "table2": r.table2}
+	r := &Reporter{w: w, src: src, cl: &dynamics.Classifier{Images: images}, renders: map[string]func(){}}
 	var folds []fold
-	for _, name := range sections {
+	// The estimate and Table 2 are core: always computed, so always
+	// renderable.
+	for _, name := range append([]string{"estimate", "table2"}, sections...) {
 		build, ok := sectionBuilders[name]
 		if !ok {
 			return nil, fmt.Errorf("report: unknown section %q", name)
@@ -482,16 +481,14 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 	endInstance()
 
 	r.est = est
-	r.numInstances = est.NumInstances()
-	r.numUsers = est.NumUsers()
-	r.breakdown = acc.Finish(r.numInstances)
+	r.breakdown = acc.Finish(est.NumInstances())
 	return nil
 }
 
 // Summary prints the dataset header line.
 func (r *Reporter) Summary() {
 	fmt.Fprintf(r.w, "dataset: %d fingerprints, %d browser instances, %d users, %d dynamics (%d changed)\n\n",
-		r.records, r.numInstances, r.numUsers, r.numDyns, r.numChanged)
+		r.records, r.est.NumInstances(), r.est.NumUsers(), r.numDyns, r.numChanged)
 }
 
 // Render prints one section by its fpreport -what name, followed by a

@@ -371,7 +371,7 @@ func (r *Reporter) fig12() fold {
 	render := func() {
 		fmt.Fprintln(r.w, "Figure 12: % of instances with update dynamics per week")
 		for _, c := range curves {
-			series := c.acc.Series(r.numInstances)
+			series := c.acc.Series(r.est.NumInstances())
 			xs := make([]string, len(series))
 			ys := make([]float64, len(series))
 			for i, p := range series {
