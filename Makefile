@@ -1,11 +1,10 @@
 GO ?= go
 
-# Benchmark iteration counts; override for quicker or steadier runs,
-# e.g. `make bench BENCHTIME_MATCH=200x BENCHTIME_PIPELINE=1x`.
+# Benchmark iteration count; override for quicker or steadier runs,
+# e.g. `make bench BENCHTIME_MATCH=200x`.
 BENCHTIME_MATCH ?= 2000x
-BENCHTIME_PIPELINE ?= 3x
 
-.PHONY: check lint-determinism bench-compile build vet test race bench bench-pipeline bench-forest bench-ingest bench-linkd bench-scripts bench-1m chaos
+.PHONY: check lint-determinism bench-compile build vet test race bench bench-forest bench-ingest bench-linkd bench-scripts chaos
 
 ## check: the full gate — build, vet, determinism lint, the
 ## bench-compile smoke, and the race-enabled test suite. The
@@ -75,28 +74,12 @@ race:
 	$(GO) test -race ./...
 
 ## bench: the Figure 9 matching-time benchmarks plus the engine
-## ablations (blocking on/off, serial vs parallel scoring), followed by
-## the analytic-pipeline stage benchmarks and the BENCH_pipeline.json
-## throughput snapshot (per-stage records/sec at 1 worker and NumCPU).
+## ablations (blocking on/off, serial vs parallel scoring). The
+## analytic pipeline's throughput, latency and peak RSS are the
+## repository benchmark's pipeline workload
+## (`bash perfbench/run.sh --workload pipeline`).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFigure9MatchTime|BenchmarkTopKBlocked|BenchmarkTopKParallel' -benchtime $(BENCHTIME_MATCH) .
-	$(GO) test -run xxx -bench BenchmarkPipeline -benchtime $(BENCHTIME_PIPELINE) .
-	BENCH_PIPELINE_OUT=BENCH_pipeline.json $(GO) test -run TestEmitPipelineBench -v -timeout 60m .
-
-## bench-pipeline: only the pipeline snapshot (BENCH_PIPELINE_USERS
-## overrides the default 20000-user world).
-bench-pipeline:
-	BENCH_PIPELINE_OUT=BENCH_pipeline.json $(GO) test -run TestEmitPipelineBench -v -timeout 60m .
-
-## bench-1m: the out-of-core headline — simulate → spill → merge →
-## link at 1M users in bounded memory, recording peak RSS, spill bytes
-## and per-stage throughput into BENCH_pipeline.json's "stream" entry.
-## BENCH_STREAM_USERS overrides the default 1,000,000 (e.g.
-## BENCH_STREAM_USERS=20000 for a quick local run); BENCH_STREAM_MEM_MIB
-## sets the simulate batching budget (default 256); BENCH_STREAM_SPILL_DIR
-## pins the spill directory (default: per-test temp dir).
-bench-1m:
-	BENCH_STREAM_OUT=BENCH_pipeline.json $(GO) test -run TestEmitStreamBench -v -timeout 600m .
 
 ## bench-forest: the learning-based linker's forest snapshot
 ## (BENCH_forest.json): pair preprocessing and forest training

@@ -4,8 +4,7 @@ package fpdyn
 // model: training throughput (serial vs parallel, tree/depth sweep),
 // preprocessing throughput, and scalar-vs-batch prediction, plus an
 // emitter that writes the measurements to BENCH_forest.json so the
-// perf trajectory is tracked across PRs — the forest companion to
-// BENCH_pipeline.json.
+// perf trajectory is tracked across PRs.
 //
 //	go test -run xxx -bench BenchmarkTopKLearn .
 //	BENCH_FOREST_OUT=BENCH_forest.json go test -run TestEmitForestBench .

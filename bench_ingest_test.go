@@ -4,8 +4,7 @@ package fpdyn
 // records/sec and per-record ACK latency (p50/p99 via internal/obs
 // histograms) across the shard-count × wire-framing matrix, plus an
 // emitter that writes BENCH_ingest.json so the ingest trajectory is
-// tracked across PRs — the collection companion to BENCH_pipeline.json
-// and BENCH_forest.json.
+// tracked across PRs — the collection companion to BENCH_forest.json.
 //
 // Every cell uses the same fsync policy (always — an ACK survives
 // power loss), so the matrix isolates two levers: WAL sharding (fsync
