@@ -1,12 +1,13 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Benchmark iteration count; override for quicker or steadier runs,
 # e.g. `make bench BENCHTIME_MATCH=200x`.
 BENCHTIME_MATCH ?= 2000x
 
-.PHONY: check lint-determinism bench-compile build vet test race bench bench-forest bench-ingest bench-linkd bench-scripts chaos
+.PHONY: check fmt-check lint-determinism bench-compile build vet test race bench bench-forest bench-ingest bench-linkd bench-scripts chaos
 
-## check: the full gate — build, vet, determinism lint, the
+## check: the full gate — gofmt, build, vet, determinism lint, the
 ## bench-compile smoke, and the race-enabled test suite. The
 ## worker-pool primitives behind the analytic pipeline, the
 ## crash-safety stack (WAL storage, collector drain, fault injection),
@@ -16,7 +17,7 @@ BENCHTIME_MATCH ?= 2000x
 ## list is ever narrowed. It also runs a 10 s smoke of the binary
 ## record codec's fuzz target and the benchmark module's own tests
 ## (perfbench is a separate module, so ./... does not reach it).
-check: lint-determinism bench-compile
+check: fmt-check lint-determinism bench-compile
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) vet ./internal/parallel/
@@ -37,6 +38,13 @@ check: lint-determinism bench-compile
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/fingerprint/
 	cd perfbench && $(GO) test .
+
+## fmt-check: fail if any Go file of either module (the root and
+## perfbench) is not gofmt-formatted. .bench_build holds the
+## benchmark's build cache and is skipped.
+fmt-check:
+	@out=$$(find . -name .bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 ## lint-determinism: grep-based guard — the simulation packages must be
 ## pure functions of the seed (no time.Now, no global math/rand, no

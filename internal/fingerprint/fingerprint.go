@@ -8,8 +8,8 @@
 package fingerprint
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"fpdyn/internal/hashutil"
@@ -99,11 +99,11 @@ func (fp *Fingerprint) Hash(includeIP bool) uint64 {
 		strings.Join(fp.HeaderList, "\x00"),
 		boolStr(fp.CookieEnabled), boolStr(fp.WebGL), boolStr(fp.LocalStorage),
 		boolStr(fp.AddBehavior), boolStr(fp.OpenDatabase),
-		fmt.Sprintf("%d", fp.TimezoneOffset),
+		strconv.Itoa(fp.TimezoneOffset),
 		fp.CanvasHash,
 		fp.GPUVendor, fp.GPURenderer, fp.GPUType,
-		fmt.Sprintf("%d", fp.CPUCores), fp.CPUClass, fp.AudioInfo,
-		fp.ScreenResolution, fmt.Sprintf("%d", fp.ColorDepth), fp.PixelRatio,
+		strconv.Itoa(fp.CPUCores), fp.CPUClass, fp.AudioInfo,
+		fp.ScreenResolution, strconv.Itoa(fp.ColorDepth), fp.PixelRatio,
 		boolStr(fp.ConsLanguage), boolStr(fp.ConsResolution),
 		boolStr(fp.ConsOS), boolStr(fp.ConsBrowser),
 		fp.GPUImageHash,
@@ -153,8 +153,29 @@ func (fp *Fingerprint) HasFont(name string) bool {
 }
 
 // AddFonts returns fp's font list with the given fonts added (absent
-// ones only), sorted. It does not mutate fp.
+// ones only), sorted. It does not mutate fp. When both lists are
+// already sorted it merges them; otherwise it deduplicates through a
+// set and sorts.
 func AddFonts(fonts []string, add []string) []string {
+	if !sort.StringsAreSorted(fonts) || !sort.StringsAreSorted(add) {
+		return addFontsUnsorted(fonts, add)
+	}
+	out := make([]string, 0, len(fonts)+len(add))
+	for i, j := 0, 0; i < len(fonts) || j < len(add); {
+		var f string
+		if j == len(add) || (i < len(fonts) && fonts[i] <= add[j]) {
+			f, i = fonts[i], i+1
+		} else {
+			f, j = add[j], j+1
+		}
+		if len(out) == 0 || out[len(out)-1] != f {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+func addFontsUnsorted(fonts []string, add []string) []string {
 	set := make(map[string]bool, len(fonts)+len(add))
 	for _, f := range fonts {
 		set[f] = true
@@ -182,6 +203,8 @@ func RemoveFonts(fonts []string, remove []string) []string {
 			out = append(out, f)
 		}
 	}
-	sort.Strings(out)
+	if !sort.StringsAreSorted(out) {
+		sort.Strings(out)
+	}
 	return out
 }

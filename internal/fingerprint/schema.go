@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"fmt"
+	"strconv"
 
 	"fpdyn/internal/hashutil"
 )
@@ -155,7 +156,7 @@ func (fp *Fingerprint) Value(id ID) Value {
 	case FeatLanguage:
 		return Value{KindString, fp.Language, nil}
 	case FeatTimezone:
-		return Value{KindString, fmt.Sprintf("%d", fp.TimezoneOffset), nil}
+		return Value{KindString, strconv.Itoa(fp.TimezoneOffset), nil}
 	case FeatHeaderList:
 		return Value{KindSet, "", fp.HeaderList}
 	case FeatPlugins:
@@ -183,13 +184,13 @@ func (fp *Fingerprint) Value(id ID) Value {
 	case FeatGPUType:
 		return Value{KindString, fp.GPUType, nil}
 	case FeatCPUCores:
-		return Value{KindString, fmt.Sprintf("%d", fp.CPUCores), nil}
+		return Value{KindString, strconv.Itoa(fp.CPUCores), nil}
 	case FeatAudio:
 		return Value{KindString, fp.AudioInfo, nil}
 	case FeatScreenResolution:
 		return Value{KindString, fp.ScreenResolution, nil}
 	case FeatColorDepth:
-		return Value{KindString, fmt.Sprintf("%d", fp.ColorDepth), nil}
+		return Value{KindString, strconv.Itoa(fp.ColorDepth), nil}
 	case FeatCPUClass:
 		return Value{KindString, fp.CPUClass, nil}
 	case FeatPixelRatio:

@@ -38,24 +38,24 @@ func goldenStoreRecord(i int, t time.Time) *fingerprint.Record {
 		Time:   t,
 		UserID: fmt.Sprintf("gs-u-%d", i),
 		FP: &fingerprint.Fingerprint{
-			UserAgent:      goldenStoreUAs[i%len(goldenStoreUAs)],
-			Accept:         "text/html,application/xhtml+xml",
-			Encoding:       "gzip, deflate, br",
-			Language:       "en-US,en;q=0.9",
-			HeaderList:     []string{"Host", "User-Agent", "Accept"},
-			Plugins:        []string{"Chrome PDF Plugin", fmt.Sprintf("Widevine %d", i%3)},
-			CookieEnabled:  i%5 != 0,
-			WebGL:          true,
-			LocalStorage:   i%11 != 0,
-			TimezoneOffset: 60 * (i % 4),
-			Languages:      []string{"en-US", "en"},
-			Fonts:          []string{"Arial", "Calibri", fmt.Sprintf("Family %02d", i%13)},
-			CanvasHash:     fmt.Sprintf("canvas-%04x", i%97),
-			GPUVendor:      "NVIDIA Corporation",
-			GPURenderer:    fmt.Sprintf("GeForce GTX %d", 900+10*(i%5)),
-			GPUType:        "ANGLE (Direct3D11)",
-			CPUCores:       2 + i%4,
-			AudioInfo:      "channels:2;rate:44100",
+			UserAgent:        goldenStoreUAs[i%len(goldenStoreUAs)],
+			Accept:           "text/html,application/xhtml+xml",
+			Encoding:         "gzip, deflate, br",
+			Language:         "en-US,en;q=0.9",
+			HeaderList:       []string{"Host", "User-Agent", "Accept"},
+			Plugins:          []string{"Chrome PDF Plugin", fmt.Sprintf("Widevine %d", i%3)},
+			CookieEnabled:    i%5 != 0,
+			WebGL:            true,
+			LocalStorage:     i%11 != 0,
+			TimezoneOffset:   60 * (i % 4),
+			Languages:        []string{"en-US", "en"},
+			Fonts:            []string{"Arial", "Calibri", fmt.Sprintf("Family %02d", i%13)},
+			CanvasHash:       fmt.Sprintf("canvas-%04x", i%97),
+			GPUVendor:        "NVIDIA Corporation",
+			GPURenderer:      fmt.Sprintf("GeForce GTX %d", 900+10*(i%5)),
+			GPUType:          "ANGLE (Direct3D11)",
+			CPUCores:         2 + i%4,
+			AudioInfo:        "channels:2;rate:44100",
 			ScreenResolution: []string{"1920x1080", "1366x768", "2560x1440"}[i%3],
 			ColorDepth:       24,
 			PixelRatio:       "1",

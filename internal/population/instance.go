@@ -3,6 +3,7 @@ package population
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -136,11 +137,27 @@ func (dv *device) fonts() []string {
 	return append([]string(nil), dv.fontList...)
 }
 
+// The install font lists in sorted order, so AddFonts merges them into
+// a sorted list instead of rebuilding a set. AddFonts' result does not
+// depend on the order of the added list.
+var (
+	officeFonts = sortedFonts(fontdb.OfficeDetect)
+	adobeFonts  = sortedFonts(fontdb.Adobe)
+	libreFonts  = sortedFonts(fontdb.LibreOffice)
+	wpsFonts    = sortedFonts(fontdb.WPS)
+)
+
+func sortedFonts(fonts []string) []string {
+	out := slices.Clone(fonts)
+	slices.Sort(out)
+	return out
+}
+
 // buildFonts assembles the device's font list from its components.
 func (dv *device) buildFonts() []string {
 	out := append([]string(nil), dv.baseFonts...)
 	if dv.office {
-		out = fingerprint.AddFonts(out, fontdb.OfficeDetect)
+		out = fingerprint.AddFonts(out, officeFonts)
 		if !dv.officeUpd {
 			out = fingerprint.RemoveFonts(out, []string{fontdb.MTExtra})
 		}
@@ -150,13 +167,13 @@ func (dv *device) buildFonts() []string {
 		out = fingerprint.AddFonts(out, []string{fontdb.MTExtra})
 	}
 	if dv.adobe {
-		out = fingerprint.AddFonts(out, fontdb.Adobe)
+		out = fingerprint.AddFonts(out, adobeFonts)
 	}
 	if dv.libre {
-		out = fingerprint.AddFonts(out, fontdb.LibreOffice)
+		out = fingerprint.AddFonts(out, libreFonts)
 	}
 	if dv.wps {
-		out = fingerprint.AddFonts(out, fontdb.WPS)
+		out = fingerprint.AddFonts(out, wpsFonts)
 	}
 	return out
 }

@@ -92,7 +92,9 @@ func Simulate(cfg Config) *Dataset {
 // schedules their device-level changes. Instance serials are
 // user-local, counted from 0; simulateBatch renumbers them into the
 // global numbering. All randomness is drawn from rng, the user's own
-// sub-stream.
+// sub-stream. rng goes back to the source pool when buildUser returns,
+// so nothing built here may keep it: the schedule closures draw their
+// values before they are added, never when they apply.
 func buildUser(rng *rand.Rand, cfg Config, geo *geoip.DB, u int) ([]*instance, []*device) {
 	userID := userHash(cfg.Seed, u)
 	var instances []*instance
@@ -181,11 +183,17 @@ func simulateVisits(cfg Config, instances []*instance, out *Dataset) {
 	})
 
 	// Per-instance RNG streams keep visit behaviour independent of the
-	// global interleaving.
+	// global interleaving. They come from the source pool (rng.go) and
+	// go back to it when the loop ends.
 	instRNG := make([]*rand.Rand, len(instances))
 	for i := range instances {
-		instRNG[i] = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(base+i)))
+		instRNG[i] = newRNG(instanceSeed(cfg, base+i))
 	}
+	defer func() {
+		for _, r := range instRNG {
+			releaseRNG(r)
+		}
+	}()
 	prevVisit := make([]time.Time, len(instances))
 	// pending carries the truth labels of visits whose records were
 	// lost to the simulated outage, so the next recorded visit's delta

@@ -1,7 +1,6 @@
 package population
 
 import (
-	"math/rand"
 	"sort"
 
 	"fpdyn/internal/canvas"
@@ -18,6 +17,12 @@ func userSeed(cfg Config, u int) int64 {
 	return cfg.Seed ^ int64(hashutil.Hash64(userHash(cfg.Seed, u)))
 }
 
+// instanceSeed is the RNG seed of the visit stream of the instance
+// with the given global serial.
+func instanceSeed(cfg Config, serial int) int64 {
+	return cfg.Seed*1_000_003 + int64(serial)
+}
+
 // userShard is one user's simulated world before merging: the
 // creation-phase output and, later, the emitted per-shard records.
 type userShard struct {
@@ -32,7 +37,8 @@ type userShard struct {
 // It runs in three phases:
 //
 //  1. build every user's devices and instances concurrently, each from
-//     its own userSeed sub-RNG, with shard-local instance serials;
+//     its own userSeed sub-RNG (a pooled lfSource, rng.go), with
+//     shard-local instance serials;
 //  2. renumber the local serials into the global, user-ordered
 //     numbering (a serial prefix-sum pass, so the assignment is
 //     independent of scheduling and of how users are batched);
@@ -45,8 +51,9 @@ type userShard struct {
 func simulateBatch(cfg Config, geo *geoip.DB, renders *renderMemo, u0, u1, instBase int) ([]*userShard, int) {
 	// Phase 1: creation, one shard per user, local serials from 0.
 	shards := parallel.Map(cfg.Workers, u1-u0, func(i int) *userShard {
-		rng := rand.New(rand.NewSource(userSeed(cfg, u0+i)))
+		rng := newRNG(userSeed(cfg, u0+i))
 		ins, devs := buildUser(rng, cfg, geo, u0+i)
+		releaseRNG(rng)
 		return &userShard{instances: ins, devices: devs}
 	})
 

@@ -42,6 +42,21 @@ for dir in internal/population internal/canvas internal/mlearn internal/extsort 
     done
 done
 
+# The population's streams come from newRNG (rng.go): math/rand's
+# stream with the register filled lazily, pooled. A rand.NewSource in
+# any other non-test population file would bring back the 607-word
+# seeding per stream. rng.go itself reads the standard source once at
+# init to recover its cooked table.
+for f in internal/population/*.go; do
+    case "$f" in
+    *_test.go | internal/population/rng.go) continue ;;
+    esac
+    if grep -n 'rand\.NewSource(' "$f"; then
+        echo "determinism lint: $f calls rand.NewSource — draw population streams from newRNG" >&2
+        fail=1
+    fi
+done
+
 # Snapshot writers (internal/storage): equal store state must
 # serialize to byte-identical output — the golden digests, the
 # repeated-compaction test and the cross-shard-count chaos comparisons
