@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 # e.g. `make bench BENCHTIME_MATCH=200x`.
 BENCHTIME_MATCH ?= 2000x
 
-.PHONY: check fmt-check lint-determinism bench-compile build vet test race bench bench-forest bench-ingest bench-linkd bench-scripts chaos
+.PHONY: check fmt-check lint-determinism bench-compile build vet test race bench bench-ingest bench-linkd chaos loc
 
 ## check: the full gate — gofmt, build, vet, determinism lint, the
 ## bench-compile smoke, and the race-enabled test suite. The
@@ -54,13 +54,21 @@ lint-determinism:
 
 ## bench-compile: one-iteration smoke over every benchmark in the root
 ## bench_*_test.go harnesses, so a refactor cannot silently rot them —
-## the JSON emitters (TestEmit*Bench) are env-gated and skip unless
-## their BENCH_*_OUT is set, so only the Benchmark* functions run here.
+## the two JSON emitters (TestEmitIngestBench, TestEmitLinkdBench) are
+## env-gated and skip unless their BENCH_*_OUT is set, so only the
+## Benchmark* functions run here.
 ## The simulator's and the rasterizer's layer benchmarks
 ## (BenchmarkSimulateSpill, BenchmarkRender, ...) get the same smoke.
 bench-compile:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -timeout 20m .
 	$(GO) test -run=NONE -bench=. -benchtime=1x -timeout 20m ./internal/population/ ./internal/canvas/
+
+## loc: the ROADMAP's size yardstick — non-test Go lines in the root
+## module (perfbench and the benchmark's build cache excluded) and in
+## perfbench/.
+loc:
+	@printf 'root      %s\n' $$(find . -path ./perfbench -prune -o -name .bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+	@printf 'perfbench %s\n' $$(find perfbench -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 ## chaos: the crash-recovery suite, repeated to shake out schedule- and
 ## timing-dependent bugs: kill/restart mid-stream, torn WAL tails,
@@ -89,14 +97,6 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFigure9MatchTime|BenchmarkTopKBlocked|BenchmarkTopKParallel' -benchtime $(BENCHTIME_MATCH) .
 
-## bench-forest: the learning-based linker's forest snapshot
-## (BENCH_forest.json): pair preprocessing and forest training
-## throughput serial vs parallel, a tree/depth sweep, and scalar vs
-## batch prediction incl. LearnLinker.TopK latency. BENCH_FOREST_USERS
-## overrides the default 2500-user world.
-bench-forest:
-	BENCH_FOREST_OUT=BENCH_forest.json $(GO) test -run TestEmitForestBench -v -timeout 30m .
-
 ## bench-linkd: the linking-service snapshot (BENCH_linkd.json): TopK
 ## query p50/p95/p99 at 100k and 1M table entries, rule-based and
 ## learning-based modes. BENCH_LINKD_ENTRIES overrides the table sizes
@@ -104,14 +104,6 @@ bench-forest:
 ## BENCH_LINKD_QUERIES the per-cell query count (default 200).
 bench-linkd:
 	BENCH_LINKD_OUT=BENCH_linkd.json $(GO) test -run TestEmitLinkdBench -v -timeout 120m .
-
-## bench-scripts: the script-detection snapshot (BENCH_scriptdet.json):
-## corpus simulate+featurize timing, forest training on the wide sparse
-## API-count matrix (dense vs sparse column path × serial vs parallel),
-## batch-predict latency and held-out precision/recall/F1.
-## BENCH_SCRIPTDET_SCRIPTS overrides the default 4000-script corpus.
-bench-scripts:
-	BENCH_SCRIPTDET_OUT=BENCH_scriptdet.json $(GO) test -run TestEmitScriptdetBench -v -timeout 30m .
 
 ## bench-ingest: the collection-path snapshot (BENCH_ingest.json):
 ## accepted records/sec and per-record ACK p50/p99 across 1/4/8 shards

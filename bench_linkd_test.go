@@ -4,7 +4,7 @@ package fpdyn
 // full linkd service path (admission control included) at growing
 // table sizes, in both linker modes. The emitter writes
 // BENCH_linkd.json so the query-latency trajectory is tracked across
-// PRs alongside BENCH_forest.json and BENCH_ingest.json — and so the degradation watermarks in cmd/fplinkd
+// PRs alongside BENCH_ingest.json — and so the degradation watermarks in cmd/fplinkd
 // (-p99-high, -p99-low) can be set from measured numbers rather than
 // guesses.
 //

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	fpscriptdet
-//	fpscriptdet -scripts 5000 -fpfrac 0.2 -trees 30 -columns dense
+//	fpscriptdet -scripts 5000 -fpfrac 0.2 -trees 30
 //	fpscriptdet -seed 7 -test-frac 0.25 -top 20
 package main
 
@@ -34,21 +34,8 @@ func main() {
 	depth := flag.Int("depth", mlearn.Unlimited, "max tree depth (-1 = unlimited)")
 	testFrac := flag.Float64("test-frac", 0.3, "held-out fraction (stratified)")
 	workers := flag.Int("workers", 0, "simulation/training workers: 0 = all cores")
-	columns := flag.String("columns", "auto", "forest column path: auto, dense, or sparse")
 	top := flag.Int("top", 15, "informative APIs to list")
 	flag.Parse()
-
-	var path mlearn.ColumnPath
-	switch *columns {
-	case "auto":
-		path = mlearn.ColumnsAuto
-	case "dense":
-		path = mlearn.ColumnsDense
-	case "sparse":
-		path = mlearn.ColumnsSparse
-	default:
-		log.Fatalf("fpscriptdet: unknown -columns %q (want auto, dense or sparse)", *columns)
-	}
 
 	start := time.Now()
 	traces := scriptsim.Simulate(scriptsim.Config{
@@ -73,14 +60,14 @@ func main() {
 	start = time.Now()
 	forest, err := mlearn.TrainForest(Xtr, ytr, mlearn.ForestConfig{
 		Seed: *seed, NumTrees: *trees, MaxDepth: *depth,
-		Workers: *workers, Columns: path,
+		Workers: *workers,
 	})
 	if err != nil {
 		log.Fatalf("fpscriptdet: train: %v", err)
 	}
 	trainSec := time.Since(start).Seconds()
-	fmt.Printf("forest    %d trees, %d nodes, %s columns, trained on %d scripts in %.2fs\n",
-		*trees, forest.NumNodes(), path, len(train), trainSec)
+	fmt.Printf("forest    %d trees, %d nodes, trained on %d scripts in %.2fs\n",
+		*trees, forest.NumNodes(), len(train), trainSec)
 
 	c, err := mlearn.EvaluateForest(forest, m.X, m.Y, test, 0.5)
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/hashutil"
-	"fpdyn/internal/parallel"
 )
 
 // StableKey is the tuple of stable features that seeds the initial
@@ -86,23 +85,14 @@ type GroundTruth struct {
 
 // Build constructs browser IDs for a raw dataset. Records must be in
 // time order (the collection server stores them that way); Build does
-// not reorder.
+// not reorder. The cookie-linking union pass is order-dependent (the
+// first initial ID seen with a (user, cookie) pair becomes the owner),
+// so Build runs it serially.
 func Build(records []*fingerprint.Record) *GroundTruth {
-	return BuildParallel(records, 1)
-}
-
-// BuildParallel is Build with the per-record stable-key hashing fanned
-// out over a worker pool. The cookie-linking union pass is inherently
-// order-dependent (the first initial ID seen with a (user, cookie)
-// pair becomes the owner), so it stays serial over the precomputed
-// IDs; its cost is a map probe per record, dwarfed by the hashing. The
-// result is identical for every worker count.
-func BuildParallel(records []*fingerprint.Record, workers int) *GroundTruth {
 	b := NewStreamBuilder()
-	initial := parallel.Map(workers, len(records), func(i int) string {
-		return InitialID(records[i])
-	})
+	initial := make([]string, len(records))
 	for i, r := range records {
+		initial[i] = InitialID(r)
 		b.ObserveWithID(r, initial[i])
 	}
 	b.Seal()

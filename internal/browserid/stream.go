@@ -11,10 +11,10 @@ import "fpdyn/internal/fingerprint"
 //	        b.Seal()
 //	pass 2: re-stream, b.CanonicalOf(InitialID(r)) per record
 //
-// Pass 1 runs the same cookie-linking union pass BuildParallel runs (the
-// first initial ID seen with a (user, cookie) pair owns it; a second ID
-// under the same pair gets unioned), so for the same record order the
-// canonical IDs are identical to BuildParallel's gt.IDs.
+// Pass 1 runs the same cookie-linking union pass Build runs (the first
+// initial ID seen with a (user, cookie) pair owns it; a second ID under
+// the same pair gets unioned), so for the same record order the
+// canonical IDs are identical to Build's gt.IDs.
 type StreamBuilder struct {
 	uf unionFind
 	// cookieOwner maps (user, cookie) to the first initial ID seen with
@@ -40,8 +40,9 @@ func NewStreamBuilder() *StreamBuilder {
 func (b *StreamBuilder) Observe(r *fingerprint.Record) { b.ObserveWithID(r, InitialID(r)) }
 
 // ObserveWithID is Observe with the initial ID precomputed — callers
-// (BuildParallel, the streaming report) hash IDs on a worker pool and
-// keep only this bookkeeping serial. id must equal InitialID(r).
+// that already hold the ID (Build, the streaming report, which hashes
+// IDs on a worker pool) skip the second hash. id must equal
+// InitialID(r).
 func (b *StreamBuilder) ObserveWithID(r *fingerprint.Record, id string) {
 	if b.sealed {
 		panic("browserid: Observe after Seal")
@@ -69,7 +70,7 @@ func (b *StreamBuilder) Seal() {
 
 // CanonicalOf resolves an initial ID to its canonical (post-linking)
 // root. Valid after Seal; for a record's InitialID it equals the gt.IDs
-// entry BuildParallel assigns the same record.
+// entry Build assigns the same record.
 func (b *StreamBuilder) CanonicalOf(initialID string) string {
 	if !b.sealed {
 		panic("browserid: CanonicalOf before Seal")

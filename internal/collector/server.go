@@ -202,18 +202,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// ListenAndServe listens on addr (e.g. "127.0.0.1:0") and serves until
-// Close. It returns the bound address on a channel-free API: call Addr
-// after it returns from the internal listen step via Listen+Serve
-// instead when the port is needed; ListenAndServe is for cmd binaries.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(lis)
-}
-
 // Serve accepts connections on lis until Close is called. It blocks.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()

@@ -6,12 +6,9 @@
 package dynamics
 
 import (
-	"sort"
-
 	"fpdyn/internal/browserid"
 	"fpdyn/internal/diff"
 	"fpdyn/internal/fingerprint"
-	"fpdyn/internal/parallel"
 )
 
 // Dynamics is one piece of fingerprint dynamics: the delta between two
@@ -42,52 +39,13 @@ func (d *Dynamics) CoreChanged() bool {
 // empty deltas (Figure 7 needs the stable-visit counts); use Changed to
 // filter.
 func Generate(gt *browserid.GroundTruth) []*Dynamics {
-	return GenerateParallel(gt, 1)
-}
-
-// GenerateParallel is Generate with the per-instance diff chains
-// fanned out over a worker pool. Instances are independent — each
-// chain only touches its own records — and the chains are collected in
-// sorted-instance-ID order, so the output matches Generate exactly for
-// every worker count.
-func GenerateParallel(gt *browserid.GroundTruth, workers int) []*Dynamics {
-	ids := gt.InstanceIDs()
-	return generateChains(ids, func(id string) []*fingerprint.Record {
-		return gt.Instances[id]
-	}, workers)
-}
-
-// GenerateGrouped builds dynamics from an arbitrary pre-grouped
-// record sequence (e.g. the simulator's true instances). Group keys
-// become browser IDs; groups are processed in sorted key order, so the
-// output is deterministic.
-func GenerateGrouped(groups map[string][]*fingerprint.Record) []*Dynamics {
-	return GenerateGroupedParallel(groups, 1)
-}
-
-// GenerateGroupedParallel is GenerateGrouped over a worker pool,
-// identical output for every worker count.
-func GenerateGroupedParallel(groups map[string][]*fingerprint.Record, workers int) []*Dynamics {
-	ids := make([]string, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
+	total := 0
+	for _, recs := range gt.Instances {
+		total += max(len(recs)-1, 0)
 	}
-	sort.Strings(ids)
-	return generateChains(ids, func(id string) []*fingerprint.Record {
-		return groups[id]
-	}, workers)
-}
-
-// generateChains diffs each instance's consecutive record pairs,
-// concatenating the per-instance chains in the given ID order.
-func generateChains(ids []string, recsOf func(string) []*fingerprint.Record, workers int) []*Dynamics {
-	return parallel.FlatMap(workers, len(ids), func(k int) []*Dynamics {
-		id := ids[k]
-		recs := recsOf(id)
-		if len(recs) < 2 {
-			return nil
-		}
-		out := make([]*Dynamics, 0, len(recs)-1)
+	out := make([]*Dynamics, 0, total)
+	for _, id := range gt.InstanceIDs() {
+		recs := gt.Instances[id]
 		for i := 1; i < len(recs); i++ {
 			out = append(out, &Dynamics{
 				BrowserID: id,
@@ -96,8 +54,8 @@ func generateChains(ids []string, recsOf func(string) []*fingerprint.Record, wor
 				Delta:     diff.Diff(recs[i-1].FP, recs[i].FP),
 			})
 		}
-		return out
-	})
+	}
+	return out
 }
 
 // Changed filters to dynamics whose core fingerprint actually changed.

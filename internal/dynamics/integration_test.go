@@ -39,7 +39,7 @@ func TestClassifierAgainstSimulatorTruth(t *testing.T) {
 		groups[id] = append(groups[id], r)
 		truthFor[r] = ds.Truth[i]
 	}
-	dyns := Changed(GenerateGrouped(groups))
+	dyns := Changed(Generate(&browserid.GroundTruth{Instances: groups}))
 	if len(dyns) == 0 {
 		t.Fatal("no dynamics generated")
 	}

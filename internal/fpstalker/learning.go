@@ -33,11 +33,6 @@ type LearnLinker struct {
 	NoBlocking bool
 	// Workers caps the scoring pool: 0 means GOMAXPROCS, 1 is serial.
 	Workers int
-	// ScalarScore forces per-pair scalar forest evaluation instead of
-	// the default batch kernel, which scores whole candidate blocks one
-	// forest pass at a time (ablation / equivalence baseline; both
-	// paths return identical rankings).
-	ScalarScore bool
 
 	eng *engine
 }
@@ -101,19 +96,6 @@ func (l *LearnLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k in
 	reject := func(e *entry) bool {
 		return q.ok && e.ok && (q.ua.Browser != e.ua.Browser || q.ua.Mobile != e.ua.Mobile)
 	}
-	if l.ScalarScore {
-		return l.eng.scoreTopK(ctx, cs, l.Workers, k, func(e *entry) (float64, bool) {
-			if reject(e) {
-				return 0, false
-			}
-			vp := vecPool.Get().(*[]float64)
-			v := appendPairVector((*vp)[:0], e, q)
-			p, ok := l.Forest.PredictProbaAtLeast(v, l.Threshold)
-			*vp = v
-			vecPool.Put(vp)
-			return p, ok
-		})
-	}
 	// Batch path: each candidate block becomes one row-major matrix of
 	// pair vectors scored by a single forest pass (every tree walks the
 	// whole block before the next tree loads), instead of one forest
@@ -143,13 +125,6 @@ func (l *LearnLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k in
 		return out
 	})
 }
-
-// vecPool recycles pair-vector scratch buffers across queries and
-// scoring workers.
-var vecPool = sync.Pool{New: func() any {
-	b := make([]float64, 0, NumPairFeatures)
-	return &b
-}}
 
 // batchScratch holds one scoring worker's per-block buffers: the
 // row-major pair-vector matrix, the surviving entries, and the batch

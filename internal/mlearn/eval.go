@@ -9,7 +9,7 @@ import (
 // derived metrics, a deterministic stratified train/test split, and a
 // forest evaluator. Both ML workloads report through this module —
 // the pair-linking task (fpstalker.EvalResult embeds Confusion) and
-// the script-detection task (cmd/fpscriptdet, bench-scripts) — so
+// the script-detection task (cmd/fpscriptdet) — so
 // "precision" means the same arithmetic everywhere.
 
 // Confusion is a binary confusion matrix: class 1 is "positive".

@@ -196,12 +196,12 @@ func TestImportancesProperty(t *testing.T) {
 			NumTrees: 1 + rng.Intn(8),
 			MaxDepth: rng.Intn(6) - 1, // -1 (unlimited), 0 (default), 1..4
 			MinLeaf:  1 + rng.Intn(4),
-			Columns:  ColumnPath(rng.Intn(3)),
 		}
+		route := []func([][]float64) bool{autoSparse, forceDense, forceSparse}[rng.Intn(3)]
 		if rng.Intn(2) == 0 {
 			cfg.FeatureFrac = Unlimited
 		}
-		f, err := TrainForest(X, y, cfg)
+		f, err := trainForest(X, y, cfg, route)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -29,36 +29,6 @@ import (
 	"fpdyn/internal/parallel"
 )
 
-// ColumnPath selects the training-time column representation. Both
-// paths train byte-identical forests (see sparse.go's equivalence
-// contract); they differ only in memory and speed on a given matrix
-// shape.
-type ColumnPath int
-
-const (
-	// ColumnsAuto (the zero value) picks dense unless the matrix is
-	// wide and mostly zero (see autoSparse), in which case the sparse
-	// builder avoids the dense path's O(rows × features) per-worker
-	// rank arrays.
-	ColumnsAuto ColumnPath = iota
-	// ColumnsDense forces the presorted dense rank path (columnar.go).
-	ColumnsDense
-	// ColumnsSparse forces the CSC gather-and-sort path (sparse.go).
-	ColumnsSparse
-)
-
-func (p ColumnPath) String() string {
-	switch p {
-	case ColumnsAuto:
-		return "auto"
-	case ColumnsDense:
-		return "dense"
-	case ColumnsSparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("ColumnPath(%d)", int(p))
-}
-
 // Unlimited requests no cap for a config field that defaults on zero
 // (MaxDepth, FeatureFrac): any negative value is accepted, this
 // constant just names the idiom.
@@ -84,9 +54,6 @@ type ForestConfig struct {
 	// setting — each tree derives its RNG from Seed and its own index,
 	// never from scheduling — so Workers is purely a throughput knob.
 	Workers int
-	// Columns selects the column representation the trainer uses; the
-	// forest itself is identical either way.
-	Columns ColumnPath
 }
 
 // maxDepthUnlimited is what a negative MaxDepth resolves to: deeper
@@ -167,8 +134,19 @@ func treeSeed(seed int64, t int) int64 {
 // function of (X, y, cfg minus Workers): tree t draws its bootstrap and
 // feature subsets from a sub-RNG seeded by splitmix64(Seed ⊕ t), and
 // per-tree importance vectors are merged in tree order after the
-// training barrier.
+// training barrier. The column representation is picked by autoSparse:
+// wide, mostly-zero matrices train on the sparse builder, everything
+// else on the dense one.
 func TrainForest(X [][]float64, y []int, cfg ForestConfig) (*Forest, error) {
+	return trainForest(X, y, cfg, autoSparse)
+}
+
+// trainForest is TrainForest with the column routing as a parameter:
+// sparse sees the validated matrix and picks the sparse (true) or the
+// dense builder. Both grow identical trees from identical RNG streams,
+// so the choice is purely a memory/speed trade-off (see sparse.go);
+// the equivalence tests pass a constant to force either builder.
+func trainForest(X [][]float64, y []int, cfg ForestConfig, sparse func([][]float64) bool) (*Forest, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("mlearn: bad training set: %d rows, %d labels", len(X), len(y))
 	}
@@ -186,23 +164,12 @@ func TrainForest(X [][]float64, y []int, cfg ForestConfig) (*Forest, error) {
 	cfg = cfg.Defaults(d)
 	nFeat := int(math.Max(1, math.Round(cfg.FeatureFrac*float64(d))))
 
-	// Resolve the column path. Both builders grow identical trees from
-	// identical RNG streams; the choice is purely a memory/speed
-	// trade-off (see sparse.go).
-	sparse := false
-	switch cfg.Columns {
-	case ColumnsSparse:
-		sparse = true
-	case ColumnsAuto:
-		sparse = autoSparse(X)
-	}
-
 	type treeOut struct {
 		tr  tree
 		imp []float64
 	}
 	var trainTree func(t int, rng *rand.Rand) (tree, []float64)
-	if sparse {
+	if sparse(X) {
 		scs := newSparseColset(X)
 		trainTree = func(t int, rng *rand.Rand) (tree, []float64) {
 			b := getSparseBuilder(scs, y, cfg, nFeat)

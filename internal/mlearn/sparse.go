@@ -33,16 +33,17 @@ import (
 // preserves the same child multisets. sparse_test.go holds the two
 // paths to reflect.DeepEqual across random shapes and configs.
 
-// autoSparseMinFeatures and autoSparseMaxDensity gate ColumnsAuto:
-// the sparse path wins when the matrix is wide (per-builder dense
-// scratch is rows × features × 4 bytes × workers) and mostly zero
-// (the gather-and-sort cost scales with nonzeros).
+// autoSparseMinFeatures and autoSparseMaxDensity gate TrainForest's
+// column routing: the sparse path wins when the matrix is wide
+// (per-builder dense scratch is rows × features × 4 bytes × workers)
+// and mostly zero (the gather-and-sort cost scales with nonzeros).
 const (
 	autoSparseMinFeatures = 256
 	autoSparseMaxDensity  = 0.25
 )
 
-// autoSparse decides the ColumnsAuto routing for a validated matrix.
+// autoSparse decides TrainForest's column routing for a validated
+// matrix: true selects the sparse builder.
 func autoSparse(X [][]float64) bool {
 	d := len(X[0])
 	if d < autoSparseMinFeatures {

@@ -35,6 +35,11 @@ func sparseMatrix(n, d int, density float64, seed int64) ([][]float64, []int) {
 	return X, y
 }
 
+// forceDense and forceSparse route trainForest to one builder
+// regardless of the matrix shape.
+func forceDense([][]float64) bool  { return false }
+func forceSparse([][]float64) bool { return true }
+
 // TestSparseDenseEquivalence is the sparse path's core contract: for
 // every (X, y, cfg), the sparse builder trains a forest byte-identical
 // to the dense builder's — same trees, thresholds, probabilities,
@@ -59,15 +64,11 @@ func TestSparseDenseEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			X, y := sparseMatrix(tc.n, tc.d, tc.density, tc.cfg.Seed+100)
-			dense := tc.cfg
-			dense.Columns = ColumnsDense
-			sparse := tc.cfg
-			sparse.Columns = ColumnsSparse
-			fd, err := TrainForest(X, y, dense)
+			fd, err := trainForest(X, y, tc.cfg, forceDense)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs, err := TrainForest(X, y, sparse)
+			fs, err := trainForest(X, y, tc.cfg, forceSparse)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,12 +87,12 @@ func TestSparseDenseEquivalence(t *testing.T) {
 // forest, and it is the dense path's forest.
 func TestSparseWorkerInvariance(t *testing.T) {
 	X, y := sparseMatrix(400, 48, 0.08, 31)
-	ref, err := TrainForest(X, y, ForestConfig{Seed: 31, NumTrees: 10, Columns: ColumnsSparse, Workers: 1})
+	ref, err := trainForest(X, y, ForestConfig{Seed: 31, NumTrees: 10, Workers: 1}, forceSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 0} {
-		f, err := TrainForest(X, y, ForestConfig{Seed: 31, NumTrees: 10, Columns: ColumnsSparse, Workers: workers})
+		f, err := trainForest(X, y, ForestConfig{Seed: 31, NumTrees: 10, Workers: workers}, forceSparse)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestSparseWorkerInvariance(t *testing.T) {
 			t.Fatalf("Workers=%d sparse forest differs from Workers=1", workers)
 		}
 	}
-	fd, err := TrainForest(X, y, ForestConfig{Seed: 31, NumTrees: 10, Columns: ColumnsDense, Workers: 1})
+	fd, err := trainForest(X, y, ForestConfig{Seed: 31, NumTrees: 10, Workers: 1}, forceDense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestSparseColsetAt(t *testing.T) {
 	}
 }
 
-// TestAutoSparseRouting pins the ColumnsAuto heuristic: wide and
+// TestAutoSparseRouting pins TrainForest's column routing: wide and
 // mostly zero routes sparse, everything else stays dense.
 func TestAutoSparseRouting(t *testing.T) {
 	wide, _ := sparseMatrix(50, 300, 0.05, 1)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -148,15 +147,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// SortedCounterKeys returns the counter series names in order — test
-// and report helpers iterate deterministically with it.
-func (s Snapshot) SortedCounterKeys() []string {
-	keys := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -87,19 +87,3 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	ForEach(workers, n, func(i int) { out[i] = fn(i) })
 	return out
 }
-
-// FlatMap computes fn(i) for every i in [0, n) concurrently and
-// concatenates the resulting slices in index order — the shape of the
-// per-instance diff-chain fan-out in dynamics.Generate.
-func FlatMap[T any](workers, n int, fn func(i int) []T) []T {
-	parts := Map(workers, n, fn)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}

@@ -48,25 +48,3 @@ func TestMapOrderedRegardlessOfWorkers(t *testing.T) {
 		}
 	}
 }
-
-func TestFlatMapConcatenatesInOrder(t *testing.T) {
-	fn := func(i int) []int {
-		out := make([]int, i%4)
-		for j := range out {
-			out[j] = i*10 + j
-		}
-		return out
-	}
-	want := FlatMap(1, 300, fn)
-	for _, workers := range []int{2, 8} {
-		got := FlatMap(workers, 300, fn)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: length %d, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -160,7 +160,7 @@ func TestEndToEndQuality(t *testing.T) {
 		Xtr[i], ytr[i] = m.X[r], m.Y[r]
 	}
 	f, err := mlearn.TrainForest(Xtr, ytr, mlearn.ForestConfig{
-		Seed: 17, NumTrees: 15, MaxDepth: mlearn.Unlimited, Columns: mlearn.ColumnsSparse,
+		Seed: 17, NumTrees: 15, MaxDepth: mlearn.Unlimited,
 	})
 	if err != nil {
 		t.Fatal(err)

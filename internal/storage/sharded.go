@@ -348,17 +348,13 @@ func (ss *ShardedStore) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// SaveFile writes the canonical serialization to path.
+// SaveFile writes the canonical serialization to path atomically (see
+// WriteFileAtomic).
 func (ss *ShardedStore) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	return WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := ss.WriteTo(w)
 		return err
-	}
-	if _, err := ss.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})
 }
 
 // Compact checkpoints every shard (see Store.Compact) and merges the

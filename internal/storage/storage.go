@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -436,17 +437,47 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	}
 }
 
-// SaveFile writes the store to path.
+// SaveFile writes the store to path atomically (see WriteFileAtomic).
 func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
+	return WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := s.WriteTo(w)
+		return err
+	})
+}
+
+// WriteFileAtomic replaces path with the bytes write produces, or
+// leaves it as it was. The bytes go to path+".tmp" in the same
+// directory, which is fsynced, closed and renamed over path; the
+// directory is then fsynced so the rename survives a crash. On any
+// failure the temporary file is removed and path keeps its previous
+// contents, so a crash or a write error mid-export never destroys the
+// last good export.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := s.WriteTo(f); err != nil {
+	fail := func(err error) error {
 		f.Close()
+		os.Remove(tmp)
 		return err
 	}
-	return f.Close()
+	if err := write(f); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return fsyncDir(filepath.Dir(path))
 }
 
 // LoadFile reads a store snapshot from path into a new store.

@@ -87,8 +87,9 @@ type SegmentFile interface {
 	Close() error
 }
 
-// WALOptions configures OpenWAL/Recover. The zero value of every field
-// has a usable default; Dir is required.
+// WALOptions configures Recover (and, embedded in ShardedWALOptions,
+// RecoverSharded). The zero value of every field has a usable default;
+// Dir is required.
 type WALOptions struct {
 	// Dir is the segment directory; created if absent.
 	Dir string
@@ -264,27 +265,6 @@ func (w *WAL) Metrics() *obs.Registry { return w.metrics.reg }
 func (w *WAL) setErrLocked(err error) {
 	w.err = err
 	w.metrics.stickyError.Set(1)
-}
-
-// OpenWAL opens a fresh WAL in opts.Dir, appending after any existing
-// segments without reading them. Use Recover to replay existing
-// segments into a store first.
-func OpenWAL(opts WALOptions) (*WAL, error) {
-	if opts.Dir == "" {
-		return nil, errors.New("storage: WALOptions.Dir is required")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: wal dir: %w", err)
-	}
-	segs, err := listSegments(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-	next := 1
-	if len(segs) > 0 {
-		next = segs[len(segs)-1].n + 1
-	}
-	return openWALAt(opts, next)
 }
 
 func openWALAt(opts WALOptions, seg int) (*WAL, error) {
