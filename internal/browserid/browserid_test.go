@@ -2,6 +2,8 @@ package browserid
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -36,6 +38,21 @@ func TestInitialIDStable(t *testing.T) {
 	b := rec(at(1), "u1", "c1", "Chrome", "Windows", "", 4)
 	if InitialID(a) != InitialID(b) {
 		t.Fatal("same stable features must give the same initial ID")
+	}
+}
+
+// TestFormatIDMatchesFmt pins the hand-rolled hex rendering to the
+// fmt form the IDs have always had.
+func TestFormatIDMatchesFmt(t *testing.T) {
+	hashes := []uint64{0, 1, math.MaxUint64}
+	rng := rand.New(rand.NewSource(1))
+	for range 10000 {
+		hashes = append(hashes, rng.Uint64())
+	}
+	for _, h := range hashes {
+		if got, want := formatID(h), fmt.Sprintf("bid-%016x", h); got != want {
+			t.Fatalf("formatID(%#x) = %q, want %q", h, got, want)
+		}
 	}
 }
 

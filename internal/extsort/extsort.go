@@ -46,8 +46,9 @@ type Options[T any] struct {
 	Encode func(dst []byte, v T) ([]byte, error)
 	// NewDecoder returns the decode function for one merge stream. Each
 	// Merge calls it once, so a decoder may carry state across the
-	// stream's items (a string intern table) without locking. The
-	// payload slice is only valid during the decode call.
+	// stream's items (a string intern table) without locking. Every
+	// frame is read into a fresh payload slice, so a decoder may keep
+	// its payload (or a slice of it) in the item it returns.
 	NewDecoder func() func(payload []byte) (T, error)
 	// MaxRunItems bounds the Push buffer: when it fills, the buffer is
 	// sorted and spilled as one run (default 65536).
@@ -220,7 +221,13 @@ func (s *Sorter[T]) Count() int64 { return s.count }
 // multi-pass consumers (the two-pass ground-truth build) re-stream
 // without re-sorting. After the first Merge the sorter is frozen: no
 // further Push/WriteRun.
-func (s *Sorter[T]) Merge() (*Stream[T], error) {
+func (s *Sorter[T]) Merge() (*Stream[T], error) { return s.MergeWith(s.opts.NewDecoder) }
+
+// MergeWith is Merge with a different decoder for this one stream, for
+// a consumer that needs less of each item than the sorter's own
+// decoder builds (or the item's raw payload). The items it decodes
+// must order under Less exactly as the full items do.
+func (s *Sorter[T]) MergeWith(newDecoder func() func(payload []byte) (T, error)) (*Stream[T], error) {
 	if !s.frozen {
 		if err := s.Flush(); err != nil {
 			return nil, err
@@ -228,7 +235,7 @@ func (s *Sorter[T]) Merge() (*Stream[T], error) {
 		s.frozen = true
 	}
 	st := &Stream[T]{s: s}
-	decode := s.opts.NewDecoder()
+	decode := newDecoder()
 	for i, path := range s.runs {
 		f, err := os.Open(path)
 		if err != nil {

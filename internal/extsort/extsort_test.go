@@ -124,6 +124,55 @@ func TestMergeRestream(t *testing.T) {
 	}
 }
 
+// TestMergeWithKeptPayloads: a MergeWith decoder that keeps every
+// payload it is handed finds all of them intact once the merge is over,
+// so decoders may hold on to their frames' bytes.
+func TestMergeWithKeptPayloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := intSorter(t, 50, nil)
+	defer s.Close()
+	for _, v := range rng.Perm(1000) {
+		if err := s.Push(v * 7919); err != nil { // mixed lengths, 1 to 7 digits
+			t.Fatal(err)
+		}
+	}
+	var kept [][]byte
+	st, err := s.MergeWith(func() func([]byte) (int, error) {
+		return func(p []byte) (int, error) {
+			kept = append(kept, p)
+			return strconv.Atoi(string(p))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, st)
+	st.Close()
+	if len(got) != 1000 || len(kept) != 1000 {
+		t.Fatalf("merged %d items, kept %d payloads; want 1000 each", len(got), len(kept))
+	}
+	// Each run's head is decoded before it is yielded, so the payloads
+	// arrive in read order, not merge order: compare as sets.
+	want := make([]string, len(got))
+	for i, v := range got {
+		if v != i*7919 {
+			t.Fatalf("item %d: got %d, want %d", i, v, i*7919)
+		}
+		want[i] = strconv.Itoa(v)
+	}
+	have := make([]string, len(kept))
+	for i, p := range kept {
+		have[i] = string(p)
+	}
+	sort.Strings(want)
+	sort.Strings(have)
+	for i := range want {
+		if have[i] != want[i] {
+			t.Fatalf("kept payloads changed after the merge: %q, want %q", have[i], want[i])
+		}
+	}
+}
+
 // TestWriteRunPresorted exercises the direct run-writer path the
 // simulator uses: per-batch sorted runs, merged across runs.
 func TestWriteRunPresorted(t *testing.T) {

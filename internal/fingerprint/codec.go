@@ -227,6 +227,20 @@ func (d *Decoder) String(p []byte) (string, []byte, error) {
 // never a panic, and an oversized length or count fails before anything
 // is allocated for it.
 func (d *Decoder) Decode(p []byte, rec *Record) ([]byte, error) {
+	return d.decode(p, rec, false)
+}
+
+// DecodeKey is Decode for consumers that only need a record's
+// browser-ID key: it walks and checks the whole record exactly as
+// Decode does, and fails exactly when Decode fails, but keeps only
+// Time, UserID, Cookie, Browser, OS, Device and Mobile, plus the FP's
+// CPUClass, CPUCores, GPUVendor and GPURenderer. Every other FP field
+// is left zero, so the fingerprint's lists are never allocated.
+func (d *Decoder) DecodeKey(p []byte, rec *Record) ([]byte, error) {
+	return d.decode(p, rec, true)
+}
+
+func (d *Decoder) decode(p []byte, rec *Record, keyOnly bool) ([]byte, error) {
 	if len(p) == 0 {
 		return nil, ErrMalformedRecord
 	}
@@ -247,7 +261,7 @@ func (d *Decoder) Decode(p []byte, rec *Record) ([]byte, error) {
 	var fp *Fingerprint
 	if flags&flagFP != 0 {
 		var err error
-		if fp, err = d.decodeFP(&r, flags, rec.FP); err != nil {
+		if fp, err = d.decodeFP(&r, flags, rec.FP, keyOnly); err != nil {
 			return nil, err
 		}
 	}
@@ -279,8 +293,9 @@ func decodeTime(sec, nsec int64, offset int) time.Time {
 }
 
 // decodeFP decodes the fingerprint into reuse, or a new Fingerprint
-// when reuse is nil.
-func (d *Decoder) decodeFP(r *reader, flags uint64, reuse *Fingerprint) (*Fingerprint, error) {
+// when reuse is nil. keyOnly skips over every field but the browser-ID
+// key's.
+func (d *Decoder) decodeFP(r *reader, flags uint64, reuse *Fingerprint, keyOnly bool) (*Fingerprint, error) {
 	var counts [4]uint64
 	var total uint64
 	for i := range counts {
@@ -303,6 +318,22 @@ func (d *Decoder) decodeFP(r *reader, flags uint64, reuse *Fingerprint) (*Finger
 		fp = new(Fingerprint)
 	} else {
 		*fp = Fingerprint{}
+	}
+	if keyOnly {
+		for range total {
+			r.bytes()
+		}
+		for _, s := range fpStrings(fp) {
+			if b := r.bytes(); s == &fp.CPUClass || s == &fp.GPUVendor || s == &fp.GPURenderer {
+				*s = d.intern(b)
+			}
+		}
+		for _, v := range fpInts(fp) {
+			if n := int(r.varint()); v == &fp.CPUCores {
+				*v = n
+			}
+		}
+		return fp, r.err
 	}
 	// One backing array serves all four lists; each gets a capped
 	// window, so appending to one never spills into the next.

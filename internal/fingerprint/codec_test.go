@@ -299,6 +299,42 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		if _, err := NewDecoder().Decode(p, &Record{}); !errors.Is(err, ErrMalformedRecord) {
 			t.Errorf("%s: want ErrMalformedRecord, got %v", name, err)
 		}
+		if _, err := NewDecoder().DecodeKey(p, &Record{}); !errors.Is(err, ErrMalformedRecord) {
+			t.Errorf("%s: DecodeKey: want ErrMalformedRecord, got %v", name, err)
+		}
+	}
+}
+
+// keyFields is r reduced to the fields DecodeKey keeps.
+func keyFields(r *Record) *Record {
+	k := &Record{Time: r.Time, UserID: r.UserID, Cookie: r.Cookie,
+		Browser: r.Browser, OS: r.OS, Device: r.Device, Mobile: r.Mobile}
+	if r.FP != nil {
+		k.FP = &Fingerprint{CPUClass: r.FP.CPUClass, CPUCores: r.FP.CPUCores,
+			GPUVendor: r.FP.GPUVendor, GPURenderer: r.FP.GPURenderer}
+	}
+	return k
+}
+
+// checkDecodeKey holds DecodeKey to Decode on p: it fails exactly when
+// Decode fails, and otherwise returns the same remaining bytes and
+// exactly Decode's key fields.
+func checkDecodeKey(t *testing.T, p []byte) {
+	t.Helper()
+	var full, key Record
+	restFull, errFull := NewDecoder().Decode(p, &full)
+	restKey, errKey := NewDecoder().DecodeKey(p, &key)
+	if (errFull == nil) != (errKey == nil) {
+		t.Fatalf("Decode error %v, DecodeKey error %v", errFull, errKey)
+	}
+	if errFull != nil {
+		return
+	}
+	if len(restFull) != len(restKey) {
+		t.Fatalf("Decode left %d bytes, DecodeKey %d", len(restFull), len(restKey))
+	}
+	if want := keyFields(&full); !reflect.DeepEqual(&key, want) {
+		t.Fatalf("DecodeKey:\n got %+v\nwant %+v", key, *want)
 	}
 }
 
@@ -344,8 +380,8 @@ func fuzzRecord(data []byte, sec int64, nsec uint32, offset int32, flags uint16)
 }
 
 // FuzzRecordCodec: arbitrary bytes never panic the decoder, whatever
-// decodes re-encodes to a fixed point, and records built from the input
-// round-trip exactly.
+// decodes re-encodes to a fixed point, records built from the input
+// round-trip exactly, and DecodeKey agrees with Decode on both.
 func FuzzRecordCodec(f *testing.F) {
 	for _, r := range codecCases() {
 		f.Add(AppendRecord(nil, r), r.Time.Unix(), uint32(r.Time.Nanosecond()), int32(0), uint16(0xffff))
@@ -354,6 +390,7 @@ func FuzzRecordCodec(f *testing.F) {
 		f.Add(p, int64(-62135596800), uint32(0), int32(19800), uint16(0x2aa))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, sec int64, nsec uint32, offset int32, flags uint16) {
+		checkDecodeKey(t, data)
 		d := NewDecoder()
 		var got Record
 		if _, err := d.Decode(data, &got); err == nil {
@@ -373,6 +410,7 @@ func FuzzRecordCodec(f *testing.F) {
 		}
 
 		r := fuzzRecord(data, sec, nsec, offset, flags)
+		checkDecodeKey(t, AppendRecord(nil, r))
 		got = Record{}
 		rest, err := d.Decode(AppendRecord(nil, r), &got)
 		if err != nil || len(rest) != 0 {

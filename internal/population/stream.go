@@ -40,6 +40,8 @@ type StreamItem struct {
 	Instance   int
 	VisitIndex int
 	Truth      []EventType
+
+	raw []byte // the record's encoded bytes; set only by EachKey's decoder
 }
 
 // StreamOptions configures the out-of-core path. The zero value works:
@@ -134,10 +136,18 @@ func encodeItem(dst []byte, v StreamItem) ([]byte, error) {
 // fingerprint.Decoder interns strings across the stream's records.
 func newItemDecoder() func([]byte) (StreamItem, error) {
 	d := fingerprint.NewDecoder()
-	return func(p []byte) (StreamItem, error) { return decodeItem(d, p) }
+	return func(p []byte) (StreamItem, error) { return decodeItem(d, p, false) }
 }
 
-func decodeItem(d *fingerprint.Decoder, p []byte) (StreamItem, error) {
+// newKeyDecoder is newItemDecoder for EachKey: the record is decoded
+// only as far as its browser-ID key, and the item keeps the record's
+// encoded bytes (a slice of the frame's payload).
+func newKeyDecoder() func([]byte) (StreamItem, error) {
+	d := fingerprint.NewDecoder()
+	return func(p []byte) (StreamItem, error) { return decodeItem(d, p, true) }
+}
+
+func decodeItem(d *fingerprint.Decoder, p []byte, keyOnly bool) (StreamItem, error) {
 	var v StreamItem
 	inst, n1 := binary.Varint(p)
 	if n1 <= 0 {
@@ -164,7 +174,11 @@ func decodeItem(d *fingerprint.Decoder, p []byte) (StreamItem, error) {
 		v.Truth[i], p = EventType(s), rest
 	}
 	v.Rec = new(fingerprint.Record)
-	rest, err := d.Decode(p, v.Rec)
+	decode := d.Decode
+	if keyOnly {
+		decode, v.raw = d.DecodeKey, p
+	}
+	rest, err := decode(p, v.Rec)
 	if err != nil {
 		return v, err
 	}
@@ -256,6 +270,28 @@ func (sd *SpilledDataset) Stream() (*RecordStream, error) {
 		return nil, err
 	}
 	return &RecordStream{st: st}, nil
+}
+
+// EachKey replays the same merged sequence as Stream and hands fn, per
+// record, its browser-ID key (fingerprint.Decoder.DecodeKey: the other
+// FP fields are zero) and its encoded bytes, which fn may keep. It
+// serves consumers that fully decode only some records, or decode them
+// later on a worker pool. It stops at the first error.
+func (sd *SpilledDataset) EachKey(fn func(key *fingerprint.Record, raw []byte) error) error {
+	st, err := sd.sorter.MergeWith(newKeyDecoder)
+	if err != nil {
+		return err
+	}
+	defer st.Close() // read-only run files
+	for {
+		item, ok, err := st.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := fn(item.Rec, item.raw); err != nil {
+			return err
+		}
+	}
 }
 
 // SpilledBytes returns the bytes written to run files.

@@ -156,6 +156,50 @@ func TestSpillStreamOrder(t *testing.T) {
 	}
 }
 
+// TestSpillEachKey: EachKey replays Stream's sequence, each key is
+// exactly the record's key fields, and each raw slice decodes back to
+// the record Stream yields, even once the whole pass is over.
+func TestSpillEachKey(t *testing.T) {
+	sd, err := SimulateSpill(streamTestConfig(2), StreamOptions{UsersPerBatch: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Close()
+	var keys []*fingerprint.Record
+	var raws [][]byte
+	err = sd.EachKey(func(key *fingerprint.Record, raw []byte) error {
+		keys, raws = append(keys, key), append(raws, raw)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := sd.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != len(ds.Records) {
+		t.Fatalf("EachKey yielded %d records, Stream %d", len(keys), len(ds.Records))
+	}
+	d := fingerprint.NewDecoder()
+	for i, rec := range ds.Records {
+		want := &fingerprint.Record{Time: rec.Time, UserID: rec.UserID, Cookie: rec.Cookie,
+			Browser: rec.Browser, OS: rec.OS, Device: rec.Device, Mobile: rec.Mobile,
+			FP: &fingerprint.Fingerprint{CPUClass: rec.FP.CPUClass, CPUCores: rec.FP.CPUCores,
+				GPUVendor: rec.FP.GPUVendor, GPURenderer: rec.FP.GPURenderer}}
+		if !reflect.DeepEqual(keys[i], want) {
+			t.Fatalf("record %d: key\n%+v\nwant\n%+v", i, keys[i], want)
+		}
+		var full fingerprint.Record
+		if rest, err := d.Decode(raws[i], &full); err != nil || len(rest) != 0 {
+			t.Fatalf("record %d: raw bytes: err %v, %d trailing bytes", i, err, len(rest))
+		}
+		if !reflect.DeepEqual(&full, rec) {
+			t.Fatalf("record %d: raw bytes decode to a different record", i)
+		}
+	}
+}
+
 // TestSpillWriteFailure scripts a spill-file write fault: SimulateSpill
 // must fail loudly instead of recording a short run.
 func TestSpillWriteFailure(t *testing.T) {
@@ -271,7 +315,7 @@ func TestSpillCodecMatchesJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		b, err := json.Marshal(jsonItem(it))
+		b, err := json.Marshal(jsonItem{it.Rec, it.Instance, it.VisitIndex, it.Truth})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +323,7 @@ func TestSpillCodecMatchesJSON(t *testing.T) {
 		if err := json.Unmarshal(b, &want); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, StreamItem(want)) {
+		if !reflect.DeepEqual(got, StreamItem{Rec: want.Rec, Instance: want.Instance, VisitIndex: want.VisitIndex, Truth: want.Truth}) {
 			t.Fatalf("item %d: binary round trip\n%+v\nJSON round trip\n%+v", i, got, want)
 		}
 	}

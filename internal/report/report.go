@@ -10,14 +10,22 @@
 //	r.Render("table2")
 //	r.Render("fig12")
 //
-// The pipeline makes three passes over the source:
+// The pipeline makes three passes over the source, and decodes each
+// record in full exactly once:
 //
 //	pass 1  stream records    → browser-ID union pass (browserid.StreamBuilder)
 //	regroup re-stream records → external sort keyed (canonical ID, stream position)
-//	analyze merged stream     → per-instance chains: diff and classify in
-//	                            fixed-size parallel chunks, then fold every
+//	analyze merged stream     → per-instance chains: decode, diff and classify
+//	                            in fixed-size parallel chunks, then fold every
 //	                            record, dynamics and instance into the
 //	                            requested sections' accumulators
+//
+// The source yields each record's browser-ID key beside its bytes in
+// the fingerprint binary codec. A spilled source decodes only the key
+// (fingerprint.Decoder.DecodeKey), on the merge goroutine, in pass 1
+// and again in regroup; the initial IDs are hashed on the pool. The
+// regroup sort carries the bytes unchanged, and analyze decodes them
+// on the pool, one fingerprint.Decoder per contiguous slice of a chunk.
 //
 // The regroup sort is what keeps memory flat: grouped by canonical ID,
 // each instance's records arrive contiguously in time order, so the
@@ -61,18 +69,21 @@ import (
 // (Insight 1.4) and the observation window (Figure 12).
 type RecordSource struct {
 	// each streams every record in time order to fn, stopping at the
-	// first error.
-	each       func(fn func(*fingerprint.Record) error) error
+	// first error: a record carrying at least the browser-ID key
+	// fields (fingerprint.Decoder.DecodeKey), and the full record in
+	// the fingerprint binary codec, which fn may keep.
+	each       func(fn func(key *fingerprint.Record, raw []byte) error) error
 	gpu        map[string]canvas.GPUInfo
 	geo        *geoip.DB
 	start, end time.Time
 }
 
-// DatasetSource adapts an in-memory dataset to a RecordSource.
+// DatasetSource adapts an in-memory dataset to a RecordSource. Each
+// record is its own key, and is encoded afresh on every pass.
 func DatasetSource(ds *population.Dataset) RecordSource {
-	each := func(fn func(*fingerprint.Record) error) error {
+	each := func(fn func(*fingerprint.Record, []byte) error) error {
 		for _, rec := range ds.Records {
-			if err := fn(rec); err != nil {
+			if err := fn(rec, fingerprint.AppendRecord(nil, rec)); err != nil {
 				return err
 			}
 		}
@@ -81,48 +92,37 @@ func DatasetSource(ds *population.Dataset) RecordSource {
 	return RecordSource{each: each, gpu: ds.GPUImageInfo, geo: ds.Geo, start: ds.Cfg.Start, end: ds.Cfg.End}
 }
 
-// SpillSource adapts a spilled simulation to a RecordSource.
+// SpillSource adapts a spilled simulation to a RecordSource: the
+// spilled runs are merged with key-only decoding, and each record's
+// bytes are passed on as they were read.
 func SpillSource(sd *population.SpilledDataset) RecordSource {
-	each := func(fn func(*fingerprint.Record) error) error {
-		rs, err := sd.Stream()
-		if err != nil {
-			return err
-		}
-		defer rs.Close() // read-only run files
-		for {
-			item, ok, err := rs.Next()
-			if err != nil || !ok {
-				return err
-			}
-			if err := fn(item.Rec); err != nil {
-				return err
-			}
-		}
-	}
-	return RecordSource{each: each, gpu: sd.GPUImageInfo, geo: sd.Geo, start: sd.Cfg.Start, end: sd.Cfg.End}
+	return RecordSource{each: sd.EachKey, gpu: sd.GPUImageInfo, geo: sd.Geo, start: sd.Cfg.Start, end: sd.Cfg.End}
 }
 
-// chunks streams src in chunks of n records (the last may be shorter),
-// with each chunk's initial browser IDs hashed on the worker pool.
-func (src RecordSource) chunks(n, workers int, inFlight func(int), fn func(chunk []*fingerprint.Record, ids []string) error) error {
-	chunk := make([]*fingerprint.Record, 0, n)
+// chunks streams src in chunks of n records (the last may be shorter):
+// the records' keys and encoded bytes, with each chunk's initial
+// browser IDs hashed on the worker pool.
+func (src RecordSource) chunks(n, workers int, inFlight func(int), fn func(keys []*fingerprint.Record, raws [][]byte, ids []string) error) error {
+	keys := make([]*fingerprint.Record, 0, n)
+	raws := make([][]byte, 0, n)
 	flush := func() error {
-		inFlight(len(chunk))
-		ids := parallel.Map(workers, len(chunk), func(i int) string {
-			return browserid.InitialID(chunk[i])
+		inFlight(len(keys))
+		ids := parallel.Map(workers, len(keys), func(i int) string {
+			return browserid.InitialID(keys[i])
 		})
-		err := fn(chunk, ids)
-		chunk = chunk[:0]
+		err := fn(keys, raws, ids)
+		keys, raws = keys[:0], raws[:0]
 		inFlight(0)
 		return err
 	}
-	err := src.each(func(rec *fingerprint.Record) error {
-		if chunk = append(chunk, rec); len(chunk) < n {
+	err := src.each(func(key *fingerprint.Record, raw []byte) error {
+		keys, raws = append(keys, key), append(raws, raw)
+		if len(keys) < n {
 			return nil
 		}
 		return flush()
 	})
-	if err != nil || len(chunk) == 0 {
+	if err != nil || len(keys) == 0 {
 		return err
 	}
 	return flush()
@@ -196,50 +196,41 @@ type fold struct {
 	render   func()
 }
 
-// grouped is the regroup sort's item: a record keyed by its canonical
-// browser ID and its position in the time-ordered input (the input is
-// (time, serial)-sorted, so Seq preserves exactly that order within
-// each group).
+// grouped is the regroup sort's item: an encoded record keyed by its
+// canonical browser ID and its position in the time-ordered input (the
+// input is (time, serial)-sorted, so Seq preserves exactly that order
+// within each group).
 type grouped struct {
 	ID  string
 	Seq int64
-	Rec *fingerprint.Record
+	Raw []byte // the record in the fingerprint binary codec
 }
 
 // encodeGrouped is the regroup runs' item codec: the ID, Seq as a
-// varint, then the record in the fingerprint binary codec.
+// varint, then the record's bytes as they came.
 func encodeGrouped(dst []byte, v grouped) ([]byte, error) {
 	dst = fingerprint.AppendString(dst, v.ID)
 	dst = binary.AppendVarint(dst, v.Seq)
-	return fingerprint.AppendRecord(dst, v.Rec), nil
+	return append(dst, v.Raw...), nil
 }
 
 var errBadGrouped = errors.New("report: malformed regroup item")
 
-// newGroupedDecoder returns the decoder for one merge stream; its
-// fingerprint.Decoder interns strings across the stream's records.
+// newGroupedDecoder returns the decoder for one merge stream: it
+// interns the IDs and leaves the record's bytes, a slice of the frame,
+// for analyze to decode.
 func newGroupedDecoder() func([]byte) (grouped, error) {
 	d := fingerprint.NewDecoder()
 	return func(p []byte) (grouped, error) {
-		var v grouped
 		id, p, err := d.String(p)
 		if err != nil {
-			return v, err
+			return grouped{}, err
 		}
 		seq, n := binary.Varint(p)
 		if n <= 0 {
-			return v, errBadGrouped
+			return grouped{}, errBadGrouped
 		}
-		v.Rec = new(fingerprint.Record)
-		rest, err := d.Decode(p[n:], v.Rec)
-		if err != nil {
-			return v, err
-		}
-		if len(rest) != 0 {
-			return v, errBadGrouped
-		}
-		v.ID, v.Seq = id, seq
-		return v, nil
+		return grouped{ID: id, Seq: seq, Raw: p[n:]}, nil
 	}
 }
 
@@ -290,11 +281,11 @@ func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opt
 	// in stream order (the owner is the FIRST ID seen).
 	stop := opts.Timings.Start("ground_truth_pass1")
 	builder := browserid.NewStreamBuilder()
-	err := src.chunks(chunkSize, workers, inFlight, func(chunk []*fingerprint.Record, ids []string) error {
-		for i, rec := range chunk {
-			builder.ObserveWithID(rec, ids[i])
+	err := src.chunks(chunkSize, workers, inFlight, func(keys []*fingerprint.Record, _ [][]byte, ids []string) error {
+		for i, key := range keys {
+			builder.ObserveWithID(key, ids[i])
 		}
-		r.records += int64(len(chunk))
+		r.records += int64(len(keys))
 		return nil
 	})
 	if err != nil {
@@ -303,8 +294,8 @@ func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opt
 	builder.Seal()
 	stop(int(r.records))
 
-	// Regroup: re-stream, resolve canonical IDs, spill into an external
-	// sort keyed (canonical ID, stream position).
+	// Regroup: re-stream, resolve canonical IDs, spill the records'
+	// bytes into an external sort keyed (canonical ID, stream position).
 	stop = opts.Timings.Start("regroup")
 	root := opts.SpillDir
 	if root == "" {
@@ -329,11 +320,11 @@ func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opt
 	}
 	defer sorter.Close()
 	var seq int64
-	err = src.chunks(chunkSize, workers, inFlight, func(chunk []*fingerprint.Record, ids []string) error {
-		for i, rec := range chunk {
+	err = src.chunks(chunkSize, workers, inFlight, func(_ []*fingerprint.Record, raws [][]byte, ids []string) error {
+		for i, raw := range raws {
 			// find() is a serial map walk; the expensive hash ran on the
 			// pool.
-			if err := sorter.Push(grouped{ID: builder.CanonicalOf(ids[i]), Seq: seq, Rec: rec}); err != nil {
+			if err := sorter.Push(grouped{ID: builder.CanonicalOf(ids[i]), Seq: seq, Raw: raw}); err != nil {
 				return err
 			}
 			seq++
@@ -362,11 +353,13 @@ func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opt
 }
 
 // analyze walks the grouped merge. Each instance is a contiguous run in
-// time order, so the walk holds one instance's state at a time.
-// Consecutive pairs are diffed and the changed ones classified in
-// fixed-size parallel chunks; then every record, pair and instance of
-// the chunk folds, in merge order, into the core accumulators and the
-// requested sections' hooks.
+// time order, so the walk holds one instance's state at a time. The
+// merge yields encoded records; each fixed-size chunk of them is
+// decoded on the pool, one fingerprint.Decoder per contiguous slice of
+// the chunk, and linked to its predecessors serially. Consecutive pairs
+// are then diffed and the changed ones classified in parallel; then
+// every record, pair and instance of the chunk folds, in merge order,
+// into the core accumulators and the requested sections' hooks.
 func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers, chunkSize int, inFlight func(int)) error {
 	acc := dynamics.NewAccumulator()
 	est := browserid.NewEstimateAccumulator()
@@ -383,19 +376,57 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 		}
 	}
 
-	// step is one merged record; prev is its instance's previous record
-	// (nil on the instance's first).
+	// step is one merged record: its encoded bytes, then the decoded
+	// record and its instance's previous record (nil on the instance's
+	// first).
 	type step struct {
 		id        string
+		raw       []byte
 		prev, rec *fingerprint.Record
 	}
 	steps := make([]step, 0, chunkSize)
+	// decoders[s] decodes slice s of every chunk, so each keeps its
+	// intern table warm across chunks; slices run one per goroutine.
+	decoders := make([]*fingerprint.Decoder, parallel.Resolve(workers))
+	for s := range decoders {
+		decoders[s] = fingerprint.NewDecoder()
+	}
+	errs := make([]error, len(decoders))
+	var curID string
+	var last *fingerprint.Record
 	var changed []*dynamics.Dynamics
-	flush := func() {
+	flush := func() error {
 		if len(steps) == 0 {
-			return
+			return nil
 		}
 		inFlight(len(steps))
+		parallel.ForEach(workers, len(decoders), func(s int) {
+			d := decoders[s]
+			for i := s * len(steps) / len(decoders); i < (s+1)*len(steps)/len(decoders); i++ {
+				rec := new(fingerprint.Record)
+				rest, err := d.Decode(steps[i].raw, rec)
+				if err == nil && len(rest) != 0 {
+					err = errBadGrouped
+				}
+				if err != nil {
+					errs[s] = fmt.Errorf("report: regrouped record: %w", err)
+					return
+				}
+				steps[i].rec = rec
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		for i := range steps {
+			s := &steps[i]
+			if s.id == curID {
+				s.prev = last
+			}
+			curID, last = s.id, s.rec
+		}
 		dyns := parallel.Map(workers, len(steps), func(i int) *dynamics.Dynamics {
 			s := steps[i]
 			if s.prev == nil {
@@ -456,10 +487,9 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 		}
 		steps = steps[:0]
 		inFlight(0)
+		return nil
 	}
 
-	var curID string
-	var prev *fingerprint.Record
 	for {
 		g, ok, err := merge.Next()
 		if err != nil {
@@ -468,16 +498,16 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 		if !ok {
 			break
 		}
-		if g.ID != curID {
-			curID, prev = g.ID, nil
-		}
-		steps = append(steps, step{id: g.ID, prev: prev, rec: g.Rec})
-		prev = g.Rec
+		steps = append(steps, step{id: g.ID, raw: g.Raw})
 		if len(steps) == chunkSize {
-			flush()
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 	}
-	flush()
+	if err := flush(); err != nil {
+		return err
+	}
 	endInstance()
 
 	r.est = est

@@ -9,6 +9,7 @@ import (
 
 	"fpdyn/internal/dynamics"
 	"fpdyn/internal/faultinject"
+	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/population"
 	"fpdyn/internal/storage"
@@ -148,5 +149,29 @@ func TestStreamReportSpillFault(t *testing.T) {
 		})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("want injected spill error, got %v", err)
+	}
+}
+
+// TestStreamReportBadRecordBytes: a record whose encoded bytes do not
+// decode fails the pipeline with the codec's error when analyze
+// decodes it, at every worker count, instead of being dropped.
+func TestStreamReportBadRecordBytes(t *testing.T) {
+	ds := population.Simulate(population.DefaultConfig(40))
+	src := DatasetSource(ds)
+	each := src.each
+	src.each = func(fn func(*fingerprint.Record, []byte) error) error {
+		i := 0
+		return each(func(key *fingerprint.Record, raw []byte) error {
+			if i++; i == 50 {
+				raw = raw[:len(raw)-1]
+			}
+			return fn(key, raw)
+		})
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := NewStream(src, dynamics.MapImages(ds.CanvasImages), os.Stderr, StreamOptions{Workers: workers, ChunkSize: 16})
+		if !errors.Is(err, fingerprint.ErrMalformedRecord) {
+			t.Fatalf("workers=%d: want ErrMalformedRecord, got %v", workers, err)
+		}
 	}
 }

@@ -29,10 +29,11 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// ReadFrame reads one frame from r and returns its payload. io.EOF on
-// a clean frame boundary is returned verbatim; an EOF inside a frame
-// is ErrTornFrame; an implausible length header is ErrFrameSize; a CRC
-// mismatch is ErrChecksum. maxFrame <= 0 selects the default bound.
+// ReadFrame reads one frame from r and returns its payload, a fresh
+// slice the caller owns. io.EOF on a clean frame boundary is returned
+// verbatim; an EOF inside a frame is ErrTornFrame; an implausible
+// length header is ErrFrameSize; a CRC mismatch is ErrChecksum.
+// maxFrame <= 0 selects the default bound.
 // Other transport errors (deadlines, closed connections) pass through
 // unwrapped so callers can inspect them.
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {

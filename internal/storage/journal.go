@@ -14,8 +14,10 @@
 package storage
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -159,47 +161,30 @@ func (w *WAL) CompactJournal(emit func(write func(payload []byte) error) error) 
 
 // WriteSnapshotFrames writes a snapshot covering segments 1..covered:
 // emit is called once with a write function that frames and appends
-// one payload per call; the file goes to a temporary name, is fsynced,
-// and renamed into place (then the directory is fsynced), so a crash
-// at any point leaves either the old recovery inputs or the new ones —
-// never a half-snapshot under the final name.
+// one payload per call. The frames go through a buffer into the
+// snapshot's temporary name (snap-%08d.snap.tmp), which WriteFileAtomic
+// fsyncs and renames into place (then it fsyncs the directory), so a
+// crash at any point leaves either the old recovery inputs or the new
+// ones — never a half-snapshot under the final name. Recovery removes
+// a temporary file a crash left behind.
 func WriteSnapshotFrames(dir string, covered int, emit func(write func(payload []byte) error) error) (int64, error) {
-	tmp := filepath.Join(dir, snapTmpName)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("storage: snapshot create: %w", err)
-	}
 	var n int64
-	var buf []byte
-	write := func(payload []byte) error {
-		buf = AppendFrame(buf[:0], payload)
-		if _, err := f.Write(buf); err != nil {
-			return fmt.Errorf("storage: snapshot write: %w", err)
+	err := WriteFileAtomic(filepath.Join(dir, snapName(covered)), func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<16)
+		var buf []byte
+		err := emit(func(payload []byte) error {
+			buf = AppendFrame(buf[:0], payload)
+			n += int64(len(buf))
+			_, err := bw.Write(buf)
+			return err
+		})
+		if err != nil {
+			return err
 		}
-		n += int64(len(buf))
-		return nil
-	}
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := emit(write); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("storage: snapshot sync: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("storage: snapshot close: %w", err))
-	}
-	final := filepath.Join(dir, snapName(covered))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("storage: snapshot rename: %w", err)
-	}
-	if err := fsyncDir(dir); err != nil {
-		return 0, fmt.Errorf("storage: snapshot dir sync: %w", err)
+		return bw.Flush()
+	})
+	if err != nil {
+		return 0, fmt.Errorf("storage: snapshot %s: %w", snapName(covered), err)
 	}
 	return n, nil
 }

@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"fpdyn/internal/fingerprint"
 )
@@ -33,8 +34,12 @@ import (
 // 1..n.
 func snapName(n int) string { return fmt.Sprintf("snap-%08d.snap", n) }
 
-// snapTmpName is the in-progress snapshot; never read by recovery.
-const snapTmpName = "snap-tmp"
+// isSnapTemp reports whether name is an in-progress snapshot, never
+// read by recovery: snap-%08d.snap.tmp, or snap-tmp, the fixed name
+// older versions wrote.
+func isSnapTemp(name string) bool {
+	return name == "snap-tmp" || strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap.tmp")
+}
 
 // listSnapshots returns the snap-*.snap files of dir in coverage
 // order.
@@ -192,8 +197,8 @@ func (s *Store) Compact() (CompactionStats, error) {
 	return stats, nil
 }
 
-// writeSnapshot writes the cut to snap-tmp, fsyncs it, and renames it
-// into place. Entry order is canonical — values sorted by hash, then
+// writeSnapshot writes the cut atomically through
+// WriteSnapshotFrames. Entry order is canonical — values sorted by hash, then
 // records in insertion order, then the idempotency table (one entry;
 // encoding/json sorts map keys) — so equal state yields byte-identical
 // snapshots.

@@ -377,8 +377,10 @@ func TestCompactRepeatedIsIdempotent(t *testing.T) {
 }
 
 // TestRecoverIgnoresAbandonedSnapTmp: a crash mid-compaction leaves a
-// snap-tmp the rename never promoted; recovery must ignore it and
-// replay the (still intact) segments.
+// temporary snapshot the rename never promoted, under its
+// snap-%08d.snap.tmp name or the fixed snap-tmp older versions used;
+// recovery must ignore both, replay the (still intact) segments and
+// remove them.
 func TestRecoverIgnoresAbandonedSnapTmp(t *testing.T) {
 	opts := walOpts(t)
 	st, w, _, err := Recover(opts)
@@ -390,21 +392,29 @@ func TestRecoverIgnoresAbandonedSnapTmp(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The crash artifact: a half-written temporary snapshot.
-	if err := os.WriteFile(filepath.Join(opts.Dir, snapTmpName), []byte("torn half-snapsho"), 0o644); err != nil {
-		t.Fatal(err)
+	// The crash artifacts: half-written temporary snapshots.
+	tmps := []string{snapName(1) + ".tmp", "snap-tmp"}
+	for _, name := range tmps {
+		if err := os.WriteFile(filepath.Join(opts.Dir, name), []byte("torn half-snapsho"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	st2, w2, stats, err := Recover(opts)
 	if err != nil {
-		t.Fatalf("recovery with abandoned snap-tmp: %v", err)
+		t.Fatalf("recovery with abandoned temporary snapshots: %v", err)
 	}
 	defer w2.Close()
 	if stats.SnapshotSeg != 0 {
-		t.Fatalf("snap-tmp treated as a snapshot: %+v", stats)
+		t.Fatalf("a temporary snapshot was treated as a snapshot: %+v", stats)
 	}
 	if got := indexDigest(t, st2); got != digest {
-		t.Fatal("state differs after recovery with abandoned snap-tmp")
+		t.Fatal("state differs after recovery with abandoned temporary snapshots")
+	}
+	for _, name := range tmps {
+		if _, err := os.Stat(filepath.Join(opts.Dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery (stat: %v)", name, err)
+		}
 	}
 }
 

@@ -744,10 +744,18 @@ func Recover(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
 	return st, w, stats, nil
 }
 
-// removeObsolete deletes segments covered by the loaded snapshot and
-// all snapshots older than it, then syncs the directory.
+// removeObsolete deletes segments covered by the loaded snapshot, all
+// snapshots older than it and any temporary snapshot a crash left
+// before its rename, then syncs the directory.
 func removeObsolete(dir string, segs, snaps []segRef, snapSeg int) {
 	removed := false
+	if ents, err := os.ReadDir(dir); err == nil {
+		for _, e := range ents {
+			if isSnapTemp(e.Name()) && os.Remove(filepath.Join(dir, e.Name())) == nil {
+				removed = true
+			}
+		}
+	}
 	for _, seg := range segs {
 		if seg.n <= snapSeg {
 			if os.Remove(filepath.Join(dir, seg.name)) == nil {
