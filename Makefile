@@ -15,8 +15,10 @@ BENCHTIME_MATCH ?= 2000x
 ## plus its spill/merge consumers (the streaming pipeline) get an
 ## explicit vet + race pass so CI keeps gating them even if the package
 ## list is ever narrowed. It also runs a 10 s smoke of the binary
-## record codec's fuzz target and the benchmark module's own tests
-## (perfbench is a separate module, so ./... does not reach it).
+## record codec's fuzz target (new-input minimization capped at one
+## run, so the budget goes to fuzzing rather than shrinking inputs) and
+## the benchmark module's own tests (perfbench is a separate module, so
+## ./... does not reach it).
 check: fmt-check lint-determinism bench-compile
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -36,7 +38,7 @@ check: fmt-check lint-determinism bench-compile
 	$(GO) test -race ./internal/linkd/
 	$(GO) test -race -run 'TestSpill|TestStreamReport|TestSimulateGolden|TestShardedWorkerCountInvariance' ./internal/population/ ./internal/report/
 	$(GO) test -race ./...
-	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/fingerprint/
+	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s -fuzzminimizetime=1x ./internal/fingerprint/
 	cd perfbench && $(GO) test .
 
 ## fmt-check: fail if any Go file of either module (the root and

@@ -71,7 +71,7 @@ func ingestRecord(client, i int) *fingerprint.Record {
 type ingestCell struct {
 	Shards        int     `json:"shards"`
 	Framing       string  `json:"framing"`
-	BatchSize     int     `json:"batch_size"` // 1 for per-record newline-JSON
+	BatchSize     int     `json:"batch_size"` // 1 for one-record newline-JSON batches
 	Records       int     `json:"records"`
 	Seconds       float64 `json:"seconds"`
 	RecordsPerSec float64 `json:"records_per_sec"`
@@ -91,8 +91,9 @@ type ingestReport struct {
 // runIngestCell drives `records` submissions from `clients` concurrent
 // connections into a fresh sharded WAL and reports throughput and ACK
 // latency quantiles. Binary cells negotiate framing and send
-// 32-record batches; JSON cells stay on per-record newline-JSON — the
-// legacy client behavior the fallback path preserves.
+// 32-record batches; JSON cells send one-record batches over
+// newline-JSON — a client whose server declined binary framing, one
+// record per round trip.
 func runIngestCell(t *testing.T, shards int, binary bool, records, clients int) ingestCell {
 	t.Helper()
 	const batchSize = 32
@@ -166,7 +167,7 @@ func runIngestCell(t *testing.T, shards int, binary bool, records, clients int) 
 			} else {
 				for i := 0; i < perClient; i++ {
 					t0 := time.Now()
-					_, _, err := c.SubmitSeq(ingestRecord(cl, i), cid, uint64(i+1))
+					_, err := c.SubmitBatch([]collector.BatchRecord{{Rec: ingestRecord(cl, i), Seq: uint64(i + 1)}}, cid)
 					if err != nil {
 						errs[cl] = err
 						return

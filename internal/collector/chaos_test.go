@@ -131,7 +131,7 @@ func TestChaosKillRecoverNoAcceptedLoss(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					seq := seqs[wkr] + 1
 					rec := chaosRecord(cid, seq)
-					if _, _, err := c.SubmitSeq(rec, cid, seq); err != nil {
+					if _, _, err := submitOne(c, rec, cid, seq); err != nil {
 						return // killed mid-stream: this record was never ACKed
 					}
 					seqs[wkr] = seq
@@ -275,12 +275,12 @@ func TestSeqIdempotentAcrossRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := chaosRecord("idem", 1)
-	idx, dup, err := c.SubmitSeq(rec, "idem", 1)
+	idx, dup, err := submitOne(c, rec, "idem", 1)
 	if err != nil || dup || idx != 0 {
 		t.Fatalf("first: idx=%d dup=%v err=%v", idx, dup, err)
 	}
 	// Live retransmission: same sequence ID, no double append.
-	idx2, dup2, err := c.SubmitSeq(rec, "idem", 1)
+	idx2, dup2, err := submitOne(c, rec, "idem", 1)
 	if err != nil || !dup2 || idx2 != 0 {
 		t.Fatalf("retransmit: idx=%d dup=%v err=%v", idx2, dup2, err)
 	}
@@ -310,7 +310,7 @@ func TestSeqIdempotentAcrossRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, dup, err := c2.SubmitSeq(rec, "idem", 1); err != nil || !dup {
+	if _, dup, err := submitOne(c2, rec, "idem", 1); err != nil || !dup {
 		t.Fatalf("post-recovery retransmit: dup=%v err=%v", dup, err)
 	}
 	if st2.Len() != 1 {
@@ -348,7 +348,7 @@ func TestChaosTornConnectionMidFrame(t *testing.T) {
 	}
 	c := NewClient(fc)
 	rec := chaosRecord("torn", 1)
-	_, _, err = c.SubmitSeq(rec, "torn", 1)
+	_, _, err = submitOne(c, rec, "torn", 1)
 	if err == nil {
 		t.Fatal("submit succeeded over a torn connection")
 	}
@@ -370,7 +370,7 @@ func TestChaosTornConnectionMidFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, dup, err := c2.SubmitSeq(rec, "torn", 1); err != nil || dup {
+	if _, dup, err := submitOne(c2, rec, "torn", 1); err != nil || dup {
 		t.Fatalf("retransmit: dup=%v err=%v", dup, err)
 	}
 	if st.Len() != 1 {

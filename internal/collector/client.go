@@ -348,43 +348,17 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Submit transfers one record: first a hash check for the bulky list
-// values, then the record with only the missing blobs attached. It
-// returns the server-side record index.
+// Submit transfers one record as a batch of one: first a hash check
+// for the bulky list values, then the record with only the missing
+// blobs attached. It returns the server-side record index. The record
+// carries no sequence ID, so a resend appends again; SubmitBatch with a
+// client ID makes resubmission idempotent.
 func (c *Client) Submit(rec *fingerprint.Record) (int, error) {
-	idx, _, err := c.SubmitSeq(rec, "", 0)
-	return idx, err
-}
-
-// SubmitSeq is Submit with a client-assigned sequence ID: resubmitting
-// the same (clientID, seq) after an ambiguous failure is safe — the
-// server appends at most once and dup reports whether this delivery
-// was the duplicate. Seq must be monotonic per clientID.
-func (c *Client) SubmitSeq(rec *fingerprint.Record, clientID string, seq uint64) (idx int, dup bool, err error) {
-	wire, refs, blobs := StripRecord(rec)
-	hashes := make([]string, 0, len(blobs))
-	for h := range blobs {
-		hashes = append(hashes, h)
-	}
-	resp, err := c.roundTrip(&Request{Type: TypeCheck, Hashes: hashes})
+	acks, err := c.SubmitBatch([]BatchRecord{{Rec: rec}}, "")
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	need := make(map[string][]byte, len(resp.Hashes))
-	for _, h := range resp.Hashes {
-		if blob, ok := blobs[h]; ok {
-			need[h] = blob
-		}
-	}
-	resp, err = c.roundTrip(&Request{Type: TypeSubmit, Record: wire, Refs: refs, Values: need, ClientID: clientID, Seq: seq})
-	if err != nil {
-		return 0, false, err
-	}
-	if resp.Type != TypeOK {
-		return 0, false, fmt.Errorf("collector: unexpected submit reply %q", resp.Type)
-	}
-	c.submitted.Add(1)
-	return resp.Index, resp.Dup, nil
+	return firstAck(acks)
 }
 
 // BatchRecord pairs a record with its client-assigned sequence number
@@ -443,7 +417,12 @@ func (c *Client) SubmitBatch(batch []BatchRecord, clientID string) ([]Ack, error
 			}
 		}
 	}
-	resp, err = c.roundTrip(&Request{Type: TypeBatch, Batch: items, ClientID: clientID})
+	return c.sendBatch(items, clientID)
+}
+
+// sendBatch sends one batch request and counts the ACKed records.
+func (c *Client) sendBatch(items []BatchItem, clientID string) ([]Ack, error) {
+	resp, err := c.roundTrip(&Request{Type: TypeBatch, Batch: items, ClientID: clientID})
 	if err != nil {
 		return nil, err
 	}
@@ -459,18 +438,27 @@ func (c *Client) SubmitBatch(batch []BatchRecord, clientID string) ([]Ack, error
 }
 
 // SubmitRaw transfers one record without dedup (the ablation baseline:
-// every value travels every time).
+// every value travels every time): a batch of one with every blob
+// attached and no hash check.
 func (c *Client) SubmitRaw(rec *fingerprint.Record) (int, error) {
 	wire, refs, blobs := StripRecord(rec)
-	resp, err := c.roundTrip(&Request{Type: TypeSubmit, Record: wire, Refs: refs, Values: blobs})
+	acks, err := c.sendBatch([]BatchItem{{Record: wire, Refs: refs, Values: blobs}}, "")
 	if err != nil {
 		return 0, err
 	}
-	if resp.Type != TypeOK {
-		return 0, fmt.Errorf("collector: unexpected submit reply %q", resp.Type)
+	return firstAck(acks)
+}
+
+// firstAck returns the record index a one-record batch was ACKed with,
+// or the error the server stopped at.
+func firstAck(acks []Ack) (int, error) {
+	if len(acks) == 0 {
+		return 0, fmt.Errorf("collector: batch reply without acks")
 	}
-	c.submitted.Add(1)
-	return resp.Index, nil
+	if acks[0].Error != "" {
+		return 0, fmt.Errorf("collector: server error: %s", acks[0].Error)
+	}
+	return acks[0].Index, nil
 }
 
 // BytesSent returns the total bytes written to the connection.

@@ -3,6 +3,7 @@ package collector
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -133,6 +134,19 @@ func TestRestoreMissingValue(t *testing.T) {
 	}
 }
 
+// submitOne sends rec as a one-record batch under (clientID, seq) and
+// returns its ack, or the error the server stopped at.
+func submitOne(c *Client, rec *fingerprint.Record, clientID string, seq uint64) (idx int, dup bool, err error) {
+	acks, err := c.SubmitBatch([]BatchRecord{{Rec: rec, Seq: seq}}, clientID)
+	if err != nil {
+		return 0, false, err
+	}
+	if len(acks) != 1 || acks[0].Error != "" {
+		return 0, false, fmt.Errorf("collector: one-record batch acks = %+v", acks)
+	}
+	return acks[0].Index, acks[0].Dup, nil
+}
+
 // startServer spins up a TCP server on an ephemeral port; it is torn
 // down at test end.
 func startServer(t *testing.T) (*Server, *storage.Store, string) {
@@ -227,6 +241,53 @@ func TestSubmitRawNoDedup(t *testing.T) {
 	}
 	if s := srv.Stats(); s.ValuesDeduped != 0 {
 		t.Fatalf("raw path should never dedup: %+v", s)
+	}
+}
+
+func TestLegacySubmitVerbIdempotent(t *testing.T) {
+	// The single-record submit verb over newline-JSON: a fresh
+	// (cid, seq) ACKs with its index, a resend of the latest seq is a dup
+	// with the same index, and an older seq is a dup with index -1.
+	srv, store, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	submit := func(seq uint64, cookie string) *Response {
+		t.Helper()
+		rec := sampleRecord()
+		rec.Cookie = cookie
+		wire, refs, blobs := StripRecord(rec)
+		resp, err := c.roundTrip(&Request{Type: TypeSubmit, Record: wire, Refs: refs, Values: blobs, ClientID: "legacy", Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Type != TypeOK {
+			t.Fatalf("seq %d: reply %q", seq, resp.Type)
+		}
+		return resp
+	}
+	for _, step := range []struct {
+		seq   uint64
+		index int
+		dup   bool
+	}{
+		{1, 0, false},
+		{2, 1, false},
+		{2, 1, true},
+		{1, -1, true},
+	} {
+		resp := submit(step.seq, "ck-"+string(rune('0'+step.seq)))
+		if resp.Index != step.index || resp.Dup != step.dup {
+			t.Fatalf("seq %d: index=%d dup=%v, want index=%d dup=%v", step.seq, resp.Index, resp.Dup, step.index, step.dup)
+		}
+	}
+	if store.Len() != 2 {
+		t.Fatalf("store len = %d, want 2", store.Len())
+	}
+	if s := srv.Stats(); s.RecordsAccepted != 2 || s.RecordsDuped != 2 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 

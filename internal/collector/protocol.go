@@ -20,7 +20,7 @@ import (
 // response.
 const (
 	TypeCheck  = "check"  // client → server: which of these value hashes do you have?
-	TypeSubmit = "submit" // client → server: a record plus any values you were missing
+	TypeSubmit = "submit" // client → server: one record plus any values you were missing (served as a batch of one)
 	TypePing   = "ping"   // client → server: liveness probe
 	TypeHello  = "hello"  // client → server: framing negotiation
 	TypeBatch  = "batch"  // client → server: many submits in one frame

@@ -47,13 +47,9 @@ type ResilientClient struct {
 	// BatchSize caps how many pending records one flush round trip
 	// carries (default 32). During an outage the queue grows; on
 	// reconnect the backlog drains BatchSize records per batch request
-	// instead of two round trips per record. 1 restores the per-record
-	// submit path.
+	// instead of two round trips per record. 1 sends a batch of one
+	// per round trip.
 	BatchSize int
-	// DisableBinary skips the binary-framing negotiation on redial,
-	// pinning the connection to newline-JSON (the bench harness's
-	// control arm).
-	DisableBinary bool
 
 	// sendMu serializes flushers. Dial backoff sleeps hold only sendMu,
 	// never mu, so Submit buffering, Pending and Stats stay prompt
@@ -172,7 +168,7 @@ func (r *ResilientClient) flush() error {
 			c = nc
 		}
 
-		acks, err := r.deliver(c, batch)
+		acks, err := c.SubmitBatch(batch, r.ClientID)
 		if err != nil {
 			// The connection died mid-flight; the fate of the batch is
 			// ambiguous, but the sequence IDs make the retransmission
@@ -191,8 +187,7 @@ func (r *ResilientClient) flush() error {
 		for i, a := range acks {
 			if a.Error != "" {
 				// The server stopped at this record; it and everything
-				// after stay pending, head-blocking like the per-record
-				// path.
+				// after stay pending, head-blocking.
 				itemErr = a.Error
 				break
 			}
@@ -213,23 +208,7 @@ func (r *ResilientClient) flush() error {
 	}
 }
 
-// deliver sends one batch over c, using the per-record path when the
-// batch is a single record and batching is off.
-func (r *ResilientClient) deliver(c *Client, batch []BatchRecord) ([]Ack, error) {
-	if r.batchSize() == 1 {
-		_, dup, err := c.SubmitSeq(batch[0].Rec, r.ClientID, batch[0].Seq)
-		if err != nil {
-			return nil, err
-		}
-		return []Ack{{Dup: dup}}, nil
-	}
-	return c.SubmitBatch(batch, r.ClientID)
-}
-
 func (r *ResilientClient) batchSize() int {
-	if r.BatchSize == 1 {
-		return 1
-	}
 	if r.BatchSize <= 0 {
 		return 32
 	}
@@ -278,14 +257,12 @@ func (r *ResilientClient) dial() (*Client, error) {
 			lastErr = err
 			continue
 		}
-		if !r.DisableBinary {
-			// Best-effort upgrade to binary framing; a legacy server
-			// declines and the connection keeps working over JSON.
-			if _, err := c.Negotiate(); err != nil {
-				c.Close()
-				lastErr = err
-				continue
-			}
+		// Best-effort upgrade to binary framing; a legacy server
+		// declines and the connection keeps working over JSON.
+		if _, err := c.Negotiate(); err != nil {
+			c.Close()
+			lastErr = err
+			continue
 		}
 		return c, nil
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
 )
@@ -29,23 +28,24 @@ const (
 
 // Backend is the storage surface the server ingests into. Both
 // *storage.Store and *storage.ShardedStore satisfy it; the server
-// neither knows nor cares how the backend partitions data.
+// neither knows nor cares how the backend partitions data. Every record
+// lands through AppendBatchDurable — a single submit is a batch of one.
 type Backend interface {
 	HasValue(hash string) bool
 	Value(hash string) ([]byte, bool)
 	PutValueDurable(hash string, content []byte) error
-	AppendDurable(r *fingerprint.Record, clientID string, seq uint64) (idx int, dup bool, err error)
 	// AppendBatchDurable group-commits a batch of records: one WAL
-	// write+fsync per touched shard instead of one per record. An error
-	// means the batch must not be ACKed (the client retransmits; seq
-	// dedup absorbs any sub-batch that did land).
+	// write+fsync per touched shard instead of one per record, with
+	// (client ID, seq) dedup. An error means the batch must not be
+	// ACKed (the client retransmits; seq dedup absorbs any sub-batch
+	// that did land).
 	AppendBatchDurable(items []storage.BatchAppend, clientID string) ([]storage.BatchResult, error)
 }
 
 // Server is the data-storage server: it accepts collection connections,
 // answers dedup checks against its value store, and appends
 // reconstructed records to the backing store. When the store has a WAL
-// attached, a submit is ACKed only after the record is durable.
+// attached, a record is ACKed only after it is durable.
 type Server struct {
 	store Backend
 
@@ -455,7 +455,7 @@ func (s *Server) handle(conn net.Conn) error {
 			binary = true
 		}
 		// During a drain the loop keeps serving — a submission spans two
-		// round trips (check, then submit), so cutting after one response
+		// round trips (check, then batch), so cutting after one response
 		// would break it mid-flight. The absolute read deadline Shutdown
 		// set on the connection bounds how long this can continue.
 	}
@@ -513,60 +513,7 @@ func (s *Server) dispatchInner(req *Request) *Response {
 		}
 		return &Response{Type: TypeHello, Framing: f}
 	case TypeBatch:
-		// Two phases. First walk the items in order, landing blobs and
-		// restoring records; a bad item stops the walk — items after it
-		// are not attempted, so the client's per-seq retransmission
-		// invariant (in order, head-blocking) holds within batches too.
-		// Then group-commit every restored record in one
-		// AppendBatchDurable call: one WAL write+fsync per touched
-		// shard, which is where batching beats per-record submits at
-		// fsync=always.
-		var itemErr string
-		items := make([]storage.BatchAppend, 0, len(req.Batch))
-		for i := range req.Batch {
-			it := &req.Batch[i]
-			if it.Record == nil || it.Record.FP == nil {
-				itemErr = "submit without record"
-				break
-			}
-			bad := false
-			for h, content := range it.Values {
-				if err := s.store.PutValueDurable(h, content); err != nil {
-					itemErr = "value not durable: " + err.Error()
-					bad = true
-					break
-				}
-				s.metrics.valuesReceived.Inc()
-			}
-			if bad {
-				break
-			}
-			rec, err := RestoreRecord(it.Record, it.Refs, s.store.Value)
-			if err != nil {
-				itemErr = err.Error()
-				break
-			}
-			items = append(items, storage.BatchAppend{Record: rec, Seq: it.Seq})
-		}
-		results, err := s.store.AppendBatchDurable(items, req.ClientID)
-		if err != nil {
-			// Nothing in the batch may be ACKed: one error ack at
-			// position 0 tells the client the server got nowhere.
-			return &Response{Type: TypeOK, Acks: []Ack{{Error: "record not durable: " + err.Error()}}}
-		}
-		acks := make([]Ack, 0, len(results)+1)
-		for _, r := range results {
-			if r.Dup {
-				s.metrics.recordsDuped.Inc()
-			} else {
-				s.metrics.recordsAccepted.Inc()
-			}
-			acks = append(acks, Ack{Index: r.Idx, Dup: r.Dup})
-		}
-		if itemErr != "" {
-			acks = append(acks, Ack{Error: itemErr})
-		}
-		return &Response{Type: TypeOK, Acks: acks}
+		return &Response{Type: TypeOK, Acks: s.ingest(req.Batch, req.ClientID)}
 	case TypeCheck:
 		var missing []string
 		for _, h := range req.Hashes {
@@ -578,32 +525,68 @@ func (s *Server) dispatchInner(req *Request) *Response {
 		}
 		return &Response{Type: TypeNeed, Hashes: missing}
 	case TypeSubmit:
-		if req.Record == nil || req.Record.FP == nil {
-			return &Response{Type: TypeError, Error: "submit without record"}
+		// The single-record verb is a batch of one, answered in its own
+		// reply shape.
+		a := s.ingest([]BatchItem{{Record: req.Record, Refs: req.Refs, Values: req.Values, Seq: req.Seq}}, req.ClientID)[0]
+		if a.Error != "" {
+			return &Response{Type: TypeError, Error: a.Error}
 		}
-		for h, content := range req.Values {
+		return &Response{Type: TypeOK, Index: a.Index, Dup: a.Dup}
+	default:
+		return &Response{Type: TypeError, Error: "unknown request type " + req.Type}
+	}
+}
+
+// ingest lands a batch's records; it is the one path every record takes
+// into the store. Two phases. First walk the items in order, landing
+// each item's blobs and restoring its record; a bad item stops the walk
+// — items after it are not attempted, so the client's per-seq
+// retransmission invariant (in order, head-blocking) holds within
+// batches too. Then group-commit every restored record in one
+// AppendBatchDurable call: one WAL write+fsync per touched shard. The
+// acks cover the committed records in order, plus one error ack for the
+// item that stopped the walk. If the group commit fails, nothing in the
+// batch may be ACKed: the only ack is the error, at position 0, telling
+// the client the server got nowhere.
+func (s *Server) ingest(batch []BatchItem, clientID string) []Ack {
+	var itemErr string
+	items := make([]storage.BatchAppend, 0, len(batch))
+walk:
+	for i := range batch {
+		it := &batch[i]
+		if it.Record == nil || it.Record.FP == nil {
+			itemErr = "submit without record"
+			break
+		}
+		for h, content := range it.Values {
 			if err := s.store.PutValueDurable(h, content); err != nil {
-				return &Response{Type: TypeError, Error: "value not durable: " + err.Error()}
+				itemErr = "value not durable: " + err.Error()
+				break walk
 			}
 			s.metrics.valuesReceived.Inc()
 		}
-		rec, err := RestoreRecord(req.Record, req.Refs, s.store.Value)
+		rec, err := RestoreRecord(it.Record, it.Refs, s.store.Value)
 		if err != nil {
-			return &Response{Type: TypeError, Error: err.Error()}
+			itemErr = err.Error()
+			break
 		}
-		idx, dup, err := s.store.AppendDurable(rec, req.ClientID, req.Seq)
-		if err != nil {
-			// The record did not reach stable storage: refuse the ACK so
-			// the client keeps it buffered and retries.
-			return &Response{Type: TypeError, Error: "record not durable: " + err.Error()}
-		}
-		if dup {
+		items = append(items, storage.BatchAppend{Record: rec, Seq: it.Seq})
+	}
+	results, err := s.store.AppendBatchDurable(items, clientID)
+	if err != nil {
+		return []Ack{{Error: "record not durable: " + err.Error()}}
+	}
+	acks := make([]Ack, 0, len(results)+1)
+	for _, r := range results {
+		if r.Dup {
 			s.metrics.recordsDuped.Inc()
 		} else {
 			s.metrics.recordsAccepted.Inc()
 		}
-		return &Response{Type: TypeOK, Index: idx, Dup: dup}
-	default:
-		return &Response{Type: TypeError, Error: "unknown request type " + req.Type}
+		acks = append(acks, Ack{Index: r.Idx, Dup: r.Dup})
 	}
+	if itemErr != "" {
+		acks = append(acks, Ack{Error: itemErr})
+	}
+	return acks
 }

@@ -57,7 +57,7 @@ func TestShutdownAcksInFlightSubmission(t *testing.T) {
 		defer cancel()
 		shutdownDone <- srv.Shutdown(ctx)
 	}()
-	idx, dup, err := c.SubmitSeq(sampleRecord(), "cid-drain", 1)
+	idx, dup, err := submitOne(c, sampleRecord(), "cid-drain", 1)
 	if err != nil {
 		t.Fatalf("in-flight submit during drain: %v", err)
 	}

@@ -25,7 +25,7 @@ import (
 // AppendPayload journals one opaque payload: framed, checksummed, and
 // fsynced per the WAL's policy before returning. The payload is the
 // caller's to encode; ReplayJournal hands it back verbatim.
-func (w *WAL) AppendPayload(payload []byte) error { return w.append(payload) }
+func (w *WAL) AppendPayload(payload []byte) error { return w.write(payload) }
 
 // JournalReplayStats summarizes one ReplayJournal run.
 type JournalReplayStats struct {

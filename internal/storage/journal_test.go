@@ -148,3 +148,20 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatalf("second replay dirty: %d frames, %+v", len(seg), stats)
 	}
 }
+
+func TestAppendPayloadAllocationFree(t *testing.T) {
+	// linkd journals every add through AppendPayload, so framing one
+	// payload must not allocate once the WAL's buffer has grown.
+	w, _, err := ReplayJournal(WALOptions{Dir: t.TempDir(), Policy: SyncNever}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p := []byte(`{"op":"add","id":"e-1"}`)
+	if err := w.AppendPayload(p); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { w.AppendPayload(p) }); n != 0 {
+		t.Fatalf("AppendPayload allocates %v times per call", n)
+	}
+}

@@ -190,22 +190,17 @@ func (ss *ShardedStore) valueShard(hash string) *Store {
 	return ss.stores[shardIndex(hash, len(ss.stores))]
 }
 
-// AppendDurable routes the record to its user's shard. The per-shard
-// idempotency table sees a monotonic subsequence of each client's
-// sequence numbers — safe because the resilient client submits in seq
-// order and stops at the first failure, so a shard never sees seq k
-// after a higher seq from the same client was rejected.
-func (ss *ShardedStore) AppendDurable(r *fingerprint.Record, clientID string, seq uint64) (int, bool, error) {
-	return ss.recordShard(r.UserID).AppendDurable(r, clientID, seq)
-}
-
-// AppendBatchDurable splits the batch by owning shard — preserving
-// each shard's arrival order — and group-commits one sub-batch per
-// shard, so a batch costs one fsync per *touched shard* rather than
-// one per record. A shard failure aborts with an error; sub-batches on
-// earlier shards may already be durable, which is safe: the client
-// retransmits the whole batch and the per-shard idempotency tables
-// turn the replayed records into dups.
+// AppendBatchDurable splits the batch by owning shard (its user's) —
+// preserving each shard's arrival order — and group-commits one
+// sub-batch per shard, so a batch costs one fsync per *touched shard*
+// rather than one per record. Each shard's idempotency table sees a
+// monotonic subsequence of each client's sequence numbers — safe
+// because the resilient client submits in seq order and stops at the
+// first failure, so a shard never sees seq k after a higher seq from
+// the same client was rejected. A shard failure aborts with an error;
+// sub-batches on earlier shards may already be durable, which is safe:
+// the client retransmits the whole batch and the per-shard idempotency
+// tables turn the replayed records into dups.
 func (ss *ShardedStore) AppendBatchDurable(items []BatchAppend, clientID string) ([]BatchResult, error) {
 	n := len(ss.stores)
 	if n == 1 {

@@ -38,7 +38,7 @@ func fillSharded(t *testing.T, ss *ShardedStore, records, values int) {
 		}
 	}
 	for i := 0; i < records; i++ {
-		if _, _, err := ss.AppendDurable(mkRecord(i), "cid", uint64(i+1)); err != nil {
+		if _, _, err := appendOne(ss, mkRecord(i), "cid", uint64(i+1)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestShardedCompactBoundsRecovery(t *testing.T) {
 	}
 	// Post-compaction appends only.
 	for i := 80; i < 84; i++ {
-		if _, _, err := ss.AppendDurable(mkRecord(i), "cid", uint64(i+1)); err != nil {
+		if _, _, err := appendOne(ss, mkRecord(i), "cid", uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestShardedWALErrorSurfacesShard(t *testing.T) {
 	}
 	rec0 := mkRecord(0)
 	rec0.UserID = user(0)
-	if _, _, err := ss.AppendDurable(rec0, "c", 1); err == nil {
+	if _, _, err := appendOne(ss, rec0, "c", 1); err == nil {
 		t.Fatal("append succeeded despite shard 0's failing fsync")
 	}
 	if err := ss.WALError(); err == nil {
@@ -259,7 +259,7 @@ func TestShardedWALErrorSurfacesShard(t *testing.T) {
 	// shard.
 	rec1 := mkRecord(1)
 	rec1.UserID = user(1)
-	if _, _, err := ss.AppendDurable(rec1, "c", 2); err != nil {
+	if _, _, err := appendOne(ss, rec1, "c", 2); err != nil {
 		t.Fatalf("healthy shard refused append: %v", err)
 	}
 }
@@ -381,5 +381,22 @@ func TestAppendBatchDurableRefusedAtomically(t *testing.T) {
 	}
 	if _, ok := st.LastSeq("gc"); ok {
 		t.Fatal("failed batch advanced the idempotency table")
+	}
+}
+
+// TestAppendBatchDurableFirstSeqOfNewClient: the idempotency table
+// dedups only against seqs a client has actually applied, so a new
+// client's first record lands even at seq 0, and resending it is then
+// a dup with its index.
+func TestAppendBatchDurableFirstSeqOfNewClient(t *testing.T) {
+	st := NewStore()
+	for i, want := range []BatchResult{{Idx: 0}, {Idx: 0, Dup: true}} {
+		idx, dup, err := appendOne(st, mkRecord(i), "fresh", 0)
+		if err != nil || (BatchResult{Idx: idx, Dup: dup}) != want {
+			t.Fatalf("append %d: idx=%d dup=%v err=%v, want %+v", i, idx, dup, err, want)
+		}
+	}
+	if st.Len() != 1 {
+		t.Fatalf("len = %d, want 1", st.Len())
 	}
 }

@@ -29,7 +29,7 @@ func populate(t *testing.T, st *Store, records, values int) {
 		}
 	}
 	for i := 0; i < records; i++ {
-		if _, _, err := st.AppendDurable(mkRecord(i), "cid", uint64(i+1)); err != nil {
+		if _, _, err := appendOne(st, mkRecord(i), "cid", uint64(i+1)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -202,10 +202,10 @@ func TestFsyncMetricsObserveFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, _, err := st.AppendDurable(mkRecord(0), "c", 1); err != nil {
+	if _, _, err := appendOne(st, mkRecord(0), "c", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.AppendDurable(mkRecord(1), "c", 2); !errors.Is(err, faultinject.ErrInjected) {
+	if _, _, err := appendOne(st, mkRecord(1), "c", 2); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected fsync failure", err)
 	}
 
@@ -262,7 +262,7 @@ func TestCompactBoundsRecovery(t *testing.T) {
 
 	// A few post-compaction appends land in fresh segments.
 	for i := 60; i < 65; i++ {
-		if _, _, err := st.AppendDurable(mkRecord(i), "cid", uint64(i+1)); err != nil {
+		if _, _, err := appendOne(st, mkRecord(i), "cid", uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +304,7 @@ func TestCompactPreservesIdempotency(t *testing.T) {
 	}
 	idx9 := 0
 	for i := 0; i < 10; i++ {
-		idx, _, err := st.AppendDurable(mkRecord(i), "client-a", uint64(i+1))
+		idx, _, err := appendOne(st, mkRecord(i), "client-a", uint64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestCompactPreservesIdempotency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	idx, dup, err := st2.AppendDurable(mkRecord(9), "client-a", 10)
+	idx, dup, err := appendOne(st2, mkRecord(9), "client-a", 10)
 	if err != nil {
 		t.Fatal(err)
 	}

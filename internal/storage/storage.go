@@ -84,47 +84,16 @@ func (s *Store) appendLocked(r *fingerprint.Record) int {
 
 // Append adds a record and returns its index. Records are expected in
 // collection (time) order; the store preserves insertion order. With a
-// WAL attached the append is logged best-effort; servers that must not
-// ACK before the record is durable use AppendDurable instead.
+// WAL attached the append is logged best-effort, as a batch of one;
+// servers that must not ACK before the record is durable use
+// AppendBatchDurable instead.
 func (s *Store) Append(r *fingerprint.Record) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
-		_ = s.wal.AppendRecord(r, "", 0)
+		_ = s.wal.AppendRecordBatch([]BatchAppend{{Record: r}}, "")
 	}
 	return s.appendLocked(r)
-}
-
-// AppendDurable adds a record with write-ahead durability and
-// idempotency. clientID/seq is the client-assigned sequence ID; seq
-// must be monotonic per client. A (clientID, seq) already applied is
-// not re-appended: dup is true and idx is the original index (or -1
-// when the duplicate is older than the latest applied seq). With a WAL
-// attached, the entry is on disk — fsynced per policy — before the
-// in-memory append, so an error here means the record was NOT accepted
-// and the server must not ACK.
-func (s *Store) AppendDurable(r *fingerprint.Record, clientID string, seq uint64) (idx int, dup bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if clientID != "" {
-		if last, ok := s.lastSeq[clientID]; ok && seq <= last {
-			if seq == last {
-				return s.lastIdx[clientID], true, nil
-			}
-			return -1, true, nil
-		}
-	}
-	if s.wal != nil {
-		if err := s.wal.AppendRecord(r, clientID, seq); err != nil {
-			return 0, false, err
-		}
-	}
-	idx = s.appendLocked(r)
-	if clientID != "" {
-		s.lastSeq[clientID] = seq
-		s.lastIdx[clientID] = idx
-	}
-	return idx, false, nil
 }
 
 // BatchAppend is one record of a group-committed batch append.
@@ -133,20 +102,25 @@ type BatchAppend struct {
 	Seq    uint64
 }
 
-// BatchResult is the per-record outcome of AppendBatchDurable,
-// mirroring AppendDurable's (idx, dup) pair.
+// BatchResult is the per-record outcome of AppendBatchDurable: the
+// record's index, and whether its (client ID, seq) had already been
+// applied so the record was not appended again.
 type BatchResult struct {
 	Idx int
 	Dup bool
 }
 
-// AppendBatchDurable applies a batch of records from one client with a
-// single group commit: the fresh (non-duplicate) records are WAL-logged
-// in one write — one fsync under the always policy, however many
-// records the batch holds — then applied to the in-memory log in
-// order. Seqs must be monotonic within the batch (the wire protocol
-// guarantees it). On error nothing was applied and none of the batch
-// may be ACKed.
+// AppendBatchDurable applies a batch of records from one client with
+// write-ahead durability, idempotency and a single group commit: the
+// fresh (non-duplicate) records are WAL-logged in one write — one fsync
+// under the always policy, however many records the batch holds — then
+// applied to the in-memory log in order. A single record is a batch of
+// one. Seqs must be monotonic per client, within the batch too (the
+// wire protocol guarantees it). A (clientID, seq) already applied is
+// not re-appended: its result is a dup carrying the original index
+// when seq is the latest applied, -1 when it is older. An empty
+// clientID opts out of the idempotency table. On error nothing was
+// applied and none of the batch may be ACKed.
 func (s *Store) AppendBatchDurable(items []BatchAppend, clientID string) ([]BatchResult, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -154,38 +128,33 @@ func (s *Store) AppendBatchDurable(items []BatchAppend, clientID string) ([]Batc
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	results := make([]BatchResult, len(items))
-	fresh := make([]int, 0, len(items))
-	last := s.lastSeq[clientID]
+	fresh := make([]BatchAppend, 0, len(items))
+	last, seen := s.lastSeq[clientID]
 	for i, it := range items {
-		if clientID != "" && it.Seq <= last {
-			// Replay of an already-applied record (a retransmitted
-			// batch): ACK the original index when it is the latest
-			// applied seq, -1 for older ones — AppendDurable semantics.
+		if clientID != "" && seen && it.Seq <= last {
+			// Replay of an already-applied record (a retransmission).
 			results[i] = BatchResult{Idx: -1, Dup: true}
 			if it.Seq == s.lastSeq[clientID] {
 				results[i].Idx = s.lastIdx[clientID]
 			}
 			continue
 		}
-		fresh = append(fresh, i)
-		last = it.Seq
+		fresh = append(fresh, it)
+		last, seen = it.Seq, true
 	}
-	if s.wal != nil && len(fresh) > 0 {
-		recs := make([]*fingerprint.Record, len(fresh))
-		seqs := make([]uint64, len(fresh))
-		for j, i := range fresh {
-			recs[j] = items[i].Record
-			seqs[j] = items[i].Seq
-		}
-		if err := s.wal.AppendRecordBatch(recs, clientID, seqs); err != nil {
+	if s.wal != nil {
+		if err := s.wal.AppendRecordBatch(fresh, clientID); err != nil {
 			return nil, err
 		}
 	}
-	for _, i := range fresh {
-		idx := s.appendLocked(items[i].Record)
-		results[i] = BatchResult{Idx: idx}
+	for i, it := range items {
+		if results[i].Dup {
+			continue
+		}
+		idx := s.appendLocked(it.Record)
+		results[i].Idx = idx
 		if clientID != "" {
-			s.lastSeq[clientID] = items[i].Seq
+			s.lastSeq[clientID] = it.Seq
 			s.lastIdx[clientID] = idx
 		}
 	}

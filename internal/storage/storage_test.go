@@ -20,6 +20,18 @@ func mkRecord(i int) *fingerprint.Record {
 	}
 }
 
+// appendOne durably appends one record as a batch of one, returning
+// its index and whether its (clientID, seq) was a duplicate.
+func appendOne(st interface {
+	AppendBatchDurable([]BatchAppend, string) ([]BatchResult, error)
+}, r *fingerprint.Record, clientID string, seq uint64) (int, bool, error) {
+	res, err := st.AppendBatchDurable([]BatchAppend{{Record: r, Seq: seq}}, clientID)
+	if err != nil {
+		return 0, false, err
+	}
+	return res[0].Idx, res[0].Dup, nil
+}
+
 func TestAppendAndIndexes(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 10; i++ {

@@ -330,80 +330,45 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
-// AppendRecord logs one visit record. clientID/seq may be empty/zero
-// for legacy (non-idempotent) appends.
-func (w *WAL) AppendRecord(r *fingerprint.Record, clientID string, seq uint64) error {
-	return w.appendEntry(&walEntry{Record: r, CID: clientID, Seq: seq})
-}
-
 // AppendValue logs one content-addressed value.
 func (w *WAL) AppendValue(hash string, content []byte) error {
-	return w.appendEntry(&walEntry{Hash: hash, Value: content})
-}
-
-func (w *WAL) appendEntry(e *walEntry) error {
-	payload, err := json.Marshal(e)
+	payload, err := json.Marshal(&walEntry{Hash: hash, Value: content})
 	if err != nil {
 		return fmt.Errorf("storage: wal encode: %w", err)
 	}
-	return w.append(payload)
-}
-
-// append frames payload and writes it to the active segment, rotating
-// and syncing per policy. Header and payload go down in a single Write
-// so a crash tears at most one frame. The append-latency observation
-// covers the whole durable path: rotation (if due), the write, and the
-// fsync under SyncAlways.
-func (w *WAL) append(payload []byte) error {
-	start := time.Now()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWALClosed
-	}
-	if w.err != nil {
-		return fmt.Errorf("%w: %w", ErrWALSticky, w.err)
-	}
-	if len(payload) > w.opts.maxFrame() {
-		return fmt.Errorf("%w: %d > %d bytes", ErrFrameSize, len(payload), w.opts.maxFrame())
-	}
-	frame := frameHeaderSize + len(payload)
-	if w.size > 0 && w.size+int64(frame) > w.opts.segmentSize() {
-		if err := w.rotateLocked(); err != nil {
-			w.setErrLocked(err)
-			return err
-		}
-	}
-	w.buf = AppendFrame(w.buf[:0], payload)
-	if _, err := w.f.Write(w.buf); err != nil {
-		w.setErrLocked(err)
-		return fmt.Errorf("storage: wal write: %w", err)
-	}
-	w.size += int64(frame)
-	w.metrics.bytesWritten.Add(int64(frame))
-	w.metrics.appends.Inc()
-	if w.opts.Policy == SyncAlways {
-		if err := w.fsyncLocked(); err != nil {
-			w.setErrLocked(err)
-			return fmt.Errorf("storage: wal fsync: %w", err)
-		}
-	}
-	w.metrics.appendSeconds.ObserveDuration(time.Since(start))
-	return nil
+	return w.write(payload)
 }
 
 // AppendRecordBatch logs a batch of records as one group commit: every
 // frame goes down in a single Write and — under the always policy — a
 // single fsync covers the whole batch, amortizing the durability cost
-// N ways. seqs pairs with recs. On nil the entire batch is on stable
-// storage per policy; on error none of it may be ACKed (a multi-frame
-// write can tear mid-batch, but recovery truncates at the tear and the
-// client retransmits, so partial frames are indistinguishable from a
-// crash mid-single-append).
-func (w *WAL) AppendRecordBatch(recs []*fingerprint.Record, clientID string, seqs []uint64) error {
-	if len(recs) == 0 {
+// N ways. A lone record is a batch of one. On nil the entire batch is
+// on stable storage per policy; on error none of it may be ACKed (a
+// multi-frame write can tear mid-batch, but recovery truncates at the
+// tear and the client retransmits, so partial frames are
+// indistinguishable from a crash mid-single-append).
+func (w *WAL) AppendRecordBatch(items []BatchAppend, clientID string) error {
+	if len(items) == 0 {
 		return nil
 	}
+	payloads := make([][]byte, len(items))
+	for i, it := range items {
+		payload, err := json.Marshal(&walEntry{Record: it.Record, CID: clientID, Seq: it.Seq})
+		if err != nil {
+			return fmt.Errorf("storage: wal encode: %w", err)
+		}
+		payloads[i] = payload
+	}
+	return w.write(payloads...)
+}
+
+// write frames payloads and writes them to the active segment, rotating
+// and syncing per policy. Every frame goes down in a single Write, so a
+// crash tears at most the frames of this call. The append-latency
+// observation covers the whole durable path: rotation (if due), the
+// write, and the fsync under SyncAlways. It is the only routine that
+// writes frames to a segment.
+func (w *WAL) write(payloads ...[]byte) error {
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -414,11 +379,7 @@ func (w *WAL) AppendRecordBatch(recs []*fingerprint.Record, clientID string, seq
 		return fmt.Errorf("%w: %w", ErrWALSticky, w.err)
 	}
 	w.buf = w.buf[:0]
-	for i, r := range recs {
-		payload, err := json.Marshal(&walEntry{Record: r, CID: clientID, Seq: seqs[i]})
-		if err != nil {
-			return fmt.Errorf("storage: wal encode: %w", err)
-		}
+	for _, payload := range payloads {
 		if len(payload) > w.opts.maxFrame() {
 			return fmt.Errorf("%w: %d > %d bytes", ErrFrameSize, len(payload), w.opts.maxFrame())
 		}
@@ -437,7 +398,7 @@ func (w *WAL) AppendRecordBatch(recs []*fingerprint.Record, clientID string, seq
 	}
 	w.size += total
 	w.metrics.bytesWritten.Add(total)
-	w.metrics.appends.Add(int64(len(recs)))
+	w.metrics.appends.Add(int64(len(payloads)))
 	if w.opts.Policy == SyncAlways {
 		if err := w.fsyncLocked(); err != nil {
 			w.setErrLocked(err)

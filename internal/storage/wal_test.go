@@ -32,7 +32,7 @@ func TestWALAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("fresh dir stats = %+v", stats)
 	}
 	for i := 0; i < 25; i++ {
-		if _, _, err := st.AppendDurable(mkRecord(i), "cid-a", uint64(i+1)); err != nil {
+		if _, _, err := appendOne(st, mkRecord(i), "cid-a", uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func TestWALAppendRecoverRoundTrip(t *testing.T) {
 	if seq, ok := st2.LastSeq("cid-a"); !ok || seq != 25 {
 		t.Fatalf("recovered lastSeq = %d, %v", seq, ok)
 	}
-	if _, dup, err := st2.AppendDurable(mkRecord(99), "cid-a", 25); err != nil || !dup {
+	if _, dup, err := appendOne(st2, mkRecord(99), "cid-a", 25); err != nil || !dup {
 		t.Fatalf("resubmitted seq not deduped: dup=%v err=%v", dup, err)
 	}
 	if st2.Len() != 25 {
@@ -204,7 +204,7 @@ func TestWALSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, _, err := st.AppendDurable(mkRecord(i), "c", uint64(i+1)); err != nil {
+		if _, _, err := appendOne(st, mkRecord(i), "c", uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,11 +242,11 @@ func TestWALFsyncFailurePoisonsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, _, err := st.AppendDurable(mkRecord(0), "c", 1); err != nil {
+	if _, _, err := appendOne(st, mkRecord(0), "c", 1); err != nil {
 		t.Fatalf("first durable append: %v", err)
 	}
 	// The second append's fsync fails: no ACK, no in-memory append.
-	if _, _, err := st.AppendDurable(mkRecord(1), "c", 2); !errors.Is(err, faultinject.ErrInjected) {
+	if _, _, err := appendOne(st, mkRecord(1), "c", 2); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected fsync failure", err)
 	}
 	if st.Len() != 1 {
@@ -254,7 +254,7 @@ func TestWALFsyncFailurePoisonsAppends(t *testing.T) {
 	}
 	// The failure is sticky: the log tail is in unknown state, so every
 	// later append refuses too.
-	if _, _, err := st.AppendDurable(mkRecord(2), "c", 3); !errors.Is(err, ErrWALSticky) {
+	if _, _, err := appendOne(st, mkRecord(2), "c", 3); !errors.Is(err, ErrWALSticky) {
 		t.Fatalf("err = %v, want ErrWALSticky", err)
 	}
 	if seq, _ := st.LastSeq("c"); seq != 1 {
@@ -279,7 +279,7 @@ func TestWALShortWritesSurfaceAsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, _, err := st.AppendDurable(mkRecord(0), "c", 1); err == nil {
+	if _, _, err := appendOne(st, mkRecord(0), "c", 1); err == nil {
 		t.Fatal("short write not surfaced")
 	}
 	if st.Len() != 0 {
