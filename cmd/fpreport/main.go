@@ -5,10 +5,15 @@
 // feature-stemming baseline). Figures 9–11 (the FP-Stalker scaling
 // evaluation) live in cmd/fpstalker, which owns the linking sweep.
 //
-// The simulation spills sorted segment runs instead of materializing
-// the dataset, and every section is folded from the streamed record
-// walk in memory bounded by instances, users and distinct values (see
-// internal/report), so the same command runs at any scale.
+// The simulation spills one sorted segment run per batch of users
+// instead of materializing the dataset. Each run is closed under user
+// ID, so the report reads it once as its own ground-truth partition
+// and spills nothing: -spill-dir hosts only the simulation's runs, and
+// -mem-budget bounds both the simulation batch and the report
+// partition. Every section is folded from the partitions' record walk
+// in memory bounded by one partition's bytes plus instances, users and
+// distinct values (see internal/report), so the same command runs at
+// any scale.
 //
 // Usage:
 //
@@ -37,8 +42,8 @@ func main() {
 	what := flag.String("what", "all", "comma-separated artifacts: "+strings.Join(report.Sections(), ",")+" or all")
 	workers := flag.Int("workers", 0, "worker count for the simulate/ground-truth/diff/classify pipeline: 1 = serial, 0 or -1 = NumCPU; the output is the same for every value")
 	stageTiming := flag.String("stage-timing", "", "path for the per-stage wall-time/records-per-sec JSON (empty disables)")
-	spillDir := flag.String("spill-dir", "", "spill directory for the sorted run files (empty = temp dir, removed afterwards)")
-	memBudget := flag.Int64("mem-budget", 256, "approximate in-flight memory budget for simulation batching, in MiB")
+	spillDir := flag.String("spill-dir", "", "directory for the simulation's sorted run files (empty = temp dir, removed afterwards)")
+	memBudget := flag.Int64("mem-budget", 256, "approximate in-flight memory budget for a simulation batch, which is also a report partition, in MiB")
 	flag.Parse()
 
 	var sections []string
@@ -67,9 +72,9 @@ func main() {
 	}
 }
 
-// run simulates and spills the world, streams the report over the
-// spilled runs and renders the Summary plus the requested sections in
-// print order.
+// run simulates and spills the world, folds the report over the
+// spilled runs one at a time and renders the Summary plus the
+// requested sections in print order.
 func run(cfg population.Config, sections []string, spillDir string, memBudgetMiB int64, stageTiming string) error {
 	var timings *obs.Timings
 	if stageTiming != "" {
@@ -92,7 +97,6 @@ func run(cfg population.Config, sections []string, spillDir string, memBudgetMiB
 	r, err := report.NewStream(report.SpillSource(sd), dynamics.MapImages(sd.CanvasImages), os.Stdout,
 		report.StreamOptions{
 			Workers:  cfg.Workers,
-			SpillDir: sd.SpillRoot(),
 			Registry: reg,
 			Timings:  timings,
 		}, sections...)

@@ -176,6 +176,19 @@ func TestEstimateFalsePositiveInterleaved(t *testing.T) {
 	}
 }
 
+// TestEstimateInterleavedSortedInAnyFeedOrder: instances fed in
+// reverse ID order still come back from Rates as a sorted list.
+func TestEstimateInterleavedSortedInAnyFeedOrder(t *testing.T) {
+	e := NewEstimateAccumulator()
+	for _, id := range []string{"bid-c", "bid-b", "bid-a"} {
+		e.AddInstance(id, "u-"+id, []string{id + "1", id + "2", id + "1", id + "2"})
+	}
+	got := e.Rates().InterleavedInstances
+	if fmt.Sprint(got) != "[bid-a bid-b bid-c]" {
+		t.Fatalf("interleaved = %v, want [bid-a bid-b bid-c]", got)
+	}
+}
+
 func TestEstimateCookieDeletionNotFlagged(t *testing.T) {
 	// Plain cookie deletion: c1 c1 c2 c2 — never flagged.
 	recs := []*fingerprint.Record{

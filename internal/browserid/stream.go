@@ -1,20 +1,28 @@
 package browserid
 
-import "fpdyn/internal/fingerprint"
+import (
+	"sort"
 
-// StreamBuilder constructs browser IDs over a record stream in two
-// passes, holding state proportional to the number of distinct
-// instances and (user, cookie) pairs — never the records themselves.
-// It is the out-of-core counterpart of Build:
+	"fpdyn/internal/fingerprint"
+)
+
+// StreamBuilder constructs browser IDs over a time-ordered record
+// sequence in two steps, holding state proportional to the number of
+// distinct instances and (user, cookie) pairs — never the records
+// themselves:
 //
-//	pass 1: for each record in time order, b.Observe(r)
-//	        b.Seal()
-//	pass 2: re-stream, b.CanonicalOf(InitialID(r)) per record
+//	observe: for each record in time order, b.Observe(r)
+//	         b.Seal()
+//	resolve: b.CanonicalOf(InitialID(r)) per record
 //
-// Pass 1 runs the same cookie-linking union pass Build runs (the first
-// initial ID seen with a (user, cookie) pair owns it; a second ID under
-// the same pair gets unioned), so for the same record order the
-// canonical IDs are identical to Build's gt.IDs.
+// The observe step runs the same cookie-linking union pass Build runs
+// (the first initial ID seen with a (user, cookie) pair owns it; a
+// second ID under the same pair gets unioned), so for the same record
+// order the canonical IDs are identical to Build's gt.IDs. Links never
+// cross users — the initial ID hashes the user ID and only IDs sharing
+// a (user, cookie) pair are unioned — so a set of records closed under
+// user ID resolves alone exactly as it does inside the whole dataset.
+// The streamed report (internal/report) builds one per such partition.
 type StreamBuilder struct {
 	uf unionFind
 	// cookieOwner maps (user, cookie) to the first initial ID seen with
@@ -26,7 +34,7 @@ type StreamBuilder struct {
 
 type userCookie struct{ user, cookie string }
 
-// NewStreamBuilder returns an empty builder ready for pass 1.
+// NewStreamBuilder returns an empty builder ready to observe.
 func NewStreamBuilder() *StreamBuilder {
 	return &StreamBuilder{
 		uf:          make(unionFind),
@@ -34,7 +42,7 @@ func NewStreamBuilder() *StreamBuilder {
 	}
 }
 
-// Observe feeds one pass-1 record. Records must arrive in time order —
+// Observe feeds one record. Records must arrive in time order —
 // the owner of a (user, cookie) pair is the first initial ID seen with
 // it, which is what makes the linking deterministic.
 func (b *StreamBuilder) Observe(r *fingerprint.Record) { b.ObserveWithID(r, InitialID(r)) }
@@ -61,8 +69,8 @@ func (b *StreamBuilder) ObserveWithID(r *fingerprint.Record, id string) {
 	}
 }
 
-// Seal ends pass 1 and releases the cookie-ownership table; only the
-// union-find survives into pass 2.
+// Seal ends the observe step and releases the cookie-ownership table;
+// only the union-find survives into the resolve step.
 func (b *StreamBuilder) Seal() {
 	b.sealed = true
 	b.cookieOwner = nil
@@ -82,9 +90,9 @@ func (b *StreamBuilder) CanonicalOf(initialID string) string {
 // the user/cookie population shares and the Figure 3 identifier counts
 // from per-instance summaries, so a stream grouped by canonical browser
 // ID needs no records; GroundTruth.Accumulate feeds it the same way.
-// Feed one AddInstance call per canonical browser ID, in sorted ID
-// order (the grouped merge yields that order;
-// Rates.InterleavedInstances preserves it).
+// Feed one AddInstance call per canonical browser ID, in any order:
+// every result is a count or a set, and Rates sorts
+// InterleavedInstances itself.
 type EstimateAccumulator struct {
 	instances   int
 	cookies     map[int]int // instances by distinct-cookie count
@@ -185,7 +193,8 @@ func (e *EstimateAccumulator) Rates() Rates {
 		return r
 	}
 	total := float64(e.instances)
-	r.InterleavedInstances = e.interleaved
+	r.InterleavedInstances = append([]string(nil), e.interleaved...)
+	sort.Strings(r.InterleavedInstances)
 	r.FalsePositiveRate = float64(len(e.interleaved)) / total
 	r.AbnormalSharedCookieRate = float64(len(e.abnormal)) / total
 	r.CookieClearingShare = e.CookieClearingShare()

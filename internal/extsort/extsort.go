@@ -8,7 +8,7 @@
 // On-disk format: each run is a sequence of frames in the storage WAL
 // framing (uint32 length | uint32 CRC-32C | payload, little endian —
 // storage.AppendFrame / storage.ReadFrame), one encoded item per
-// frame. A torn or corrupt frame is a hard error at merge time: spill
+// frame. A torn or corrupt frame is a hard error when read: spill
 // files live for the duration of one pipeline run, so unlike the WAL
 // there is no tail to truncate — losing records silently would corrupt
 // every downstream statistic.
@@ -217,49 +217,31 @@ func (s *Sorter[T]) Count() int64 { return s.count }
 
 // Merge flushes any buffered items and returns a stream yielding every
 // spilled item in Less order. Merge may be called repeatedly — each
-// call re-opens the run files and replays the same merged sequence, so
-// multi-pass consumers (the two-pass ground-truth build) re-stream
-// without re-sorting. After the first Merge the sorter is frozen: no
-// further Push/WriteRun.
-func (s *Sorter[T]) Merge() (*Stream[T], error) { return s.MergeWith(s.opts.NewDecoder) }
-
-// MergeWith is Merge with a different decoder for this one stream, for
-// a consumer that needs less of each item than the sorter's own
-// decoder builds (or the item's raw payload). The items it decodes
-// must order under Less exactly as the full items do.
-func (s *Sorter[T]) MergeWith(newDecoder func() func(payload []byte) (T, error)) (*Stream[T], error) {
-	if !s.frozen {
-		if err := s.Flush(); err != nil {
-			return nil, err
-		}
-		s.frozen = true
+// call re-opens the run files and replays the same merged sequence.
+// After the first Merge or EachRun the sorter is frozen: no further
+// Push/WriteRun.
+func (s *Sorter[T]) Merge() (*Stream[T], error) {
+	if err := s.freeze(); err != nil {
+		return nil, err
 	}
 	st := &Stream[T]{s: s}
-	decode := newDecoder()
+	decode := s.opts.NewDecoder()
 	for i, path := range s.runs {
-		f, err := os.Open(path)
+		r, err := openRun(path, i, s.opts.MaxFrame, decode, s.opts.Less)
 		if err != nil {
 			st.Close()
-			return nil, fmt.Errorf("extsort: open run: %w", err)
-		}
-		r := &runReader[T]{
-			s:      s,
-			path:   path,
-			f:      f,
-			br:     bufio.NewReaderSize(f, 1<<18),
-			idx:    i,
-			decode: decode,
+			return nil, err
 		}
 		ok, err := r.advance()
 		if err != nil {
 			st.Close()
-			f.Close()
+			r.f.Close()
 			return nil, err
 		}
 		if ok {
 			st.h = append(st.h, r)
 		} else {
-			f.Close()
+			r.f.Close()
 		}
 	}
 	heap.Init(&st.h)
@@ -267,6 +249,56 @@ func (s *Sorter[T]) MergeWith(newDecoder func() func(payload []byte) (T, error))
 		s.mHeap.SetInt(int64(len(st.h)))
 	}
 	return st, nil
+}
+
+// EachRun hands fn the encoded items of one run at a time, in run
+// order and each run in written order, unmerged: for consumers whose
+// runs are each closed under the key they group by. Every payload is
+// a fresh slice; after fn returns, EachRun drops the run, so only one
+// run's bytes stay resident unless fn keeps them. A torn or corrupt
+// frame is an error naming the run. EachRun freezes the sorter as
+// Merge does and may be called repeatedly.
+func (s *Sorter[T]) EachRun(fn func(payloads [][]byte) error) error {
+	if err := s.freeze(); err != nil {
+		return err
+	}
+	var run [][]byte
+	for i, path := range s.runs {
+		r, err := openRun(path, i, s.opts.MaxFrame, func(p []byte) ([]byte, error) { return p, nil }, nil)
+		if err != nil {
+			return err
+		}
+		for {
+			ok, err := r.advance()
+			if err != nil {
+				r.f.Close()
+				return err
+			}
+			if !ok {
+				break
+			}
+			run = append(run, r.cur)
+		}
+		r.f.Close()
+		err = fn(run)
+		clear(run)
+		run = run[:0]
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// freeze flushes the Push buffer once and refuses later writes.
+func (s *Sorter[T]) freeze() error {
+	if !s.frozen {
+		if err := s.Flush(); err != nil {
+			return err
+		}
+		s.frozen = true
+	}
+	return nil
 }
 
 // Close removes the spill directory and every run file. The sorter is
@@ -285,23 +317,33 @@ func (w writerOnly) Write(p []byte) (int, error) { return w.f.Write(p) }
 
 // runReader is one run's read head: the current decoded item plus the
 // buffered file reader behind it. The heads of one Stream share its
-// decoder.
+// decoder and order by less.
 type runReader[T any] struct {
-	s      *Sorter[T]
-	path   string
-	f      *os.File
-	br     *bufio.Reader
-	idx    int
-	decode func(payload []byte) (T, error)
-	cur    T
-	off    int64 // start of the next frame
+	path     string
+	f        *os.File
+	br       *bufio.Reader
+	maxFrame int
+	idx      int
+	decode   func(payload []byte) (T, error)
+	less     func(a, b T) bool
+	cur      T
+	off      int64 // start of the next frame
+}
+
+func openRun[T any](path string, idx, maxFrame int, decode func([]byte) (T, error), less func(a, b T) bool) (*runReader[T], error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("extsort: open run: %w", err)
+	}
+	return &runReader[T]{path: path, f: f, br: bufio.NewReaderSize(f, 1<<18), maxFrame: maxFrame,
+		idx: idx, decode: decode, less: less}, nil
 }
 
 // advance reads and decodes the next frame. ok=false on a clean EOF at
 // a frame boundary; torn, corrupt or undecodable frames are hard errors
 // naming the run file and the frame's start offset.
 func (r *runReader[T]) advance() (ok bool, err error) {
-	payload, err := storage.ReadFrame(r.br, r.s.opts.MaxFrame)
+	payload, err := storage.ReadFrame(r.br, r.maxFrame)
 	if err != nil {
 		if errors.Is(err, io.EOF) && !errors.Is(err, storage.ErrTornFrame) {
 			return false, nil
@@ -372,10 +414,10 @@ type mergeHeap[T any] []*runReader[T]
 
 func (h mergeHeap[T]) Len() int { return len(h) }
 func (h mergeHeap[T]) Less(i, j int) bool {
-	if h[i].s.opts.Less(h[i].cur, h[j].cur) {
+	if h[i].less(h[i].cur, h[j].cur) {
 		return true
 	}
-	if h[i].s.opts.Less(h[j].cur, h[i].cur) {
+	if h[i].less(h[j].cur, h[i].cur) {
 		return false
 	}
 	return h[i].idx < h[j].idx

@@ -89,8 +89,7 @@ func TestPushMergeSorts(t *testing.T) {
 }
 
 // TestMergeRestream asserts Merge can be called repeatedly and replays
-// the identical sequence — the contract the two-pass ground-truth
-// build depends on.
+// the identical sequence, as SpilledDataset.Stream promises.
 func TestMergeRestream(t *testing.T) {
 	s := intSorter(t, 16, nil)
 	defer s.Close()
@@ -124,52 +123,64 @@ func TestMergeRestream(t *testing.T) {
 	}
 }
 
-// TestMergeWithKeptPayloads: a MergeWith decoder that keeps every
-// payload it is handed finds all of them intact once the merge is over,
-// so decoders may hold on to their frames' bytes.
-func TestMergeWithKeptPayloads(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := intSorter(t, 50, nil)
+// TestEachRun: EachRun yields the runs in run order and each run's
+// items in written order, not merged; its payloads stay intact after
+// the pass; and a torn frame fails the pass, naming the run, before
+// any of that run reaches fn.
+func TestEachRun(t *testing.T) {
+	s := intSorter(t, 0, nil)
 	defer s.Close()
-	for _, v := range rng.Perm(1000) {
-		if err := s.Push(v * 7919); err != nil { // mixed lengths, 1 to 7 digits
+	runs := [][]int{{1, 4, 7, 10}, {2, 3, 8}, {0, 5, 6, 9}}
+	for _, run := range runs {
+		if err := s.WriteRun(run); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var kept [][]byte
-	st, err := s.MergeWith(func() func([]byte) (int, error) {
-		return func(p []byte) (int, error) {
-			kept = append(kept, p)
-			return strconv.Atoi(string(p))
+	var got [][]int
+	var kept []byte
+	err := s.EachRun(func(payloads [][]byte) error {
+		var run []int
+		for _, p := range payloads {
+			v, err := strconv.Atoi(string(p))
+			if err != nil {
+				return err
+			}
+			run = append(run, v)
 		}
+		if kept == nil {
+			kept = payloads[0]
+		}
+		got = append(got, run)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drain(t, st)
-	st.Close()
-	if len(got) != 1000 || len(kept) != 1000 {
-		t.Fatalf("merged %d items, kept %d payloads; want 1000 each", len(got), len(kept))
+	if fmt.Sprint(got) != fmt.Sprint(runs) {
+		t.Fatalf("EachRun yielded %v, want %v", got, runs)
 	}
-	// Each run's head is decoded before it is yielded, so the payloads
-	// arrive in read order, not merge order: compare as sets.
-	want := make([]string, len(got))
-	for i, v := range got {
-		if v != i*7919 {
-			t.Fatalf("item %d: got %d, want %d", i, v, i*7919)
-		}
-		want[i] = strconv.Itoa(v)
+	if string(kept) != "1" {
+		t.Fatalf("a kept payload changed after the pass: %q", kept)
 	}
-	have := make([]string, len(kept))
-	for i, p := range kept {
-		have[i] = string(p)
+	if err := s.Push(1); err == nil {
+		t.Fatal("Push after EachRun should fail")
 	}
-	sort.Strings(want)
-	sort.Strings(have)
-	for i := range want {
-		if have[i] != want[i] {
-			t.Fatalf("kept payloads changed after the merge: %q, want %q", have[i], want[i])
-		}
+
+	path := filepath.Join(s.opts.Dir, "run-000001.seg")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	err = s.EachRun(func([][]byte) error { calls++; return nil })
+	if !errors.Is(err, storage.ErrTornFrame) || !strings.Contains(err.Error(), "run-000001.seg") {
+		t.Fatalf("want a torn-frame error naming run-000001.seg, got %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("fn ran %d times before the torn run, want 1", calls)
 	}
 }
 

@@ -6,9 +6,10 @@ package population
 // fingerprints. SimulateSpill runs the same generative model in bounded
 // memory: users are simulated in batches, each batch's visit timeline is
 // sorted and spilled as one CRC-framed run file (the storage WAL
-// framing, via internal/extsort), and Stream() k-way merges the runs on
-// (time, serial) back into the global record order. Only one batch of
-// per-user simulation state plus one merge head per run is ever live.
+// framing, via internal/extsort). Stream() k-way merges the runs on
+// (time, serial) back into the global record order, with one merge
+// head per run live; EachBatch hands out one whole run at a time,
+// unmerged. Only one batch of per-user simulation state is ever live.
 //
 // Determinism discipline: the streamed sequence is byte-identical to
 // Simulate at the same Config. Both run the same batch generator
@@ -40,8 +41,6 @@ type StreamItem struct {
 	Instance   int
 	VisitIndex int
 	Truth      []EventType
-
-	raw []byte // the record's encoded bytes; set only by EachKey's decoder
 }
 
 // StreamOptions configures the out-of-core path. The zero value works:
@@ -136,57 +135,66 @@ func encodeItem(dst []byte, v StreamItem) ([]byte, error) {
 // fingerprint.Decoder interns strings across the stream's records.
 func newItemDecoder() func([]byte) (StreamItem, error) {
 	d := fingerprint.NewDecoder()
-	return func(p []byte) (StreamItem, error) { return decodeItem(d, p, false) }
+	return func(p []byte) (StreamItem, error) {
+		var v StreamItem
+		inst, vi, truth, p, err := splitItem(p)
+		if err != nil {
+			return v, err
+		}
+		if truth > 0 {
+			v.Truth = make([]EventType, truth)
+		}
+		for i := range v.Truth {
+			s, rest, err := d.String(p)
+			if err != nil {
+				return v, err
+			}
+			v.Truth[i], p = EventType(s), rest
+		}
+		v.Rec = new(fingerprint.Record)
+		rest, err := d.Decode(p, v.Rec)
+		if err != nil {
+			return v, err
+		}
+		if len(rest) != 0 {
+			return v, errBadItem
+		}
+		v.Instance, v.VisitIndex = int(inst), int(vi)
+		return v, nil
+	}
 }
 
-// newKeyDecoder is newItemDecoder for EachKey: the record is decoded
-// only as far as its browser-ID key, and the item keeps the record's
-// encoded bytes (a slice of the frame's payload).
-func newKeyDecoder() func([]byte) (StreamItem, error) {
-	d := fingerprint.NewDecoder()
-	return func(p []byte) (StreamItem, error) { return decodeItem(d, p, true) }
-}
-
-func decodeItem(d *fingerprint.Decoder, p []byte, keyOnly bool) (StreamItem, error) {
-	var v StreamItem
+// splitItem reads an item's Instance, VisitIndex and Truth count, and
+// returns the rest: the Truth strings, then the record.
+func splitItem(p []byte) (inst, vi int64, truth int, rest []byte, err error) {
 	inst, n1 := binary.Varint(p)
 	if n1 <= 0 {
-		return v, errBadItem
+		return 0, 0, 0, nil, errBadItem
 	}
 	vi, n2 := binary.Varint(p[n1:])
 	if n2 <= 0 {
-		return v, errBadItem
+		return 0, 0, 0, nil, errBadItem
 	}
 	p = p[n1+n2:]
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count > uint64(len(p)-n) {
-		return v, errBadItem
+		return 0, 0, 0, nil, errBadItem
 	}
-	p = p[n:]
-	if count > 0 {
-		v.Truth = make([]EventType, count)
-	}
-	for i := range v.Truth {
-		s, rest, err := d.String(p)
-		if err != nil {
-			return v, err
+	return inst, vi, int(count), p[n:], nil
+}
+
+// recordBytes returns the record's encoded bytes within an item,
+// skipping the ground truth undecoded.
+func recordBytes(p []byte) ([]byte, error) {
+	_, _, truth, p, err := splitItem(p)
+	for ; err == nil && truth > 0; truth-- {
+		n, k := binary.Uvarint(p)
+		if k <= 0 || n > uint64(len(p)-k) {
+			return nil, errBadItem
 		}
-		v.Truth[i], p = EventType(s), rest
+		p = p[k+int(n):]
 	}
-	v.Rec = new(fingerprint.Record)
-	decode := d.Decode
-	if keyOnly {
-		decode, v.raw = d.DecodeKey, p
-	}
-	rest, err := decode(p, v.Rec)
-	if err != nil {
-		return v, err
-	}
-	if len(rest) != 0 {
-		return v, errBadItem
-	}
-	v.Instance, v.VisitIndex = int(inst), int(vi)
-	return v, nil
+	return p, err
 }
 
 // NewSpillSorter builds an extsort sorter for StreamItem runs under
@@ -262,8 +270,7 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 
 // Stream returns a bounded-memory iterator over the merged (time,
 // serial) record sequence. It can be called repeatedly; each call
-// replays the identical sequence from the spilled runs (the two-pass
-// ground-truth build streams twice).
+// replays the identical sequence from the spilled runs.
 func (sd *SpilledDataset) Stream() (*RecordStream, error) {
 	st, err := sd.sorter.Merge()
 	if err != nil {
@@ -272,26 +279,31 @@ func (sd *SpilledDataset) Stream() (*RecordStream, error) {
 	return &RecordStream{st: st}, nil
 }
 
-// EachKey replays the same merged sequence as Stream and hands fn, per
-// record, its browser-ID key (fingerprint.Decoder.DecodeKey: the other
-// FP fields are zero) and its encoded bytes, which fn may keep. It
-// serves consumers that fully decode only some records, or decode them
-// later on a worker pool. It stops at the first error.
-func (sd *SpilledDataset) EachKey(fn func(key *fingerprint.Record, raw []byte) error) error {
-	st, err := sd.sorter.MergeWith(newKeyDecoder)
-	if err != nil {
+// EachBatch hands fn the records of one simulation batch at a time, in
+// the fingerprint binary codec and in (time, serial) order: each
+// spilled run read once, unmerged. A batch is a contiguous range of
+// users and holds each one's "-shared" second account too, so every
+// batch is closed under user ID; merged on (time, serial), the batches
+// replay Stream's sequence. fn may keep a record's bytes but not raws
+// itself, which is reused; only one batch is resident if fn keeps
+// nothing. It stops at the first error.
+func (sd *SpilledDataset) EachBatch(fn func(raws [][]byte) error) error {
+	var raws [][]byte
+	batch := 0
+	return sd.sorter.EachRun(func(payloads [][]byte) error {
+		raws = raws[:0]
+		for _, p := range payloads {
+			raw, err := recordBytes(p)
+			if err != nil {
+				return fmt.Errorf("population: batch %d: %w", batch, err)
+			}
+			raws = append(raws, raw)
+		}
+		batch++
+		err := fn(raws)
+		clear(raws)
 		return err
-	}
-	defer st.Close() // read-only run files
-	for {
-		item, ok, err := st.Next()
-		if err != nil || !ok {
-			return err
-		}
-		if err := fn(item.Rec, item.raw); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // SpilledBytes returns the bytes written to run files.
@@ -300,8 +312,8 @@ func (sd *SpilledDataset) SpilledBytes() int64 { return sd.sorter.SpilledBytes()
 // Runs returns the number of spilled run files.
 func (sd *SpilledDataset) Runs() int { return sd.sorter.Runs() }
 
-// SpillRoot returns the spill root directory (the report's by-instance
-// re-sort spills its runs under the same root).
+// SpillRoot returns the spill root directory; the runs are in its
+// "sim" subdirectory.
 func (sd *SpilledDataset) SpillRoot() string { return sd.root }
 
 // Close deletes the spilled runs (and the temp root, when owned).

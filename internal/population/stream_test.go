@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,46 +157,70 @@ func TestSpillStreamOrder(t *testing.T) {
 	}
 }
 
-// TestSpillEachKey: EachKey replays Stream's sequence, each key is
-// exactly the record's key fields, and each raw slice decodes back to
-// the record Stream yields, even once the whole pass is over.
-func TestSpillEachKey(t *testing.T) {
+// TestSpillEachBatch: every batch EachBatch yields is closed under
+// user ID, with "-shared" second accounts folded into their user, and
+// the batches, merged on (time, serial), are Stream's sequence: split
+// by batch, Stream's records are each batch's raw bytes in order.
+func TestSpillEachBatch(t *testing.T) {
 	sd, err := SimulateSpill(streamTestConfig(2), StreamOptions{UsersPerBatch: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sd.Close()
-	var keys []*fingerprint.Record
-	var raws [][]byte
-	err = sd.EachKey(func(key *fingerprint.Record, raw []byte) error {
-		keys, raws = append(keys, key), append(raws, raw)
+	base := func(user string) string { return strings.TrimSuffix(user, "-shared") }
+	owner := map[string]int{} // base user → its batch
+	shared := 0
+	var batches [][][]byte
+	d := fingerprint.NewDecoder()
+	err = sd.EachBatch(func(raws [][]byte) error {
+		b := len(batches)
+		for _, raw := range raws {
+			var rec fingerprint.Record
+			if _, err := d.Decode(raw, &rec); err != nil {
+				return err
+			}
+			if strings.HasSuffix(rec.UserID, "-shared") {
+				shared++
+			}
+			if o, ok := owner[base(rec.UserID)]; ok && o != b {
+				t.Fatalf("user %s has records in batches %d and %d", rec.UserID, o, b)
+			}
+			owner[base(rec.UserID)] = b
+		}
+		batches = append(batches, append([][]byte(nil), raws...))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(batches) != sd.Runs() || len(batches) < 2 {
+		t.Fatalf("EachBatch yielded %d batches over %d runs, want one per run and several", len(batches), sd.Runs())
+	}
+	if shared == 0 {
+		t.Fatal("no -shared account in the world; the closure check does not cover them")
+	}
 	ds, err := sd.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != len(ds.Records) {
-		t.Fatalf("EachKey yielded %d records, Stream %d", len(keys), len(ds.Records))
-	}
-	d := fingerprint.NewDecoder()
+	next := make([]int, len(batches))
 	for i, rec := range ds.Records {
-		want := &fingerprint.Record{Time: rec.Time, UserID: rec.UserID, Cookie: rec.Cookie,
-			Browser: rec.Browser, OS: rec.OS, Device: rec.Device, Mobile: rec.Mobile,
-			FP: &fingerprint.Fingerprint{CPUClass: rec.FP.CPUClass, CPUCores: rec.FP.CPUCores,
-				GPUVendor: rec.FP.GPUVendor, GPURenderer: rec.FP.GPURenderer}}
-		if !reflect.DeepEqual(keys[i], want) {
-			t.Fatalf("record %d: key\n%+v\nwant\n%+v", i, keys[i], want)
+		b := owner[base(rec.UserID)]
+		if next[b] == len(batches[b]) {
+			t.Fatalf("record %d: batch %d has no record left for it", i, b)
 		}
-		var full fingerprint.Record
-		if rest, err := d.Decode(raws[i], &full); err != nil || len(rest) != 0 {
+		var got fingerprint.Record
+		if rest, err := d.Decode(batches[b][next[b]], &got); err != nil || len(rest) != 0 {
 			t.Fatalf("record %d: raw bytes: err %v, %d trailing bytes", i, err, len(rest))
 		}
-		if !reflect.DeepEqual(&full, rec) {
-			t.Fatalf("record %d: raw bytes decode to a different record", i)
+		if !reflect.DeepEqual(&got, rec) {
+			t.Fatalf("record %d: batch %d's record %d differs from Stream's", i, b, next[b])
+		}
+		next[b]++
+	}
+	for b, n := range next {
+		if n != len(batches[b]) {
+			t.Fatalf("batch %d: Stream holds %d of its %d records", b, n, len(batches[b]))
 		}
 	}
 }

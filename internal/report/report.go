@@ -1,5 +1,5 @@
 // Package report renders every table and figure of the paper's
-// evaluation from a re-streamable record source. cmd/fpreport is a
+// evaluation from a sequence of record partitions. cmd/fpreport is a
 // thin flag wrapper over this package; keeping the rendering here makes
 // each artifact regenerable (and testable) programmatically:
 //
@@ -10,141 +10,108 @@
 //	r.Render("table2")
 //	r.Render("fig12")
 //
-// The pipeline makes three passes over the source, and decodes each
-// record in full exactly once:
+// Each partition is a set of records closed under user ID, in time
+// order: one spilled simulation batch (SpillSource) or a whole
+// in-memory dataset (DatasetSource). A browser ID never spans two user
+// IDs, so a partition is its own ground truth, and it is read once:
 //
-//	pass 1  stream records    → browser-ID union pass (browserid.StreamBuilder)
-//	regroup re-stream records → external sort keyed (canonical ID, stream position)
-//	analyze merged stream     → per-instance chains: decode, diff and classify
-//	                            in fixed-size parallel chunks, then fold every
-//	                            record, dynamics and instance into the
-//	                            requested sections' accumulators
+//	keys     decode each record's browser-ID key
+//	         (fingerprint.Decoder.DecodeKey) and hash its initial ID,
+//	         on the pool
+//	ids      a fresh browserid.StreamBuilder observes the keys in time
+//	         order, seals, and resolves every canonical ID
+//	group    sort the positions by (canonical ID, position), so each
+//	         instance's records are contiguous and in time order
+//	analyze  per-instance chains: decode, diff and classify in
+//	         fixed-size parallel chunks, then fold every record, dynamics
+//	         and instance into the requested sections' accumulators
 //
-// The source yields each record's browser-ID key beside its bytes in
-// the fingerprint binary codec. A spilled source decodes only the key
-// (fingerprint.Decoder.DecodeKey), on the merge goroutine, in pass 1
-// and again in regroup; the initial IDs are hashed on the pool. The
-// regroup sort carries the bytes unchanged, and analyze decodes them
-// on the pool, one fingerprint.Decoder per contiguous slice of a chunk.
-//
-// The regroup sort is what keeps memory flat: grouped by canonical ID,
-// each instance's records arrive contiguously in time order, so the
-// walk needs only the current instance's records' summary. What stays
-// resident is proportional to instances, users and distinct values (the
-// union-find, the estimate maps, the sections' tallies), never to
-// records.
+// A partition is held as its records' encoded bytes and IDs, never as
+// decoded records: analyze decodes each chunk on the pool, one
+// fingerprint.Decoder per contiguous slice of the chunk, and keeps only
+// the current instance's records' summary. The accumulators persist
+// across partitions, and every section's result is order-free (counts,
+// sets, sorted lists), so neither the partition order nor the instance
+// order shows in the output. What stays resident is one partition's
+// bytes plus state proportional to instances, users and distinct values
+// (the estimate maps, the sections' tallies), never to all records.
 //
 // The Summary line, the §2.3.3 estimate and Table 2 are always
 // computed; every other section folds only when requested. Chunk
-// boundaries are deterministic (fixed ChunkSize over the merged order)
-// and chunks are classified with the ordered parallel.Map, so output is
-// byte-identical for every worker count and chunk size.
+// boundaries are deterministic (fixed ChunkSize over each partition's
+// grouped order) and chunks are classified with the ordered
+// parallel.Map, so output is byte-identical for every worker count and
+// chunk size.
 package report
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"fpdyn/internal/browserid"
 	"fpdyn/internal/canvas"
 	"fpdyn/internal/diff"
 	"fpdyn/internal/dynamics"
-	"fpdyn/internal/extsort"
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/geoip"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/parallel"
 	"fpdyn/internal/population"
-	"fpdyn/internal/storage"
 )
 
-// RecordSource is a re-streamable time-ordered record sequence (the
-// ground-truth build takes two passes) plus the dataset inputs some
-// sections need: the GPU truth (Insight 1.3), the geolocation database
-// (Insight 1.4) and the observation window (Figure 12).
+// RecordSource is a sequence of record partitions plus the dataset
+// inputs some sections need: the GPU truth (Insight 1.3), the
+// geolocation database (Insight 1.4) and the observation window
+// (Figure 12).
 type RecordSource struct {
-	// each streams every record in time order to fn, stopping at the
-	// first error: a record carrying at least the browser-ID key
-	// fields (fingerprint.Decoder.DecodeKey), and the full record in
-	// the fingerprint binary codec, which fn may keep.
-	each       func(fn func(key *fingerprint.Record, raw []byte) error) error
+	// parts hands fn one partition at a time, stopping at the first
+	// error: the records of a set of users closed under user ID (with
+	// each "-shared" second account beside its user), in time order and
+	// in the fingerprint binary codec. fn may overwrite the slice's
+	// elements and keeps nothing past its return.
+	parts      func(fn func(raws [][]byte) error) error
 	gpu        map[string]canvas.GPUInfo
 	geo        *geoip.DB
 	start, end time.Time
 }
 
-// DatasetSource adapts an in-memory dataset to a RecordSource. Each
-// record is its own key, and is encoded afresh on every pass.
+// DatasetSource adapts an in-memory dataset to a RecordSource of one
+// partition, every record encoded afresh.
 func DatasetSource(ds *population.Dataset) RecordSource {
-	each := func(fn func(*fingerprint.Record, []byte) error) error {
-		for _, rec := range ds.Records {
-			if err := fn(rec, fingerprint.AppendRecord(nil, rec)); err != nil {
-				return err
-			}
+	parts := func(fn func([][]byte) error) error {
+		raws := make([][]byte, len(ds.Records))
+		for i, rec := range ds.Records {
+			raws[i] = fingerprint.AppendRecord(nil, rec)
 		}
-		return nil
+		return fn(raws)
 	}
-	return RecordSource{each: each, gpu: ds.GPUImageInfo, geo: ds.Geo, start: ds.Cfg.Start, end: ds.Cfg.End}
+	return RecordSource{parts: parts, gpu: ds.GPUImageInfo, geo: ds.Geo, start: ds.Cfg.Start, end: ds.Cfg.End}
 }
 
-// SpillSource adapts a spilled simulation to a RecordSource: the
-// spilled runs are merged with key-only decoding, and each record's
-// bytes are passed on as they were read.
+// SpillSource adapts a spilled simulation to a RecordSource: each
+// spilled run, one batch of users, is a partition, read once and
+// passed on as the bytes that were spilled.
 func SpillSource(sd *population.SpilledDataset) RecordSource {
-	return RecordSource{each: sd.EachKey, gpu: sd.GPUImageInfo, geo: sd.Geo, start: sd.Cfg.Start, end: sd.Cfg.End}
-}
-
-// chunks streams src in chunks of n records (the last may be shorter):
-// the records' keys and encoded bytes, with each chunk's initial
-// browser IDs hashed on the worker pool.
-func (src RecordSource) chunks(n, workers int, inFlight func(int), fn func(keys []*fingerprint.Record, raws [][]byte, ids []string) error) error {
-	keys := make([]*fingerprint.Record, 0, n)
-	raws := make([][]byte, 0, n)
-	flush := func() error {
-		inFlight(len(keys))
-		ids := parallel.Map(workers, len(keys), func(i int) string {
-			return browserid.InitialID(keys[i])
-		})
-		err := fn(keys, raws, ids)
-		keys, raws = keys[:0], raws[:0]
-		inFlight(0)
-		return err
-	}
-	err := src.each(func(key *fingerprint.Record, raw []byte) error {
-		keys, raws = append(keys, key), append(raws, raw)
-		if len(keys) < n {
-			return nil
-		}
-		return flush()
-	})
-	if err != nil || len(keys) == 0 {
-		return err
-	}
-	return flush()
+	return RecordSource{parts: sd.EachBatch, gpu: sd.GPUImageInfo, geo: sd.Geo, start: sd.Cfg.Start, end: sd.Cfg.End}
 }
 
 // StreamOptions configures the report pipeline.
 type StreamOptions struct {
-	// Workers is the pool size for hashing, diffing and classifying
-	// chunks (1 = serial; 0 or negative = NumCPU, via parallel.Resolve).
-	// Output is identical for every value.
+	// Workers is the pool size for decoding, hashing, diffing and
+	// classifying (1 = serial; 0 or negative = NumCPU, via
+	// parallel.Resolve). Output is identical for every value.
 	Workers int
-	// SpillDir hosts the regroup sort's run files (subdirectory
-	// "regroup"); empty means a fresh temp directory. Removed when the
-	// pipeline finishes either way.
+	// SpillDir is ignored: the report reads each partition once and
+	// spills nothing. It stays so that existing callers still compile.
 	SpillDir string
 	// ChunkSize is the number of records per parallel work chunk
 	// (default 8192). It shapes memory and parallelism, never output.
 	ChunkSize int
 	Registry  *obs.Registry
 	Timings   *obs.Timings
-	// OpenFile opens regroup run files (fault-injection hook).
-	OpenFile func(path string) (storage.SegmentFile, error)
 }
 
 func (o *StreamOptions) chunk() int {
@@ -196,51 +163,6 @@ type fold struct {
 	render   func()
 }
 
-// grouped is the regroup sort's item: an encoded record keyed by its
-// canonical browser ID and its position in the time-ordered input (the
-// input is (time, serial)-sorted, so Seq preserves exactly that order
-// within each group).
-type grouped struct {
-	ID  string
-	Seq int64
-	Raw []byte // the record in the fingerprint binary codec
-}
-
-// encodeGrouped is the regroup runs' item codec: the ID, Seq as a
-// varint, then the record's bytes as they came.
-func encodeGrouped(dst []byte, v grouped) ([]byte, error) {
-	dst = fingerprint.AppendString(dst, v.ID)
-	dst = binary.AppendVarint(dst, v.Seq)
-	return append(dst, v.Raw...), nil
-}
-
-var errBadGrouped = errors.New("report: malformed regroup item")
-
-// newGroupedDecoder returns the decoder for one merge stream: it
-// interns the IDs and leaves the record's bytes, a slice of the frame,
-// for analyze to decode.
-func newGroupedDecoder() func([]byte) (grouped, error) {
-	d := fingerprint.NewDecoder()
-	return func(p []byte) (grouped, error) {
-		id, p, err := d.String(p)
-		if err != nil {
-			return grouped{}, err
-		}
-		seq, n := binary.Varint(p)
-		if n <= 0 {
-			return grouped{}, errBadGrouped
-		}
-		return grouped{ID: id, Seq: seq, Raw: p[n:]}, nil
-	}
-}
-
-func groupedLess(a, b grouped) bool {
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return a.Seq < b.Seq
-}
-
 // NewStream runs the pipeline over src and returns a reporter that can
 // render the Summary, the §2.3.3 estimate, Table 2 and every requested
 // section (fpreport's -what names; see Sections). images resolves
@@ -276,91 +198,30 @@ func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opt
 		}
 	}
 
-	// Pass 1: the cookie-linking union pass. Initial-ID hashing is the
-	// hot part and runs on the pool; the owner bookkeeping stays serial
-	// in stream order (the owner is the FIRST ID seen).
-	stop := opts.Timings.Start("ground_truth_pass1")
-	builder := browserid.NewStreamBuilder()
-	err := src.chunks(chunkSize, workers, inFlight, func(keys []*fingerprint.Record, _ [][]byte, ids []string) error {
-		for i, key := range keys {
-			builder.ObserveWithID(key, ids[i])
-		}
-		r.records += int64(len(keys))
-		return nil
-	})
-	if err != nil {
+	stop := opts.Timings.Start("analyze")
+	partition, finish := r.walk(folds, workers, chunkSize, inFlight)
+	if err := src.parts(partition); err != nil {
 		return nil, err
 	}
-	builder.Seal()
-	stop(int(r.records))
-
-	// Regroup: re-stream, resolve canonical IDs, spill the records'
-	// bytes into an external sort keyed (canonical ID, stream position).
-	stop = opts.Timings.Start("regroup")
-	root := opts.SpillDir
-	if root == "" {
-		root, err = os.MkdirTemp("", "fpdyn-report-*")
-		if err != nil {
-			return nil, fmt.Errorf("report: spill dir: %w", err)
-		}
-		defer os.RemoveAll(root)
-	}
-	sorter, err := extsort.New(extsort.Options[grouped]{
-		Dir:         filepath.Join(root, "regroup"),
-		Less:        groupedLess,
-		Encode:      encodeGrouped,
-		NewDecoder:  newGroupedDecoder,
-		MaxRunItems: chunkSize,
-		OpenFile:    opts.OpenFile,
-		Registry:    opts.Registry,
-		Name:        "regroup",
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sorter.Close()
-	var seq int64
-	err = src.chunks(chunkSize, workers, inFlight, func(_ []*fingerprint.Record, raws [][]byte, ids []string) error {
-		for i, raw := range raws {
-			// find() is a serial map walk; the expensive hash ran on the
-			// pool.
-			if err := sorter.Push(grouped{ID: builder.CanonicalOf(ids[i]), Seq: seq, Raw: raw}); err != nil {
-				return err
-			}
-			seq++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sorter.Flush(); err != nil {
-		return nil, err
-	}
-	stop(int(r.records))
-
-	stop = opts.Timings.Start("analyze")
-	merge, err := sorter.Merge()
-	if err != nil {
-		return nil, err
-	}
-	defer merge.Close()
-	if err := r.analyze(merge, folds, workers, chunkSize, inFlight); err != nil {
-		return nil, err
-	}
+	finish()
 	stop(int(r.records))
 	return r, nil
 }
 
-// analyze walks the grouped merge. Each instance is a contiguous run in
-// time order, so the walk holds one instance's state at a time. The
-// merge yields encoded records; each fixed-size chunk of them is
-// decoded on the pool, one fingerprint.Decoder per contiguous slice of
-// the chunk, and linked to its predecessors serially. Consecutive pairs
-// are then diffed and the changed ones classified in parallel; then
-// every record, pair and instance of the chunk folds, in merge order,
-// into the core accumulators and the requested sections' hooks.
-func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers, chunkSize int, inFlight func(int)) error {
+// walk returns the analyze walk: partition folds one partition, and
+// finish ends the last instance and the core accumulators.
+//
+// A partition's keys are decoded and its initial IDs hashed on the
+// pool; the union pass runs serially in time order; sorting the
+// positions by (canonical ID, position) then makes each instance a
+// contiguous run in time order, so the walk holds one instance's
+// state at a time. The grouped records' bytes are cut into fixed-size
+// chunks; each chunk is decoded on the pool, one fingerprint.Decoder
+// per contiguous slice of it, and linked to its predecessors serially. Consecutive pairs are then
+// diffed and the changed ones classified in parallel; then every
+// record, pair and instance of the chunk folds, in walk order, into the
+// core accumulators and the requested sections' hooks.
+func (r *Reporter) walk(folds []fold, workers, chunkSize int, inFlight func(int)) (partition func(raws [][]byte) error, finish func()) {
 	acc := dynamics.NewAccumulator()
 	est := browserid.NewEstimateAccumulator()
 	var in instance
@@ -376,7 +237,44 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 		}
 	}
 
-	// step is one merged record: its encoded bytes, then the decoded
+	// decoders[s] decodes slice s of every partition and chunk, so each
+	// keeps its intern table warm; slices run one per goroutine.
+	decoders := make([]*fingerprint.Decoder, parallel.Resolve(workers))
+	for s := range decoders {
+		decoders[s] = fingerprint.NewDecoder()
+	}
+	errs := make([]error, len(decoders))
+	// onPool runs fn(s, i) for every i < n, slice s of [0, n) on
+	// decoders[s]'s goroutine, and returns the first error.
+	onPool := func(n int, fn func(s, i int) error) error {
+		parallel.ForEach(workers, len(decoders), func(s int) {
+			for i := s * n / len(decoders); i < (s+1)*n/len(decoders); i++ {
+				if err := fn(s, i); err != nil {
+					errs[s] = fmt.Errorf("report: record: %w", err)
+					return
+				}
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	decode := func(d *fingerprint.Decoder, raw []byte, rec *fingerprint.Record, keyOnly bool) error {
+		f := d.Decode
+		if keyOnly {
+			f = d.DecodeKey
+		}
+		rest, err := f(raw, rec)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%w: %d trailing bytes", fingerprint.ErrMalformedRecord, len(rest))
+		}
+		return err
+	}
+
+	// step is one grouped record: its encoded bytes, then the decoded
 	// record and its instance's previous record (nil on the instance's
 	// first).
 	type step struct {
@@ -385,13 +283,6 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 		prev, rec *fingerprint.Record
 	}
 	steps := make([]step, 0, chunkSize)
-	// decoders[s] decodes slice s of every chunk, so each keeps its
-	// intern table warm across chunks; slices run one per goroutine.
-	decoders := make([]*fingerprint.Decoder, parallel.Resolve(workers))
-	for s := range decoders {
-		decoders[s] = fingerprint.NewDecoder()
-	}
-	errs := make([]error, len(decoders))
 	var curID string
 	var last *fingerprint.Record
 	var changed []*dynamics.Dynamics
@@ -400,25 +291,12 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 			return nil
 		}
 		inFlight(len(steps))
-		parallel.ForEach(workers, len(decoders), func(s int) {
-			d := decoders[s]
-			for i := s * len(steps) / len(decoders); i < (s+1)*len(steps)/len(decoders); i++ {
-				rec := new(fingerprint.Record)
-				rest, err := d.Decode(steps[i].raw, rec)
-				if err == nil && len(rest) != 0 {
-					err = errBadGrouped
-				}
-				if err != nil {
-					errs[s] = fmt.Errorf("report: regrouped record: %w", err)
-					return
-				}
-				steps[i].rec = rec
-			}
+		err := onPool(len(steps), func(s, i int) error {
+			steps[i].rec = new(fingerprint.Record)
+			return decode(decoders[s], steps[i].raw, steps[i].rec, false)
 		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 		for i := range steps {
 			s := &steps[i]
@@ -485,34 +363,67 @@ func (r *Reporter) analyze(merge *extsort.Stream[grouped], folds []fold, workers
 				}
 			}
 		}
+		clear(steps)
 		steps = steps[:0]
 		inFlight(0)
 		return nil
 	}
 
-	for {
-		g, ok, err := merge.Next()
+	// key is what the union pass needs of a record; keyRecs[s] is slice
+	// s's reused key-decoding target.
+	type key struct{ id, user, cookie string }
+	var keys []key
+	var order []int
+	keyRecs := make([]fingerprint.Record, len(decoders))
+	partition = func(raws [][]byte) error {
+		r.records += int64(len(raws))
+		keys = slices.Grow(keys[:0], len(raws))[:len(raws)]
+		err := onPool(len(raws), func(s, i int) error {
+			rec := &keyRecs[s]
+			if err := decode(decoders[s], raws[i], rec, true); err != nil {
+				return err
+			}
+			keys[i] = key{id: browserid.InitialID(rec), user: rec.UserID, cookie: rec.Cookie}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
+		b := browserid.NewStreamBuilder()
+		var rec fingerprint.Record
+		for _, k := range keys {
+			rec.UserID, rec.Cookie = k.user, k.cookie
+			b.ObserveWithID(&rec, k.id)
 		}
-		steps = append(steps, step{id: g.ID, raw: g.Raw})
-		if len(steps) == chunkSize {
-			if err := flush(); err != nil {
-				return err
+		b.Seal()
+		order = order[:0]
+		for i := range keys {
+			keys[i].id = b.CanonicalOf(keys[i].id)
+			order = append(order, i)
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			if c := strings.Compare(keys[a].id, keys[b].id); c != 0 {
+				return c
+			}
+			return a - b
+		})
+		for _, i := range order {
+			steps = append(steps, step{id: keys[i].id, raw: raws[i]})
+			raws[i] = nil // released once its chunk is walked
+			if len(steps) == chunkSize {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 		}
+		return flush()
 	}
-	if err := flush(); err != nil {
-		return err
+	finish = func() {
+		endInstance()
+		r.est = est
+		r.breakdown = acc.Finish(est.NumInstances())
 	}
-	endInstance()
-
-	r.est = est
-	r.breakdown = acc.Finish(est.NumInstances())
-	return nil
+	return partition, finish
 }
 
 // Summary prints the dataset header line.

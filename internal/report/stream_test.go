@@ -3,12 +3,16 @@ package report
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"math/rand"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"fpdyn/internal/dynamics"
-	"fpdyn/internal/faultinject"
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/population"
@@ -82,8 +86,10 @@ func TestStreamReportMatchesInMemory(t *testing.T) {
 
 // TestStreamReportFromSpill runs the full out-of-core chain — spilled
 // simulation feeding the report — with batches and chunks small enough
-// that both sorts spill many runs and chunks split instances, and
-// checks every section against the golden bytes.
+// that the simulation spills many runs and chunks split instances, and
+// checks every section against the golden bytes. The report reads the
+// runs as they are and spills nothing of its own: no regroup sort, and
+// nothing but the simulation's runs under the spill root.
 func TestStreamReportFromSpill(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Workers = 2
@@ -99,10 +105,81 @@ func TestStreamReportFromSpill(t *testing.T) {
 	checkGolden(t, "spill source", got)
 
 	snap := reg.Snapshot()
-	for _, sort := range []string{"simulate", "regroup"} {
-		if n := snap.Counters[`extsort_runs_total{sort="`+sort+`"}`]; n < 2 {
-			t.Fatalf("%s sort spilled %d runs, want several", sort, n)
+	if n := snap.Counters[`extsort_runs_total{sort="simulate"}`]; n < 2 {
+		t.Fatalf("simulate sort spilled %d runs, want several", n)
+	}
+	for name := range snap.Counters {
+		if strings.Contains(name, `sort="regroup"`) {
+			t.Fatalf("the report registered a regroup sort: %s", name)
 		}
+	}
+	entries, err := os.ReadDir(sd.SpillRoot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "sim" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("spill root holds %v, want only sim", names)
+	}
+}
+
+// partitionedSource splits ds into partitions closed under user ID,
+// each "-shared" account folded into its user: the users are shuffled
+// with seed and cut into groups of perPart, and each partition keeps
+// its records in time order.
+func partitionedSource(ds *population.Dataset, perPart int, seed int64) RecordSource {
+	byUser := map[string][]int{}
+	var users []string
+	for i, rec := range ds.Records {
+		u := strings.TrimSuffix(rec.UserID, "-shared")
+		if _, ok := byUser[u]; !ok {
+			users = append(users, u)
+		}
+		byUser[u] = append(byUser[u], i)
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
+	src := DatasetSource(ds)
+	src.parts = func(fn func([][]byte) error) error {
+		for p := 0; p < len(users); p += perPart {
+			var idx []int
+			for _, u := range users[p:min(p+perPart, len(users))] {
+				idx = append(idx, byUser[u]...)
+			}
+			sort.Ints(idx)
+			raws := make([][]byte, len(idx))
+			for k, i := range idx {
+				raws[k] = fingerprint.AppendRecord(nil, ds.Records[i])
+			}
+			if err := fn(raws); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return src
+}
+
+// TestStreamReportPartitionOrder: the report does not depend on how
+// the users are split into partitions or in what order the partitions
+// come. The golden world, cut into user-closed partitions of two sizes,
+// each in three seeded orders and at both worker counts, prints the
+// golden bytes.
+func TestStreamReportPartitionOrder(t *testing.T) {
+	ds := population.Simulate(goldenConfig())
+	images := dynamics.MapImages(ds.CanvasImages)
+	for _, tc := range []struct {
+		perPart, workers int
+		seed             int64
+	}{
+		{7, 1, 1}, {7, 2, 2}, {7, 1, 3},
+		{200, 2, 1}, {200, 1, 2}, {200, 2, 3},
+	} {
+		got := renderAll(t, partitionedSource(ds, tc.perPart, tc.seed), images,
+			StreamOptions{Workers: tc.workers, ChunkSize: 97})
+		checkGolden(t, fmt.Sprintf("%d users per partition, order seed %d, workers %d", tc.perPart, tc.seed, tc.workers), got)
 	}
 }
 
@@ -131,41 +208,41 @@ func TestRenderUnrequestedSection(t *testing.T) {
 	}
 }
 
-// TestStreamReportSpillFault injects a write failure into the regroup
-// spill: the pipeline must surface it, not drop records.
-func TestStreamReportSpillFault(t *testing.T) {
-	cfg := population.DefaultConfig(80)
-	ds := population.Simulate(cfg)
-	_, err := NewStream(DatasetSource(ds), dynamics.MapImages(ds.CanvasImages), os.Stderr,
-		StreamOptions{
-			ChunkSize: 32,
-			OpenFile: func(path string) (storage.SegmentFile, error) {
-				f, err := os.Create(path)
-				if err != nil {
-					return nil, err
-				}
-				return &faultinject.File{F: f, Script: &faultinject.Script{FailAfter: 1024}}, nil
-			},
-		})
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("want injected spill error, got %v", err)
+// TestStreamReportCorruptRun flips one byte of a spilled simulation
+// run: the report must fail with the frame error naming the run, not
+// drop the run's records.
+func TestStreamReportCorruptRun(t *testing.T) {
+	sd, err := population.SimulateSpill(population.DefaultConfig(80), population.StreamOptions{UsersPerBatch: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Close()
+	path := filepath.Join(sd.SpillRoot(), "sim", "run-000001.seg")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[10] ^= 0xff // inside the first frame's payload
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewStream(SpillSource(sd), dynamics.MapImages(sd.CanvasImages), io.Discard, StreamOptions{ChunkSize: 32})
+	if !errors.Is(err, storage.ErrChecksum) || !strings.Contains(err.Error(), "run-000001.seg") {
+		t.Fatalf("want a checksum error naming run-000001.seg, got %v", err)
 	}
 }
 
 // TestStreamReportBadRecordBytes: a record whose encoded bytes do not
-// decode fails the pipeline with the codec's error when analyze
-// decodes it, at every worker count, instead of being dropped.
+// decode fails the pipeline with the codec's error, at every worker
+// count, instead of being dropped.
 func TestStreamReportBadRecordBytes(t *testing.T) {
 	ds := population.Simulate(population.DefaultConfig(40))
 	src := DatasetSource(ds)
-	each := src.each
-	src.each = func(fn func(*fingerprint.Record, []byte) error) error {
-		i := 0
-		return each(func(key *fingerprint.Record, raw []byte) error {
-			if i++; i == 50 {
-				raw = raw[:len(raw)-1]
-			}
-			return fn(key, raw)
+	parts := src.parts
+	src.parts = func(fn func([][]byte) error) error {
+		return parts(func(raws [][]byte) error {
+			raws[50] = raws[50][:len(raws[50])-1]
+			return fn(raws)
 		})
 	}
 	for _, workers := range []int{1, 2} {

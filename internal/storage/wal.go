@@ -764,6 +764,16 @@ func fsyncDir(dir string) error {
 	return d.Sync()
 }
 
+// restoreSeqLocked replays one idempotency row: it takes the row when
+// the client is unseen or seq is newer than its applied one. Seq 0 is
+// a valid first seq, so an unseen client's row is taken even at 0.
+func (s *Store) restoreSeqLocked(cid string, seq uint64, idx int) {
+	if last, ok := s.lastSeq[cid]; !ok || seq > last {
+		s.lastSeq[cid] = seq
+		s.lastIdx[cid] = idx
+	}
+}
+
 // applyEntry replays one WAL or snapshot entry into the store without
 // re-logging it (recovery attaches the WAL only after replay).
 func (s *Store) applyEntry(e *walEntry, stats *RecoveryStats) {
@@ -771,9 +781,8 @@ func (s *Store) applyEntry(e *walEntry, stats *RecoveryStats) {
 	case e.Record != nil:
 		s.mu.Lock()
 		idx := s.appendLocked(e.Record)
-		if e.CID != "" && e.Seq > s.lastSeq[e.CID] {
-			s.lastSeq[e.CID] = e.Seq
-			s.lastIdx[e.CID] = idx
+		if e.CID != "" {
+			s.restoreSeqLocked(e.CID, e.Seq, idx)
 		}
 		s.mu.Unlock()
 		stats.Records++
@@ -787,10 +796,7 @@ func (s *Store) applyEntry(e *walEntry, stats *RecoveryStats) {
 	case e.Seqs != nil:
 		s.mu.Lock()
 		for cid, se := range e.Seqs {
-			if se.Seq > s.lastSeq[cid] {
-				s.lastSeq[cid] = se.Seq
-				s.lastIdx[cid] = se.Idx
-			}
+			s.restoreSeqLocked(cid, se.Seq, se.Idx)
 		}
 		s.mu.Unlock()
 	}

@@ -404,3 +404,52 @@ func TestParseSyncPolicy(t *testing.T) {
 		t.Fatalf("String() = %s", s)
 	}
 }
+
+// TestSeqIdempotentZeroAcrossRecovery: a record applied under (client,
+// seq 0) keeps its idempotency row through recovery, whether the row
+// is rebuilt from the log's record entry (which omits a zero seq) or
+// read from a compaction snapshot, so a resend after the restart is a
+// dup of the original index and is not appended again.
+func TestSeqIdempotentZeroAcrossRecovery(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		opts := walOpts(t)
+		st, w, _, err := Recover(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := appendOne(st, mkRecord(0), "", 0); err != nil { // no client
+			t.Fatal(err)
+		}
+		idx, dup, err := appendOne(st, mkRecord(1), "client-z", 0)
+		if err != nil || dup {
+			t.Fatalf("compact=%v: first (client-z, 0): dup=%v err=%v", compact, dup, err)
+		}
+		if compact {
+			if _, err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		st2, w2, _, err := Recover(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq, ok := st2.LastSeq("client-z"); !ok || seq != 0 {
+			t.Fatalf("compact=%v: recovered row (%d, %v), want (0, true)", compact, seq, ok)
+		}
+		got, dup, err := appendOne(st2, mkRecord(1), "client-z", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dup || got != idx {
+			t.Fatalf("compact=%v: resend of (client-z, 0) after recovery: idx=%d dup=%v, want dup of %d", compact, got, dup, idx)
+		}
+		if st2.Len() != 2 {
+			t.Fatalf("compact=%v: resend appended again: len=%d, want 2", compact, st2.Len())
+		}
+		w2.Close()
+	}
+}
