@@ -20,7 +20,9 @@
 //   - Crash-safe state: with -wal-dir every add is journaled through
 //     the storage WAL before the ACK; restart replays the newest
 //     snapshot plus uncovered segments (torn tails truncated) and
-//     rebuilds the exact blocking index.
+//     rebuilds the exact blocking index. The journal's wal_* metrics
+//     are on the admin endpoint, and /healthz reports its sticky
+//     write/fsync error.
 //   - Sliding collect window: -window evicts instances whose latest
 //     observation (by record time) has aged out — the paper's
 //     collect-period semantics — and -compact-every checkpoints the
@@ -122,7 +124,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("fplinkd: %v", err)
 		}
-		opts.WAL = storage.WALOptions{Dir: *walDir, Policy: policy, Interval: *fsyncEvery}
+		opts.WAL = storage.WALOptions{Dir: *walDir, Policy: policy, Interval: *fsyncEvery, Registry: obs.NewRegistry()}
 	} else {
 		fmt.Println("warning: no -wal-dir; adds do not survive a crash")
 	}
@@ -154,17 +156,18 @@ func main() {
 	fmt.Printf("fplinkd listening on %s\n", lis.Addr())
 
 	if *adminAddr != "" {
-		regs := []*obs.Registry{svc.Metrics(), obs.NewRuntimeRegistry()}
-		health := func() obs.HealthStatus {
-			return obs.HealthStatus{Healthy: true}
+		regs := []*obs.Registry{svc.Metrics()}
+		if opts.WAL.Registry != nil {
+			regs = append(regs, opts.WAL.Registry)
 		}
+		regs = append(regs, obs.NewRuntimeRegistry())
 		adminLis, err := net.Listen("tcp", *adminAddr)
 		if err != nil {
 			log.Fatalf("fplinkd: admin listener: %v", err)
 		}
 		fmt.Printf("admin endpoint on http://%s (/metrics /varz /healthz /debug/pprof/)\n", adminLis.Addr())
 		go func() {
-			if err := http.Serve(adminLis, obs.NewAdminHandler(health, regs...)); err != nil {
+			if err := http.Serve(adminLis, obs.NewAdminHandler(svc.Health, regs...)); err != nil {
 				log.Printf("fplinkd: admin server: %v", err)
 			}
 		}()

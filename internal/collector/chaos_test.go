@@ -32,8 +32,9 @@ func chaosRecord(cid string, seq uint64) *fingerprint.Record {
 	return rec
 }
 
-// storeDigest serializes records plus the byUser/byCookie index shape
-// for byte-identical comparison across recoveries.
+// storeDigest serializes records plus the byUser index shape and the
+// records grouped by cookie for byte-identical comparison across
+// recoveries.
 func storeDigest(t *testing.T, s *storage.Store) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -68,7 +69,15 @@ func storeDigest(t *testing.T, s *storage.Store) string {
 		}
 	}
 	encodeIndex(users, s.ByUser)
-	encodeIndex(cookies, s.ByCookie)
+	encodeIndex(cookies, func(cookie string) []*fingerprint.Record {
+		var hits []*fingerprint.Record
+		for _, r := range recs {
+			if r.Cookie == cookie {
+				hits = append(hits, r)
+			}
+		}
+		return hits
+	})
 	return buf.String()
 }
 

@@ -1,9 +1,10 @@
-// Package extsort is the out-of-core sorting substrate of the
-// streaming pipeline: bounded-memory external sort via spilled, sorted,
-// CRC-framed run files and a k-way heap merge. The paper's dataset is
-// 7.2M fingerprints — far past what the in-memory pipeline holds — so
-// the simulator and the analytic stages spill their intermediate record
-// streams here and consume them back as iterators instead of slices.
+// Package extsort is the out-of-core substrate of the streaming
+// pipeline: presorted, CRC-framed run files and a bounded-memory k-way
+// heap merge over them. The paper's dataset is 7.2M fingerprints — far
+// past what the in-memory pipeline holds — so the simulator spills
+// each batch's time-ordered records here as one run (WriteRun), and
+// consumers read them back merged (Merge) or one run at a time
+// (EachRun) instead of as slices.
 //
 // On-disk format: each run is a sequence of frames in the storage WAL
 // framing (uint32 length | uint32 CRC-32C | payload, little endian —
@@ -27,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
@@ -50,9 +50,6 @@ type Options[T any] struct {
 	// frame is read into a fresh payload slice, so a decoder may keep
 	// its payload (or a slice of it) in the item it returns.
 	NewDecoder func() func(payload []byte) (T, error)
-	// MaxRunItems bounds the Push buffer: when it fills, the buffer is
-	// sorted and spilled as one run (default 65536).
-	MaxRunItems int
 	// MaxFrame bounds a single encoded item (default the storage WAL
 	// bound, 16 MiB).
 	MaxFrame int
@@ -60,18 +57,11 @@ type Options[T any] struct {
 	// Fault-injection hooks replace it to script write failures.
 	OpenFile func(path string) (storage.SegmentFile, error)
 	// Registry receives the sorter's metrics (runs, spilled bytes,
-	// merge heap size, records in flight). Nil disables.
+	// items, merge heap size). Nil disables.
 	Registry *obs.Registry
 	// Name labels this sorter's metrics (the "sort" label value), so
 	// several sorters can share one registry.
 	Name string
-}
-
-func (o *Options[T]) maxRunItems() int {
-	if o.MaxRunItems <= 0 {
-		return 65536
-	}
-	return o.MaxRunItems
 }
 
 func (o *Options[T]) openFile(path string) (storage.SegmentFile, error) {
@@ -81,25 +71,23 @@ func (o *Options[T]) openFile(path string) (storage.SegmentFile, error) {
 	return os.Create(path)
 }
 
-// Sorter accumulates items into sorted, spilled runs and merges them
-// back as a bounded-memory stream. Not safe for concurrent use: the
+// Sorter spills sorted runs and merges them back as a bounded-memory
+// stream. Not safe for concurrent use: the
 // pipeline stages that feed it are the ordered, single-consumer ends
 // of the worker pools.
 type Sorter[T any] struct {
 	opts Options[T]
 
-	buf     []T
 	runs    []string
 	spilled int64
 	count   int64
 	scratch []byte
 	frozen  bool // set once Merge has been called; no more writes
 
-	mRuns     *obs.Counter
-	mBytes    *obs.Counter
-	mItems    *obs.Counter
-	mInFlight *obs.Gauge
-	mHeap     *obs.Gauge
+	mRuns  *obs.Counter
+	mBytes *obs.Counter
+	mItems *obs.Counter
+	mHeap  *obs.Gauge
 }
 
 // New creates a Sorter spilling under opts.Dir.
@@ -119,47 +107,15 @@ func New[T any](opts Options[T]) (*Sorter[T], error) {
 		s.mRuns = reg.Counter("extsort_runs_total", "spill run files written", labels...)
 		s.mBytes = reg.Counter("extsort_spilled_bytes_total", "bytes spilled to run files", labels...)
 		s.mItems = reg.Counter("extsort_items_total", "items written into runs", labels...)
-		s.mInFlight = reg.Gauge("extsort_buffered_items", "items buffered in memory awaiting spill", labels...)
 		s.mHeap = reg.Gauge("extsort_merge_heap_size", "run heads live in the merge heap", labels...)
 	}
 	return s, nil
 }
 
-// Push buffers one item, spilling a sorted run when the buffer reaches
-// MaxRunItems.
-func (s *Sorter[T]) Push(v T) error {
-	if s.frozen {
-		return fmt.Errorf("extsort: push after merge")
-	}
-	s.buf = append(s.buf, v)
-	if s.mInFlight != nil {
-		s.mInFlight.SetInt(int64(len(s.buf)))
-	}
-	if len(s.buf) >= s.opts.maxRunItems() {
-		return s.Flush()
-	}
-	return nil
-}
-
-// Flush sorts and spills the buffered items as one run. A no-op on an
-// empty buffer.
-func (s *Sorter[T]) Flush() error {
-	if len(s.buf) == 0 {
-		return nil
-	}
-	sort.SliceStable(s.buf, func(i, j int) bool { return s.opts.Less(s.buf[i], s.buf[j]) })
-	err := s.WriteRun(s.buf)
-	s.buf = s.buf[:0]
-	if s.mInFlight != nil {
-		s.mInFlight.SetInt(0)
-	}
-	return err
-}
-
 // WriteRun spills one already-sorted run. The items must be in Less
-// order; the merge relies on it. Callers that produce naturally sorted
-// batches (the simulator's per-batch timelines) write runs directly and
-// skip the Push buffer.
+// order; the merge relies on it. Callers produce naturally sorted
+// batches (the simulator's per-batch timelines) and write each as a
+// run.
 func (s *Sorter[T]) WriteRun(items []T) error {
 	if s.frozen {
 		return fmt.Errorf("extsort: write after merge")
@@ -215,15 +171,12 @@ func (s *Sorter[T]) SpilledBytes() int64 { return s.spilled }
 // Count returns the total items spilled into runs.
 func (s *Sorter[T]) Count() int64 { return s.count }
 
-// Merge flushes any buffered items and returns a stream yielding every
-// spilled item in Less order. Merge may be called repeatedly — each
-// call re-opens the run files and replays the same merged sequence.
-// After the first Merge or EachRun the sorter is frozen: no further
-// Push/WriteRun.
+// Merge returns a stream yielding every spilled item in Less order.
+// Merge may be called repeatedly — each call re-opens the run files and
+// replays the same merged sequence. After the first Merge or EachRun
+// the sorter is frozen: no further WriteRun.
 func (s *Sorter[T]) Merge() (*Stream[T], error) {
-	if err := s.freeze(); err != nil {
-		return nil, err
-	}
+	s.frozen = true
 	st := &Stream[T]{s: s}
 	decode := s.opts.NewDecoder()
 	for i, path := range s.runs {
@@ -259,9 +212,7 @@ func (s *Sorter[T]) Merge() (*Stream[T], error) {
 // frame is an error naming the run. EachRun freezes the sorter as
 // Merge does and may be called repeatedly.
 func (s *Sorter[T]) EachRun(fn func(payloads [][]byte) error) error {
-	if err := s.freeze(); err != nil {
-		return err
-	}
+	s.frozen = true
 	var run [][]byte
 	for i, path := range s.runs {
 		r, err := openRun(path, i, s.opts.MaxFrame, func(p []byte) ([]byte, error) { return p, nil }, nil)
@@ -290,22 +241,10 @@ func (s *Sorter[T]) EachRun(fn func(payloads [][]byte) error) error {
 	return nil
 }
 
-// freeze flushes the Push buffer once and refuses later writes.
-func (s *Sorter[T]) freeze() error {
-	if !s.frozen {
-		if err := s.Flush(); err != nil {
-			return err
-		}
-		s.frozen = true
-	}
-	return nil
-}
-
 // Close removes the spill directory and every run file. The sorter is
 // unusable afterwards.
 func (s *Sorter[T]) Close() error {
 	s.frozen = true
-	s.buf = nil
 	return os.RemoveAll(s.opts.Dir)
 }
 

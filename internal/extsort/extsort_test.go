@@ -21,21 +21,34 @@ func decodeInt() func([]byte) (int, error) {
 }
 
 // intSorter builds a Sorter[int] over a test directory.
-func intSorter(t *testing.T, maxRun int, reg *obs.Registry) *Sorter[int] {
+func intSorter(t *testing.T, reg *obs.Registry) *Sorter[int] {
 	t.Helper()
 	s, err := New(Options[int]{
-		Dir:         filepath.Join(t.TempDir(), "spill"),
-		Less:        func(a, b int) bool { return a < b },
-		Encode:      func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
-		NewDecoder:  decodeInt,
-		MaxRunItems: maxRun,
-		Registry:    reg,
-		Name:        "test",
+		Dir:        filepath.Join(t.TempDir(), "spill"),
+		Less:       func(a, b int) bool { return a < b },
+		Encode:     func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
+		NewDecoder: decodeInt,
+		Registry:   reg,
+		Name:       "test",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// writeRuns cuts items into runs of runLen in arrival order, sorts
+// each run and spills it with WriteRun.
+func writeRuns(t *testing.T, s *Sorter[int], items []int, runLen int) {
+	t.Helper()
+	for len(items) > 0 {
+		run := append([]int(nil), items[:min(runLen, len(items))]...)
+		items = items[len(run):]
+		sort.Ints(run)
+		if err := s.WriteRun(run); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func drain(t *testing.T, st *Stream[int]) []int {
@@ -53,18 +66,17 @@ func drain(t *testing.T, st *Stream[int]) []int {
 	}
 }
 
-func TestPushMergeSorts(t *testing.T) {
+// TestWriteRunMergeSorts: random items spilled as sorted runs of 64
+// merge back into one sorted stream.
+func TestWriteRunMergeSorts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := intSorter(t, 64, nil)
+	s := intSorter(t, nil)
 	defer s.Close()
 	var want []int
 	for i := 0; i < 1000; i++ {
-		v := rng.Intn(10000)
-		want = append(want, v)
-		if err := s.Push(v); err != nil {
-			t.Fatal(err)
-		}
+		want = append(want, rng.Intn(10000))
 	}
+	writeRuns(t, s, want, 64)
 	sort.Ints(want)
 	st, err := s.Merge()
 	if err != nil {
@@ -81,7 +93,7 @@ func TestPushMergeSorts(t *testing.T) {
 		}
 	}
 	if s.Runs() < 10 {
-		t.Fatalf("expected many runs at MaxRunItems=64, got %d", s.Runs())
+		t.Fatalf("expected many runs of 64 items, got %d", s.Runs())
 	}
 	if s.Count() != 1000 {
 		t.Fatalf("Count = %d, want 1000", s.Count())
@@ -91,13 +103,13 @@ func TestPushMergeSorts(t *testing.T) {
 // TestMergeRestream asserts Merge can be called repeatedly and replays
 // the identical sequence, as SpilledDataset.Stream promises.
 func TestMergeRestream(t *testing.T) {
-	s := intSorter(t, 16, nil)
+	s := intSorter(t, nil)
 	defer s.Close()
+	var items []int
 	for i := 100; i > 0; i-- {
-		if err := s.Push(i); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, i)
 	}
+	writeRuns(t, s, items, 16)
 	st1, err := s.Merge()
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +130,8 @@ func TestMergeRestream(t *testing.T) {
 			t.Fatalf("restream diverged at %d: %d vs %d", i, first[i], second[i])
 		}
 	}
-	if err := s.Push(1); err == nil {
-		t.Fatal("Push after Merge should fail")
+	if err := s.WriteRun([]int{1}); err == nil {
+		t.Fatal("WriteRun after Merge should fail")
 	}
 }
 
@@ -128,7 +140,7 @@ func TestMergeRestream(t *testing.T) {
 // the pass; and a torn frame fails the pass, naming the run, before
 // any of that run reaches fn.
 func TestEachRun(t *testing.T) {
-	s := intSorter(t, 0, nil)
+	s := intSorter(t, nil)
 	defer s.Close()
 	runs := [][]int{{1, 4, 7, 10}, {2, 3, 8}, {0, 5, 6, 9}}
 	for _, run := range runs {
@@ -162,8 +174,8 @@ func TestEachRun(t *testing.T) {
 	if string(kept) != "1" {
 		t.Fatalf("a kept payload changed after the pass: %q", kept)
 	}
-	if err := s.Push(1); err == nil {
-		t.Fatal("Push after EachRun should fail")
+	if err := s.WriteRun([]int{1}); err == nil {
+		t.Fatal("WriteRun after EachRun should fail")
 	}
 
 	path := filepath.Join(s.opts.Dir, "run-000001.seg")
@@ -187,7 +199,7 @@ func TestEachRun(t *testing.T) {
 // TestWriteRunPresorted exercises the direct run-writer path the
 // simulator uses: per-batch sorted runs, merged across runs.
 func TestWriteRunPresorted(t *testing.T) {
-	s := intSorter(t, 0, nil)
+	s := intSorter(t, nil)
 	defer s.Close()
 	if err := s.WriteRun([]int{1, 4, 7, 10}); err != nil {
 		t.Fatal(err)
@@ -214,7 +226,7 @@ func TestWriteRunPresorted(t *testing.T) {
 // TestTornRunFails truncates a run file mid-frame: the merge must
 // surface a torn-frame error instead of silently dropping the tail.
 func TestTornRunFails(t *testing.T) {
-	s := intSorter(t, 0, nil)
+	s := intSorter(t, nil)
 	defer s.Close()
 	big := make([]int, 200)
 	for i := range big {
@@ -257,7 +269,7 @@ func TestTornRunFails(t *testing.T) {
 
 // TestCorruptRunFails flips a payload byte: checksum error, not bad data.
 func TestCorruptRunFails(t *testing.T) {
-	s := intSorter(t, 0, nil)
+	s := intSorter(t, nil)
 	defer s.Close()
 	if err := s.WriteRun([]int{11111, 22222, 33333}); err != nil {
 		t.Fatal(err)
@@ -320,13 +332,13 @@ func TestSpillWriteFault(t *testing.T) {
 // gauge move as the sorter works.
 func TestMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := intSorter(t, 8, reg)
+	s := intSorter(t, reg)
 	defer s.Close()
-	for i := 0; i < 50; i++ {
-		if err := s.Push(i); err != nil {
-			t.Fatal(err)
-		}
+	items := make([]int, 50)
+	for i := range items {
+		items[i] = i
 	}
+	writeRuns(t, s, items, 8)
 	st, err := s.Merge()
 	if err != nil {
 		t.Fatal(err)

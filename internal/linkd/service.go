@@ -280,6 +280,20 @@ func Open(opts Options) (*Service, storage.JournalReplayStats, error) {
 // Metrics returns the service's metric registry.
 func (s *Service) Metrics() *obs.Registry { return s.m.reg }
 
+// Health is the service's /healthz status: unhealthy, naming the
+// error, once the journal has failed a write or fsync — every later
+// add is refused until a restart recovers the journal.
+func (s *Service) Health() obs.HealthStatus {
+	st := obs.HealthStatus{Healthy: true}
+	if s.wal != nil {
+		if err := s.wal.Err(); err != nil {
+			st.Healthy = false
+			st.WALError = err.Error()
+		}
+	}
+	return st
+}
+
 // Len returns the number of live instances.
 func (s *Service) Len() int { return s.rule.Len() }
 
@@ -500,19 +514,21 @@ func (s *Service) IndexDigests() (rule, learn string) {
 }
 
 // Compact checkpoints the live (non-evicted) table into a snapshot and
-// deletes the journal segments it covers: evicted instances leave the
-// disk here, and the next recovery replays live state, not history.
-// Adds are blocked only while the cut is captured.
+// deletes the journal segments it covers (storage.WAL.Checkpoint):
+// evicted instances leave the disk here, and the next recovery replays
+// live state, not history. Adds are blocked only while the cut is
+// captured.
 func (s *Service) Compact() (int64, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
 	s.mu.Lock()
-	if s.wal == nil {
+	w := s.wal
+	if w == nil {
 		s.mu.Unlock()
 		return 0, errors.New("linkd: compact needs a journal")
 	}
-	active, err := s.wal.Rotate()
+	active, err := w.Rotate()
 	if err != nil {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("linkd: compact rotate: %w", err)
@@ -523,12 +539,9 @@ func (s *Service) Compact() (int64, error) {
 	for id, rec := range s.live {
 		cut = append(cut, journalEntry{ID: id, Rec: rec})
 	}
-	dir := s.wal.Dir()
 	s.mu.Unlock()
 	sort.Slice(cut, func(i, j int) bool { return cut[i].ID < cut[j].ID })
-
-	covered := active - 1
-	n, err := storage.WriteSnapshotFrames(dir, covered, func(write func(payload []byte) error) error {
+	n, _, err := w.Checkpoint(active-1, func(write func(payload []byte) error) error {
 		for i := range cut {
 			payload, err := json.Marshal(&cut[i])
 			if err != nil {
@@ -540,10 +553,7 @@ func (s *Service) Compact() (int64, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return n, storage.RemoveCoveredSegments(dir, covered)
+	return n, err
 }
 
 // sampleLoop drives SampleOverload and EvictExpired on a fixed period.

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fpdyn/internal/faultinject"
 	"fpdyn/internal/fpstalker"
+	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
 )
 
@@ -570,6 +573,62 @@ func TestCompactWithoutJournal(t *testing.T) {
 	svc := openTest(t, nil)
 	if _, err := svc.Compact(); err == nil {
 		t.Fatal("compact without a journal must fail")
+	}
+}
+
+// TestJournalFaultSurfacesInHealth: the journal's metrics land on the
+// registry passed in WAL.Registry (compaction included), and once a
+// journal fsync fails the add is refused and Health reports the
+// journal's sticky error.
+func TestJournalFaultSurfacesInHealth(t *testing.T) {
+	reg := obs.NewRegistry()
+	failNewSegments := false
+	svc, _, err := Open(Options{
+		Rule: fpstalker.NewRuleLinker(), MaxInFlight: 2,
+		WAL: storage.WALOptions{
+			Dir: t.TempDir(), Policy: storage.SyncAlways, Registry: reg,
+			OpenFile: func(path string) (storage.SegmentFile, error) {
+				f, err := os.Create(path)
+				if err != nil {
+					return nil, err
+				}
+				ff := &faultinject.File{F: f}
+				if failNewSegments {
+					ff.FailSyncAt = 1
+				}
+				return ff, nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer svc.Close()
+	addN(t, svc, 3)
+	if h := svc.Health(); !h.Healthy || h.WALError != "" {
+		t.Fatalf("health before the fault = %+v", h)
+	}
+	failNewSegments = true // the segment Compact rotates to fails its first fsync
+	if _, err := svc.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if got := reg.Snapshot().Counters["wal_compactions_total"]; got != 1 {
+		t.Fatalf("wal_compactions_total = %d after one Compact, want 1", got)
+	}
+
+	err = svc.Add("after-fault", testRecord(9, tBase))
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("add over a failing fsync: err = %v, want the injected fault", err)
+	}
+	h := svc.Health()
+	if h.Healthy || !strings.Contains(h.WALError, faultinject.ErrInjected.Error()) {
+		t.Fatalf("health after the fault = %+v, want unhealthy naming the injected fault", h)
+	}
+	if got := reg.Snapshot().Gauges["wal_sticky_error"]; got != 1 {
+		t.Fatalf("wal_sticky_error = %v, want 1", got)
+	}
+	if svc.Len() != 3 {
+		t.Fatalf("Len = %d, want 3: a refused add must not be applied", svc.Len())
 	}
 }
 

@@ -1,16 +1,18 @@
-// Generic payload journal over the WAL machinery. The collection
-// store's crash safety (CRC-framed segments, rotation, fsync policies,
+// The WAL lifecycle: one replay loop and one checkpoint. The store's
+// crash safety (CRC-framed segments, rotation, fsync policies,
 // torn-tail truncation, snapshot+truncate compaction) is not specific
-// to visit records — any service with incremental state can journal
-// opaque payloads through the same files and recover them with the
-// same guarantees. fplinkd journals linker adds/evictions this way.
+// to visit records — any service with incremental state journals
+// opaque payloads through the same files and recovers them with the
+// same guarantees. Recover is this replay plus a walEntry decoder;
+// fplinkd journals linker adds the same way.
 //
-// The contract mirrors Recover/Compact: ReplayJournal loads the newest
-// snapshot (if any) and the segments after it, truncating a torn tail
-// frame; CompactJournal rotates, checkpoints caller-emitted frames
-// into an atomically renamed snapshot, and deletes the covered
-// segments. Both reuse the wal-%08d.seg / snap-%08d.snap naming, so a
-// journal directory is inspectable with the same tooling as a store's.
+// ReplayJournal loads the newest snapshot (if any) and the segments
+// after it, truncating a torn tail frame. Checkpoint writes a caller's
+// cut into an atomically renamed snapshot and deletes the segments it
+// covers; Store.Compact and linkd's Compact both rotate, capture their
+// cut under their own lock, and call it. Both use the wal-%08d.seg /
+// snap-%08d.snap naming, so a journal directory is inspectable with
+// the same tooling as a store's.
 package storage
 
 import (
@@ -41,10 +43,14 @@ type JournalReplayStats struct {
 // ReplayJournal rebuilds journal state from opts.Dir and opens a fresh
 // WAL for subsequent appends. The newest snapshot's frames are handed
 // to snapFn, then the frames of every segment the snapshot does not
-// cover go to segFn, in log order. A torn frame at the tail of the
-// final segment is truncated durably (file, then directory); torn or
-// corrupt frames anywhere else — including inside a snapshot, which is
-// written atomically — fail recovery. Obsolete files are deleted
+// cover go to segFn, in log order. A torn, corrupt or oversized frame
+// at the tail of the final segment is the crash signature: it is
+// truncated durably (file, then directory). Any other failure fails
+// recovery and leaves the files as they are: a bad frame anywhere
+// else (including inside a snapshot, which is written atomically),
+// and an error from snapFn or segFn, which means a frame that passed
+// its checksum does not decode — dropping it and every ACKed frame
+// after it is not a crash repair. Obsolete files are deleted
 // best-effort, and the returned WAL appends strictly after everything
 // replayed.
 func ReplayJournal(opts WALOptions, snapFn, segFn func(payload []byte) error) (*WAL, JournalReplayStats, error) {
@@ -92,13 +98,15 @@ func ReplayJournal(opts WALOptions, snapFn, segFn func(payload []byte) error) (*
 		if err != nil {
 			return nil, stats, fmt.Errorf("storage: wal read %s: %w", seg.name, err)
 		}
+		var fnErr error
 		validLen, derr := DecodeSegment(data, opts.maxFrame(), func(payload []byte) error {
 			stats.Frames++
-			return segFn(payload)
+			fnErr = segFn(payload)
+			return fnErr
 		})
 		stats.Segments++
 		if derr != nil {
-			if i != len(live)-1 {
+			if i != len(live)-1 || fnErr != nil {
 				return nil, stats, fmt.Errorf("storage: wal segment %s corrupt at offset %d: %w", seg.name, validLen, derr)
 			}
 			// Torn tail of the live segment: the crash signature. Keep
@@ -118,14 +126,20 @@ func ReplayJournal(opts WALOptions, snapFn, segFn func(payload []byte) error) (*
 	if len(segs) > 0 {
 		next = segs[len(segs)-1].n + 1
 	}
+	// Segments can all be gone after compaction; new segment numbers
+	// must still stay above the snapshot's coverage or the next
+	// recovery would skip them.
 	if snapSeg+1 > next {
 		next = snapSeg + 1
 	}
-	removeObsolete(opts.Dir, segs, snaps, snapSeg)
+	// Best effort: a leftover covered file is skipped next time anyway.
+	_, _ = removeCoveredSegments(opts.Dir, snapSeg)
 	w, err := openWALAt(opts, next)
 	if err != nil {
 		return nil, stats, err
 	}
+	// Publish what recovery found: a scrape after a restart shows how
+	// much was replayed and whether a torn tail was dropped.
 	w.metrics.recoveredRecords.SetInt(int64(stats.Frames))
 	w.metrics.recoveredSegments.SetInt(int64(stats.Segments))
 	w.metrics.truncatedBytes.SetInt(stats.TruncatedBytes)
@@ -133,33 +147,32 @@ func ReplayJournal(opts WALOptions, snapFn, segFn func(payload []byte) error) (*
 	return w, stats, nil
 }
 
-// CompactJournal checkpoints the journal: the WAL rotates (so the
-// snapshot covers a frozen prefix of the log), emit writes the live
-// state as payload frames through the provided write function, the
-// snapshot lands atomically, and the covered segments are deleted.
-// The caller must emit a consistent cut — typically captured under its
-// own state lock before or during emit — and every payload appended
-// after Rotate returns is replayed on top of the snapshot, never
-// duplicated. Returns the framed snapshot size.
-func (w *WAL) CompactJournal(emit func(write func(payload []byte) error) error) (int64, error) {
-	active, err := w.Rotate()
+// Checkpoint compacts the log: it writes a snapshot covering segments
+// 1..covered from the frames emit writes, removes the covered segments
+// and older snapshots, and counts the compaction in
+// wal_compactions_total and wal_snapshot_bytes. The caller first
+// rotates (so every segment up to covered is frozen) and captures, under
+// the lock that orders its appends, the state those segments hold;
+// every payload appended after that rotation is replayed on top of the
+// snapshot, never duplicated. Callers serialize their checkpoints. It
+// returns the framed snapshot size and the number of segments removed.
+func (w *WAL) Checkpoint(covered int, emit func(write func(payload []byte) error) error) (bytes int64, segmentsRemoved int, err error) {
+	bytes, err = writeSnapshotFrames(w.Dir(), covered, emit)
 	if err != nil {
-		return 0, fmt.Errorf("storage: compact rotate: %w", err)
+		return 0, 0, err
 	}
-	covered := active - 1
-	n, err := WriteSnapshotFrames(w.Dir(), covered, emit)
+	// The snapshot is durable under its final name: the covered
+	// segments and any older snapshots are now dead weight.
+	segmentsRemoved, err = removeCoveredSegments(w.Dir(), covered)
 	if err != nil {
-		return 0, err
-	}
-	if err := RemoveCoveredSegments(w.Dir(), covered); err != nil {
-		return n, err
+		return bytes, segmentsRemoved, err
 	}
 	w.metrics.compactions.Inc()
-	w.metrics.snapshotBytes.SetInt(n)
-	return n, nil
+	w.metrics.snapshotBytes.SetInt(bytes)
+	return bytes, segmentsRemoved, nil
 }
 
-// WriteSnapshotFrames writes a snapshot covering segments 1..covered:
+// writeSnapshotFrames writes a snapshot covering segments 1..covered:
 // emit is called once with a write function that frames and appends
 // one payload per call. The frames go through a buffer into the
 // snapshot's temporary name (snap-%08d.snap.tmp), which WriteFileAtomic
@@ -167,7 +180,7 @@ func (w *WAL) CompactJournal(emit func(write func(payload []byte) error) error) 
 // crash at any point leaves either the old recovery inputs or the new
 // ones — never a half-snapshot under the final name. Recovery removes
 // a temporary file a crash left behind.
-func WriteSnapshotFrames(dir string, covered int, emit func(write func(payload []byte) error) error) (int64, error) {
+func writeSnapshotFrames(dir string, covered int, emit func(write func(payload []byte) error) error) (int64, error) {
 	var n int64
 	err := WriteFileAtomic(filepath.Join(dir, snapName(covered)), func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<16)
@@ -189,29 +202,34 @@ func WriteSnapshotFrames(dir string, covered int, emit func(write func(payload [
 	return n, nil
 }
 
-// RemoveCoveredSegments deletes the segment files a durable snapshot
-// covering 1..covered made obsolete, plus any older snapshots, then
-// syncs the directory.
-func RemoveCoveredSegments(dir string, covered int) error {
-	segs, err := listSegments(dir)
+// removeCoveredSegments deletes what a durable snapshot covering
+// 1..covered made obsolete — the segments it covers, every older
+// snapshot, and any temporary snapshot a crash left before its rename
+// — then syncs the directory if anything went. It returns how many
+// segments it removed; a segment it cannot remove is an error.
+func removeCoveredSegments(dir string, covered int) (int, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("storage: wal dir: %w", err)
 	}
-	for _, seg := range segs {
-		if seg.n <= covered {
-			if err := os.Remove(filepath.Join(dir, seg.name)); err != nil {
-				return fmt.Errorf("storage: compact remove %s: %w", seg.name, err)
+	removed, dirty := 0, false
+	for _, e := range ents {
+		name := e.Name()
+		path := filepath.Join(dir, name)
+		if n, ok := fileNumber(name, segPattern); ok && n <= covered {
+			if err := os.Remove(path); err != nil {
+				return removed, fmt.Errorf("storage: compact remove %s: %w", name, err)
 			}
+			removed++
+		} else if n, ok := fileNumber(name, snapPattern); ok && n < covered || isSnapTemp(name) {
+			dirty = os.Remove(path) == nil || dirty
 		}
 	}
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return err
+	if removed == 0 && !dirty {
+		return 0, nil
 	}
-	for _, sn := range snaps {
-		if sn.n < covered {
-			os.Remove(filepath.Join(dir, sn.name)) // best effort
-		}
+	if err := fsyncDir(dir); err != nil {
+		return removed, fmt.Errorf("storage: compact dir sync: %w", err)
 	}
-	return fsyncDir(dir)
+	return removed, nil
 }

@@ -59,9 +59,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalCompact: CompactJournal folds the log into a snapshot;
-// replay sees snapshot frames plus only post-compaction appends, and
-// the covered segment files are gone.
+// TestJournalCompact: Rotate then Checkpoint folds the log into a
+// snapshot; replay sees snapshot frames plus only post-compaction
+// appends, and the covered segment files are gone.
 func TestJournalCompact(t *testing.T) {
 	dir := t.TempDir()
 	w, _, err := ReplayJournal(WALOptions{Dir: dir}, nil, nil)
@@ -75,7 +75,11 @@ func TestJournalCompact(t *testing.T) {
 	}
 	// The caller's consistent cut: pretend live state is 3 payloads.
 	live := []string{"live-a", "live-b", "live-c"}
-	if _, err := w.CompactJournal(func(write func([]byte) error) error {
+	active, err := w.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Checkpoint(active-1, func(write func([]byte) error) error {
 		for _, p := range live {
 			if err := write([]byte(p)); err != nil {
 				return err

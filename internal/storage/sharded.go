@@ -100,7 +100,9 @@ func NewShardedStore(n int) *ShardedStore {
 }
 
 // checkShardsMeta enforces the sticky shard count: first open writes
-// the marker, later opens must match it.
+// the marker, later opens must match it. A root without the marker
+// that already holds segments or snapshots is an unsharded store's
+// directory (Recover's), and is refused rather than read as empty.
 func checkShardsMeta(root string, n int) error {
 	path := filepath.Join(root, shardsMetaName)
 	data, err := os.ReadFile(path)
@@ -116,6 +118,17 @@ func checkShardsMeta(root string, n int) error {
 	}
 	if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("storage: read %s: %w", shardsMetaName, err)
+	}
+	segs, err := listSegments(root)
+	if err != nil {
+		return err
+	}
+	snaps, err := listSnapshots(root)
+	if err != nil {
+		return err
+	}
+	if len(segs)+len(snaps) > 0 {
+		return fmt.Errorf("storage: wal root %s holds an unsharded log and no %s file; reopen it unsharded", root, shardsMetaName)
 	}
 	if err := os.WriteFile(path, []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
 		return fmt.Errorf("storage: write %s: %w", shardsMetaName, err)

@@ -448,7 +448,7 @@ func TestRecoverCrashBetweenRenameAndDelete(t *testing.T) {
 		cut.seqs[cid] = seqEntry{Seq: seq, Idx: st.lastIdx[cid]}
 	}
 	st.mu.Unlock()
-	if _, err := writeSnapshot(opts.Dir, cut); err != nil {
+	if _, err := writeSnapshotFrames(opts.Dir, cut.covered, cut.emit); err != nil {
 		t.Fatal(err)
 	}
 	digest := indexDigest(t, st)

@@ -26,11 +26,10 @@ import (
 // Store holds the raw dataset. The zero value is not usable; construct
 // with NewStore.
 type Store struct {
-	mu       sync.RWMutex
-	records  []*fingerprint.Record
-	byUser   map[string][]int
-	byCookie map[string][]int
-	values   map[string][]byte
+	mu      sync.RWMutex
+	records []*fingerprint.Record
+	byUser  map[string][]int
+	values  map[string][]byte
 	// lastSeq tracks, per collection client, the highest client-assigned
 	// sequence ID applied — the idempotency table that lets a
 	// reconnecting client resubmit without double-appending.
@@ -46,11 +45,10 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		byUser:   make(map[string][]int),
-		byCookie: make(map[string][]int),
-		values:   make(map[string][]byte),
-		lastSeq:  make(map[string]uint64),
-		lastIdx:  make(map[string]int),
+		byUser:  make(map[string][]int),
+		values:  make(map[string][]byte),
+		lastSeq: make(map[string]uint64),
+		lastIdx: make(map[string]int),
 	}
 }
 
@@ -76,9 +74,6 @@ func (s *Store) appendLocked(r *fingerprint.Record) int {
 	idx := len(s.records)
 	s.records = append(s.records, r)
 	s.byUser[r.UserID] = append(s.byUser[r.UserID], idx)
-	if r.Cookie != "" {
-		s.byCookie[r.Cookie] = append(s.byCookie[r.Cookie], idx)
-	}
 	return idx
 }
 
@@ -200,18 +195,6 @@ func (s *Store) ByUser(userID string) []*fingerprint.Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	idxs := s.byUser[userID]
-	out := make([]*fingerprint.Record, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.records[idx]
-	}
-	return out
-}
-
-// ByCookie returns the records presenting one cookie in insertion order.
-func (s *Store) ByCookie(cookie string) []*fingerprint.Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idxs := s.byCookie[cookie]
 	out := make([]*fingerprint.Record, len(idxs))
 	for i, idx := range idxs {
 		out[i] = s.records[idx]

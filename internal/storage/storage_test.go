@@ -56,26 +56,6 @@ func TestAppendAndIndexes(t *testing.T) {
 	if len(u) != want {
 		t.Fatalf("ByUser = %d records, want %d", len(u), want)
 	}
-	c := s.ByCookie("ck-2")
-	wantC := 0
-	for i := 0; i < 10; i++ {
-		if i%5 == 2 {
-			wantC++
-		}
-	}
-	if len(c) != wantC {
-		t.Fatalf("ByCookie = %d records, want %d", len(c), wantC)
-	}
-}
-
-func TestEmptyCookieNotIndexed(t *testing.T) {
-	s := NewStore()
-	r := mkRecord(0)
-	r.Cookie = ""
-	s.Append(r)
-	if got := s.ByCookie(""); len(got) != 0 {
-		t.Fatal("empty cookie must not be indexed")
-	}
 }
 
 func TestValueStoreDedup(t *testing.T) {

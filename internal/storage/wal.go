@@ -4,8 +4,8 @@
 // never lost to a crash. The WAL provides it: every Append/PutValue is
 // framed, checksummed, and (per policy) fsynced to a segment file
 // before the store acknowledges, and Recover replays the segments into
-// a fresh store on restart, truncating a torn tail frame instead of
-// failing.
+// a fresh store on restart through ReplayJournal (journal.go),
+// truncating a torn tail frame instead of failing.
 //
 // Frame layout (little endian):
 //
@@ -280,31 +280,44 @@ func openWALAt(opts WALOptions, seg int) (*WAL, error) {
 	return w, nil
 }
 
+// segPattern names segment n; snapPattern (snapshot.go) names the
+// snapshot covering segments 1..n.
+const segPattern = "wal-%08d.seg"
+
 // segName formats the on-disk name of segment n.
-func segName(n int) string { return fmt.Sprintf("wal-%08d.seg", n) }
+func segName(n int) string { return fmt.Sprintf(segPattern, n) }
 
 type segRef struct {
 	n    int
 	name string
 }
 
-// listSegments returns the wal-*.seg files of dir in segment order.
-func listSegments(dir string) ([]segRef, error) {
+// fileNumber parses name as the file pattern names for some n.
+func fileNumber(name, pattern string) (int, bool) {
+	var n int
+	_, err := fmt.Sscanf(name, pattern, &n)
+	return n, err == nil && name == fmt.Sprintf(pattern, n)
+}
+
+// listFiles returns the files of dir that pattern names, in number
+// order.
+func listFiles(dir, pattern string) ([]segRef, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("storage: wal dir: %w", err)
 	}
-	var segs []segRef
+	var refs []segRef
 	for _, e := range ents {
-		name := e.Name()
-		var n int
-		if _, err := fmt.Sscanf(name, "wal-%08d.seg", &n); err == nil && name == segName(n) {
-			segs = append(segs, segRef{n, name})
+		if n, ok := fileNumber(e.Name(), pattern); ok {
+			refs = append(refs, segRef{n, e.Name()})
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].n < segs[j].n })
-	return segs, nil
+	sort.Slice(refs, func(i, j int) bool { return refs[i].n < refs[j].n })
+	return refs, nil
 }
+
+// listSegments returns the wal-*.seg files of dir in segment order.
+func listSegments(dir string) ([]segRef, error) { return listFiles(dir, segPattern) }
 
 // rotateLocked closes the active segment (after a final sync) and
 // opens the next one. Callers hold w.mu (or own the WAL exclusively
@@ -593,147 +606,51 @@ func (s *RecoveryStats) Add(other RecoveryStats) {
 	s.SnapshotValues += other.SnapshotValues
 }
 
-// Recover rebuilds a Store from opts.Dir: it loads the newest
-// compaction snapshot (if one exists), replays only the WAL segments
-// the snapshot does not cover, rebuilds the byUser/byCookie/value
-// indexes and the per-client sequence table, then attaches a new WAL
-// (next segment number) to the store so subsequent appends are
-// durable. A torn frame at the tail of the final segment is truncated
-// from the file — and the truncation is fsynced through to the
-// directory, so a crash immediately after recovery cannot resurrect
-// the torn frame and fail the *next* recovery with what would then
-// look like mid-log corruption. Corruption anywhere else (including
-// inside a snapshot, which is written atomically and must be intact)
-// fails recovery. Segments and older snapshots made obsolete by the
-// loaded snapshot are deleted best-effort.
+// Recover rebuilds a Store from opts.Dir through ReplayJournal, with a
+// walEntry decoder: the newest compaction snapshot (if one exists) and
+// the WAL segments it does not cover rebuild the records, the byUser
+// and value indexes and the per-client sequence table, and the new WAL
+// ReplayJournal opens (next segment number) is attached so subsequent
+// appends are durable. ReplayJournal's rules hold: a torn tail frame
+// of the final segment is truncated durably, any other bad frame —
+// including a checksummed frame that is not a walEntry — fails
+// recovery, and obsolete files are deleted best-effort. A directory
+// holding a sharded store's SHARDS marker is refused: it belongs to
+// RecoverSharded.
 func Recover(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
-	var stats RecoveryStats
-	if opts.Dir == "" {
-		return nil, nil, stats, errors.New("storage: WALOptions.Dir is required")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, stats, fmt.Errorf("storage: wal dir: %w", err)
-	}
-	segs, err := listSegments(opts.Dir)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	snaps, err := listSnapshots(opts.Dir)
-	if err != nil {
-		return nil, nil, stats, err
+	var stats, snap RecoveryStats
+	if opts.Dir != "" {
+		if _, err := os.Stat(filepath.Join(opts.Dir, shardsMetaName)); err == nil {
+			return nil, nil, stats, fmt.Errorf("storage: wal dir %s holds a sharded store (%s file); reopen it with its shard count", opts.Dir, shardsMetaName)
+		}
 	}
 	st := NewStore()
-	snapSeg := 0
-	if len(snaps) > 0 {
-		sn := snaps[len(snaps)-1]
-		var snapStats RecoveryStats
-		if err := loadSnapshot(filepath.Join(opts.Dir, sn.name), opts.maxFrame(), st, &snapStats); err != nil {
-			return nil, nil, stats, err
-		}
-		snapSeg = sn.n
-		stats.SnapshotSeg = sn.n
-		stats.SnapshotRecords = snapStats.Records
-		stats.SnapshotValues = snapStats.Values
-	}
-	live := segs[:0:0]
-	for _, seg := range segs {
-		if seg.n <= snapSeg {
-			continue // covered by the snapshot: already live state
-		}
-		live = append(live, seg)
-	}
-	for i, seg := range live {
-		path := filepath.Join(opts.Dir, seg.name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, stats, fmt.Errorf("storage: wal read %s: %w", seg.name, err)
-		}
-		validLen, derr := DecodeSegment(data, opts.maxFrame(), func(payload []byte) error {
+	decode := func(stats *RecoveryStats) func(payload []byte) error {
+		return func(payload []byte) error {
 			var e walEntry
 			if err := json.Unmarshal(payload, &e); err != nil {
 				return fmt.Errorf("storage: wal entry: %w", err)
 			}
-			st.applyEntry(&e, &stats)
+			st.applyEntry(&e, stats)
 			return nil
-		})
-		stats.Segments++
-		if derr != nil {
-			if i != len(live)-1 {
-				return nil, nil, stats, fmt.Errorf("storage: wal segment %s corrupt at offset %d: %w", seg.name, validLen, derr)
-			}
-			// Torn tail of the live segment: the crash signature.
-			// Truncate the file so the next recovery is clean, keep
-			// everything before the tear — and make the truncation
-			// itself durable (file then directory), or a crash here
-			// brings the torn bytes back.
-			if err := os.Truncate(path, validLen); err != nil {
-				return nil, nil, stats, fmt.Errorf("storage: wal truncate %s: %w", seg.name, err)
-			}
-			if err := syncFileAndDir(path); err != nil {
-				return nil, nil, stats, fmt.Errorf("storage: wal truncate sync %s: %w", seg.name, err)
-			}
-			stats.Truncated = true
-			stats.TruncatedBytes = int64(len(data)) - validLen
 		}
 	}
-	next := 1
-	if len(segs) > 0 {
-		next = segs[len(segs)-1].n + 1
-	}
-	// Segments can all be gone after compaction; new segment numbers
-	// must still stay above the snapshot's coverage or the next
-	// recovery would skip them.
-	if snapSeg+1 > next {
-		next = snapSeg + 1
-	}
-	// Drop files the snapshot made obsolete (segments it covers, older
-	// snapshots). Best-effort: a leftover is skipped next time anyway.
-	removeObsolete(opts.Dir, segs, snaps, snapSeg)
-	w, err := openWALAt(opts, next)
+	w, js, err := ReplayJournal(opts, decode(&snap), decode(&stats))
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	// Publish what recovery found: a scrape after a restart shows how
-	// much was replayed and whether a torn tail was dropped.
+	stats.Segments = js.Segments
+	stats.TruncatedBytes, stats.Truncated = js.TruncatedBytes, js.Truncated
+	stats.SnapshotSeg = js.SnapshotSeg
+	stats.SnapshotRecords, stats.SnapshotValues = snap.Records, snap.Values
+	// ReplayJournal's gauges count frames; the store's count record and
+	// value entries.
 	w.metrics.recoveredRecords.SetInt(int64(stats.Records))
 	w.metrics.recoveredValues.SetInt(int64(stats.Values))
-	w.metrics.recoveredSegments.SetInt(int64(stats.Segments))
-	w.metrics.truncatedBytes.SetInt(stats.TruncatedBytes)
 	w.metrics.snapshotRecords.SetInt(int64(stats.SnapshotRecords))
 	w.metrics.snapshotValues.SetInt(int64(stats.SnapshotValues))
 	st.AttachWAL(w)
 	return st, w, stats, nil
-}
-
-// removeObsolete deletes segments covered by the loaded snapshot, all
-// snapshots older than it and any temporary snapshot a crash left
-// before its rename, then syncs the directory.
-func removeObsolete(dir string, segs, snaps []segRef, snapSeg int) {
-	removed := false
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			if isSnapTemp(e.Name()) && os.Remove(filepath.Join(dir, e.Name())) == nil {
-				removed = true
-			}
-		}
-	}
-	for _, seg := range segs {
-		if seg.n <= snapSeg {
-			if os.Remove(filepath.Join(dir, seg.name)) == nil {
-				removed = true
-			}
-		}
-	}
-	for _, sn := range snaps {
-		if sn.n < snapSeg {
-			if os.Remove(filepath.Join(dir, sn.name)) == nil {
-				removed = true
-			}
-		}
-	}
-	if removed {
-		fsyncDir(dir)
-	}
 }
 
 // syncFileAndDir fsyncs path's contents and then its parent directory,

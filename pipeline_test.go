@@ -4,7 +4,7 @@ package fpdyn
 // report rendered from a Workers:1 spilled world must be byte-identical
 // to the one rendered from a Workers:NumCPU world. Run under -race
 // (make check does) this also exercises every concurrent stage —
-// sharded simulation, the spill and regroup sorts, parallel ground
+// sharded simulation and its spilled runs, the per-partition ground
 // truth, diff fan-out, batch classification — for data races.
 
 import (
