@@ -13,9 +13,9 @@ import (
 
 // TestOutputMatchesInMemoryOracle pins fpgen's two outputs for a small
 // world, with and without the deployment events. The snapshot must
-// equal Store.WriteTo over the records population.Simulate returns for
-// the same config, and the truth sidecar must equal the per-record
-// TrueInstance/Truth lines of that dataset.
+// equal a SnapshotWriter over the records population.Simulate returns
+// for the same config, in its (time) order, and the truth sidecar must
+// equal the per-record TrueInstance/Truth lines of that dataset.
 func TestOutputMatchesInMemoryOracle(t *testing.T) {
 	for _, deployment := range []bool{false, true} {
 		t.Run(fmt.Sprintf("deployment=%v", deployment), func(t *testing.T) {
@@ -32,18 +32,19 @@ func TestOutputMatchesInMemoryOracle(t *testing.T) {
 			}
 
 			ds := population.Simulate(cfg)
-			store := storage.NewStore()
-			var wantTruth bytes.Buffer
+			var wantSnap, wantTruth bytes.Buffer
+			sw := storage.NewSnapshotWriter(&wantSnap)
 			for i, rec := range ds.Records {
-				store.Append(rec)
+				if err := sw.Record(rec); err != nil {
+					t.Fatal(err)
+				}
 				fmt.Fprintf(&wantTruth, "%d", ds.TrueInstance[i])
 				for _, ev := range ds.Truth[i] {
 					fmt.Fprintf(&wantTruth, " %s", ev)
 				}
 				fmt.Fprintln(&wantTruth)
 			}
-			var wantSnap bytes.Buffer
-			if _, err := store.WriteTo(&wantSnap); err != nil {
+			if err := sw.Close(); err != nil {
 				t.Fatal(err)
 			}
 

@@ -1,8 +1,9 @@
 // Command fpreplay streams a saved dataset snapshot through a live
 // collection server using the resilient client — a load generator for
 // cmd/fpserver and a demonstration of the transfer pipeline surviving
-// outages. Visits replay in record order; -speedup compresses the
-// original eight-month timeline.
+// outages. Exports are in user order (see storage.ShardedStore.WriteTo),
+// so the visits are stable-sorted by time and replayed in that order;
+// -speedup compresses the original eight-month timeline.
 //
 // Usage:
 //
@@ -15,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"fpdyn/internal/collector"
@@ -36,6 +38,7 @@ func main() {
 	if len(records) == 0 {
 		log.Fatal("fpreplay: empty dataset")
 	}
+	sort.SliceStable(records, func(i, j int) bool { return records[i].Time.Before(records[j].Time) })
 	fmt.Printf("replaying %d records from %s to %s (speedup %.0fx)\n",
 		len(records), *in, *addr, *speedup)
 
@@ -44,18 +47,13 @@ func main() {
 
 	start := time.Now()
 	t0 := records[0].Time
-	delivered, buffered := 0, 0
 	for i, rec := range records {
 		// Pace the replay against the compressed original timeline.
 		due := time.Duration(float64(rec.Time.Sub(t0)) / *speedup)
 		if sleep := due - time.Since(start); sleep > 0 {
 			time.Sleep(sleep)
 		}
-		if err := client.Submit(rec); err != nil {
-			buffered++
-		} else {
-			delivered++
-		}
+		_ = client.Submit(rec) // on failure the record stays buffered (pending) for a retry
 		if (i+1)%*report == 0 {
 			st := client.Stats()
 			fmt.Printf("  %d/%d replayed (sent %d, pending %d, dropped %d, retransmits %d)\n",
@@ -69,6 +67,4 @@ func main() {
 	st := client.Stats()
 	fmt.Printf("done in %v: %d sent, %d still pending, %d dropped, %d retransmits\n",
 		time.Since(start).Round(time.Millisecond), st.Sent, client.Pending(), st.Dropped, st.Retransmits)
-	_ = delivered
-	_ = buffered
 }

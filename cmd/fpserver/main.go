@@ -10,12 +10,14 @@
 // The paper's deployment survived an eight-day outage because clients
 // kept retrying (§2.2); the WAL covers the server half of that story.
 //
-// With -shards N > 1 the store is partitioned by hash(UserID) into N
-// independent WALs under wal-dir/shard-NN/, recovered in parallel on
-// startup. The shard count is sticky per directory. -compact-every
+// The store is partitioned by hash(UserID) into -shards independent
+// WALs under wal-dir/shard-NN/ (one shard is shard-00), recovered in
+// parallel on startup. The shard count is sticky per directory; a
+// directory of the retired flat layout (segments directly in wal-dir)
+// is refused with the one-time migration spelled out. -compact-every
 // periodically checkpoints live state into a snapshot and truncates
 // the replayed segments, bounding restart cost by live state rather
-// than log history.
+// than log history; a tick with nothing appended writes nothing.
 //
 // Clients negotiate length-prefixed CRC-framed binary requests via a
 // hello exchange; -framing json declines the upgrade and keeps every
@@ -23,7 +25,9 @@
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, lets
 // in-flight submissions finish (-drain-timeout bounds the wait), runs
-// a final fsync, and snapshots the store to disk.
+// a final fsync, and exports the store to -o in canonical order
+// (values sorted, then users sorted, each user's records in arrival
+// order).
 //
 // With -admin-addr a second HTTP listener serves the observability
 // surface: /metrics (Prometheus text exposition), /varz (JSON
@@ -52,15 +56,6 @@ import (
 	"fpdyn/internal/storage"
 )
 
-// backend is the store surface fpserver needs beyond what the
-// collector server consumes; both *storage.Store and
-// *storage.ShardedStore satisfy it.
-type backend interface {
-	collector.Backend
-	Len() int
-	SaveFile(path string) error
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9400", "listen address")
 	adminAddr := flag.String("admin-addr", "", "admin HTTP listener for /metrics, /varz, /healthz, /debug/pprof/ (empty disables)")
@@ -70,7 +65,7 @@ func main() {
 	fsyncMode := flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync interval")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight submissions on shutdown")
-	shards := flag.Int("shards", 1, "number of store shards (>1 partitions the WAL into wal-dir/shard-NN/)")
+	shards := flag.Int("shards", 1, "number of store shards (the WAL lives in wal-dir/shard-NN/)")
 	framing := flag.String("framing", "binary", "wire framing the server will negotiate: binary | json")
 	compactEvery := flag.Duration("compact-every", 0, "WAL compaction period: snapshot live state, truncate replayed segments (0 disables)")
 	flag.Parse()
@@ -87,51 +82,24 @@ func main() {
 		log.Fatalf("fpserver: unknown -framing %q (want binary or json)", *framing)
 	}
 
-	var store backend
-	var walErr func() error // nil when no WAL
+	var store *storage.ShardedStore
 	var walRegs []*obs.Registry
-	var compact func() (storage.CompactionStats, error)
-	var closeWALs func() error
 	if *walDir != "" {
 		policy, err := storage.ParseSyncPolicy(*fsyncMode)
 		if err != nil {
 			log.Fatalf("fpserver: %v", err)
 		}
-		walOpts := storage.WALOptions{
-			Dir:      *walDir,
-			Policy:   policy,
-			Interval: *fsyncEvery,
+		walReg := obs.NewRegistry()
+		var sstats storage.ShardedRecoveryStats
+		store, sstats, err = storage.RecoverSharded(storage.ShardedWALOptions{
+			WALOptions: storage.WALOptions{Dir: *walDir, Policy: policy, Interval: *fsyncEvery, Registry: walReg},
+			Shards:     *shards,
+		})
+		if err != nil {
+			log.Fatalf("fpserver: wal recovery: %v", err)
 		}
-		var stats storage.RecoveryStats
-		if *shards == 1 {
-			// Single-shard keeps the legacy flat wal-dir layout so
-			// existing deployments reopen their logs unchanged.
-			st, wal, rstats, err := storage.Recover(walOpts)
-			if err != nil {
-				log.Fatalf("fpserver: wal recovery: %v", err)
-			}
-			stats = rstats
-			store = st
-			walErr = wal.Err
-			walRegs = []*obs.Registry{wal.Metrics()}
-			compact = st.Compact
-			closeWALs = wal.Close
-		} else {
-			walOpts.Registry = obs.NewRegistry()
-			ss, sstats, err := storage.RecoverSharded(storage.ShardedWALOptions{
-				WALOptions: walOpts,
-				Shards:     *shards,
-			})
-			if err != nil {
-				log.Fatalf("fpserver: wal recovery: %v", err)
-			}
-			stats = sstats.RecoveryStats
-			store = ss
-			walErr = ss.WALError
-			walRegs = []*obs.Registry{walOpts.Registry}
-			compact = ss.Compact
-			closeWALs = ss.CloseWALs
-		}
+		walRegs = []*obs.Registry{walReg}
+		stats := sstats.RecoveryStats
 		banner := fmt.Sprintf("wal recovery: %d records, %d values replayed from %d segments",
 			stats.Records, stats.Values, stats.Segments)
 		if stats.SnapshotRecords > 0 || stats.SnapshotValues > 0 {
@@ -144,11 +112,7 @@ func main() {
 		fmt.Println(banner)
 		fmt.Printf("wal: dir=%s shards=%d fsync=%s\n", *walDir, *shards, policy)
 	} else {
-		if *shards == 1 {
-			store = storage.NewStore()
-		} else {
-			store = storage.NewShardedStore(*shards)
-		}
+		store = storage.NewShardedStore(*shards)
 		fmt.Println("warning: no -wal-dir; accepted records do not survive a crash")
 	}
 	srv := collector.NewServer(store)
@@ -169,11 +133,9 @@ func main() {
 				st.Draining = true
 				st.Detail = "draining: refusing new connections"
 			}
-			if walErr != nil {
-				if werr := walErr(); werr != nil {
-					st.Healthy = false
-					st.WALError = werr.Error()
-				}
+			if werr := store.WALError(); werr != nil {
+				st.Healthy = false
+				st.WALError = werr.Error()
 			}
 			return st
 		}
@@ -202,15 +164,18 @@ func main() {
 	}
 
 	if *compactEvery > 0 {
-		if compact == nil {
+		if *walDir == "" {
 			log.Fatalf("fpserver: -compact-every requires -wal-dir")
 		}
 		go func() {
 			for range time.Tick(*compactEvery) {
-				cs, err := compact()
+				cs, err := store.Compact()
 				if err != nil {
 					log.Printf("fpserver: compaction: %v", err)
 					continue
+				}
+				if cs.CoveredSeg == 0 {
+					continue // every shard was idle
 				}
 				fmt.Printf("compaction: snapshot %d records, %d values (%d bytes); %d segments removed\n",
 					cs.Records, cs.Values, cs.SnapshotBytes, cs.SegmentsRemoved)
@@ -233,12 +198,10 @@ func main() {
 	if err := srv.Serve(lis); err != nil {
 		log.Fatalf("fpserver: %v", err)
 	}
-	if closeWALs != nil {
-		// Final fsync: everything accepted is on stable storage before
-		// the process exits.
-		if err := closeWALs(); err != nil {
-			log.Printf("fpserver: wal close: %v", err)
-		}
+	// Final fsync: everything accepted is on stable storage before the
+	// process exits. Without -wal-dir there is nothing to close.
+	if err := store.CloseWALs(); err != nil {
+		log.Printf("fpserver: wal close: %v", err)
 	}
 	if err := store.SaveFile(*out); err != nil {
 		log.Fatalf("fpserver: snapshot: %v", err)

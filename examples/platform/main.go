@@ -21,7 +21,7 @@ import (
 
 func main() {
 	// Server side.
-	store := storage.NewStore()
+	store := storage.NewShardedStore(1)
 	srv := collector.NewServer(store)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

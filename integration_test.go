@@ -11,6 +11,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"fpdyn/internal/browserid"
@@ -33,7 +34,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	ds := population.Simulate(cfg)
 
 	// Stage 2: collection over TCP.
-	store := storage.NewStore()
+	store := storage.NewShardedStore(1)
 	srv := collector.NewServer(store)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -82,8 +83,18 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("reloaded %d of %d records", loaded.Len(), store.Len())
 	}
 
-	// Stage 4: ground truth and dynamics off the reloaded store.
+	// Stage 4: ground truth and dynamics off the reloaded store. The
+	// export is user-ordered; ordered by time, as fpreplay replays it,
+	// it must be the submitted sequence again.
 	records := loaded.Records()
+	sort.SliceStable(records, func(i, j int) bool { return records[i].Time.Before(records[j].Time) })
+	for i, rec := range records {
+		want := ds.Records[i]
+		if !rec.Time.Equal(want.Time) || rec.UserID != want.UserID || rec.Cookie != want.Cookie {
+			t.Fatalf("time-ordered record %d = (%v, %s, %s), submitted (%v, %s, %s)",
+				i, rec.Time, rec.UserID, rec.Cookie, want.Time, want.UserID, want.Cookie)
+		}
+	}
 	gt := browserid.Build(records)
 	ratio := float64(gt.NumInstances()) / float64(ds.NumInstances)
 	if ratio < 0.85 || ratio > 1.2 {
@@ -107,8 +118,9 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Fatal("anonymity curve not monotone")
 		}
 	}
-	// Collection preserved order, so the simulator's instance labels
-	// still align with the reloaded records positionally.
+	// The time-ordered records are the submitted sequence (checked
+	// above), so the simulator's instance labels align with them
+	// positionally.
 	rule := fpstalker.Evaluate(fpstalker.NewRuleLinker(), records, ds.TrueInstance, 10)
 	hyb := fpstalker.Evaluate(linker.New(), records, ds.TrueInstance, 10)
 	t.Logf("pipeline: %d records, %d instances, %d dynamics; rule F1=%.3f, hybrid F1=%.3f",

@@ -22,11 +22,13 @@ import (
 )
 
 // startWALServer assembles the production stack over a temp WAL dir,
-// exactly as cmd/fpserver wires it, and returns the pieces plus the
-// admin httptest server.
-func startWALServer(t *testing.T, opts storage.WALOptions) (*Server, *storage.WAL, string, *httptest.Server) {
+// exactly as cmd/fpserver -shards 1 wires it, and returns the pieces
+// plus the admin httptest server. The WAL metrics carry the shard
+// label, shard="00".
+func startWALServer(t *testing.T, opts storage.WALOptions) (*Server, *storage.ShardedStore, string, *httptest.Server) {
 	t.Helper()
-	store, wal, _, err := storage.Recover(opts)
+	opts.Registry = obs.NewRegistry()
+	store, _, err := storage.RecoverSharded(storage.ShardedWALOptions{WALOptions: opts, Shards: 1})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -43,7 +45,7 @@ func startWALServer(t *testing.T, opts storage.WALOptions) (*Server, *storage.WA
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
-		wal.Close()
+		store.CloseWALs()
 	})
 
 	health := func() obs.HealthStatus {
@@ -51,15 +53,15 @@ func startWALServer(t *testing.T, opts storage.WALOptions) (*Server, *storage.WA
 		if srv.Draining() {
 			st.Draining = true
 		}
-		if werr := wal.Err(); werr != nil {
+		if werr := store.WALError(); werr != nil {
 			st.Healthy = false
 			st.WALError = werr.Error()
 		}
 		return st
 	}
-	admin := httptest.NewServer(obs.NewAdminHandler(health, srv.Metrics(), wal.Metrics(), obs.NewRuntimeRegistry()))
+	admin := httptest.NewServer(obs.NewAdminHandler(health, srv.Metrics(), opts.Registry, obs.NewRuntimeRegistry()))
 	t.Cleanup(admin.Close)
-	return srv, wal, lis.Addr().String(), admin
+	return srv, store, lis.Addr().String(), admin
 }
 
 func scrape(t *testing.T, admin *httptest.Server, path string) (int, string) {
@@ -139,7 +141,7 @@ func TestAdminScrapeMatchesServerStats(t *testing.T) {
 	}
 	// Each durable submit fsynced at least once (policy always): the
 	// WAL histograms carry real observations.
-	if fs := snap.Histograms["wal_fsync_seconds"]; fs.Count < 4 {
+	if fs := snap.Histograms[`wal_fsync_seconds{shard="00"}`]; fs.Count < 4 {
 		t.Errorf("wal fsync count = %d, want ≥ 4", fs.Count)
 	}
 
@@ -169,12 +171,12 @@ func TestAdminRecoveryMetrics(t *testing.T) {
 
 	_, _, _, admin := startWALServer(t, storage.WALOptions{Dir: dir, Policy: storage.SyncAlways})
 	_, body := scrape(t, admin, "/metrics")
-	if !strings.Contains(body, "wal_recovered_records 3") {
-		t.Errorf("scrape after restart missing wal_recovered_records 3:\n%s",
+	if !strings.Contains(body, `wal_recovered_records{shard="00"} 3`) {
+		t.Errorf("scrape after restart missing wal_recovered_records{shard=\"00\"} 3:\n%s",
 			grepLines(body, "wal_recovered"))
 	}
-	if !strings.Contains(body, "wal_recovered_segments 1") {
-		t.Errorf("scrape missing wal_recovered_segments 1:\n%s", grepLines(body, "wal_recovered"))
+	if !strings.Contains(body, `wal_recovered_segments{shard="00"} 1`) {
+		t.Errorf("scrape missing wal_recovered_segments{shard=\"00\"} 1:\n%s", grepLines(body, "wal_recovered"))
 	}
 }
 
@@ -197,7 +199,7 @@ func TestAdminHealthzPoisonedWAL(t *testing.T) {
 			return &faultinject.File{F: f, FailSyncAt: 6}, nil
 		},
 	}
-	_, wal, addr, admin := startWALServer(t, opts)
+	_, store, addr, admin := startWALServer(t, opts)
 
 	if code, _ := scrape(t, admin, "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthy before fault: status = %d", code)
@@ -214,8 +216,8 @@ func TestAdminHealthzPoisonedWAL(t *testing.T) {
 			break
 		}
 	}
-	if !sawError || wal.Err() == nil {
-		t.Fatalf("fsync fault did not poison the WAL (err=%v)", wal.Err())
+	if !sawError || store.WALError() == nil {
+		t.Fatalf("fsync fault did not poison the WAL (err=%v)", store.WALError())
 	}
 
 	code, body := scrape(t, admin, "/healthz")
@@ -231,7 +233,7 @@ func TestAdminHealthzPoisonedWAL(t *testing.T) {
 	}
 
 	_, metrics := scrape(t, admin, "/metrics")
-	if !strings.Contains(metrics, "wal_sticky_error 1") {
+	if !strings.Contains(metrics, `wal_sticky_error{shard="00"} 1`) {
 		t.Errorf("metrics missing wal_sticky_error 1:\n%s", grepLines(metrics, "wal_sticky"))
 	}
 }

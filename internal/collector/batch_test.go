@@ -228,7 +228,7 @@ func TestResilientClientBatchDrainAfterOutage(t *testing.T) {
 	}
 
 	// Server returns on the same address.
-	st2 := storage.NewStore()
+	st2 := storage.NewShardedStore(1)
 	srv2 := NewServer(st2)
 	srv2.Logf = t.Logf
 	lis, err := net.Listen("tcp", addr)
@@ -266,7 +266,7 @@ func TestResilientClientBatchDrainAfterOutage(t *testing.T) {
 // binary mode too. The server is built by hand: MaxFrame must be set
 // before Serve.
 func TestBinaryOversizedFrameRejected(t *testing.T) {
-	srv := NewServer(storage.NewStore())
+	srv := NewServer(storage.NewShardedStore(1))
 	srv.Logf = t.Logf
 	srv.MaxFrame = 4 << 10
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -19,7 +19,7 @@ import (
 // Chaos tests: kill the server mid-stream (Close tears connections
 // down without responses, the in-process SIGKILL equivalent — with
 // fsync=Always every ACKed record hit stable storage first), restart
-// via Recover, and assert the crash-safety contract: zero ACKed-record
+// via RecoverSharded, and assert the crash-safety contract: zero ACKed-record
 // loss, no double appends, and recovered indexes byte-identical to an
 // uninterrupted run over the same records.
 
@@ -35,7 +35,7 @@ func chaosRecord(cid string, seq uint64) *fingerprint.Record {
 // storeDigest serializes records plus the byUser index shape and the
 // records grouped by cookie for byte-identical comparison across
 // recoveries.
-func storeDigest(t *testing.T, s *storage.Store) string {
+func storeDigest(t *testing.T, s *storage.ShardedStore) string {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -81,13 +81,18 @@ func storeDigest(t *testing.T, s *storage.Store) string {
 	return buf.String()
 }
 
-func recoverStore(t *testing.T, dir string) (*storage.Store, *storage.WAL, storage.RecoveryStats) {
+// recoverStore recovers the one-shard store under dir, as fpserver
+// -shards 1 does.
+func recoverStore(t *testing.T, dir string) *storage.ShardedStore {
 	t.Helper()
-	st, w, stats, err := storage.Recover(storage.WALOptions{Dir: dir, Policy: storage.SyncAlways})
+	st, _, err := storage.RecoverSharded(storage.ShardedWALOptions{
+		WALOptions: storage.WALOptions{Dir: dir, Policy: storage.SyncAlways},
+		Shards:     1,
+	})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	return st, w, stats
+	return st
 }
 
 // TestChaosKillRecoverNoAcceptedLoss is the acceptance scenario:
@@ -105,7 +110,7 @@ func TestChaosKillRecoverNoAcceptedLoss(t *testing.T) {
 	seqs := make([]uint64, workers) // per-client monotonic sequence
 
 	for round := 0; round < rounds; round++ {
-		st, wal, _ := recoverStore(t, dir)
+		st := recoverStore(t, dir)
 
 		// Invariant on entry: everything ACKed in earlier rounds is here.
 		ackedMu.Lock()
@@ -156,7 +161,7 @@ func TestChaosKillRecoverNoAcceptedLoss(t *testing.T) {
 		srv.Close()
 		wg.Wait()
 		<-serveDone
-		wal.Close()
+		st.CloseWALs()
 	}
 
 	if len(acked) == 0 {
@@ -164,8 +169,8 @@ func TestChaosKillRecoverNoAcceptedLoss(t *testing.T) {
 	}
 
 	// Final recovery: zero ACKed loss, no duplicates.
-	st, wal, _ := recoverStore(t, dir)
-	defer wal.Close()
+	st := recoverStore(t, dir)
+	defer st.CloseWALs()
 	for uid := range acked {
 		if n := len(st.ByUser(uid)); n != 1 {
 			t.Fatalf("ACKed record %s present %d times after final recovery", uid, n)
@@ -175,12 +180,12 @@ func TestChaosKillRecoverNoAcceptedLoss(t *testing.T) {
 	// Byte-identical recovery: replaying the same WAL twice yields the
 	// same records and indexes, and they match an uninterrupted
 	// in-memory run over the same record stream.
-	st2, wal2, _ := recoverStore(t, dir)
-	defer wal2.Close()
+	st2 := recoverStore(t, dir)
+	defer st2.CloseWALs()
 	if storeDigest(t, st) != storeDigest(t, st2) {
 		t.Fatal("two recoveries of the same WAL differ")
 	}
-	uninterrupted := storage.NewStore()
+	uninterrupted := storage.NewShardedStore(1)
 	for _, rec := range st.Records() {
 		uninterrupted.Append(rec)
 	}
@@ -212,7 +217,7 @@ func TestChaosResilientClientAcrossRestarts(t *testing.T) {
 	const rounds = 4
 	submitted := 0
 	for round := 0; round < rounds; round++ {
-		st, wal, _ := recoverStore(t, dir)
+		st := recoverStore(t, dir)
 		lis, err := net.Listen("tcp", addr)
 		if err != nil {
 			t.Skipf("could not rebind %s: %v", addr, err)
@@ -231,12 +236,12 @@ func TestChaosResilientClientAcrossRestarts(t *testing.T) {
 			}
 		}
 		srv.Close()
-		wal.Close()
+		st.CloseWALs()
 	}
 
 	// Final, healthy server: drain the backlog.
-	st, wal, _ := recoverStore(t, dir)
-	defer wal.Close()
+	st := recoverStore(t, dir)
+	defer st.CloseWALs()
 	lis2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
@@ -271,7 +276,7 @@ func TestChaosResilientClientAcrossRestarts(t *testing.T) {
 // live server and after a crash + recovery rebuilt the table from WAL.
 func TestSeqIdempotentAcrossRecovery(t *testing.T) {
 	dir := t.TempDir()
-	st, wal, _ := recoverStore(t, dir)
+	st := recoverStore(t, dir)
 	srv := NewServer(st)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -301,11 +306,11 @@ func TestSeqIdempotentAcrossRecovery(t *testing.T) {
 	}
 	c.Close()
 	srv.Close()
-	wal.Close()
+	st.CloseWALs()
 
 	// Crash + restart: the idempotency table is rebuilt from the WAL.
-	st2, wal2, _ := recoverStore(t, dir)
-	defer wal2.Close()
+	st2 := recoverStore(t, dir)
+	defer st2.CloseWALs()
 	srv2 := NewServer(st2)
 	srv2.Logf = t.Logf
 	lis2, err := net.Listen("tcp", "127.0.0.1:0")
@@ -333,8 +338,8 @@ func TestSeqIdempotentAcrossRecovery(t *testing.T) {
 // connection must land exactly once.
 func TestChaosTornConnectionMidFrame(t *testing.T) {
 	dir := t.TempDir()
-	st, wal, _ := recoverStore(t, dir)
-	defer wal.Close()
+	st := recoverStore(t, dir)
+	defer st.CloseWALs()
 	srv := NewServer(st)
 	srv.Logf = func(string, ...any) {}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -391,7 +396,7 @@ func TestChaosTornConnectionMidFrame(t *testing.T) {
 // client that stops reading responses cannot pin a handler past its
 // write deadline.
 func TestServerStalledClientDisconnected(t *testing.T) {
-	st := storage.NewStore()
+	st := storage.NewShardedStore(1)
 	srv := NewServer(st)
 	srv.Logf = func(string, ...any) {}
 	srv.ReadTimeout = 100 * time.Millisecond
@@ -419,7 +424,7 @@ func TestServerStalledClientDisconnected(t *testing.T) {
 // request line beyond MaxFrame is refused and the connection closed
 // before the payload is buffered in full.
 func TestServerRejectsOversizedFrame(t *testing.T) {
-	st := storage.NewStore()
+	st := storage.NewShardedStore(1)
 	srv := NewServer(st)
 	srv.Logf = func(string, ...any) {}
 	srv.MaxFrame = 4 << 10

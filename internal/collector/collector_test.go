@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -149,9 +150,9 @@ func submitOne(c *Client, rec *fingerprint.Record, clientID string, seq uint64) 
 
 // startServer spins up a TCP server on an ephemeral port; it is torn
 // down at test end.
-func startServer(t *testing.T) (*Server, *storage.Store, string) {
+func startServer(t *testing.T) (*Server, *storage.ShardedStore, string) {
 	t.Helper()
-	store := storage.NewStore()
+	store := storage.NewShardedStore(1)
 	srv := NewServer(store)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -187,7 +188,7 @@ func TestEndToEndSubmit(t *testing.T) {
 	if idx != 0 || store.Len() != 1 {
 		t.Fatalf("idx=%d len=%d", idx, store.Len())
 	}
-	got := store.Record(0)
+	got := store.Records()[0]
 	if !got.FP.Equal(rec.FP) {
 		t.Fatal("stored record differs from submitted")
 	}
@@ -381,15 +382,19 @@ func TestPlatformIngestSimulatedWorld(t *testing.T) {
 	if store.Len() != len(ds.Records) {
 		t.Fatalf("stored %d of %d records", store.Len(), len(ds.Records))
 	}
-	for i, rec := range ds.Records {
-		if !store.Record(i).FP.Equal(rec.FP) {
+	// The store lists records in canonical order: users sorted, each
+	// user's records in arrival order.
+	want := append([]*fingerprint.Record(nil), ds.Records...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].UserID < want[j].UserID })
+	for i, got := range store.Records() {
+		if !got.FP.Equal(want[i].FP) {
 			t.Fatalf("record %d corrupted in transit", i)
 		}
 	}
 }
 
 func BenchmarkSubmitDedup(b *testing.B) {
-	store := storage.NewStore()
+	store := storage.NewShardedStore(1)
 	srv := NewServer(store)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -3,7 +3,7 @@
 // parallel, a transfer module that content-addresses bulky feature
 // values so the client sends only a hash when the server already holds
 // the value (§2.2.1), and a TCP data-storage server that reconstructs
-// and appends full visit records to a storage.Store.
+// and appends full visit records to a storage.ShardedStore.
 package collector
 
 import (

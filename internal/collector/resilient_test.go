@@ -60,7 +60,7 @@ func TestResilientBuffersDuringOutage(t *testing.T) {
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	store := storage.NewStore()
+	store := storage.NewShardedStore(1)
 	srv := NewServer(store)
 	srv.Logf = t.Logf
 	go srv.Serve(lis2)

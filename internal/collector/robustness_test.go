@@ -104,7 +104,7 @@ func TestServerHandlesOversizeCheck(t *testing.T) {
 
 func TestDispatchTableDriven(t *testing.T) {
 	// The dispatcher in isolation, without sockets.
-	srv := NewServer(storage.NewStore())
+	srv := NewServer(storage.NewShardedStore(1))
 	cases := []struct {
 		req  Request
 		want string

@@ -26,28 +26,17 @@ const (
 	DefaultDrainGrace   = 500 * time.Millisecond
 )
 
-// Backend is the storage surface the server ingests into. Both
-// *storage.Store and *storage.ShardedStore satisfy it; the server
-// neither knows nor cares how the backend partitions data. Every record
-// lands through AppendBatchDurable — a single submit is a batch of one.
-type Backend interface {
-	HasValue(hash string) bool
-	Value(hash string) ([]byte, bool)
-	PutValueDurable(hash string, content []byte) error
-	// AppendBatchDurable group-commits a batch of records: one WAL
-	// write+fsync per touched shard instead of one per record, with
-	// (client ID, seq) dedup. An error means the batch must not be
-	// ACKed (the client retransmits; seq dedup absorbs any sub-batch
-	// that did land).
-	AppendBatchDurable(items []storage.BatchAppend, clientID string) ([]storage.BatchResult, error)
-}
-
 // Server is the data-storage server: it accepts collection connections,
 // answers dedup checks against its value store, and appends
-// reconstructed records to the backing store. When the store has a WAL
-// attached, a record is ACKed only after it is durable.
+// reconstructed records to the backing store. Every record lands
+// through the store's AppendBatchDurable — a single submit is a batch
+// of one, group-committed with one WAL write+fsync per touched shard
+// and (client ID, seq) dedup. When the store has WALs attached, a
+// record is ACKed only after it is durable; an append error means the
+// batch is not ACKed (the client retransmits, and seq dedup absorbs any
+// sub-batch that did land).
 type Server struct {
-	store Backend
+	store *storage.ShardedStore
 
 	// ReadTimeout bounds the wait for the next request on an idle
 	// connection; WriteTimeout bounds one response write. Slow or
@@ -135,9 +124,8 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	}
 }
 
-// NewServer creates a server over the given backend (a
-// *storage.Store or *storage.ShardedStore).
-func NewServer(store Backend) *Server {
+// NewServer creates a server over the given store.
+func NewServer(store *storage.ShardedStore) *Server {
 	return &Server{
 		store:   store,
 		conns:   make(map[net.Conn]struct{}),

@@ -11,13 +11,10 @@ import (
 
 // startDurableServer is startServer over a WAL-backed store so drain
 // tests can assert recovery, plus control of the drain grace.
-func startDurableServer(t *testing.T, dir string, grace time.Duration) (*Server, *storage.Store, string) {
+func startDurableServer(t *testing.T, dir string, grace time.Duration) (*Server, *storage.ShardedStore, string) {
 	t.Helper()
-	st, wal, _, err := storage.Recover(storage.WALOptions{Dir: dir, Policy: storage.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { wal.Close() })
+	st := recoverStore(t, dir)
+	t.Cleanup(func() { st.CloseWALs() })
 	srv := NewServer(st)
 	srv.Logf = t.Logf
 	srv.DrainGrace = grace
@@ -72,12 +69,15 @@ func TestShutdownAcksInFlightSubmission(t *testing.T) {
 	}
 
 	// The ACKed record survives a restart.
-	st.WAL().Close()
-	st2, w2, stats, err := storage.Recover(storage.WALOptions{Dir: dir, Policy: storage.SyncAlways})
+	st.CloseWALs()
+	st2, stats, err := storage.RecoverSharded(storage.ShardedWALOptions{
+		WALOptions: storage.WALOptions{Dir: dir, Policy: storage.SyncAlways},
+		Shards:     1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
+	defer st2.CloseWALs()
 	if st2.Len() != 1 || stats.Records != 1 {
 		t.Fatalf("recovered len=%d stats=%+v", st2.Len(), stats)
 	}

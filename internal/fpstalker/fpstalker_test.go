@@ -282,11 +282,21 @@ func TestExactIndexAblation(t *testing.T) {
 		indexed.Add(InstanceID(instances[i]), rec)
 		scan.Add(InstanceID(instances[i]), rec)
 	}
-	// Exact queries: re-present known fingerprints.
+	// Exact queries: re-present known fingerprints. The two phases
+	// alternate over several rounds and each side keeps its fastest
+	// round, so a burst of load on the host during one phase cannot
+	// decide the comparison.
 	queries := records[:100]
-	tIdx := TimeMatching(indexed, queries, 10)
-	tScan := TimeMatching(scan, queries, 10)
-	t.Logf("indexed=%v/query scan=%v/query", tIdx, tScan)
+	var tIdx, tScan time.Duration
+	for round := 0; round < 5; round++ {
+		if d := TimeMatching(indexed, queries, 10); round == 0 || d < tIdx {
+			tIdx = d
+		}
+		if d := TimeMatching(scan, queries, 10); round == 0 || d < tScan {
+			tScan = d
+		}
+	}
+	t.Logf("indexed=%v/query scan=%v/query (fastest of 5 alternating rounds)", tIdx, tScan)
 	if tIdx >= tScan {
 		t.Errorf("exact index brought no speedup: %v vs %v", tIdx, tScan)
 	}

@@ -205,6 +205,10 @@ type Service struct {
 	wal   *storage.WAL
 	live  map[string]*fingerprint.Record
 	evict *windowEvictor
+	// evicted is set when an eviction dropped live entries since the
+	// last Compact cut: evictions are not journaled, so only a
+	// checkpoint takes them off the disk.
+	evicted bool
 
 	compactMu sync.Mutex
 
@@ -422,6 +426,7 @@ func (s *Service) EvictExpired() int {
 		}
 	}
 	s.m.evictions.Add(int64(len(ids)))
+	s.evicted = s.evicted || len(ids) > 0
 	return len(ids)
 }
 
@@ -517,7 +522,8 @@ func (s *Service) IndexDigests() (rule, learn string) {
 // deletes the journal segments it covers (storage.WAL.Checkpoint):
 // evicted instances leave the disk here, and the next recovery replays
 // live state, not history. Adds are blocked only while the cut is
-// captured.
+// captured. With no add and no eviction since the last cut (the
+// journal is Idle) nothing is written and 0 bytes are returned.
 func (s *Service) Compact() (int64, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -527,6 +533,10 @@ func (s *Service) Compact() (int64, error) {
 	if w == nil {
 		s.mu.Unlock()
 		return 0, errors.New("linkd: compact needs a journal")
+	}
+	if !s.evicted && w.Idle() {
+		s.mu.Unlock()
+		return 0, nil
 	}
 	active, err := w.Rotate()
 	if err != nil {
@@ -539,6 +549,7 @@ func (s *Service) Compact() (int64, error) {
 	for id, rec := range s.live {
 		cut = append(cut, journalEntry{ID: id, Rec: rec})
 	}
+	s.evicted = false
 	s.mu.Unlock()
 	sort.Slice(cut, func(i, j int) bool { return cut[i].ID < cut[j].ID })
 	n, _, err := w.Checkpoint(active-1, func(write func(payload []byte) error) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -566,6 +567,71 @@ func TestCompactDropsEvicted(t *testing.T) {
 	gotRule, _ := re.IndexDigests()
 	if gotRule != wantRule {
 		t.Fatalf("recovered digest differs:\n%s\n%s", gotRule, wantRule)
+	}
+}
+
+// TestCompactIdleWritesNothing: a Compact with no add and no eviction
+// since the previous one leaves the journal directory and
+// wal_compactions_total as they are; an add, or an eviction (which is
+// not journaled), in between makes the next Compact checkpoint again.
+func TestCompactIdleWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	clock := newFakeClock(tBase.Add(40 * time.Hour))
+	svc, _, err := Open(Options{
+		Rule: fpstalker.NewRuleLinker(), WAL: storage.WALOptions{Dir: dir, Policy: storage.SyncNever, Registry: reg},
+		Window: 24 * time.Hour, Clock: clock.Now, MaxInFlight: 2,
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer svc.Close()
+	listing := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	compactions := func() int64 { return reg.Snapshot().Counters["wal_compactions_total"] }
+	compact := func() {
+		t.Helper()
+		if _, err := svc.Compact(); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+	}
+	// assertIdle compacts twice back to back: the second run must
+	// change nothing.
+	assertIdle := func(step string, want int64) {
+		t.Helper()
+		compact()
+		before := listing()
+		if n, err := svc.Compact(); err != nil || n != 0 {
+			t.Fatalf("%s: idle compaction = %d bytes, %v; want 0, nil", step, n, err)
+		}
+		if after := listing(); !reflect.DeepEqual(after, before) || compactions() != want {
+			t.Fatalf("%s: second compaction: dir %v → %v, %d compactions, want %d", step, before, after, compactions(), want)
+		}
+	}
+
+	if err := svc.Add("old", testRecord(1, tBase)); err != nil {
+		t.Fatal(err)
+	}
+	assertIdle("after an add", 1)
+	if err := svc.Add("new", testRecord(2, tBase.Add(30*time.Hour))); err != nil {
+		t.Fatal(err)
+	}
+	assertIdle("after a second add", 2)
+	if n := svc.EvictExpired(); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
+	}
+	assertIdle("after an eviction", 3)
+	if svc.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", svc.Len())
 	}
 }
 

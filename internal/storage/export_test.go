@@ -11,12 +11,13 @@ import (
 	"fpdyn/internal/faultinject"
 )
 
-// TestWriteFileAtomicWriteFault drives both store facades' exports
-// through WriteFileAtomic with a writer that fails partway: the
-// previous export must stay byte-identical and no temporary file may
-// be left in the directory. A clean export afterwards replaces it.
+// TestWriteFileAtomicWriteFault drives the store's export at one and
+// at four shards through WriteFileAtomic with a writer that fails
+// partway: the previous export must stay byte-identical and no
+// temporary file may be left in the directory. A clean export
+// afterwards replaces it.
 func TestWriteFileAtomicWriteFault(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1)
 	ss := NewShardedStore(4)
 	for i := 0; i < 5; i++ {
 		s.Append(mkRecord(i))

@@ -14,7 +14,7 @@ import (
 // prefixes load, the first malformed line errors cleanly.
 func FuzzReadFrom(f *testing.F) {
 	// Seed with a real snapshot.
-	s := NewStore()
+	s := NewShardedStore(1)
 	s.Append(mkRecord(1))
 	s.PutValue("h", []byte("v"))
 	var buf bytes.Buffer
@@ -25,12 +25,11 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add([]byte(`{"rec":{"t":"zzz"}}`))
 	f.Add([]byte(`{"hash":"h","val":"bm90IGJhc2U2NA=="}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st := NewStore()
+		st := NewShardedStore(1)
 		_, _ = st.ReadFrom(bytes.NewReader(data)) // must not panic
 		// Whatever loaded must be internally consistent.
-		if st.Len() > 0 {
-			_ = st.Records()
-			_ = st.Record(0)
+		if recs := st.Records(); len(recs) != st.Len() {
+			t.Fatalf("Records lists %d of %d records", len(recs), st.Len())
 		}
 	})
 }
@@ -110,12 +109,12 @@ func FuzzRecoverSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		opts := WALOptions{Dir: dir, Policy: SyncNever}
-		st, w, stats, err := Recover(opts)
+		st, w, stats, err := recoverDir(opts)
 		if err != nil {
 			return // corrupt beyond tail repair: refused, not panicked
 		}
 		w.Close()
-		st2, w2, stats2, err := Recover(opts)
+		st2, w2, stats2, err := recoverDir(opts)
 		if err != nil {
 			t.Fatalf("second recovery failed after repair: %v", err)
 		}

@@ -3,16 +3,16 @@
 // torn-tail truncation, snapshot+truncate compaction) is not specific
 // to visit records — any service with incremental state journals
 // opaque payloads through the same files and recovers them with the
-// same guarantees. Recover is this replay plus a walEntry decoder;
-// fplinkd journals linker adds the same way.
+// same guarantees. A store shard's recovery is this replay plus a
+// walEntry decoder; fplinkd journals linker adds the same way.
 //
 // ReplayJournal loads the newest snapshot (if any) and the segments
 // after it, truncating a torn tail frame. Checkpoint writes a caller's
 // cut into an atomically renamed snapshot and deletes the segments it
-// covers; Store.Compact and linkd's Compact both rotate, capture their
-// cut under their own lock, and call it. Both use the wal-%08d.seg /
-// snap-%08d.snap naming, so a journal directory is inspectable with
-// the same tooling as a store's.
+// covers; Store.Compact and linkd's Compact both check Idle, rotate,
+// capture their cut under their own lock, and call it. Both use the
+// wal-%08d.seg / snap-%08d.snap naming, so a journal directory is
+// inspectable with the same tooling as a store's.
 package storage
 
 import (
@@ -145,6 +145,23 @@ func ReplayJournal(opts WALOptions, snapFn, segFn func(payload []byte) error) (*
 	w.metrics.truncatedBytes.SetInt(stats.TruncatedBytes)
 	w.metrics.snapshotRecords.SetInt(int64(stats.SnapshotFrames))
 	return w, stats, nil
+}
+
+// Idle reports whether a checkpoint would fold nothing new: the active
+// segment holds no frame and is the only segment file in the
+// directory, so the newest snapshot (if any) already covers every
+// frame. Compactions skip the rotate and the snapshot rewrite then.
+// The caller holds the lock that orders its appends. A closed or
+// poisoned log is never idle, so its compaction still reports why.
+func (w *WAL) Idle() bool {
+	w.mu.Lock()
+	empty := w.size == 0 && w.err == nil && !w.closed
+	w.mu.Unlock()
+	if !empty {
+		return false
+	}
+	segs, err := listSegments(w.opts.Dir)
+	return err == nil && len(segs) == 1
 }
 
 // Checkpoint compacts the log: it writes a snapshot covering segments

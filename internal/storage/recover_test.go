@@ -84,7 +84,7 @@ func recoveredGauges(reg *obs.Registry) map[string]float64 {
 func TestRecoverStatsPinned(t *testing.T) {
 	t.Run("store", func(t *testing.T) {
 		opts := WALOptions{Dir: t.TempDir(), Policy: SyncNever, SegmentSize: 512}
-		st, w, _, err := Recover(opts)
+		st, w, _, err := recoverDir(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestRecoverStatsPinned(t *testing.T) {
 
 		reg := obs.NewRegistry()
 		opts.Registry = reg
-		st2, w2, stats, err := Recover(opts)
+		st2, w2, stats, err := recoverDir(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestRecoverRefusesUndecodableTailFrame(t *testing.T) {
 
 	t.Run("store", func(t *testing.T) {
 		opts := WALOptions{Dir: t.TempDir(), Policy: SyncAlways}
-		st, w, _, err := Recover(opts)
+		st, w, _, err := recoverDir(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestRecoverRefusesUndecodableTailFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, err = Recover(opts)
+		_, _, _, err = recoverDir(opts)
 		assertRefused(t, err, opts.Dir, 0, seg)
 	})
 
@@ -297,10 +297,12 @@ func TestRecoverRefusesUndecodableTailFrame(t *testing.T) {
 	})
 }
 
-// TestRecoverRefusesOtherShardLayout: a directory written by the
-// sharded store is refused by Recover, and a directory written by
-// Recover is refused by RecoverSharded, instead of either reading as
-// an empty store; each still recovers in its own layout afterwards.
+// TestRecoverRefusesOtherShardLayout: RecoverSharded refuses a root
+// created with another shard count, and a root of the retired flat
+// layout (one store's files directly in the root), instead of reading
+// either as an empty store. The flat refusal names the one-time
+// migration, and a flat directory moved as it says recovers the same
+// store.
 func TestRecoverRefusesOtherShardLayout(t *testing.T) {
 	t.Run("sharded dir opened flat", func(t *testing.T) {
 		opts := shardedOpts(t, 4)
@@ -312,11 +314,13 @@ func TestRecoverRefusesOtherShardLayout(t *testing.T) {
 		if err := ss.CloseWALs(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := Recover(opts.WALOptions); err == nil || !strings.Contains(err.Error(), shardsMetaName) {
-			t.Fatalf("flat recovery of a sharded dir: err = %v, want a refusal naming %s", err, shardsMetaName)
+		one := opts
+		one.Shards = 1
+		if _, _, err := RecoverSharded(one); err == nil || !strings.Contains(err.Error(), "created with 4 shards, reopened with 1") {
+			t.Fatalf("one-shard recovery of a 4-shard dir: err = %v, want a refusal naming both counts", err)
 		}
-		if segs, _ := listSegments(opts.Dir); len(segs) != 0 {
-			t.Fatalf("refused flat recovery left %d segments in the root", len(segs))
+		if segs, _ := listSegments(filepath.Join(opts.Dir, shardDirName(0))); len(segs) != 1 {
+			t.Fatalf("refused recovery touched shard-00: %d segments, want 1", len(segs))
 		}
 		ss2, _, err := RecoverSharded(opts)
 		if err != nil {
@@ -329,29 +333,82 @@ func TestRecoverRefusesOtherShardLayout(t *testing.T) {
 	})
 
 	t.Run("flat dir opened sharded", func(t *testing.T) {
-		opts := walOpts(t)
-		st, w, _, err := Recover(opts)
+		// A flat dir as the retired layout left it: a snapshot, several
+		// live segments after it, a torn tail, and seq rows from two
+		// clients in both the snapshot and the segments.
+		opts := WALOptions{Dir: t.TempDir(), Policy: SyncNever, SegmentSize: 512}
+		st, w, _, err := recoverDir(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		populate(t, st, 20, 2)
+		populate(t, st, 12, 3)
+		if _, err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 12; i < 30; i++ {
+			if _, _, err := appendOne(st, mkRecord(i), fmt.Sprintf("cid-%d", i%2), uint64(100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = RecoverSharded(ShardedWALOptions{WALOptions: opts, Shards: 4})
-		if err == nil || !strings.Contains(err.Error(), "unsharded") {
-			t.Fatalf("sharded recovery of a flat dir: err = %v, want a refusal", err)
+		appendTornTail(t, opts.Dir)
+		if segments, snapSeg := liveSegments(t, opts.Dir); segments < 2 || snapSeg == 0 {
+			t.Fatalf("setup: %d live segments over snapshot %d, want ≥2 over a snapshot", segments, snapSeg)
 		}
-		if _, err := os.Stat(filepath.Join(opts.Dir, shardsMetaName)); !os.IsNotExist(err) {
-			t.Fatalf("refused sharded recovery wrote %s (stat: %v)", shardsMetaName, err)
-		}
-		st2, w2, _, err := Recover(opts)
-		if err != nil {
+		var want bytes.Buffer
+		if _, err := oneShard(st).WriteTo(&want); err != nil {
 			t.Fatal(err)
 		}
-		defer w2.Close()
-		if st2.Len() != 20 {
-			t.Fatalf("flat recovery after the refusal: %d records, want 20", st2.Len())
+
+		for _, n := range []int{1, 4} {
+			_, _, err = RecoverSharded(ShardedWALOptions{WALOptions: opts, Shards: n})
+			if err == nil || !strings.Contains(err.Error(), shardDirName(0)) || !strings.Contains(err.Error(), shardsMetaName) {
+				t.Fatalf("%d-shard recovery of a flat dir: err = %v, want a refusal naming %s and %s", n, err, shardDirName(0), shardsMetaName)
+			}
+			if _, err := os.Stat(filepath.Join(opts.Dir, shardsMetaName)); !os.IsNotExist(err) {
+				t.Fatalf("refused recovery wrote %s (stat: %v)", shardsMetaName, err)
+			}
+		}
+
+		// The migration the refusal names: move the segments and
+		// snapshots into shard-00 and write SHARDS holding 1.
+		shard0 := filepath.Join(opts.Dir, shardDirName(0))
+		if err := os.Mkdir(shard0, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, pattern := range []string{"wal-*.seg", "snap-*.snap"} {
+			names, _ := filepath.Glob(filepath.Join(opts.Dir, pattern))
+			for _, name := range names {
+				if err := os.Rename(name, filepath.Join(shard0, filepath.Base(name))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := os.WriteFile(filepath.Join(opts.Dir, shardsMetaName), []byte("1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ss, stats, err := RecoverSharded(ShardedWALOptions{WALOptions: opts, Shards: 1})
+		if err != nil {
+			t.Fatalf("recovery after the migration: %v", err)
+		}
+		defer ss.CloseWALs()
+		if !stats.Truncated || stats.SnapshotRecords != 12 {
+			t.Fatalf("migrated recovery stats = %+v, want the snapshot's 12 records and the torn tail", stats.RecoveryStats)
+		}
+		var got bytes.Buffer
+		if _, err := ss.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("migrated store exports %d bytes, the flat store %d: they differ", got.Len(), want.Len())
+		}
+		for _, cid := range []string{"cid", "cid-0", "cid-1"} {
+			wantSeq, wantOK := st.LastSeq(cid)
+			if seq, ok := ss.LastSeq(cid); seq != wantSeq || ok != wantOK || !ok {
+				t.Fatalf("LastSeq(%s) = %d, %v after the migration, want %d, true", cid, seq, ok, wantSeq)
+			}
 		}
 	})
 }

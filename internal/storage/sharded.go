@@ -4,7 +4,8 @@
 // from ~1.5M users (§2.2); a single store serializes every append
 // behind one mutex and one fsync stream. Sharding multiplies both:
 // appends to different shards contend on nothing, and fsyncs spread
-// across N files.
+// across N files. ShardedStore is the one store facade: a single
+// store is simply one shard, under root/shard-00.
 //
 // Routing by UserID keeps all of a user's records — and the relative
 // order the collector accepted them in — on one shard, which is what
@@ -33,7 +34,7 @@ import (
 
 // shardsMetaName is the root-dir marker recording the shard count the
 // directory was created with. Reopening with a different count would
-// silently misroute every key, so Recover refuses instead.
+// silently misroute every key, so RecoverSharded refuses instead.
 const shardsMetaName = "SHARDS"
 
 // shardDirName formats the per-shard WAL directory name.
@@ -79,14 +80,14 @@ type ShardedRecoveryStats struct {
 }
 
 // ShardedStore partitions records and values across independent
-// stores. Methods mirror Store's ingest surface so the collector
-// server can use either through the Backend interface.
+// stores (shards). It is what the collector server ingests into and
+// what every export is written from.
 type ShardedStore struct {
 	stores []*Store
 }
 
-// NewShardedStore returns an in-memory sharded store (no WALs) with n
-// shards — the non-durable counterpart to NewStore, used by tests and
+// NewShardedStore returns an in-memory store (no WALs) with n shards —
+// the non-durable counterpart to RecoverSharded, used by tests and
 // offline tooling.
 func NewShardedStore(n int) *ShardedStore {
 	if n <= 0 {
@@ -94,15 +95,17 @@ func NewShardedStore(n int) *ShardedStore {
 	}
 	ss := &ShardedStore{stores: make([]*Store, n)}
 	for i := range ss.stores {
-		ss.stores[i] = NewStore()
+		ss.stores[i] = newStore()
 	}
 	return ss
 }
 
 // checkShardsMeta enforces the sticky shard count: first open writes
 // the marker, later opens must match it. A root without the marker
-// that already holds segments or snapshots is an unsharded store's
-// directory (Recover's), and is refused rather than read as empty.
+// that already holds segments or snapshots is a directory of the
+// retired flat layout (one store's log directly in the root); it is
+// refused rather than read as empty, and the error names the one-time
+// migration to the one-shard layout.
 func checkShardsMeta(root string, n int) error {
 	path := filepath.Join(root, shardsMetaName)
 	data, err := os.ReadFile(path)
@@ -128,7 +131,8 @@ func checkShardsMeta(root string, n int) error {
 		return err
 	}
 	if len(segs)+len(snaps) > 0 {
-		return fmt.Errorf("storage: wal root %s holds an unsharded log and no %s file; reopen it unsharded", root, shardsMetaName)
+		return fmt.Errorf("storage: wal root %s holds a flat (unsharded) log and no %s file; to migrate it, move its wal-*.seg and snap-*.snap files into %s and write a %s file containing 1",
+			root, shardsMetaName, filepath.Join(root, shardDirName(0)), shardsMetaName)
 	}
 	if err := os.WriteFile(path, []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
 		return fmt.Errorf("storage: write %s: %w", shardsMetaName, err)
@@ -163,7 +167,7 @@ func RecoverSharded(opts ShardedWALOptions) (*ShardedStore, ShardedRecoveryStats
 		shardOpts.Dir = filepath.Join(opts.Dir, shardDirName(i))
 		shardOpts.MetricLabels = append(append([]string(nil), opts.MetricLabels...),
 			"shard", fmt.Sprintf("%02d", i))
-		st, _, rstats, err := Recover(shardOpts)
+		st, rstats, err := recoverShard(shardOpts)
 		if err != nil {
 			errs[i] = fmt.Errorf("storage: shard %d: %w", i, err)
 			return
@@ -171,16 +175,12 @@ func RecoverSharded(opts ShardedWALOptions) (*ShardedStore, ShardedRecoveryStats
 		ss.stores[i] = st
 		stats.PerShard[i] = rstats
 	})
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			// Close the shards that did open so a partial recovery
 			// doesn't leak file handles and sync loops.
-			for _, st := range ss.stores {
-				if st != nil && st.WAL() != nil {
-					st.WAL().Close()
-				}
-			}
-			return nil, stats, errs[i]
+			ss.CloseWALs()
+			return nil, stats, err
 		}
 	}
 	for _, rs := range stats.PerShard {
@@ -307,32 +307,12 @@ func (ss *ShardedStore) ByUser(userID string) []*fingerprint.Record {
 	return ss.recordShard(userID).ByUser(userID)
 }
 
-// WriteTo serializes the sharded store in canonical order: values
-// sorted by hash across all shards, then users sorted by ID with each
-// user's records in arrival order. Because a user's records live on
-// exactly one shard, the output is byte-identical for any shard count
-// holding the same accepted data — the property the cross-shard chaos
-// digests assert. It implements io.WriterTo.
-func (ss *ShardedStore) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	enc := json.NewEncoder(bw)
-
-	var hashes []string
-	for _, st := range ss.stores {
-		st.mu.RLock()
-		hashes = append(hashes, st.sortedValueHashesLocked()...)
-		st.mu.RUnlock()
-	}
-	sort.Strings(hashes)
-	for _, h := range hashes {
-		v, _ := ss.Value(h)
-		if err := enc.Encode(snapshotLine{Hash: h, Value: v}); err != nil {
-			bw.Flush()
-			return cw.n, fmt.Errorf("storage: encode value: %w", err)
-		}
-	}
-
+// Records returns every record in canonical order: users sorted by
+// ID, each user's records in arrival order. A user's records live on
+// exactly one shard, so the order is the same for any shard count
+// holding the same accepted data. The slice is fresh; the records are
+// shared and must be treated as immutable.
+func (ss *ShardedStore) Records() []*fingerprint.Record {
 	var users []string
 	for _, st := range ss.stores {
 		st.mu.RLock()
@@ -342,18 +322,65 @@ func (ss *ShardedStore) WriteTo(w io.Writer) (int64, error) {
 		st.mu.RUnlock()
 	}
 	sort.Strings(users)
+	out := make([]*fingerprint.Record, 0, ss.Len())
 	for _, u := range users {
-		for _, r := range ss.ByUser(u) {
-			if err := enc.Encode(snapshotLine{Record: r}); err != nil {
-				bw.Flush()
-				return cw.n, fmt.Errorf("storage: encode record: %w", err)
-			}
+		out = append(out, ss.ByUser(u)...)
+	}
+	return out
+}
+
+// WriteTo serializes the store as JSON lines in canonical order:
+// values sorted by hash across all shards, then Records. Equal
+// accepted data serializes to identical bytes at any shard count —
+// the property the cross-shard chaos digests assert. It implements
+// io.WriterTo: the count is the number of bytes written to w.
+func (ss *ShardedStore) WriteTo(w io.Writer) (int64, error) {
+	var hashes []string
+	for _, st := range ss.stores {
+		st.mu.RLock()
+		hashes = append(hashes, st.sortedValueHashesLocked()...)
+		st.mu.RUnlock()
+	}
+	sort.Strings(hashes)
+	cw := &countingWriter{w: w}
+	sw := NewSnapshotWriter(cw)
+	for _, h := range hashes {
+		v, _ := ss.Value(h)
+		if err := sw.Value(h, v); err != nil {
+			return cw.n, fmt.Errorf("storage: encode value: %w", err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
+	for _, r := range ss.Records() {
+		if err := sw.Record(r); err != nil {
+			return cw.n, fmt.Errorf("storage: encode record: %w", err)
+		}
 	}
-	return cw.n, nil
+	err := sw.Close()
+	return cw.n, err
+}
+
+// ReadFrom loads JSON lines produced by WriteTo (or a SnapshotWriter),
+// routing each record and value to its shard and appending to current
+// contents. It implements io.ReaderFrom: the count is the number of
+// bytes read from r (on a clean EOF, exactly what the matching WriteTo
+// returned).
+func (ss *ShardedStore) ReadFrom(r io.Reader) (int64, error) {
+	cr := &countingReadFrom{r: r}
+	dec := json.NewDecoder(bufio.NewReader(cr))
+	for {
+		var line snapshotLine
+		if err := dec.Decode(&line); err == io.EOF {
+			return cr.n, nil
+		} else if err != nil {
+			return cr.n, fmt.Errorf("storage: decode: %w", err)
+		}
+		switch {
+		case line.Record != nil:
+			ss.Append(line.Record)
+		case line.Hash != "":
+			ss.PutValue(line.Hash, line.Value)
+		}
+	}
 }
 
 // SaveFile writes the canonical serialization to path atomically (see
@@ -366,9 +393,11 @@ func (ss *ShardedStore) SaveFile(path string) error {
 }
 
 // Compact checkpoints every shard (see Store.Compact) and merges the
-// stats. Shards compact independently and in parallel; a shard
-// failure aborts with its error but leaves other shards' snapshots in
-// place — compaction is idempotent, the next run covers them.
+// stats. Shards compact independently and in parallel; an idle shard
+// writes nothing, so CoveredSeg is 0 when every shard was idle. A
+// shard failure aborts with its error but leaves other shards'
+// snapshots in place — compaction is idempotent, the next run covers
+// them.
 func (ss *ShardedStore) Compact() (CompactionStats, error) {
 	n := len(ss.stores)
 	stats := make([]CompactionStats, n)
@@ -389,8 +418,8 @@ func (ss *ShardedStore) Compact() (CompactionStats, error) {
 // WALError returns the first sticky WAL error across shards, or nil.
 func (ss *ShardedStore) WALError() error {
 	for i, st := range ss.stores {
-		if w := st.WAL(); w != nil {
-			if err := w.Err(); err != nil {
+		if st.wal != nil {
+			if err := st.wal.Err(); err != nil {
 				return fmt.Errorf("storage: shard %d: %w", i, err)
 			}
 		}
@@ -398,12 +427,13 @@ func (ss *ShardedStore) WALError() error {
 	return nil
 }
 
-// CloseWALs closes every shard's WAL, returning the first error.
+// CloseWALs closes every shard's WAL, returning the first error. A
+// store without WALs (NewShardedStore) has nothing to close.
 func (ss *ShardedStore) CloseWALs() error {
 	var first error
 	for _, st := range ss.stores {
-		if w := st.WAL(); w != nil {
-			if err := w.Close(); err != nil && first == nil {
+		if st != nil && st.wal != nil {
+			if err := st.wal.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -364,7 +364,7 @@ func TestAppendBatchDurableRefusedAtomically(t *testing.T) {
 			return &faultinject.File{F: f, FailSyncAt: 1}, nil
 		},
 	}
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestAppendBatchDurableRefusedAtomically(t *testing.T) {
 // client's first record lands even at seq 0, and resending it is then
 // a dup with its index.
 func TestAppendBatchDurableFirstSeqOfNewClient(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	for i, want := range []BatchResult{{Idx: 0}, {Idx: 0, Dup: true}} {
 		idx, dup, err := appendOne(st, mkRecord(i), "fresh", 0)
 		if err != nil || (BatchResult{Idx: idx, Dup: dup}) != want {

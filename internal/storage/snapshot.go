@@ -7,7 +7,7 @@
 // live state — values, records, idempotency table — under its lock,
 // and WAL.Checkpoint (journal.go, shared with linkd's journal) writes
 // that cut into a snapshot file in the WAL's CRC frame format and
-// deletes the covered segments. Recover then loads the newest snapshot
+// deletes the covered segments. Recovery then loads the newest snapshot
 // and replays only the segments after it, so restart cost tracks live
 // state, not history.
 //
@@ -17,7 +17,7 @@
 // never a half-snapshot under the final name. Covered segments are
 // deleted only after the rename is durable; leftovers from a crash
 // between rename and delete are skipped (and cleaned up) by the next
-// Recover.
+// recovery.
 package storage
 
 import (
@@ -53,7 +53,7 @@ type CompactionStats struct {
 	Values          int   // values checkpointed into the snapshot
 	SnapshotBytes   int64 // framed size of the written snapshot
 	SegmentsRemoved int   // covered segment files deleted
-	CoveredSeg      int   // highest segment number the snapshot covers
+	CoveredSeg      int   // highest segment number the snapshot covers (0: idle, nothing written)
 }
 
 // Add merges other into s.
@@ -84,7 +84,8 @@ type compactState struct {
 // bounding the next recovery's replay to appends made after this call.
 // Appends are blocked only while the cut is captured (a rotation plus
 // slice/map copies); the snapshot itself is written outside the store
-// lock. Concurrent Compact calls serialize.
+// lock. Concurrent Compact calls serialize. An idle log (WAL.Idle) is
+// left as it is and the zero stats are returned.
 func (s *Store) Compact() (CompactionStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -94,6 +95,10 @@ func (s *Store) Compact() (CompactionStats, error) {
 	if w == nil {
 		s.mu.Unlock()
 		return CompactionStats{}, ErrNoWAL
+	}
+	if w.Idle() {
+		s.mu.Unlock()
+		return CompactionStats{}, nil
 	}
 	// Rotate first: everything appended so far is in segments < active,
 	// and everything appended after the lock releases lands in segments

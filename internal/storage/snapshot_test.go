@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func populate(t *testing.T, st *Store, records, values int) {
 }
 
 func TestWriteToReadFromByteCounts(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	populate(t, st, 20, 5)
 
 	path := filepath.Join(t.TempDir(), "snap.jsonl")
@@ -44,7 +45,7 @@ func TestWriteToReadFromByteCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	written, err := st.WriteTo(f)
+	written, err := oneShard(st).WriteTo(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestWriteToReadFromByteCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	loaded := NewStore()
+	loaded := NewShardedStore(1)
 	read, err := loaded.ReadFrom(g)
 	if err != nil {
 		t.Fatal(err)
@@ -82,13 +83,13 @@ func TestWriteToReadFromByteCounts(t *testing.T) {
 }
 
 func TestWriteToDeterministic(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	populate(t, st, 30, 12)
 	var a, b bytes.Buffer
-	if _, err := st.WriteTo(&a); err != nil {
+	if _, err := oneShard(st).WriteTo(&a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteTo(&b); err != nil {
+	if _, err := oneShard(st).WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -98,7 +99,7 @@ func TestWriteToDeterministic(t *testing.T) {
 	// A store holding the same data built in a different PutValue order
 	// must serialize identically too: values are emitted sorted by hash,
 	// not in map/insertion order.
-	other := NewStore()
+	other := newStore()
 	for i := 11; i >= 0; i-- {
 		other.PutValue(fmt.Sprintf("hash-%03d", i), []byte(fmt.Sprintf("value-%d", i)))
 	}
@@ -106,7 +107,7 @@ func TestWriteToDeterministic(t *testing.T) {
 		other.Append(mkRecord(i))
 	}
 	var c bytes.Buffer
-	if _, err := other.WriteTo(&c); err != nil {
+	if _, err := oneShard(other).WriteTo(&c); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), c.Bytes()) {
@@ -121,7 +122,7 @@ func TestWriteToDeterministic(t *testing.T) {
 // segment file on disk must already be at the truncated length.
 func TestRecoverAfterTornTailTruncation(t *testing.T) {
 	opts := walOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestRecoverAfterTornTailTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st1, w1, stats1, err := Recover(opts)
+	st1, w1, stats1, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestRecoverAfterTornTailTruncation(t *testing.T) {
 	// Crash-immediately-after-recovery: recover the same directory
 	// again. The truncation must have stuck — no mid-log corruption, no
 	// second truncation, identical state.
-	st2, w2, stats2, err := Recover(opts)
+	st2, w2, stats2, err := recoverDir(opts)
 	if err != nil {
 		t.Fatalf("second recovery after truncation: %v", err)
 	}
@@ -197,7 +198,7 @@ func TestFsyncMetricsObserveFailures(t *testing.T) {
 			return &faultinject.File{F: f, FailSyncAt: 2}, nil
 		},
 	}
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func compactOpts(t *testing.T) WALOptions {
 // count is independent of how much history preceded the snapshot.
 func TestCompactBoundsRecovery(t *testing.T) {
 	opts := compactOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestCompactBoundsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, w2, rstats, err := Recover(opts)
+	st2, w2, rstats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestCompactBoundsRecovery(t *testing.T) {
 // restart would double-append.
 func TestCompactPreservesIdempotency(t *testing.T) {
 	opts := walOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestCompactPreservesIdempotency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, w2, _, err := Recover(opts)
+	st2, w2, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +340,12 @@ func TestCompactPreservesIdempotency(t *testing.T) {
 
 // TestCompactRepeatedIsIdempotent: compacting an unchanged store again
 // produces a byte-identical snapshot (under a new name) and recovery
-// converges to the same state.
+// converges to the same state. A forced rotation between the two runs
+// leaves a second (empty) segment, so the log is not idle and the
+// second Compact really checkpoints.
 func TestCompactRepeatedIsIdempotent(t *testing.T) {
 	opts := compactOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +363,9 @@ func TestCompactRepeatedIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if _, err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,6 +376,9 @@ func TestCompactRepeatedIsIdempotent(t *testing.T) {
 	data2, err := os.ReadFile(filepath.Join(opts.Dir, snaps2[0].name))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snaps2[0].n == snaps1[0].n {
+		t.Fatalf("second compaction kept %s: it did not checkpoint", snaps1[0].name)
 	}
 	if !bytes.Equal(data1, data2) {
 		t.Fatal("same state compacted twice produced different snapshot bytes")
@@ -383,7 +392,7 @@ func TestCompactRepeatedIsIdempotent(t *testing.T) {
 // remove them.
 func TestRecoverIgnoresAbandonedSnapTmp(t *testing.T) {
 	opts := walOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +409,7 @@ func TestRecoverIgnoresAbandonedSnapTmp(t *testing.T) {
 		}
 	}
 
-	st2, w2, stats, err := Recover(opts)
+	st2, w2, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatalf("recovery with abandoned temporary snapshots: %v", err)
 	}
@@ -424,7 +433,7 @@ func TestRecoverIgnoresAbandonedSnapTmp(t *testing.T) {
 // replay), and clean them up.
 func TestRecoverCrashBetweenRenameAndDelete(t *testing.T) {
 	opts := compactOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +466,7 @@ func TestRecoverCrashBetweenRenameAndDelete(t *testing.T) {
 	}
 	segsBefore, _ := listSegments(opts.Dir)
 
-	st2, w2, stats, err := Recover(opts)
+	st2, w2, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +488,7 @@ func TestRecoverCrashBetweenRenameAndDelete(t *testing.T) {
 // fail loudly, not silently drop live state.
 func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 	opts := walOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +512,7 @@ func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Recover(opts); err == nil {
+	if _, _, _, err := recoverDir(opts); err == nil {
 		t.Fatal("recovery over a corrupt snapshot succeeded")
 	}
 }
@@ -513,7 +522,7 @@ func TestCompactMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := walOpts(t)
 	opts.Registry = reg
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,5 +537,62 @@ func TestCompactMetrics(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "wal_compactions_total 1") {
 		t.Errorf("scrape missing wal_compactions_total 1:\n%s", b.String())
+	}
+}
+
+// TestCompactIdleTickWritesNothing: a Compact with nothing appended
+// since the previous one leaves the directory and
+// wal_compactions_total as they are and reports CoveredSeg 0; an
+// append in between makes the next Compact checkpoint again.
+func TestCompactIdleTickWritesNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	opts := shardedOpts(t, 1)
+	opts.Registry = reg
+	ss, _, err := RecoverSharded(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.CloseWALs()
+	shard0 := filepath.Join(opts.Dir, shardDirName(0))
+	listing := func() []string {
+		ents, err := os.ReadDir(shard0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	compactions := func() int64 { return reg.Snapshot().Counters[`wal_compactions_total{shard="00"}`] }
+	compact := func() CompactionStats {
+		cs, err := ss.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+
+	fillSharded(t, ss, 10, 2)
+	if cs := compact(); cs.CoveredSeg == 0 || compactions() != 1 {
+		t.Fatalf("first compaction: stats %+v, %d compactions; want a checkpoint", cs, compactions())
+	}
+	before := listing()
+	if cs := compact(); cs != (CompactionStats{}) {
+		t.Fatalf("idle compaction returned %+v, want zero stats", cs)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) || compactions() != 1 {
+		t.Fatalf("idle compaction changed the dir %v → %v (%d compactions, want 1)", before, after, compactions())
+	}
+
+	if _, _, err := appendOne(ss, mkRecord(10), "cid", 11); err != nil {
+		t.Fatal(err)
+	}
+	if cs := compact(); cs.CoveredSeg == 0 || cs.Records != 11 || compactions() != 2 {
+		t.Fatalf("compaction after an append: stats %+v, %d compactions; want a checkpoint of 11 records", cs, compactions())
+	}
+	if after := listing(); reflect.DeepEqual(after, before) {
+		t.Fatalf("compaction after an append left the dir as it was: %v", after)
 	}
 }

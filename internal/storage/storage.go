@@ -6,14 +6,15 @@
 // the server keeps full content, which is what later lets the offline
 // analysis pixel-diff canvas images).
 //
-// The store is safe for concurrent use; the collection server appends
-// from many connections while analyses read snapshots.
+// ShardedStore (sharded.go) is the store every caller builds,
+// recovers, serves and exports; at one shard it is Shards: 1. Store is
+// one of its shards. Both are safe for concurrent use: the collection
+// server appends from many connections while analyses read snapshots.
 package storage
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,8 +24,9 @@ import (
 	"fpdyn/internal/fingerprint"
 )
 
-// Store holds the raw dataset. The zero value is not usable; construct
-// with NewStore.
+// Store is one shard of a ShardedStore: its records in arrival order,
+// their per-user index, its values and its idempotency table. The zero
+// value is not usable; construct with newStore.
 type Store struct {
 	mu      sync.RWMutex
 	records []*fingerprint.Record
@@ -35,37 +37,23 @@ type Store struct {
 	// reconnecting client resubmit without double-appending.
 	lastSeq map[string]uint64
 	lastIdx map[string]int // index appended for lastSeq[cid]
-	wal     *WAL           // optional write-ahead log
+	// wal is the shard's write-ahead log, nil in memory. Recovery sets
+	// it before the store is shared; it never changes after.
+	wal *WAL
 
 	// compactMu serializes Compact runs without holding s.mu across the
 	// snapshot write.
 	compactMu sync.Mutex
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
+// newStore returns an empty shard.
+func newStore() *Store {
 	return &Store{
 		byUser:  make(map[string][]int),
 		values:  make(map[string][]byte),
 		lastSeq: make(map[string]uint64),
 		lastIdx: make(map[string]int),
 	}
-}
-
-// AttachWAL makes subsequent appends write-ahead to w. Recover calls
-// this after replay; callers building a durable store by hand attach
-// the WAL before accepting traffic.
-func (s *Store) AttachWAL(w *WAL) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wal = w
-}
-
-// WAL returns the attached write-ahead log, or nil.
-func (s *Store) WAL() *WAL {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.wal
 }
 
 // appendLocked applies a record to the in-memory log and indexes.
@@ -172,24 +160,6 @@ func (s *Store) Len() int {
 	return len(s.records)
 }
 
-// Record returns the i-th record.
-func (s *Store) Record(i int) *fingerprint.Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.records[i]
-}
-
-// Records returns a snapshot slice of all records in insertion order.
-// The slice is a copy; the records themselves are shared and must be
-// treated as immutable.
-func (s *Store) Records() []*fingerprint.Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*fingerprint.Record, len(s.records))
-	copy(out, s.records)
-	return out
-}
-
 // ByUser returns the records of one user in insertion order.
 func (s *Store) ByUser(userID string) []*fingerprint.Record {
 	s.mu.RLock()
@@ -271,13 +241,13 @@ type snapshotLine struct {
 	Value  []byte              `json:"val,omitempty"`
 }
 
-// SnapshotWriter writes a store snapshot incrementally, record by
-// record, without materializing a Store — the streaming generator's
-// path to the same JSONL format. Values (content-addressed canvas
-// blobs) must be written first, in sorted hash order, to match
-// WriteTo's byte layout; for record-only snapshots just stream the
-// records. Close flushes; bufio's sticky error surfaces any earlier
-// write failure there.
+// SnapshotWriter writes the JSONL export incrementally, record by
+// record, without materializing a store: ShardedStore.WriteTo writes
+// through it, and so does the streaming generator, in its own record
+// order (fpgen writes time order). Values (content-addressed canvas
+// blobs) go first, in sorted hash order; for record-only snapshots
+// just stream the records. Close flushes; bufio's sticky error
+// surfaces any earlier write failure there.
 type SnapshotWriter struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
@@ -326,34 +296,6 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTo serializes the store as JSON lines: values sorted by hash,
-// then records in insertion order. It implements io.WriterTo — the
-// returned count is the number of bytes written to w, and equal state
-// always serializes to identical bytes.
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	enc := json.NewEncoder(bw)
-	for _, hash := range s.sortedValueHashesLocked() {
-		if err := enc.Encode(snapshotLine{Hash: hash, Value: s.values[hash]}); err != nil {
-			bw.Flush()
-			return cw.n, fmt.Errorf("storage: encode value: %w", err)
-		}
-	}
-	for _, r := range s.records {
-		if err := enc.Encode(snapshotLine{Record: r}); err != nil {
-			bw.Flush()
-			return cw.n, fmt.Errorf("storage: encode record: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
 // countingReadFrom tracks bytes actually drawn from the source.
 type countingReadFrom struct {
 	r io.Reader
@@ -364,37 +306,6 @@ func (cr *countingReadFrom) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.n += int64(n)
 	return n, err
-}
-
-// ReadFrom loads JSON lines produced by WriteTo into the store,
-// appending to current contents. It implements io.ReaderFrom — the
-// returned count is the number of bytes read from r (on a clean EOF,
-// exactly the byte count the matching WriteTo returned).
-func (s *Store) ReadFrom(r io.Reader) (int64, error) {
-	cr := &countingReadFrom{r: r}
-	dec := json.NewDecoder(bufio.NewReader(cr))
-	for {
-		var line snapshotLine
-		if err := dec.Decode(&line); err == io.EOF {
-			return cr.n, nil
-		} else if err != nil {
-			return cr.n, fmt.Errorf("storage: decode: %w", err)
-		}
-		switch {
-		case line.Record != nil:
-			s.Append(line.Record)
-		case line.Hash != "":
-			s.PutValue(line.Hash, line.Value)
-		}
-	}
-}
-
-// SaveFile writes the store to path atomically (see WriteFileAtomic).
-func (s *Store) SaveFile(path string) error {
-	return WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := s.WriteTo(w)
-		return err
-	})
 }
 
 // WriteFileAtomic replaces path with the bytes write produces, or
@@ -432,16 +343,17 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return fsyncDir(filepath.Dir(path))
 }
 
-// LoadFile reads a store snapshot from path into a new store.
-func LoadFile(path string) (*Store, error) {
+// LoadFile reads an export (see ShardedStore.WriteTo) from path into a
+// new one-shard store.
+func LoadFile(path string) (*ShardedStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	s := NewStore()
-	if _, err := s.ReadFrom(f); err != nil {
+	ss := NewShardedStore(1)
+	if _, err := ss.ReadFrom(f); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return ss, nil
 }

@@ -33,7 +33,7 @@ func appendOne(st interface {
 }
 
 func TestAppendAndIndexes(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	for i := 0; i < 10; i++ {
 		if got := s.Append(mkRecord(i)); got != i {
 			t.Fatalf("Append returned %d, want %d", got, i)
@@ -59,7 +59,7 @@ func TestAppendAndIndexes(t *testing.T) {
 }
 
 func TestValueStoreDedup(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	if s.HasValue("h1") {
 		t.Fatal("empty store has value")
 	}
@@ -77,7 +77,7 @@ func TestValueStoreDedup(t *testing.T) {
 }
 
 func TestPutValueCopies(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	buf := []byte("abc")
 	s.PutValue("h", buf)
 	buf[0] = 'X'
@@ -88,7 +88,7 @@ func TestPutValueCopies(t *testing.T) {
 }
 
 func TestRecordsSnapshotIsolated(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1)
 	s.Append(mkRecord(0))
 	snap := s.Records()
 	s.Append(mkRecord(1))
@@ -98,7 +98,7 @@ func TestRecordsSnapshotIsolated(t *testing.T) {
 }
 
 func TestRoundTripSerialization(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1)
 	for i := 0; i < 25; i++ {
 		s.Append(mkRecord(i))
 	}
@@ -109,15 +109,16 @@ func TestRoundTripSerialization(t *testing.T) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewStore()
+	s2 := NewShardedStore(1)
 	if _, err := s2.ReadFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Len() != 25 || s2.NumValues() != 2 {
 		t.Fatalf("round trip: %d records, %d values", s2.Len(), s2.NumValues())
 	}
+	got, want := s2.Records(), s.Records()
 	for i := 0; i < 25; i++ {
-		if s2.Record(i).FP.UserAgent != s.Record(i).FP.UserAgent {
+		if got[i].FP.UserAgent != want[i].FP.UserAgent {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
@@ -131,7 +132,7 @@ func TestRoundTripSerialization(t *testing.T) {
 }
 
 func TestReadFromGarbage(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(1)
 	if _, err := s.ReadFrom(bytes.NewBufferString("{broken")); err == nil {
 		t.Fatal("expected decode error")
 	}
@@ -140,7 +141,7 @@ func TestReadFromGarbage(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ds.jsonl")
-	s := NewStore()
+	s := NewShardedStore(1)
 	for i := 0; i < 5; i++ {
 		s.Append(mkRecord(i))
 	}
@@ -160,7 +161,7 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestConcurrentAppendAndRead(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -182,7 +183,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	s := NewStore()
+	s := newStore()
 	r := mkRecord(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -191,7 +192,7 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 func BenchmarkValueLookup(b *testing.B) {
-	s := NewStore()
+	s := newStore()
 	for i := 0; i < 10000; i++ {
 		s.PutValue(fmt.Sprintf("hash-%d", i), []byte("x"))
 	}
@@ -201,3 +202,17 @@ func BenchmarkValueLookup(b *testing.B) {
 		s.HasValue("hash-5000")
 	}
 }
+
+// recoverDir recovers one shard straight from opts.Dir (the layout of
+// one shard-NN directory) and returns its WAL beside it.
+func recoverDir(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
+	st, stats, err := recoverShard(opts)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	return st, st.wal, stats, nil
+}
+
+// oneShard wraps st as a one-shard ShardedStore, the surface that
+// exports (WriteTo), loads (ReadFrom) and lists (Records) a store.
+func oneShard(st *Store) *ShardedStore { return &ShardedStore{stores: []*Store{st}} }

@@ -3,8 +3,8 @@
 // the server half of that guarantee is that a record, once ACKed, is
 // never lost to a crash. The WAL provides it: every Append/PutValue is
 // framed, checksummed, and (per policy) fsynced to a segment file
-// before the store acknowledges, and Recover replays the segments into
-// a fresh store on restart through ReplayJournal (journal.go),
+// before the store acknowledges, and recoverShard replays the segments
+// into a fresh shard on restart through ReplayJournal (journal.go),
 // truncating a torn tail frame instead of failing.
 //
 // Frame layout (little endian):
@@ -87,9 +87,9 @@ type SegmentFile interface {
 	Close() error
 }
 
-// WALOptions configures Recover (and, embedded in ShardedWALOptions,
-// RecoverSharded). The zero value of every field has a usable default;
-// Dir is required.
+// WALOptions configures a WAL: ReplayJournal's and, embedded in
+// ShardedWALOptions, every shard's of RecoverSharded. The zero value
+// of every field has a usable default; Dir is required.
 type WALOptions struct {
 	// Dir is the segment directory; created if absent.
 	Dir string
@@ -248,12 +248,12 @@ func newWALMetrics(reg *obs.Registry, labels []string) walMetrics {
 		compactions:   reg.Counter("wal_compactions_total", "Snapshot+truncate compactions completed.", labels...),
 		snapshotBytes: reg.Gauge("wal_snapshot_bytes", "Size of the last written compaction snapshot.", labels...),
 
-		recoveredRecords:  reg.Gauge("wal_recovered_records", "Record entries replayed from segments by the last Recover.", labels...),
-		recoveredValues:   reg.Gauge("wal_recovered_values", "Value entries replayed from segments by the last Recover.", labels...),
-		recoveredSegments: reg.Gauge("wal_recovered_segments", "Segment files replayed by the last Recover.", labels...),
-		truncatedBytes:    reg.Gauge("wal_recovery_truncated_bytes", "Torn tail bytes truncated by the last Recover.", labels...),
-		snapshotRecords:   reg.Gauge("wal_recovered_snapshot_records", "Records loaded from the compaction snapshot by the last Recover.", labels...),
-		snapshotValues:    reg.Gauge("wal_recovered_snapshot_values", "Values loaded from the compaction snapshot by the last Recover.", labels...),
+		recoveredRecords:  reg.Gauge("wal_recovered_records", "Record entries replayed from segments by the last recovery.", labels...),
+		recoveredValues:   reg.Gauge("wal_recovered_values", "Value entries replayed from segments by the last recovery.", labels...),
+		recoveredSegments: reg.Gauge("wal_recovered_segments", "Segment files replayed by the last recovery.", labels...),
+		truncatedBytes:    reg.Gauge("wal_recovery_truncated_bytes", "Torn tail bytes truncated by the last recovery.", labels...),
+		snapshotRecords:   reg.Gauge("wal_recovered_snapshot_records", "Records loaded from the compaction snapshot by the last recovery.", labels...),
+		snapshotValues:    reg.Gauge("wal_recovered_snapshot_values", "Values loaded from the compaction snapshot by the last recovery.", labels...),
 	}
 }
 
@@ -575,8 +575,8 @@ func DecodeSegment(data []byte, maxFrame int, fn func(payload []byte) error) (in
 	return off, nil
 }
 
-// RecoveryStats summarizes a Recover run; cmd/fpserver logs it as the
-// startup banner. With compaction in play, Segments/Records/Values
+// RecoveryStats summarizes one shard's recovery (and, merged, a
+// RecoverSharded run); cmd/fpserver logs it as the startup banner. With compaction in play, Segments/Records/Values
 // count only what was replayed from segment files — the cost that
 // grows with activity since the last compaction — while the Snapshot*
 // fields count the live state loaded in one pass from the snapshot.
@@ -606,25 +606,18 @@ func (s *RecoveryStats) Add(other RecoveryStats) {
 	s.SnapshotValues += other.SnapshotValues
 }
 
-// Recover rebuilds a Store from opts.Dir through ReplayJournal, with a
-// walEntry decoder: the newest compaction snapshot (if one exists) and
-// the WAL segments it does not cover rebuild the records, the byUser
-// and value indexes and the per-client sequence table, and the new WAL
-// ReplayJournal opens (next segment number) is attached so subsequent
-// appends are durable. ReplayJournal's rules hold: a torn tail frame
-// of the final segment is truncated durably, any other bad frame —
-// including a checksummed frame that is not a walEntry — fails
-// recovery, and obsolete files are deleted best-effort. A directory
-// holding a sharded store's SHARDS marker is refused: it belongs to
-// RecoverSharded.
-func Recover(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
+// recoverShard rebuilds one shard from opts.Dir through ReplayJournal,
+// with a walEntry decoder: the newest compaction snapshot (if one
+// exists) and the WAL segments it does not cover rebuild the records,
+// the byUser and value indexes and the per-client sequence table, and
+// the new WAL ReplayJournal opens (next segment number) is attached so
+// subsequent appends are durable. ReplayJournal's rules hold: a torn
+// tail frame of the final segment is truncated durably, any other bad
+// frame — including a checksummed frame that is not a walEntry — fails
+// recovery, and obsolete files are deleted best-effort.
+func recoverShard(opts WALOptions) (*Store, RecoveryStats, error) {
 	var stats, snap RecoveryStats
-	if opts.Dir != "" {
-		if _, err := os.Stat(filepath.Join(opts.Dir, shardsMetaName)); err == nil {
-			return nil, nil, stats, fmt.Errorf("storage: wal dir %s holds a sharded store (%s file); reopen it with its shard count", opts.Dir, shardsMetaName)
-		}
-	}
-	st := NewStore()
+	st := newStore()
 	decode := func(stats *RecoveryStats) func(payload []byte) error {
 		return func(payload []byte) error {
 			var e walEntry
@@ -637,7 +630,7 @@ func Recover(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
 	}
 	w, js, err := ReplayJournal(opts, decode(&snap), decode(&stats))
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, stats, err
 	}
 	stats.Segments = js.Segments
 	stats.TruncatedBytes, stats.Truncated = js.TruncatedBytes, js.Truncated
@@ -649,8 +642,8 @@ func Recover(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
 	w.metrics.recoveredValues.SetInt(int64(stats.Values))
 	w.metrics.snapshotRecords.SetInt(int64(stats.SnapshotRecords))
 	w.metrics.snapshotValues.SetInt(int64(stats.SnapshotValues))
-	st.AttachWAL(w)
-	return st, w, stats, nil
+	st.wal = w
+	return st, stats, nil
 }
 
 // syncFileAndDir fsyncs path's contents and then its parent directory,

@@ -17,7 +17,7 @@ const walBytesDigest = "c3049535184f1b4b5fc772772163e4f8e126241e669339b152f6aa0c
 
 func TestWALBytesDigest(t *testing.T) {
 	opts := WALOptions{Dir: t.TempDir(), Policy: SyncNever, SegmentSize: 700}
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

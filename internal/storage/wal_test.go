@@ -24,7 +24,7 @@ func walOpts(t *testing.T) WALOptions {
 
 func TestWALAppendRecoverRoundTrip(t *testing.T) {
 	opts := walOpts(t)
-	st, w, stats, err := Recover(opts)
+	st, w, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestWALAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, w2, stats, err := Recover(opts)
+	st2, w2, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func sortStrings(s []string) {
 
 func TestRecoverTruncatesTornTail(t *testing.T) {
 	opts := walOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, w2, stats, err := Recover(opts)
+	st2, w2, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// The file was physically truncated: the next recovery is clean.
-	st3, w3, stats, err := Recover(opts)
+	st3, w3, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 	opts := walOpts(t)
 	opts.SegmentSize = 256 // force several segments
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Recover(opts); !errors.Is(err, ErrChecksum) {
+	if _, _, _, err := recoverDir(opts); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 func TestWALSegmentRotation(t *testing.T) {
 	opts := walOpts(t)
 	opts.SegmentSize = 512
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestWALSegmentRotation(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("no rotation: %d segments", len(segs))
 	}
-	st2, w2, stats, err := Recover(opts)
+	st2, w2, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestWALFsyncFailurePoisonsAppends(t *testing.T) {
 			return &faultinject.File{F: f, FailSyncAt: 2}, nil
 		},
 	}
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestWALShortWritesSurfaceAsErrors(t *testing.T) {
 			return &faultinject.File{F: f, Script: &faultinject.Script{ShortWrites: true}}, nil
 		},
 	}
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestWALShortWritesSurfaceAsErrors(t *testing.T) {
 
 func TestWALSyncIntervalPolicy(t *testing.T) {
 	opts := WALOptions{Dir: t.TempDir(), Policy: SyncInterval, Interval: 5 * time.Millisecond}
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestWALSyncIntervalPolicy(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, w2, _, err := Recover(opts)
+	st2, w2, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestWALSyncIntervalPolicy(t *testing.T) {
 func TestWALRejectsOversizedFrame(t *testing.T) {
 	opts := walOpts(t)
 	opts.MaxFrame = 256
-	_, w, _, err := Recover(opts)
+	_, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func crcOf(p []byte) uint32 {
 
 func TestLegacyAppendIsLoggedBestEffort(t *testing.T) {
 	opts := walOpts(t)
-	st, w, _, err := Recover(opts)
+	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestLegacyAppendIsLoggedBestEffort(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, w2, stats, err := Recover(opts)
+	st2, w2, stats, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestSeqIdempotentZeroAcrossRecovery(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		opts := walOpts(t)
-		st, w, _, err := Recover(opts)
+		st, w, _, err := recoverDir(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestSeqIdempotentZeroAcrossRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		st2, w2, _, err := Recover(opts)
+		st2, w2, _, err := recoverDir(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
