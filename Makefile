@@ -77,7 +77,7 @@ loc:
 ## fsync faults, drain semantics, and seq-based idempotency — all under
 ## the race detector.
 chaos:
-	$(GO) test -race -count=3 -run 'TestChaos|TestRecover|TestShutdown|TestSeqIdempotent|TestWAL' ./internal/collector/ ./internal/storage/ ./internal/linkd/
+	$(GO) test -race -count=3 -run 'TestChaos|TestRecover|Shutdown|TestSeqIdempotent|TestWAL' ./internal/collector/ ./internal/storage/ ./internal/linkd/
 
 build:
 	$(GO) build ./...

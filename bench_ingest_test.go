@@ -91,9 +91,8 @@ type ingestReport struct {
 // runIngestCell drives `records` submissions from `clients` concurrent
 // connections into a fresh sharded WAL and reports throughput and ACK
 // latency quantiles. Binary cells negotiate framing and send
-// 32-record batches; JSON cells send one-record batches over
-// newline-JSON — a client whose server declined binary framing, one
-// record per round trip.
+// 32-record batches; JSON cells skip the hello and send one-record
+// batches over newline-JSON, one record per round trip.
 func runIngestCell(t *testing.T, shards int, binary bool, records, clients int) ingestCell {
 	t.Helper()
 	const batchSize = 32
@@ -111,7 +110,6 @@ func runIngestCell(t *testing.T, shards int, binary bool, records, clients int) 
 
 	srv := collector.NewServer(ss)
 	srv.Logf = func(string, ...any) {}
-	srv.DisableBinary = !binary
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

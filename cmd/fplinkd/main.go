@@ -26,7 +26,8 @@
 //   - Sliding collect window: -window evicts instances whose latest
 //     observation (by record time) has aged out — the paper's
 //     collect-period semantics — and -compact-every checkpoints the
-//     live table, dropping evicted history from disk.
+//     live table, dropping evicted history from disk; a tick with no
+//     add and no eviction since the last one writes and prints nothing.
 //   - Graceful drain: SIGINT/SIGTERM stops admitting, finishes
 //     in-flight queries within -drain-timeout, snapshots, and exits.
 //
@@ -179,12 +180,16 @@ func main() {
 		}
 		go func() {
 			for range time.Tick(*compactEvery) {
-				n, err := svc.Compact()
+				cs, err := svc.Compact()
 				if err != nil {
 					log.Printf("fplinkd: compaction: %v", err)
 					continue
 				}
-				fmt.Printf("compaction: %d live instances snapshotted (%d bytes)\n", svc.Len(), n)
+				if cs.CoveredSeg == 0 {
+					continue // no add and no eviction since the last checkpoint
+				}
+				fmt.Printf("compaction: %d live instances snapshotted (%d bytes); %d segments removed\n",
+					cs.Records, cs.SnapshotBytes, cs.SegmentsRemoved)
 			}
 		}()
 	}

@@ -19,9 +19,9 @@
 // the replayed segments, bounding restart cost by live state rather
 // than log history; a tick with nothing appended writes nothing.
 //
-// Clients negotiate length-prefixed CRC-framed binary requests via a
-// hello exchange; -framing json declines the upgrade and keeps every
-// connection on newline-JSON.
+// Connections start in newline-JSON; a client may negotiate
+// length-prefixed CRC-framed binary requests via a hello exchange, and
+// one that skips hello stays on newline-JSON.
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, lets
 // in-flight submissions finish (-drain-timeout bounds the wait), runs
@@ -66,20 +66,11 @@ func main() {
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync interval")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight submissions on shutdown")
 	shards := flag.Int("shards", 1, "number of store shards (the WAL lives in wal-dir/shard-NN/)")
-	framing := flag.String("framing", "binary", "wire framing the server will negotiate: binary | json")
 	compactEvery := flag.Duration("compact-every", 0, "WAL compaction period: snapshot live state, truncate replayed segments (0 disables)")
 	flag.Parse()
 
 	if *shards < 1 {
 		log.Fatalf("fpserver: -shards must be >= 1, got %d", *shards)
-	}
-	disableBinary := false
-	switch *framing {
-	case "binary":
-	case "json":
-		disableBinary = true
-	default:
-		log.Fatalf("fpserver: unknown -framing %q (want binary or json)", *framing)
 	}
 
 	var store *storage.ShardedStore
@@ -116,13 +107,12 @@ func main() {
 		fmt.Println("warning: no -wal-dir; accepted records do not survive a crash")
 	}
 	srv := collector.NewServer(store)
-	srv.DisableBinary = disableBinary
 
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("fpserver: %v", err)
 	}
-	fmt.Printf("fpserver listening on %s (framing=%s)\n", lis.Addr(), *framing)
+	fmt.Printf("fpserver listening on %s\n", lis.Addr())
 
 	if *adminAddr != "" {
 		regs := append([]*obs.Registry{srv.Metrics()}, walRegs...)

@@ -5,6 +5,7 @@ package collector
 // the resilient client's backlog coalescing.
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -73,28 +74,71 @@ func TestNegotiateSwitchesToBinary(t *testing.T) {
 	}
 }
 
+// TestNegotiateDeclinedStaysJSON: a peer that does not upgrade —
+// a legacy server that answers hello with an error, or one that
+// declines — leaves the client on newline-JSON, and the connection
+// keeps working. The peer is a minimal fake that answers each request
+// line with the next scripted reply.
 func TestNegotiateDeclinedStaysJSON(t *testing.T) {
-	srv, store, addr := startServer(t)
-	srv.DisableBinary = true
+	for _, hello := range []string{
+		`{"type":"error","error":"unknown request type hello"}`,
+		`{"type":"hello","framing":"json"}`,
+	} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			for _, reply := range []string{hello, `{"type":"pong"}`} {
+				if _, err := br.ReadBytes('\n'); err != nil {
+					return
+				}
+				conn.Write([]byte(reply + "\n"))
+			}
+		}()
+		c, err := Dial(lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		f, err := c.Negotiate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f != FramingJSON || c.Framing() != FramingJSON {
+			t.Fatalf("hello reply %s: framing = %q, want json", hello, f)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("hello reply %s: ping over json: %v", hello, err)
+		}
+	}
+}
+
+// TestUnnegotiatedConnectionSubmitsAndBatches: a client that never
+// sends hello stays on newline-JSON, and both submits and batches —
+// a request type, not a framing feature — work over it.
+func TestUnnegotiatedConnectionSubmitsAndBatches(t *testing.T) {
+	_, store, addr := startServer(t)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	f, err := c.Negotiate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != FramingJSON || c.Framing() != FramingJSON {
-		t.Fatalf("framing = %q, want json", f)
-	}
-	// The connection keeps working over JSON — including batches, which
-	// are a request type, not a framing feature.
 	if _, err := c.Submit(sampleRecord()); err != nil {
 		t.Fatal(err)
 	}
 	if acks, err := c.SubmitBatch(batchOf(t, 3, "js", 1), "js"); err != nil || len(acks) != 3 {
 		t.Fatalf("json batch: %d acks, %v", len(acks), err)
+	}
+	if c.Framing() != FramingJSON {
+		t.Fatalf("framing = %q, want json", c.Framing())
 	}
 	if store.Len() != 4 {
 		t.Fatalf("store len = %d", store.Len())

@@ -30,6 +30,17 @@ func startDurableServer(t *testing.T, dir string, grace time.Duration) (*Server,
 			t.Errorf("Serve: %v", err)
 		}
 	})
+	// Return only once Serve owns the listener (one ping round trip): a
+	// Shutdown issued before Serve has taken the listener cannot close
+	// it, and the kernel would still complete dials to the address.
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	return srv, st, lis.Addr().String()
 }
 

@@ -10,10 +10,11 @@
 // linking quality and cost are both functions of how much history the
 // matcher retains).
 //
-// The wire protocol reuses the collector's convention: connections
-// start in newline-delimited JSON and a hello exchange may switch both
-// sides to CRC-32C length-prefixed binary frames (storage.AppendFrame/
-// ReadFrame) carrying the same JSON payloads.
+// The server runs on the collector's connection server
+// (collector.ConnServer): connections start in newline-delimited JSON
+// and a hello exchange may switch both sides to CRC-32C
+// length-prefixed binary frames (storage.AppendFrame/ReadFrame)
+// carrying the same JSON payloads.
 package linkd
 
 import (

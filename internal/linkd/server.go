@@ -1,215 +1,53 @@
 package linkd
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
-	"log"
-	"net"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fpdyn/internal/collector"
-	"fpdyn/internal/storage"
 )
 
-// Default connection-hygiene settings; override the Server fields
-// before Serve.
-const (
-	DefaultReadTimeout  = 2 * time.Minute
-	DefaultWriteTimeout = 30 * time.Second
-	DefaultDrainGrace   = 2 * time.Second
-)
+// DefaultDrainGrace is how long in-flight requests may finish after
+// Shutdown begins, unless DrainGrace is set.
+const DefaultDrainGrace = 2 * time.Second
 
 // Server speaks the linkd wire protocol over TCP, dispatching into a
-// Service. Framing follows the collector's convention: newline JSON
-// until a hello negotiates binary CRC frames. Robustness decisions
-// (shedding, deadlines, degradation) live in the Service; the server
-// only translates them onto the wire — crucially, an Overloaded
-// response goes out immediately, from the accept-side goroutine, so a
-// full queue never stalls the connection.
+// Service. It runs on the collector's connection server
+// (collector.ConnServer), which supplies the accept loop, the
+// newline-JSON-then-binary framing, Serve, Close, Shutdown and the
+// connection fields (ReadTimeout, WriteTimeout, MaxFrame, DrainGrace,
+// Logf; MaxFrame defaults to DefaultMaxFrame), and registers the
+// linkd_* connection series on the Service's registry. linkd's own
+// part is decoding and dispatching one request; a request that does
+// not decode is answered TypeError and the connection keeps serving.
+// Robustness decisions (shedding, deadlines, degradation) live in the
+// Service; the server only translates them onto the wire — crucially,
+// an Overloaded response goes out immediately, from the connection's
+// goroutine, so a full queue never stalls the connection.
 type Server struct {
+	*collector.ConnServer
+
 	svc *Service
-
-	// ReadTimeout bounds the wait for the next request on an idle
-	// connection; WriteTimeout bounds one response write. Negative
-	// disables.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// MaxFrame caps one request frame in bytes (DefaultMaxFrame).
-	MaxFrame int
-	// DrainGrace is how long in-flight requests may finish after
-	// Shutdown begins.
-	DrainGrace time.Duration
-
-	// Logf receives per-connection error logs; defaults to log.Printf.
-	Logf func(format string, args ...any)
-
-	mu       sync.Mutex
-	lis      net.Listener
-	closed   bool
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	draining atomic.Bool
 }
 
 // NewServer wraps a Service.
 func NewServer(svc *Service) *Server {
-	return &Server{
-		svc:   svc,
-		conns: make(map[net.Conn]struct{}),
-		Logf:  log.Printf,
-	}
+	s := &Server{svc: svc}
+	s.ConnServer = collector.NewConnServer("linkd", svc.Metrics(), DefaultMaxFrame, DefaultDrainGrace, s.handle)
+	return s
 }
 
-func (s *Server) readTimeout() time.Duration {
-	if s.ReadTimeout == 0 {
-		return DefaultReadTimeout
-	}
-	return s.ReadTimeout
-}
-
-func (s *Server) writeTimeout() time.Duration {
-	if s.WriteTimeout == 0 {
-		return DefaultWriteTimeout
-	}
-	return s.WriteTimeout
-}
-
-func (s *Server) maxFrame() int {
-	if s.MaxFrame <= 0 {
-		return DefaultMaxFrame
-	}
-	return s.MaxFrame
-}
-
-func (s *Server) drainGrace() time.Duration {
-	if s.DrainGrace <= 0 {
-		return DefaultDrainGrace
-	}
-	return s.DrainGrace
-}
-
-// Serve accepts connections on lis until Close/Shutdown. It blocks.
-func (s *Server) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		lis.Close()
-		return nil
-	}
-	s.lis = lis
-	s.mu.Unlock()
-
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.wg.Wait()
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			if err := s.handle(conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.Logf("linkd: connection %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-// handle runs the request loop for one connection.
-func (s *Server) handle(conn net.Conn) error {
-	br := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
-	binary := false
-	var wbuf []byte
-	for {
-		if !s.draining.Load() {
-			if rt := s.readTimeout(); rt > 0 {
-				conn.SetReadDeadline(wallClock().Add(rt))
-			}
-		}
-		var payload []byte
-		var err error
-		if binary {
-			payload, err = storage.ReadFrame(br, s.maxFrame())
-			if errors.Is(err, storage.ErrFrameSize) {
-				err = collector.ErrFrameTooLong
-			}
-		} else {
-			payload, err = collector.ReadLine(br, s.maxFrame())
-		}
-		if err != nil {
-			switch {
-			case errors.Is(err, io.EOF):
-				return io.EOF
-			case errors.Is(err, collector.ErrFrameTooLong):
-				s.writeResponse(conn, enc, binary, &wbuf, &Response{Type: TypeError, Error: "request exceeds frame limit"})
-				return collector.ErrFrameTooLong
-			case s.draining.Load() && errors.Is(err, os.ErrDeadlineExceeded):
-				return nil // drained: the connection went idle past the grace
-			default:
-				return err
-			}
-		}
-		if len(payload) == 0 {
-			continue
-		}
-		req, err := DecodeRequest(payload)
-		if err != nil {
-			if werr := s.writeResponse(conn, enc, binary, &wbuf, &Response{Type: TypeError, Error: err.Error()}); werr != nil {
-				return werr
-			}
-			continue // a malformed request costs the client a round trip, not the connection
-		}
-		resp := s.dispatch(req)
-		if err := s.writeResponse(conn, enc, binary, &wbuf, resp); err != nil {
-			return err
-		}
-		if resp.Type == TypeHello && resp.Framing == collector.FramingBinary {
-			binary = true // both sides switch after the hello reply
-		}
-	}
-}
-
-func (s *Server) writeResponse(conn net.Conn, enc *json.Encoder, binary bool, wbuf *[]byte, resp *Response) error {
-	if wt := s.writeTimeout(); wt > 0 {
-		conn.SetWriteDeadline(wallClock().Add(wt))
-	}
-	if !binary {
-		return enc.Encode(resp)
-	}
-	payload, err := json.Marshal(resp)
+// handle decodes one request payload and dispatches it.
+func (s *Server) handle(payload []byte) collector.Reply {
+	req, err := DecodeRequest(payload)
 	if err != nil {
-		return err
+		// A malformed request costs the client a round trip, not the
+		// connection.
+		return collector.Reply{Resp: &Response{Type: TypeError, Error: err.Error()}}
 	}
-	*wbuf = storage.AppendFrame((*wbuf)[:0], payload)
-	_, err = conn.Write(*wbuf)
-	return err
+	resp := s.dispatch(req)
+	return collector.Reply{Resp: resp, Binary: resp.Type == TypeHello && resp.Framing == collector.FramingBinary}
 }
 
 // dispatch executes one validated request against the service.
@@ -245,83 +83,5 @@ func (s *Server) dispatch(req *Request) *Response {
 		return &Response{Type: TypeResult, Candidates: cands, Mode: mode}
 	default: // DecodeRequest admits no other types
 		return &Response{Type: TypeError, Error: "unknown request type " + req.Type}
-	}
-}
-
-// Close stops accepting, closes live connections and waits for
-// handlers to drain — the abrupt stop. Use Shutdown for a graceful
-// drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	lis := s.lis
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if lis != nil {
-		lis.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
-
-// Shutdown drains the server: it stops accepting immediately, lets
-// in-flight requests on existing connections finish (bounded by
-// DrainGrace and ctx), then closes. The service itself stays open —
-// the caller snapshots and closes it after the drain, so every ACKed
-// add is on disk before the process exits.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.draining.Store(true)
-	drainStart := wallClock()
-	lis := s.lis
-	deadline := drainStart.Add(s.drainGrace())
-	if d, ok := ctx.Deadline(); ok {
-		if h := d.Add(-20 * time.Millisecond); h.Before(deadline) {
-			deadline = h
-			if deadline.Before(drainStart) {
-				deadline = drainStart
-			}
-		}
-	}
-	for c := range s.conns {
-		c.SetReadDeadline(deadline)
-	}
-	s.mu.Unlock()
-	if lis != nil {
-		lis.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		select {
-		case <-done:
-			return nil
-		default:
-		}
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		s.wg.Wait()
-		return ctx.Err()
 	}
 }

@@ -263,3 +263,27 @@ func TestServerShutdownDrain(t *testing.T) {
 		t.Fatalf("service lost state across drain: Len = %d", svc.Len())
 	}
 }
+
+// TestServerShutdownRefusesNewConnections: once Serve owns the listener
+// (a ping round trip proves it), Shutdown closes it, and a dial after
+// the drain began is refused.
+func TestServerShutdownRefusesNewConnections(t *testing.T) {
+	_, srv, addr := startServer(t, func(o *Options) { o.Learn = nil })
+	srv.DrainGrace = 50 * time.Millisecond
+	c := dialServer(t, addr)
+	if resp := c.roundTrip(t, &Request{Type: TypePing}); resp.Type != TypePong {
+		t.Fatalf("ping → %+v", resp)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if !srv.Draining() {
+		t.Fatal("Draining() = false after Shutdown")
+	}
+	if conn, err := net.DialTimeout("tcp", addr, 500*time.Millisecond); err == nil {
+		conn.Close()
+		t.Fatal("connection accepted after drain started")
+	}
+}

@@ -522,9 +522,11 @@ func (s *Service) IndexDigests() (rule, learn string) {
 // deletes the journal segments it covers (storage.WAL.Checkpoint):
 // evicted instances leave the disk here, and the next recovery replays
 // live state, not history. Adds are blocked only while the cut is
-// captured. With no add and no eviction since the last cut (the
-// journal is Idle) nothing is written and 0 bytes are returned.
-func (s *Service) Compact() (int64, error) {
+// captured. The stats count the snapshot's entries in Records (Values
+// stays 0). With no add and no eviction since the last cut (the
+// journal is Idle) nothing is written and CoveredSeg is 0; a real
+// checkpoint — even of an empty table — covers at least segment 1.
+func (s *Service) Compact() (storage.CompactionStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -532,16 +534,16 @@ func (s *Service) Compact() (int64, error) {
 	w := s.wal
 	if w == nil {
 		s.mu.Unlock()
-		return 0, errors.New("linkd: compact needs a journal")
+		return storage.CompactionStats{}, errors.New("linkd: compact needs a journal")
 	}
 	if !s.evicted && w.Idle() {
 		s.mu.Unlock()
-		return 0, nil
+		return storage.CompactionStats{}, nil
 	}
 	active, err := w.Rotate()
 	if err != nil {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("linkd: compact rotate: %w", err)
+		return storage.CompactionStats{}, fmt.Errorf("linkd: compact rotate: %w", err)
 	}
 	// The cut: every live entry, sorted by id so equal state yields
 	// byte-identical snapshots.
@@ -552,7 +554,8 @@ func (s *Service) Compact() (int64, error) {
 	s.evicted = false
 	s.mu.Unlock()
 	sort.Slice(cut, func(i, j int) bool { return cut[i].ID < cut[j].ID })
-	n, _, err := w.Checkpoint(active-1, func(write func(payload []byte) error) error {
+	cs := storage.CompactionStats{Records: len(cut), CoveredSeg: active - 1}
+	cs.SnapshotBytes, cs.SegmentsRemoved, err = w.Checkpoint(cs.CoveredSeg, func(write func(payload []byte) error) error {
 		for i := range cut {
 			payload, err := json.Marshal(&cut[i])
 			if err != nil {
@@ -564,7 +567,7 @@ func (s *Service) Compact() (int64, error) {
 		}
 		return nil
 	})
-	return n, err
+	return cs, err
 }
 
 // sampleLoop drives SampleOverload and EvictExpired on a fixed period.

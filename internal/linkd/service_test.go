@@ -610,8 +610,8 @@ func TestCompactIdleWritesNothing(t *testing.T) {
 		t.Helper()
 		compact()
 		before := listing()
-		if n, err := svc.Compact(); err != nil || n != 0 {
-			t.Fatalf("%s: idle compaction = %d bytes, %v; want 0, nil", step, n, err)
+		if cs, err := svc.Compact(); err != nil || cs.CoveredSeg != 0 {
+			t.Fatalf("%s: idle compaction = %+v, %v; want no checkpoint", step, cs, err)
 		}
 		if after := listing(); !reflect.DeepEqual(after, before) || compactions() != want {
 			t.Fatalf("%s: second compaction: dir %v → %v, %d compactions, want %d", step, before, after, compactions(), want)
@@ -632,6 +632,45 @@ func TestCompactIdleWritesNothing(t *testing.T) {
 	assertIdle("after an eviction", 3)
 	if svc.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", svc.Len())
+	}
+}
+
+// TestCompactReportsCheckpoint: Compact tells a real checkpoint from an
+// idle skip even when both write 0 bytes — after every entry is
+// evicted the checkpoint of the empty table still reports itself, and
+// the back-to-back run after it reports none.
+func TestCompactReportsCheckpoint(t *testing.T) {
+	clock := newFakeClock(tBase.Add(40 * time.Hour))
+	svc, _, err := Open(Options{
+		Rule: fpstalker.NewRuleLinker(), WAL: storage.WALOptions{Dir: t.TempDir(), Policy: storage.SyncNever},
+		Window: 24 * time.Hour, Clock: clock.Now, MaxInFlight: 2,
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer svc.Close()
+	for i := 0; i < 3; i++ {
+		if err := svc.Add(fmt.Sprintf("c%d", i), testRecord(i, tBase.Add(30*time.Hour))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs, err := svc.Compact()
+	if err != nil || cs.CoveredSeg == 0 || cs.Records != 3 || cs.SnapshotBytes == 0 {
+		t.Fatalf("first compaction = %+v, %v; want a checkpoint of 3 entries", cs, err)
+	}
+	if cs, err := svc.Compact(); err != nil || cs != (storage.CompactionStats{}) {
+		t.Fatalf("back-to-back compaction = %+v, %v; want no checkpoint", cs, err)
+	}
+	clock.Advance(48 * time.Hour)
+	if n := svc.EvictExpired(); n != 3 {
+		t.Fatalf("evicted %d, want 3", n)
+	}
+	cs, err = svc.Compact()
+	if err != nil || cs.CoveredSeg == 0 || cs.Records != 0 || cs.SnapshotBytes != 0 {
+		t.Fatalf("compaction after evicting everything = %+v, %v; want a checkpoint of 0 entries", cs, err)
+	}
+	if cs, err := svc.Compact(); err != nil || cs.CoveredSeg != 0 {
+		t.Fatalf("idle compaction of the empty table = %+v, %v; want no checkpoint", cs, err)
 	}
 }
 
