@@ -11,12 +11,11 @@
 //   - Deadline propagation: a query's deadline_ms rides its context
 //     into the scoring workers, so a timed-out query stops consuming
 //     CPU mid-scan.
-//   - Graceful degradation: sustained overload (shed rate or p99 over
-//     the -shed-high / -p99-high watermarks for -degrade-after
-//     consecutive samples) switches service to the ~25×-cheaper
-//     rule-based linker; calm (-shed-low / -p99-low for
-//     -recover-after samples) switches back. The linkd_mode_rule
-//     gauge exposes the current mode.
+//   - Graceful degradation: sustained overload (shed rate over 10 % or
+//     query p99 over 0.5 s for 3 consecutive -sample-every samples)
+//     switches service to the ~25×-cheaper rule-based linker; calm
+//     (shed rate ≤ 1 % and p99 ≤ 0.1 s for 5 samples) switches back.
+//     The linkd_mode_rule gauge exposes the current mode.
 //   - Crash-safe state: with -wal-dir every add is journaled through
 //     the storage WAL before the ACK; restart replays the newest
 //     snapshot plus uncovered segments (torn tails truncated) and
@@ -74,12 +73,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight queries on shutdown")
 	compactEvery := flag.Duration("compact-every", 0, "journal compaction period (0 disables)")
 	sampleEvery := flag.Duration("sample-every", 5*time.Second, "overload-sampling and eviction period")
-	shedHigh := flag.Float64("shed-high", 0.10, "shed-rate watermark to enter degraded (rule-based) mode")
-	p99High := flag.Float64("p99-high", 0.5, "query p99 watermark (seconds) to enter degraded mode")
-	shedLow := flag.Float64("shed-low", 0.01, "shed-rate watermark to leave degraded mode")
-	p99Low := flag.Float64("p99-low", 0.1, "query p99 watermark (seconds) to leave degraded mode")
-	degradeAfter := flag.Int("degrade-after", 3, "consecutive bad samples before degrading")
-	recoverAfter := flag.Int("recover-after", 5, "consecutive good samples before recovering")
 	trainUsers := flag.Int("train-users", 2000, "simulated users for pair-model training")
 	trainSeed := flag.Int64("train-seed", 1, "training simulation seed")
 	ruleOnly := flag.Bool("rule-only", false, "skip pair-model training; serve every query rule-based")
@@ -88,17 +81,11 @@ func main() {
 	rule := fpstalker.NewRuleLinker()
 	rule.Workers = *workers
 	opts := linkd.Options{
-		Rule:         rule,
-		Window:       *window,
-		MaxInFlight:  *maxInFlight,
-		QueueDepth:   *queueDepth,
-		ShedHigh:     *shedHigh,
-		P99High:      *p99High,
-		ShedLow:      *shedLow,
-		P99Low:       *p99Low,
-		DegradeAfter: *degradeAfter,
-		RecoverAfter: *recoverAfter,
-		SampleEvery:  *sampleEvery,
+		Rule:        rule,
+		Window:      *window,
+		MaxInFlight: *maxInFlight,
+		QueueDepth:  *queueDepth,
+		SampleEvery: *sampleEvery,
 	}
 
 	if !*ruleOnly {

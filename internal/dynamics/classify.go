@@ -104,7 +104,7 @@ func (c *Classifier) Classify(d *Dynamics) Classification {
 		switch {
 		case delta.Has(fingerprint.FeatConsLanguage):
 			cl.add(CauseFakeLang)
-		case sharesPrimaryLanguage(from.Language, to.Language):
+		case fingerprint.SharesPrimaryLanguage(from.Language, to.Language):
 			cl.add(CauseHeaderLang)
 		default:
 			cl.add(CauseFakeLang)
@@ -198,26 +198,12 @@ func (c *Classifier) classifyUA(d *Dynamics, cl *Classification) (browserUpdated
 	// Family or platform changed: a desktop request keeps the engine
 	// version while swapping the platform; anything else is a faked
 	// agent string. Consistency flags corroborate.
-	if isDesktopRequestPair(fromUA, toUA) || d.Delta.Has(fingerprint.FeatConsOS) {
+	if useragent.IsDesktopRequestPair(fromUA, toUA) || d.Delta.Has(fingerprint.FeatConsOS) {
 		cl.add(CauseDesktopSite)
 	} else {
 		cl.add(CauseFakeAgent)
 	}
 	return false, false
-}
-
-// isDesktopRequestPair recognizes a mobile↔desktop swap that preserves
-// the engine version (Figure 11(a)).
-func isDesktopRequestPair(a, b useragent.UA) bool {
-	if a.Mobile == b.Mobile {
-		return false
-	}
-	mob, desk := a, b
-	if b.Mobile {
-		mob, desk = b, a
-	}
-	return mob.RequestDesktop().Browser == desk.Browser &&
-		mob.BrowserVersion.Compare(desk.BrowserVersion) == 0
 }
 
 // pluginDeltaIsFlash reports whether the plugin change is exactly a
@@ -274,23 +260,6 @@ func atoi(s string) (int, bool) {
 		n = n*10 + int(s[i]-'0')
 	}
 	return n, true
-}
-
-// sharesPrimaryLanguage reports whether two Accept-Language values
-// start with the same primary tag — a locale preference tweak rather
-// than wholesale spoofing.
-func sharesPrimaryLanguage(a, b string) bool {
-	return primaryLang(a) == primaryLang(b) && primaryLang(a) != ""
-}
-
-func primaryLang(s string) string {
-	if i := strings.IndexAny(s, ",;"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.IndexByte(s, '-'); i >= 0 {
-		s = s[:i]
-	}
-	return strings.TrimSpace(s)
 }
 
 // fontCause matches a font delta against the known software signatures

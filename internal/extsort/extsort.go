@@ -50,9 +50,6 @@ type Options[T any] struct {
 	// frame is read into a fresh payload slice, so a decoder may keep
 	// its payload (or a slice of it) in the item it returns.
 	NewDecoder func() func(payload []byte) (T, error)
-	// MaxFrame bounds a single encoded item (default the storage WAL
-	// bound, 16 MiB).
-	MaxFrame int
 	// OpenFile opens a new run file for writing; defaults to os.Create.
 	// Fault-injection hooks replace it to script write failures.
 	OpenFile func(path string) (storage.SegmentFile, error)
@@ -180,7 +177,7 @@ func (s *Sorter[T]) Merge() (*Stream[T], error) {
 	st := &Stream[T]{s: s}
 	decode := s.opts.NewDecoder()
 	for i, path := range s.runs {
-		r, err := openRun(path, i, s.opts.MaxFrame, decode, s.opts.Less)
+		r, err := openRun(path, i, decode, s.opts.Less)
 		if err != nil {
 			st.Close()
 			return nil, err
@@ -215,7 +212,7 @@ func (s *Sorter[T]) EachRun(fn func(payloads [][]byte) error) error {
 	s.frozen = true
 	var run [][]byte
 	for i, path := range s.runs {
-		r, err := openRun(path, i, s.opts.MaxFrame, func(p []byte) ([]byte, error) { return p, nil }, nil)
+		r, err := openRun(path, i, func(p []byte) ([]byte, error) { return p, nil }, nil)
 		if err != nil {
 			return err
 		}
@@ -258,31 +255,31 @@ func (w writerOnly) Write(p []byte) (int, error) { return w.f.Write(p) }
 // buffered file reader behind it. The heads of one Stream share its
 // decoder and order by less.
 type runReader[T any] struct {
-	path     string
-	f        *os.File
-	br       *bufio.Reader
-	maxFrame int
-	idx      int
-	decode   func(payload []byte) (T, error)
-	less     func(a, b T) bool
-	cur      T
-	off      int64 // start of the next frame
+	path   string
+	f      *os.File
+	br     *bufio.Reader
+	idx    int
+	decode func(payload []byte) (T, error)
+	less   func(a, b T) bool
+	cur    T
+	off    int64 // start of the next frame
 }
 
-func openRun[T any](path string, idx, maxFrame int, decode func([]byte) (T, error), less func(a, b T) bool) (*runReader[T], error) {
+func openRun[T any](path string, idx int, decode func([]byte) (T, error), less func(a, b T) bool) (*runReader[T], error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run: %w", err)
 	}
-	return &runReader[T]{path: path, f: f, br: bufio.NewReaderSize(f, 1<<18), maxFrame: maxFrame,
+	return &runReader[T]{path: path, f: f, br: bufio.NewReaderSize(f, 1<<18),
 		idx: idx, decode: decode, less: less}, nil
 }
 
-// advance reads and decodes the next frame. ok=false on a clean EOF at
-// a frame boundary; torn, corrupt or undecodable frames are hard errors
-// naming the run file and the frame's start offset.
+// advance reads and decodes the next frame, bounded by the storage
+// WAL's frame limit. ok=false on a clean EOF at a frame boundary; torn,
+// corrupt, oversized or undecodable frames are hard errors naming the
+// run file and the frame's start offset.
 func (r *runReader[T]) advance() (ok bool, err error) {
-	payload, err := storage.ReadFrame(r.br, r.maxFrame)
+	payload, err := storage.ReadFrame(r.br, 0)
 	if err != nil {
 		if errors.Is(err, io.EOF) && !errors.Is(err, storage.ErrTornFrame) {
 			return false, nil

@@ -80,6 +80,23 @@ func (fp *Fingerprint) Clone() *Fingerprint {
 	return &c
 }
 
+// SharesPrimaryLanguage reports whether two Accept-Language values
+// start with the same primary tag — a locale preference tweak rather
+// than wholesale spoofing.
+func SharesPrimaryLanguage(a, b string) bool {
+	return primaryLang(a) == primaryLang(b) && primaryLang(a) != ""
+}
+
+func primaryLang(s string) string {
+	if i := strings.IndexAny(s, ",;"); i >= 0 {
+		s = s[:i]
+	}
+	if i := strings.IndexByte(s, '-'); i >= 0 {
+		s = s[:i]
+	}
+	return strings.TrimSpace(s)
+}
+
 // boolStr renders a boolean feature the way the collection script
 // reports it.
 func boolStr(b bool) string {

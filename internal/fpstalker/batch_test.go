@@ -22,7 +22,7 @@ func scalarTopK(l *LearnLinker, rec *fingerprint.Record, k int) []Candidate {
 		if q.ok && e.ok && (q.ua.Browser != e.ua.Browser || q.ua.Mobile != e.ua.Mobile) {
 			return 0, false
 		}
-		return l.Forest.PredictProbaAtLeast(pairVectorEntries(e, q), l.Threshold)
+		return l.Forest.PredictProbaAtLeast(pairVectorEntries(e, q), linkThreshold)
 	})
 	return cands
 }

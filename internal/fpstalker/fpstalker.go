@@ -282,14 +282,6 @@ func countKeyDiffsBudget(a, b []uint64, maxTotal, maxRare int) (total int, ok bo
 	return total, true
 }
 
-// countFeatureDiffs counts differing non-IP schema features between two
-// fingerprints, and separately the differing members of the
-// rarely-changing set. Hot paths precompute featureKeys and call
-// countKeyDiffs directly.
-func countFeatureDiffs(a, b *fingerprint.Fingerprint) (total, rare int) {
-	return countKeyDiffs(featureKeys(a), featureKeys(b))
-}
-
 // rankBefore is the total order of candidate rankings: score
 // descending, then ID ascending. IDs are unique, so the order is
 // strict — serial, parallel and blocked runs all rank identically.

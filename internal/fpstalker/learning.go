@@ -26,8 +26,6 @@ import (
 // Figure 9 scalability-wall measurement.
 type LearnLinker struct {
 	Forest *mlearn.Forest
-	// Threshold is the minimum link probability (default 0.5).
-	Threshold float64
 	// NoBlocking disables the candidate-blocking index so every query
 	// scans the whole table (ablation).
 	NoBlocking bool
@@ -37,9 +35,12 @@ type LearnLinker struct {
 	eng *engine
 }
 
+// linkThreshold is the minimum link probability of a candidate.
+const linkThreshold = 0.5
+
 // NewLearnLinker wraps a trained pair model.
 func NewLearnLinker(f *mlearn.Forest) *LearnLinker {
-	return &LearnLinker{Forest: f, Threshold: 0.5, eng: newEngine()}
+	return &LearnLinker{Forest: f, eng: newEngine()}
 }
 
 // Len implements Linker.
@@ -113,7 +114,7 @@ func (l *LearnLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k in
 		if len(kept) > 0 {
 			probs := s.probs[:len(kept)]
 			oks := s.oks[:len(kept)]
-			l.Forest.PredictProbaAtLeastBatch(xs, l.Threshold, probs, oks)
+			l.Forest.PredictProbaAtLeastBatch(xs, linkThreshold, probs, oks)
 			for i, e := range kept {
 				if oks[i] {
 					out = append(out, Candidate{ID: e.id, Score: probs[i]})

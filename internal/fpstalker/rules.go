@@ -24,7 +24,7 @@ import (
 //     localStorage support) must match — which is exactly why storage
 //     toggles produce the paper's Figure 11(b) false negative;
 //  5. at most 2 of the rarely-changing features (canvas, fonts, GPU
-//     renderer, GPU image) and at most MaxDiffs features overall may
+//     renderer, GPU image) and at most maxDiffs features overall may
 //     differ.
 //
 // Hardware features like CPU cores are deliberately NOT constrained —
@@ -35,8 +35,6 @@ import (
 // worker pool; see engine.go. Both are ablatable, and Add/TopK are safe
 // for concurrent callers.
 type RuleLinker struct {
-	// MaxDiffs is the overall differing-feature budget (default 5).
-	MaxDiffs int
 	// NoExactIndex disables the exact-match hash index, forcing the
 	// full linear scan even for identical fingerprints (ablation).
 	NoExactIndex bool
@@ -50,12 +48,14 @@ type RuleLinker struct {
 	byHash map[uint64][]int // fingerprint hash → entry indexes
 }
 
+// maxDiffs is rule 5's overall differing-feature budget.
+const maxDiffs = 5
+
 // NewRuleLinker returns an empty rule-based linker.
 func NewRuleLinker() *RuleLinker {
 	return &RuleLinker{
-		MaxDiffs: 5,
-		eng:      newEngine(),
-		byHash:   make(map[uint64][]int),
+		eng:    newEngine(),
+		byHash: make(map[uint64][]int),
 	}
 }
 
@@ -210,7 +210,7 @@ func (l *RuleLinker) scoreBlocked(q, e *entry) (float64, bool) {
 // scoreTail applies rule 5 and ranks the surviving candidate.
 func (l *RuleLinker) scoreTail(q, e *entry) (float64, bool) {
 	// Rule 5: difference budgets, over the precomputed keys.
-	total, ok := countKeyDiffsBudget(q.keys, e.keys, l.MaxDiffs, 2)
+	total, ok := countKeyDiffsBudget(q.keys, e.keys, maxDiffs, 2)
 	if !ok {
 		return 0, false
 	}

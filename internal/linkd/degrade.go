@@ -1,11 +1,25 @@
 package linkd
 
+import "math"
+
+// The overload controller's policy: enter rule mode after degradeAfter
+// consecutive samples with shed rate > shedHigh or query p99 > p99High;
+// recover after recoverAfter consecutive samples with shed rate ≤
+// shedLow and p99 ≤ p99Low. Both p99 watermarks are bounds of the
+// linkd_query_seconds histogram (obs.DefBuckets), so an interval's
+// bucket counts decide them exactly.
+const (
+	shedHigh     = 0.10
+	p99High      = 0.5 // seconds
+	shedLow      = 0.01
+	p99Low       = 0.1 // seconds
+	degradeAfter = 3
+	recoverAfter = 5
+)
+
 // degrader is the hysteretic overload controller: it watches interval
-// samples of the shed rate and query p99 and decides which linker
-// variant serves queries. Sustained overload (DegradeAfter consecutive
-// samples over the high watermarks) switches to the rule-based linker;
-// sustained calm (RecoverAfter consecutive samples under the low
-// watermarks) switches back. The gap between watermarks plus the
+// samples of the shed rate and query latency and decides which linker
+// variant serves queries. The gap between watermarks plus the
 // consecutive-sample requirement is what prevents mode flapping when
 // load hovers near a threshold — a single spike changes nothing, and a
 // sample in the dead band resets both streaks, holding the current
@@ -14,27 +28,20 @@ package linkd
 // The controller is pure state over explicit inputs (no clocks, no
 // metric reads), so tests drive it sample by sample.
 type degrader struct {
-	// Enter degraded mode when shedRate > ShedHigh OR p99 > P99High
-	// for DegradeAfter consecutive samples.
-	ShedHigh float64
-	P99High  float64 // seconds
-	// Leave degraded mode when shedRate <= ShedLow AND p99 <= P99Low
-	// for RecoverAfter consecutive samples.
-	ShedLow      float64
-	P99Low       float64 // seconds
-	DegradeAfter int
-	RecoverAfter int
-
 	degraded  bool
 	badStreak int
 	okStreak  int
 }
 
-// sample feeds one interval observation and reports the mode after it
-// plus whether this sample flipped it.
-func (d *degrader) sample(shedRate, p99 float64) (degraded, changed bool) {
-	bad := shedRate > d.ShedHigh || p99 > d.P99High
-	good := shedRate <= d.ShedLow && p99 <= d.P99Low
+// sample feeds one interval observation — its shed rate, and of its n
+// served queries how many took at most p99Low and p99High — and
+// reports the mode after it plus whether this sample flipped it.
+func (d *degrader) sample(shedRate float64, n, underLow, underHigh uint64) (degraded, changed bool) {
+	// The interval's p99 is at most a bound exactly when at least
+	// ⌈0.99·n⌉ of its queries took at most that bound.
+	rank := uint64(math.Ceil(float64(n) * 0.99))
+	bad := shedRate > shedHigh || underHigh < rank
+	good := shedRate <= shedLow && underLow >= rank
 	switch {
 	case bad:
 		d.badStreak++
@@ -46,11 +53,11 @@ func (d *degrader) sample(shedRate, p99 float64) (degraded, changed bool) {
 		d.badStreak = 0
 		d.okStreak = 0
 	}
-	if !d.degraded && d.badStreak >= d.DegradeAfter {
+	if !d.degraded && d.badStreak >= degradeAfter {
 		d.degraded = true
 		return true, true
 	}
-	if d.degraded && d.okStreak >= d.RecoverAfter {
+	if d.degraded && d.okStreak >= recoverAfter {
 		d.degraded = false
 		return false, true
 	}

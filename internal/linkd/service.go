@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -75,17 +74,6 @@ type Options struct {
 	// one (reachable via Metrics).
 	Registry *obs.Registry
 
-	// Degradation thresholds; see degrader. Defaults: enter rule mode
-	// after 3 consecutive samples with shed rate > 10% or p99 > 500ms,
-	// recover after 5 consecutive samples with shed rate ≤ 1% and
-	// p99 ≤ 100ms.
-	ShedHigh     float64
-	P99High      float64
-	ShedLow      float64
-	P99Low       float64
-	DegradeAfter int
-	RecoverAfter int
-
 	// SampleEvery starts a background goroutine that calls
 	// SampleOverload and EvictExpired on this period. 0 leaves both to
 	// the caller (tests drive them manually).
@@ -111,33 +99,6 @@ func (o *Options) clock() func() time.Time {
 		return o.Clock
 	}
 	return wallClock
-}
-
-func (o *Options) degrader() degrader {
-	d := degrader{
-		ShedHigh: o.ShedHigh, P99High: o.P99High,
-		ShedLow: o.ShedLow, P99Low: o.P99Low,
-		DegradeAfter: o.DegradeAfter, RecoverAfter: o.RecoverAfter,
-	}
-	if d.ShedHigh <= 0 {
-		d.ShedHigh = 0.10
-	}
-	if d.P99High <= 0 {
-		d.P99High = 0.5
-	}
-	if d.ShedLow <= 0 {
-		d.ShedLow = 0.01
-	}
-	if d.P99Low <= 0 {
-		d.P99Low = 0.1
-	}
-	if d.DegradeAfter <= 0 {
-		d.DegradeAfter = 3
-	}
-	if d.RecoverAfter <= 0 {
-		d.RecoverAfter = 5
-	}
-	return d
 }
 
 // journalEntry is the payload of one journaled add. Evictions are NOT
@@ -218,10 +179,13 @@ type Service struct {
 	degradeMu sync.Mutex
 	deg       degrader
 	degraded  atomic.Bool
-	// Previous cumulative counter/bucket values for interval sampling.
-	prevArrivals int64
-	prevShed     int64
-	prevBuckets  []uint64
+	// Previous cumulative counter and bucket values for interval
+	// sampling.
+	prevArrivals  int64
+	prevShed      int64
+	prevQueries   uint64
+	prevUnderLow  uint64
+	prevUnderHigh uint64
 
 	closed     atomic.Bool
 	stopSample chan struct{}
@@ -246,7 +210,6 @@ func Open(opts Options) (*Service, storage.JournalReplayStats, error) {
 		live:  make(map[string]*fingerprint.Record),
 		evict: newWindowEvictor(),
 		sem:   make(chan struct{}, opts.maxInFlight()),
-		deg:   opts.degrader(),
 	}
 	s.m.reg.GaugeFunc("linkd_entries", "Live instances in the linking table.", func() float64 {
 		return float64(s.rule.Len())
@@ -430,9 +393,10 @@ func (s *Service) EvictExpired() int {
 	return len(ids)
 }
 
-// SampleOverload feeds one interval sample (shed rate and query p99
-// since the previous call) to the overload controller and applies any
-// mode flip. Returns the mode in force after the sample.
+// SampleOverload feeds one interval sample (shed rate and query
+// latency counts since the previous call) to the overload controller
+// and applies any mode flip. Returns the mode in force after the
+// sample.
 func (s *Service) SampleOverload() (degraded bool) {
 	s.degradeMu.Lock()
 	defer s.degradeMu.Unlock()
@@ -446,12 +410,25 @@ func (s *Service) SampleOverload() (degraded bool) {
 	if dArrivals > 0 {
 		shedRate = float64(dShed) / float64(dArrivals)
 	}
-	p99 := s.intervalP99Locked()
+	// Buckets are cumulative, so the interval's counts are deltas of
+	// the cumulative counts at the two watermark bounds and at +Inf.
+	var queries, underLow, underHigh uint64
+	for _, b := range s.m.querySeconds.Snapshot().Buckets {
+		switch b.UpperBound {
+		case p99Low:
+			underLow = b.Cumulative
+		case p99High:
+			underHigh = b.Cumulative
+		}
+		queries = b.Cumulative
+	}
+	n, dLow, dHigh := queries-s.prevQueries, underLow-s.prevUnderLow, underHigh-s.prevUnderHigh
+	s.prevQueries, s.prevUnderLow, s.prevUnderHigh = queries, underLow, underHigh
 
 	if s.learn == nil {
 		return true // rule-only: nothing to degrade to
 	}
-	degraded, changed := s.deg.sample(shedRate, p99)
+	degraded, changed := s.deg.sample(shedRate, n, dLow, dHigh)
 	if changed {
 		s.degraded.Store(degraded)
 		s.m.transitions.Inc()
@@ -462,49 +439,6 @@ func (s *Service) SampleOverload() (degraded bool) {
 		}
 	}
 	return degraded
-}
-
-// intervalP99Locked estimates the 99th percentile of query latency
-// over the interval since the previous sample, from cumulative bucket
-// deltas of the query histogram. Callers hold degradeMu.
-func (s *Service) intervalP99Locked() float64 {
-	snap := s.m.querySeconds.Snapshot()
-	cur := make([]uint64, len(snap.Buckets))
-	for i, b := range snap.Buckets {
-		cur[i] = b.Cumulative
-	}
-	prev := s.prevBuckets
-	s.prevBuckets = cur
-	// Buckets are cumulative, so cumulative-count deltas are the
-	// interval's own cumulative histogram.
-	delta := func(i int) uint64 {
-		d := cur[i]
-		if prev != nil && i < len(prev) {
-			d -= prev[i]
-		}
-		return d
-	}
-	total := delta(len(cur) - 1)
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(float64(total) * 0.99))
-	if rank < 1 {
-		rank = 1
-	}
-	maxFinite := 0.0
-	for i, b := range snap.Buckets {
-		if !math.IsInf(b.UpperBound, 1) {
-			maxFinite = b.UpperBound
-		}
-		if delta(i) >= rank {
-			if math.IsInf(b.UpperBound, 1) {
-				return maxFinite // +Inf bucket clamps to the largest finite bound
-			}
-			return b.UpperBound
-		}
-	}
-	return maxFinite
 }
 
 // IndexDigests returns the canonical digests of the rule and learning

@@ -268,63 +268,83 @@ func TestEvictionWindow(t *testing.T) {
 }
 
 func TestDegraderHysteresis(t *testing.T) {
-	mk := func() degrader {
-		return degrader{
-			ShedHigh: 0.10, P99High: 0.5,
-			ShedLow: 0.01, P99Low: 0.1,
-			DegradeAfter: 2, RecoverAfter: 2,
+	// Each sample is 100 queries that all took p99 seconds.
+	sample := func(d *degrader, shed, p99 float64) (bool, bool) {
+		var underLow, underHigh uint64
+		if p99 <= p99Low {
+			underLow = 100
 		}
+		if p99 <= p99High {
+			underHigh = 100
+		}
+		return d.sample(shed, 100, underLow, underHigh)
 	}
 	type step struct {
 		shed, p99    float64
 		wantDegraded bool
 		wantChanged  bool
 	}
+	times := func(n int, s step) []step {
+		out := make([]step, n)
+		for i := range out {
+			out[i] = s
+		}
+		return out
+	}
+	seq := func(parts ...[]step) []step {
+		var out []step
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	var (
+		bad     = step{0.5, 0, false, false}   // bad sample, not yet degraded
+		flip    = step{0.5, 0, true, true}     // the bad sample that degrades
+		good    = step{0, 0, true, false}      // good sample, still degraded
+		back    = step{0, 0, false, true}      // the good sample that recovers
+		dead    = step{0.05, 0.3, true, false} // dead band while degraded
+		degrade = seq(times(degradeAfter-1, bad), []step{flip})
+	)
 	cases := []struct {
 		name  string
 		steps []step
 	}{
-		{"needs consecutive bad", []step{
-			{0.5, 0, false, false},
-			{0, 0, false, false}, // good resets the streak
-			{0.5, 0, false, false},
-			{0.5, 0, true, true},
-		}},
-		{"p99 alone degrades", []step{
-			{0, 1.0, false, false},
-			{0, 1.0, true, true},
-		}},
-		{"dead band holds mode and resets streaks", []step{
-			{0.5, 0, false, false},
-			{0.05, 0.3, false, false}, // neither bad nor good
-			{0.5, 0, false, false},
-			{0.5, 0, true, true},
-			{0, 0, true, false},
-			{0.05, 0.3, true, false}, // dead band: stay degraded
-			{0, 0, true, false},
-			{0, 0, false, true},
-		}},
-		{"recovery needs consecutive good", []step{
-			{0.5, 0, false, false},
-			{0.5, 0, true, true},
-			{0, 0, true, false},
-			{0.5, 0, true, false}, // bad resets the ok streak
-			{0, 0, true, false},
-			{0, 0, false, true},
-		}},
-		{"recovery needs both gauges low", []step{
-			{0.5, 0, false, false},
-			{0.5, 0, true, true},
-			{0, 0.3, true, false}, // shed fine, p99 in dead band
-			{0, 0.3, true, false},
-			{0, 0.3, true, false},
-		}},
+		{"needs consecutive bad", seq(
+			times(degradeAfter-1, bad),
+			[]step{{0, 0, false, false}}, // good resets the streak
+			degrade,
+		)},
+		{"p99 alone degrades", seq(
+			times(degradeAfter-1, step{0, 1.0, false, false}),
+			[]step{{0, 1.0, true, true}},
+		)},
+		{"dead band holds mode and resets streaks", seq(
+			times(degradeAfter-1, bad),
+			[]step{{0.05, 0.3, false, false}}, // neither bad nor good
+			degrade,
+			times(recoverAfter-1, good),
+			[]step{dead}, // dead band: stay degraded
+			times(recoverAfter-1, good),
+			[]step{back},
+		)},
+		{"recovery needs consecutive good", seq(
+			degrade,
+			times(recoverAfter-1, good),
+			[]step{{0.5, 0, true, false}}, // bad resets the ok streak
+			times(recoverAfter-1, good),
+			[]step{back},
+		)},
+		{"recovery needs both gauges low", seq(
+			degrade,
+			times(recoverAfter+1, step{0, 0.3, true, false}), // shed fine, p99 in dead band
+		)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := mk()
+			var d degrader
 			for i, s := range tc.steps {
-				degraded, changed := d.sample(s.shed, s.p99)
+				degraded, changed := sample(&d, s.shed, s.p99)
 				if degraded != s.wantDegraded || changed != s.wantChanged {
 					t.Fatalf("step %d (%+v): degraded=%v changed=%v, want %v %v",
 						i, s, degraded, changed, s.wantDegraded, s.wantChanged)
@@ -334,15 +354,28 @@ func TestDegraderHysteresis(t *testing.T) {
 	}
 }
 
+// TestWatermarksAreQueryBounds: the controller decides the p99
+// watermarks from the query histogram's cumulative counts at those
+// bounds, so both must be bounds of that histogram.
+func TestWatermarksAreQueryBounds(t *testing.T) {
+	svc := openTest(t, nil)
+	found := map[float64]bool{}
+	for _, b := range svc.m.querySeconds.Snapshot().Buckets {
+		found[b.UpperBound] = true
+	}
+	for _, w := range []float64{p99Low, p99High} {
+		if !found[w] {
+			t.Errorf("watermark %v s is not a linkd_query_seconds bound", w)
+		}
+	}
+}
+
 // TestSampleOverloadModeSwitch drives the service-level controller with
 // synthetic counter/histogram traffic: sustained shed flips the mode
 // gauge to rule, queries report the degraded mode, calm intervals flip
 // it back.
 func TestSampleOverloadModeSwitch(t *testing.T) {
-	svc := openTest(t, func(o *Options) {
-		o.DegradeAfter = 2
-		o.RecoverAfter = 2
-	})
+	svc := openTest(t, nil)
 	addN(t, svc, 10)
 
 	loadedInterval := func() {
@@ -353,13 +386,15 @@ func TestSampleOverloadModeSwitch(t *testing.T) {
 	if svc.SampleOverload() {
 		t.Fatal("degraded with no traffic")
 	}
-	loadedInterval()
-	if svc.SampleOverload() { // bad streak 1
-		t.Fatal("degraded after one bad interval")
+	for i := 1; i < degradeAfter; i++ {
+		loadedInterval()
+		if svc.SampleOverload() {
+			t.Fatalf("degraded after %d bad intervals", i)
+		}
 	}
 	loadedInterval()
-	if !svc.SampleOverload() { // bad streak 2 → flip
-		t.Fatal("not degraded after two bad intervals")
+	if !svc.SampleOverload() { // bad streak 3 → flip
+		t.Fatalf("not degraded after %d bad intervals", degradeAfter)
 	}
 	if !svc.Degraded() {
 		t.Fatal("Degraded() = false in degraded mode")
@@ -375,14 +410,17 @@ func TestSampleOverloadModeSwitch(t *testing.T) {
 		t.Fatalf("degraded query mode = %q (%v), want %q", mode, err, ModeRule)
 	}
 
-	// Two idle intervals: shed rate 0, p99 0 → recover.
-	svc.SampleOverload()
-	if !svc.Degraded() {
-		t.Fatal("recovered after one good interval")
+	// Five idle intervals: shed rate 0, no queries → recover. The
+	// degraded query above took far less than 0.1 s.
+	for i := 1; i < recoverAfter; i++ {
+		svc.SampleOverload()
+		if !svc.Degraded() {
+			t.Fatalf("recovered after %d good intervals", i)
+		}
 	}
 	svc.SampleOverload()
 	if svc.Degraded() {
-		t.Fatal("not recovered after two good intervals")
+		t.Fatalf("not recovered after %d good intervals", recoverAfter)
 	}
 	if got := svc.m.modeRule.Value(); got != 0 {
 		t.Fatalf("linkd_mode_rule = %v after recovery, want 0", got)
@@ -399,21 +437,22 @@ func TestSampleOverloadModeSwitch(t *testing.T) {
 // TestSampleOverloadP99 degrades on latency alone: slow observations
 // with zero shed must trip the p99 watermark.
 func TestSampleOverloadP99(t *testing.T) {
-	svc := openTest(t, func(o *Options) {
-		o.DegradeAfter = 2
-		o.RecoverAfter = 2
-	})
+	svc := openTest(t, nil)
 	slowInterval := func() {
 		for i := 0; i < 100; i++ {
 			svc.m.querySeconds.Observe(1.0) // well over the 0.5s watermark
 		}
 		svc.m.queriesOK.Add(100)
 	}
-	slowInterval()
-	svc.SampleOverload()
+	for i := 1; i < degradeAfter; i++ {
+		slowInterval()
+		if svc.SampleOverload() {
+			t.Fatalf("degraded after %d slow intervals", i)
+		}
+	}
 	slowInterval()
 	if !svc.SampleOverload() {
-		t.Fatal("p99 over watermark for two intervals did not degrade")
+		t.Fatalf("p99 over watermark for %d intervals did not degrade", degradeAfter)
 	}
 }
 

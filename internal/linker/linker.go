@@ -25,20 +25,11 @@ import (
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/fpstalker"
 	"fpdyn/internal/hashutil"
-	"fpdyn/internal/population"
 	"fpdyn/internal/useragent"
 )
 
 // Hybrid is the dynamics-aware linker. Construct with New.
 type Hybrid struct {
-	// MaxDiffs is the overall differing-feature budget after semantic
-	// normalization (default 6 — slightly looser than FP-Stalker's,
-	// because normalization already explains away action-driven diffs).
-	MaxDiffs int
-	// Releases enables Advice-8 timing boosts; defaults to the bundled
-	// real-world calendar.
-	Releases []population.Release
-
 	entries []*entry
 	byID    map[string]int
 	byExact map[uint64][]int
@@ -66,11 +57,15 @@ type entry struct {
 	class  uint64
 }
 
-// New returns an empty hybrid linker with the bundled release calendar.
+// maxDiffs is the overall differing-feature budget after semantic
+// normalization — slightly looser than FP-Stalker's 5, because
+// normalization already explains away action-driven diffs.
+const maxDiffs = 6
+
+// New returns an empty hybrid linker. Advice-8 timing boosts read the
+// bundled real-world release calendar, population.BrowserReleases.
 func New() *Hybrid {
 	return &Hybrid{
-		MaxDiffs: 6,
-		Releases: population.BrowserReleases,
 		byID:     make(map[string]int),
 		byExact:  make(map[uint64][]int),
 		byStable: make(map[uint64][]int),

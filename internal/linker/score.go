@@ -1,10 +1,10 @@
 package linker
 
 import (
-	"strings"
 	"time"
 
 	"fpdyn/internal/fingerprint"
+	"fpdyn/internal/population"
 	"fpdyn/internal/useragent"
 )
 
@@ -49,7 +49,7 @@ func (h *Hybrid) score(rec *fingerprint.Record, qUA useragent.UA, qOK bool, e *e
 			}
 			update = true
 			penalty += 0.1
-		case qOK && e.uaOK && isDesktopPair(e.ua, qUA):
+		case qOK && e.uaOK && useragent.IsDesktopRequestPair(e.ua, qUA):
 			// A desktop-site request: predictable identity swap
 			// (fixes the Figure 11(a) false negative), credible when the
 			// consistency features corroborate.
@@ -166,7 +166,7 @@ func (h *Hybrid) score(rec *fingerprint.Record, qUA useragent.UA, qOK bool, e *e
 	}
 	if a.Language != b.Language {
 		changed++
-		if !a.ConsLanguage || !b.ConsLanguage || samePrimaryLang(a.Language, b.Language) {
+		if !a.ConsLanguage || !b.ConsLanguage || fingerprint.SharesPrimaryLanguage(a.Language, b.Language) {
 			penalty += 0.3
 		} else {
 			unexplained++
@@ -195,7 +195,7 @@ func (h *Hybrid) score(rec *fingerprint.Record, qUA useragent.UA, qOK bool, e *e
 		unexplained++
 	}
 
-	if unexplained > 1 || changed > h.MaxDiffs+4 {
+	if unexplained > 1 || changed > maxDiffs+4 {
 		return 0, false
 	}
 
@@ -218,20 +218,6 @@ func (h *Hybrid) score(rec *fingerprint.Record, qUA useragent.UA, qOK bool, e *e
 		score += 1.0 / (1.0 + age/24.0)
 	}
 	return score, true
-}
-
-// isDesktopPair recognizes a mobile↔desktop identity swap that
-// preserves the engine version (the desktop-request alias).
-func isDesktopPair(a, b useragent.UA) bool {
-	if a.Mobile == b.Mobile {
-		return false
-	}
-	mob, desk := a, b
-	if b.Mobile {
-		mob, desk = b, a
-	}
-	return mob.RequestDesktop().Browser == desk.Browser &&
-		mob.BrowserVersion.Compare(desk.BrowserVersion) == 0
 }
 
 // pluginsFlashOnly reports whether the plugin lists differ exactly by
@@ -259,25 +245,11 @@ func pluginsFlashOnly(a, b []string) bool {
 	return extra == "Shockwave Flash" && j == len(shorter)
 }
 
-func samePrimaryLang(a, b string) bool {
-	return primaryLang(a) == primaryLang(b) && primaryLang(a) != ""
-}
-
-func primaryLang(s string) string {
-	if i := strings.IndexAny(s, ",;"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.IndexByte(s, '-'); i >= 0 {
-		s = s[:i]
-	}
-	return strings.TrimSpace(s)
-}
-
 // releaseSupported reports whether the query's browser version matches
 // a calendar release that was out (and still in its adoption window)
 // at the query time.
 func (h *Hybrid) releaseSupported(ua useragent.UA, at time.Time) bool {
-	for _, rel := range h.Releases {
+	for _, rel := range population.BrowserReleases {
 		if rel.Family != ua.Browser {
 			continue
 		}

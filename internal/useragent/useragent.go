@@ -241,3 +241,18 @@ func (u UA) RequestDesktop() UA {
 	}
 	return d
 }
+
+// IsDesktopRequestPair recognizes a mobile↔desktop swap that preserves
+// the engine version: one UA is the other's RequestDesktop alias
+// (Figure 11(a)).
+func IsDesktopRequestPair(a, b UA) bool {
+	if a.Mobile == b.Mobile {
+		return false
+	}
+	mob, desk := a, b
+	if b.Mobile {
+		mob, desk = b, a
+	}
+	return mob.RequestDesktop().Browser == desk.Browser &&
+		mob.BrowserVersion.Compare(desk.BrowserVersion) == 0
+}
