@@ -26,14 +26,12 @@ check: fmt-check lint-determinism bench-compile
 	$(GO) vet ./internal/storage/ ./internal/collector/ ./internal/faultinject/
 	$(GO) vet ./internal/obs/
 	$(GO) vet ./internal/mlearn/
-	$(GO) vet ./internal/scriptsim/
 	$(GO) vet ./internal/extsort/
 	$(GO) vet ./internal/linkd/
 	$(GO) test -race ./internal/parallel/
 	$(GO) test -race ./internal/storage/ ./internal/collector/ ./internal/faultinject/
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/mlearn/
-	$(GO) test -race ./internal/scriptsim/
 	$(GO) test -race ./internal/extsort/
 	$(GO) test -race ./internal/linkd/
 	$(GO) test -race -run 'TestSpill|TestStreamReport|TestSimulateGolden|TestShardedWorkerCountInvariance' ./internal/population/ ./internal/report/

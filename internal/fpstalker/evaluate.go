@@ -10,8 +10,7 @@ import (
 
 // EvalResult aggregates a linking evaluation run (the Figure 9/10
 // quantities). The confusion counts and the Precision/Recall/F1
-// metrics promoted from it are mlearn's shared evaluation module —
-// the same arithmetic the script-detection task reports — with the
+// metrics are promoted from mlearn.Confusion, with the
 // linking-specific reading: TP = truth in the top-k, FN = truth in
 // the DB but missed, FP = candidates that hid or displaced the truth,
 // TN = new instance correctly given no candidates.

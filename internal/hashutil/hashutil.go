@@ -37,16 +37,6 @@ func Hash64(s string) uint64 {
 	return h
 }
 
-// Hash64Bytes is Hash64 over a byte slice.
-func Hash64Bytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // Combine folds two 64-bit hashes into one. It is order sensitive:
 // Combine(a, b) != Combine(b, a) in general, which is what fingerprint
 // hashing needs (features are hashed in a fixed schema order).
@@ -118,22 +108,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// SHA1Hex returns the hex SHA-1 of s. The paper reports canvas hashes as
-// 40-hex-character SHA-1 values (Appendix A.2); we keep the same format so
-// reproduced reports look like the paper's.
-func SHA1Hex(s string) string {
-	sum := sha1.Sum([]byte(s))
-	return hex.EncodeToString(sum[:])
-}
-
-// SHA1HexBytes is SHA1Hex over raw bytes.
+// SHA1HexBytes returns the hex SHA-1 of b. The paper reports canvas
+// hashes as 40-hex-character SHA-1 values (Appendix A.2); we keep the
+// same format so reproduced reports look like the paper's.
 func SHA1HexBytes(b []byte) string {
 	sum := sha1.Sum(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// Short returns an 8-hex-character prefix of the SHA-1 of s, useful as a
-// compact display identifier (anonymized user IDs in reports).
-func Short(s string) string {
-	return SHA1Hex(s)[:8]
 }

@@ -20,13 +20,6 @@ func TestHash64Empty(t *testing.T) {
 	}
 }
 
-func TestHash64BytesMatchesString(t *testing.T) {
-	s := "user agent string"
-	if Hash64(s) != Hash64Bytes([]byte(s)) {
-		t.Fatal("string and byte variants disagree")
-	}
-}
-
 func TestCombineOrderSensitive(t *testing.T) {
 	a, b := Hash64("a"), Hash64("b")
 	if Combine(a, b) == Combine(b, a) {
@@ -73,9 +66,9 @@ func TestHashSetEmpty(t *testing.T) {
 }
 
 func TestSHA1HexFormat(t *testing.T) {
-	h := SHA1Hex("canvas pixels")
+	h := SHA1HexBytes([]byte("canvas pixels"))
 	if len(h) != 40 {
-		t.Fatalf("SHA1Hex length = %d, want 40", len(h))
+		t.Fatalf("SHA1HexBytes length = %d, want 40", len(h))
 	}
 	for _, c := range h {
 		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
@@ -86,14 +79,8 @@ func TestSHA1HexFormat(t *testing.T) {
 
 func TestSHA1HexKnownValue(t *testing.T) {
 	// SHA-1 of the empty string is a well-known constant.
-	if got := SHA1Hex(""); got != "da39a3ee5e6b4b0d3255bfef95601890afd80709" {
-		t.Fatalf("SHA1Hex(\"\") = %s", got)
-	}
-}
-
-func TestShort(t *testing.T) {
-	if got := Short("user@example.org"); len(got) != 8 {
-		t.Fatalf("Short length = %d, want 8", len(got))
+	if got := SHA1HexBytes(nil); got != "da39a3ee5e6b4b0d3255bfef95601890afd80709" {
+		t.Fatalf("SHA1HexBytes(nil) = %s", got)
 	}
 }
 
@@ -108,16 +95,6 @@ func TestHashSetPermutationProperty(t *testing.T) {
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 		return HashSet(ss) == HashSet(perm)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Hash64 equals Hash64Bytes for arbitrary data.
-func TestHash64EquivalenceProperty(t *testing.T) {
-	f := func(b []byte) bool {
-		return Hash64(string(b)) == Hash64Bytes(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -2,11 +2,11 @@ package mlearn
 
 import "fmt"
 
-// Batch prediction kernels. The scalar predictors pay a function call
+// The batch prediction kernel. The scalar predictors pay a function call
 // and a slice-header setup per (vector, tree) — on this model family
 // that overhead is comparable to the walk itself, because the linker's
-// trees reject most candidates after a handful of splits. The kernels
-// here walk each row through the whole ensemble inline over the packed
+// trees reject most candidates after a handful of splits. The kernel
+// here walks each row through the whole ensemble inline over the packed
 // knode mirror: a block costs one call total instead of one per
 // (row, tree), and each step loads one packed record (threshold, both
 // children and the split feature in 1–2 cache lines, a single bounds
@@ -19,47 +19,8 @@ import "fmt"
 // stay L1-resident across all of its tree walks, exactly like the
 // scalar path (a tree-outer order was measured slower: it trades that
 // row locality for node locality the preorder layout already
-// provides). Both kernels are exact: bit-identical probabilities and
-// verdicts to their scalar counterparts, tree-for-tree.
-
-// PredictProbaBatch evaluates the forest over a block of vectors stored
-// row-major in xs (len(out) rows of NumFeatures values each) and writes
-// the forest-averaged probability of class 1 for row i to out[i].
-// Equivalent to calling PredictProba per row. xs must hold exactly
-// len(out) rows; a mismatch panics. (The historical kernel NaN-filled
-// the whole output instead, which let an off-by-one in a caller's
-// block arithmetic masquerade as a model that rejects everything.)
-func (f *Forest) PredictProbaBatch(xs []float64, out []float64) {
-	n := len(out)
-	if len(xs) != n*f.numFeatures {
-		panic(fmt.Sprintf("mlearn: PredictProbaBatch shape mismatch: %d values is not %d rows × %d features",
-			len(xs), n, f.numFeatures))
-	}
-	d := f.numFeatures
-	knodes := f.knodes
-	// Divide (not multiply by a reciprocal): the kernel's contract is
-	// bit-identical output to the scalar sum/T.
-	T := float64(len(f.roots))
-	off := 0
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for _, root := range f.roots {
-			c := root
-			nd := &knodes[c]
-			for nd.feat >= 0 {
-				if xs[off+int(nd.feat)] > nd.val {
-					c = int32(uint32(nd.child >> 32))
-				} else {
-					c = int32(uint32(nd.child))
-				}
-				nd = &knodes[c]
-			}
-			sum += f.prob[c]
-		}
-		out[i] = sum / T
-		off += d
-	}
-}
+// provides). The kernel is exact: bit-identical probabilities and
+// verdicts to PredictProbaAtLeast, tree-for-tree.
 
 // PredictProbaAtLeastBatch is the block form of PredictProbaAtLeast:
 // probs[i], oks[i] are exactly what the scalar call returns for row i

@@ -14,11 +14,11 @@ func randomBlock(n, d int, rng *rand.Rand) []float64 {
 	return xs
 }
 
-// TestBatchMatchesScalar is the batch kernels' exactness contract:
-// PredictProbaBatch must return bit-identical probabilities to the
-// scalar PredictProba for every row, and PredictProbaAtLeastBatch must
-// return the scalar PredictProbaAtLeast verdict and probability
-// exactly, across forests, block sizes and thresholds.
+// TestBatchMatchesScalar is the batch kernel's exactness contract:
+// PredictProbaAtLeastBatch must return the scalar PredictProbaAtLeast
+// verdict and probability exactly, across forests, block sizes and
+// thresholds. At threshold 0 it walks every tree, so its probabilities
+// must also be bit-identical to the scalar PredictProba.
 func TestBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	configs := []ForestConfig{
@@ -35,15 +35,14 @@ func TestBatchMatchesScalar(t *testing.T) {
 		d := f.NumFeatures()
 		for _, n := range []int{1, 3, 255, 256, 257, 1000} {
 			xs := randomBlock(n, d, rng)
-			out := make([]float64, n)
-			f.PredictProbaBatch(xs, out)
-			for i := 0; i < n; i++ {
-				if want := f.PredictProba(xs[i*d : (i+1)*d]); out[i] != want {
-					t.Fatalf("cfg %+v n=%d row %d: batch %v != scalar %v", cfg, n, i, out[i], want)
-				}
-			}
 			probs := make([]float64, n)
 			oks := make([]bool, n)
+			f.PredictProbaAtLeastBatch(xs, 0, probs, oks)
+			for i := 0; i < n; i++ {
+				if want := f.PredictProba(xs[i*d : (i+1)*d]); probs[i] != want {
+					t.Fatalf("cfg %+v n=%d row %d: batch %v != scalar %v", cfg, n, i, probs[i], want)
+				}
+			}
 			for _, threshold := range []float64{0, 0.3, 0.5, 0.9, 1} {
 				f.PredictProbaAtLeastBatch(xs, threshold, probs, oks)
 				for i := 0; i < n; i++ {
@@ -75,9 +74,9 @@ func TestBatchDimensionMismatch(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("PredictProbaBatch", func() {
+	mustPanic("PredictProbaAtLeastBatch threshold 0", func() {
 		// 5 floats ≠ 3 rows × 2 features
-		f.PredictProbaBatch(make([]float64, 5), make([]float64, 3))
+		f.PredictProbaAtLeastBatch(make([]float64, 5), 0, make([]float64, 3), make([]bool, 3))
 	})
 	mustPanic("PredictProbaAtLeastBatch", func() {
 		f.PredictProbaAtLeastBatch(make([]float64, 5), 0.5, make([]float64, 3), make([]bool, 3))
@@ -91,12 +90,13 @@ func TestBatchDimensionMismatch(t *testing.T) {
 func TestBatchEmpty(t *testing.T) {
 	X, y := linearlySeparable(100, 6)
 	f, _ := TrainForest(X, y, ForestConfig{Seed: 6})
-	f.PredictProbaBatch(nil, nil)
+	f.PredictProbaAtLeastBatch(nil, 0, nil, nil)
 	f.PredictProbaAtLeastBatch(nil, 0.5, nil, nil)
 }
 
 // BenchmarkPredictBatch compares the scalar walk against the batch
-// kernel over identical 256-vector blocks. Blocks rotate through a
+// kernel over identical 256-vector blocks, at threshold 0 so the kernel
+// walks every tree like PredictProba does. Blocks rotate through a
 // pool large enough that the branch predictor cannot memorize tree
 // paths across iterations — repeating one block every iteration lets
 // it, which flatters the scalar walk in a way no real candidate
@@ -110,6 +110,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	xs := randomBlock(n*blocks, f.NumFeatures(), rng)
 	d := f.NumFeatures()
 	out := make([]float64, n)
+	oks := make([]bool, n)
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -123,7 +124,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.PredictProbaBatch(xs[(i%blocks)*n*d:(i%blocks+1)*n*d], out)
+			f.PredictProbaAtLeastBatch(xs[(i%blocks)*n*d:(i%blocks+1)*n*d], 0, out, oks)
 		}
 		b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "predicts/s")
 	})

@@ -218,19 +218,12 @@ func (b *treeBuilder) grow(lo, hi, pos, depth int) int32 {
 // elements regardless of the starting permutation, and the sequence is
 // a pure function of the tree's RNG stream.
 func (b *treeBuilder) sampleFeatures() []int {
-	return drawFeatures(b.featPool, b.nFeat, b.rng)
-}
-
-// drawFeatures is the partial Fisher–Yates draw shared by the dense
-// and sparse builders — one implementation so both consume the RNG
-// stream identically, a precondition of their byte-identical-forest
-// contract.
-func drawFeatures(p []int, nFeat int, rng *rand.Rand) []int {
-	for j := 0; j < nFeat; j++ {
-		k := j + rng.Intn(len(p)-j)
+	p := b.featPool
+	for j := 0; j < b.nFeat; j++ {
+		k := j + b.rng.Intn(len(p)-j)
 		p[j], p[k] = p[k], p[j]
 	}
-	return p[:nFeat]
+	return p[:b.nFeat]
 }
 
 // bestSplit finds the Gini-optimal (feature, threshold) among a random

@@ -14,8 +14,8 @@
 // from its own splitmix-derived sub-RNG, so the forest is worker-count
 // invariant: Workers=1 and Workers=N produce byte-identical trees,
 // probabilities and importances. Trained trees live in a flattened
-// structure-of-arrays layout walked by both the scalar predictors and
-// the batch kernels in batch.go.
+// structure-of-arrays layout walked by the scalar predictors and by the
+// linker's batch kernel in batch.go.
 //
 // Only binary classification with probability output is provided; that
 // is all FP-Stalker's "same browser instance?" model needs.
@@ -29,24 +29,15 @@ import (
 	"fpdyn/internal/parallel"
 )
 
-// Unlimited requests no cap for a config field that defaults on zero
-// (MaxDepth, FeatureFrac): any negative value is accepted, this
-// constant just names the idiom.
-const Unlimited = -1
-
 // ForestConfig controls training. Zero values select sensible
-// defaults (see Defaults); MaxDepth and FeatureFrac additionally
-// accept a negative sentinel ("unlimited"), because their zero value
-// means "default", not "none".
+// defaults (see defaults); negative values, and a FeatureFrac above 1,
+// are rejected by TrainForest.
 type ForestConfig struct {
 	NumTrees int // default 30
-	// MaxDepth caps tree depth: 0 selects the default (12), negative
-	// (Unlimited) removes the cap — trees grow until purity or MinLeaf.
-	MaxDepth int
+	MaxDepth int // default 12
 	MinLeaf  int // minimum samples per leaf, default 2
 	// FeatureFrac is the fraction of features tried per split: 0
-	// selects the default sqrt(d)/d, negative (Unlimited) tries every
-	// feature at every split.
+	// selects the default sqrt(d)/d, 1 tries every feature.
 	FeatureFrac float64
 	Seed        int64
 	// Workers caps the tree-training pool: 1 is serial, anything else
@@ -56,30 +47,19 @@ type ForestConfig struct {
 	Workers int
 }
 
-// maxDepthUnlimited is what a negative MaxDepth resolves to: deeper
-// than any tree can get (growth is bounded by MinLeaf ≥ 1 long before
-// this), so the depth check never fires.
-const maxDepthUnlimited = math.MaxInt32
-
-// Defaults fills unset fields and resolves the negative sentinels.
-func (c ForestConfig) Defaults(numFeatures int) ForestConfig {
+// defaults fills unset fields.
+func (c ForestConfig) defaults(numFeatures int) ForestConfig {
 	if c.NumTrees == 0 {
 		c.NumTrees = 30
 	}
-	switch {
-	case c.MaxDepth == 0:
+	if c.MaxDepth == 0 {
 		c.MaxDepth = 12
-	case c.MaxDepth < 0:
-		c.MaxDepth = maxDepthUnlimited
 	}
 	if c.MinLeaf == 0 {
 		c.MinLeaf = 2
 	}
-	switch {
-	case c.FeatureFrac == 0:
+	if c.FeatureFrac == 0 {
 		c.FeatureFrac = math.Sqrt(float64(numFeatures)) / float64(numFeatures)
-	case c.FeatureFrac < 0:
-		c.FeatureFrac = 1
 	}
 	return c
 }
@@ -134,19 +114,8 @@ func treeSeed(seed int64, t int) int64 {
 // function of (X, y, cfg minus Workers): tree t draws its bootstrap and
 // feature subsets from a sub-RNG seeded by splitmix64(Seed ⊕ t), and
 // per-tree importance vectors are merged in tree order after the
-// training barrier. The column representation is picked by autoSparse:
-// wide, mostly-zero matrices train on the sparse builder, everything
-// else on the dense one.
+// training barrier.
 func TrainForest(X [][]float64, y []int, cfg ForestConfig) (*Forest, error) {
-	return trainForest(X, y, cfg, autoSparse)
-}
-
-// trainForest is TrainForest with the column routing as a parameter:
-// sparse sees the validated matrix and picks the sparse (true) or the
-// dense builder. Both grow identical trees from identical RNG streams,
-// so the choice is purely a memory/speed trade-off (see sparse.go);
-// the equivalence tests pass a constant to force either builder.
-func trainForest(X [][]float64, y []int, cfg ForestConfig, sparse func([][]float64) bool) (*Forest, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("mlearn: bad training set: %d rows, %d labels", len(X), len(y))
 	}
@@ -161,34 +130,22 @@ func trainForest(X [][]float64, y []int, cfg ForestConfig, sparse func([][]float
 			return nil, fmt.Errorf("mlearn: label %d at row %d; want 0/1", label, i)
 		}
 	}
-	cfg = cfg.Defaults(d)
+	if cfg.NumTrees < 0 || cfg.MaxDepth < 0 || cfg.MinLeaf < 0 || !(cfg.FeatureFrac >= 0 && cfg.FeatureFrac <= 1) {
+		return nil, fmt.Errorf("mlearn: bad config %+v: NumTrees, MaxDepth and MinLeaf must be >= 0 and FeatureFrac in [0, 1]", cfg)
+	}
+	cfg = cfg.defaults(d)
 	nFeat := int(math.Max(1, math.Round(cfg.FeatureFrac*float64(d))))
 
 	type treeOut struct {
 		tr  tree
 		imp []float64
 	}
-	var trainTree func(t int, rng *rand.Rand) (tree, []float64)
-	if sparse(X) {
-		scs := newSparseColset(X)
-		trainTree = func(t int, rng *rand.Rand) (tree, []float64) {
-			b := getSparseBuilder(scs, y, cfg, nFeat)
-			tr, imp := b.train(rng)
-			putSparseBuilder(b)
-			return tr, imp
-		}
-	} else {
-		cs := newColset(X)
-		trainTree = func(t int, rng *rand.Rand) (tree, []float64) {
-			b := getTreeBuilder(cs, y, cfg, nFeat)
-			tr, imp := b.train(rng)
-			putTreeBuilder(b)
-			return tr, imp
-		}
-	}
+	cs := newColset(X)
 	outs := parallel.Map(parallel.Resolve(cfg.Workers), cfg.NumTrees, func(t int) treeOut {
 		rng := rand.New(rand.NewSource(treeSeed(cfg.Seed, t)))
-		tr, imp := trainTree(t, rng)
+		b := getTreeBuilder(cs, y, cfg, nFeat)
+		tr, imp := b.train(rng)
+		putTreeBuilder(b)
 		return treeOut{tr, imp}
 	})
 
@@ -329,19 +286,8 @@ func (f *Forest) PredictProbaAtLeast(x []float64, threshold float64) (p float64,
 	return p, p >= threshold
 }
 
-// Predict returns the hard class under a 0.5 threshold.
-func (f *Forest) Predict(x []float64) int {
-	if f.PredictProba(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.roots) }
 
 // NumFeatures returns the trained dimensionality.
 func (f *Forest) NumFeatures() int { return f.numFeatures }
-
-// NumNodes returns the total node count across all trees.
-func (f *Forest) NumNodes() int { return len(f.feature) }

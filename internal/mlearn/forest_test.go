@@ -42,7 +42,11 @@ func xorData(n int, seed int64) ([][]float64, []int) {
 func accuracy(f *Forest, X [][]float64, y []int) float64 {
 	hit := 0
 	for i, x := range X {
-		if f.Predict(x) == y[i] {
+		pred := 0
+		if f.PredictProba(x) >= 0.5 {
+			pred = 1
+		}
+		if pred == y[i] {
 			hit++
 		}
 	}
@@ -61,6 +65,29 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := TrainForest([][]float64{{1}}, []int{0, 1}, ForestConfig{}); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// TestTrainRejectsBadConfig: a config the trainer cannot honour is an
+// error, never a panic inside the worker pool or a silently different
+// forest (a negative MaxDepth would train stumps).
+func TestTrainRejectsBadConfig(t *testing.T) {
+	X, y := xorData(50, 1)
+	cases := []struct {
+		name string
+		cfg  ForestConfig
+	}{
+		{"negative NumTrees", ForestConfig{NumTrees: -2}},
+		{"negative MaxDepth", ForestConfig{MaxDepth: -1}},
+		{"negative MinLeaf", ForestConfig{MinLeaf: -3}},
+		{"FeatureFrac above 1", ForestConfig{FeatureFrac: 1.5}},
+		{"negative FeatureFrac", ForestConfig{FeatureFrac: -0.5}},
+		{"NaN FeatureFrac", ForestConfig{FeatureFrac: math.NaN()}},
+	}
+	for _, tc := range cases {
+		if _, err := TrainForest(X, y, tc.cfg); err == nil {
+			t.Errorf("%s: config %+v accepted", tc.name, tc.cfg)
+		}
 	}
 }
 
@@ -132,7 +159,7 @@ func TestPredictDimensionMismatch(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := ForestConfig{}.Defaults(16)
+	c := ForestConfig{}.defaults(16)
 	if c.NumTrees != 30 || c.MaxDepth != 12 || c.MinLeaf != 2 {
 		t.Fatalf("defaults = %+v", c)
 	}
@@ -140,19 +167,9 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("feature frac = %v", c.FeatureFrac)
 	}
 	// Explicit values survive.
-	c2 := ForestConfig{NumTrees: 5, MaxDepth: 3, MinLeaf: 10, FeatureFrac: 1}.Defaults(4)
+	c2 := ForestConfig{NumTrees: 5, MaxDepth: 3, MinLeaf: 10, FeatureFrac: 1}.defaults(4)
 	if c2.NumTrees != 5 || c2.MaxDepth != 3 || c2.MinLeaf != 10 || c2.FeatureFrac != 1 {
 		t.Fatalf("explicit config clobbered: %+v", c2)
-	}
-	// The negative sentinels resolve to "no cap": zero kept meaning
-	// "default", so unlimited depth / all features were unrequestable
-	// before the sentinels existed.
-	c3 := ForestConfig{MaxDepth: Unlimited, FeatureFrac: Unlimited}.Defaults(16)
-	if c3.MaxDepth != maxDepthUnlimited {
-		t.Fatalf("MaxDepth sentinel resolved to %d", c3.MaxDepth)
-	}
-	if c3.FeatureFrac != 1 {
-		t.Fatalf("FeatureFrac sentinel resolved to %v", c3.FeatureFrac)
 	}
 }
 
@@ -176,44 +193,6 @@ func TestZeroConfigBackCompat(t *testing.T) {
 	}
 	if !reflect.DeepEqual(zero, explicit) {
 		t.Fatal("zero-value config no longer trains the historical default forest")
-	}
-}
-
-// TestUnlimitedDepth: with the depth cap removed (and MinLeaf 1) the
-// forest can grow every tree to purity, which a capped config on the
-// same data cannot. XOR at depth 1 is the classic can't-learn shape.
-func TestUnlimitedDepth(t *testing.T) {
-	X, y := xorData(300, 23)
-	deep, err := TrainForest(X, y, ForestConfig{Seed: 23, MaxDepth: Unlimited, MinLeaf: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shallow, err := TrainForest(X, y, ForestConfig{Seed: 23, MaxDepth: 1, MinLeaf: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a := accuracy(deep, X, y); a < 0.99 {
-		t.Fatalf("unlimited-depth training accuracy %.3f, want ~1 (trees should reach purity)", a)
-	}
-	if a := accuracy(shallow, X, y); a > 0.9 {
-		t.Fatalf("depth-1 forest accuracy %.3f on XOR — suspiciously high", a)
-	}
-}
-
-// TestAllFeaturesSentinel: FeatureFrac -1 must behave exactly like an
-// explicit 1.0 (every feature tried at every split).
-func TestAllFeaturesSentinel(t *testing.T) {
-	X, y := xorData(300, 25)
-	all, err := TrainForest(X, y, ForestConfig{Seed: 25, FeatureFrac: Unlimited})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := TrainForest(X, y, ForestConfig{Seed: 25, FeatureFrac: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(all, one) {
-		t.Fatal("FeatureFrac sentinel and explicit 1.0 trained different forests")
 	}
 }
 

@@ -9,15 +9,12 @@
 # file and trained model. The external sorter (internal/extsort) backs
 # the streaming pipeline's spill/merge path and is held to the same
 # rule: the merged stream must be a pure function of the pushed items.
-# The script-trace simulator (internal/scriptsim) carries the same
-# contract as the population: worker-count-invariant corpora pinned by
-# golden digests.
 #
 # Test files are exempt: they may time things or exercise randomness.
 set -u
 
 fail=0
-for dir in internal/population internal/canvas internal/mlearn internal/extsort internal/scriptsim; do
+for dir in internal/population internal/canvas internal/mlearn internal/extsort; do
     for f in "$dir"/*.go; do
         case "$f" in
         *_test.go) continue ;;
