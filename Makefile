@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 # e.g. `make bench BENCHTIME_MATCH=200x`.
 BENCHTIME_MATCH ?= 2000x
 
-.PHONY: check fmt-check lint-determinism bench-compile build vet test race bench bench-ingest bench-linkd chaos loc
+.PHONY: check fmt-check lint-determinism bench-compile build vet test race bench bench-ingest bench-linkd chaos fuzz loc
 
 ## check: the full gate — gofmt, build, vet, determinism lint, the
 ## bench-compile smoke, and the race-enabled test suite. The
@@ -76,6 +76,20 @@ loc:
 ## the race detector.
 chaos:
 	$(GO) test -race -count=3 -run 'TestChaos|TestRecover|Shutdown|TestSeqIdempotent|TestWAL' ./internal/collector/ ./internal/storage/ ./internal/linkd/
+
+## fuzz: run every fuzz target for FUZZTIME each (default 10s), one
+## -fuzz='^Name$$' run per target, since go test fuzzes one target at a
+## time. New-input minimization is capped at one run, as in check's
+## codec smoke. Eleven targets take about two minutes, so this is not
+## a CI step; `make check` keeps its one 10 s codec smoke.
+FUZZTIME ?= 10s
+fuzz:
+	@for f in $$(find . -name .bench_build -prune -o -path ./perfbench -prune -o -name '*_test.go' -print | xargs grep -l '^func Fuzz' | sort); do \
+		for name in $$(grep -o '^func Fuzz[A-Za-z0-9_]*' $$f | cut -c6-); do \
+			echo "== $$(dirname $$f) $$name"; \
+			$(GO) test -run=NONE -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x $$(dirname $$f)/ || exit 1; \
+		done; \
+	done
 
 build:
 	$(GO) build ./...

@@ -28,7 +28,8 @@
 //     live table, dropping evicted history from disk; a tick with no
 //     add and no eviction since the last one writes and prints nothing.
 //   - Graceful drain: SIGINT/SIGTERM stops admitting, finishes
-//     in-flight queries within -drain-timeout, snapshots, and exits.
+//     in-flight queries within -drain-timeout, snapshots, and exits;
+//     /healthz answers 503 (draining) from the drain's start.
 //
 // The learning linker needs a pair model; -train-users simulates a
 // population and trains one at startup. -rule-only skips training and
@@ -46,12 +47,12 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"fpdyn/internal/collector"
 	"fpdyn/internal/fpstalker"
 	"fpdyn/internal/linkd"
 	"fpdyn/internal/mlearn"
@@ -141,59 +142,23 @@ func main() {
 	if err != nil {
 		log.Fatalf("fplinkd: %v", err)
 	}
-	fmt.Printf("fplinkd listening on %s\n", lis.Addr())
-
+	var adminLis net.Listener
 	if *adminAddr != "" {
-		regs := []*obs.Registry{svc.Metrics()}
-		if opts.WAL.Registry != nil {
-			regs = append(regs, opts.WAL.Registry)
-		}
-		regs = append(regs, obs.NewRuntimeRegistry())
-		adminLis, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
+		if adminLis, err = net.Listen("tcp", *adminAddr); err != nil {
 			log.Fatalf("fplinkd: admin listener: %v", err)
 		}
-		fmt.Printf("admin endpoint on http://%s (/metrics /varz /healthz /debug/pprof/)\n", adminLis.Addr())
-		go func() {
-			if err := http.Serve(adminLis, obs.NewAdminHandler(svc.Health, regs...)); err != nil {
-				log.Printf("fplinkd: admin server: %v", err)
-			}
-		}()
 	}
 
-	if *compactEvery > 0 {
-		if *walDir == "" {
-			log.Fatalf("fplinkd: -compact-every requires -wal-dir")
-		}
-		go func() {
-			for range time.Tick(*compactEvery) {
-				cs, err := svc.Compact()
-				if err != nil {
-					log.Printf("fplinkd: compaction: %v", err)
-					continue
-				}
-				if cs.CoveredSeg == 0 {
-					continue // no add and no eviction since the last checkpoint
-				}
-				fmt.Printf("compaction: %d live instances snapshotted (%d bytes); %d segments removed\n",
-					cs.Records, cs.SnapshotBytes, cs.SegmentsRemoved)
-			}
-		}()
+	regs := []*obs.Registry{svc.Metrics()}
+	var compact func() (storage.CompactionStats, error)
+	if *walDir != "" {
+		regs = append(regs, opts.WAL.Registry)
+		compact = svc.Compact
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Println("\ndraining: refusing new connections, finishing in-flight queries ...")
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("fplinkd: drain incomplete, closed connections early: %v", err)
-		}
-	}()
-
-	if err := srv.Serve(lis); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := collector.RunDaemon(ctx, srv.ConnServer, lis, adminLis, svc.WALError, regs,
+		*compactEvery, compact, *drainTimeout); err != nil {
 		log.Fatalf("fplinkd: %v", err)
 	}
 	if *walDir != "" {

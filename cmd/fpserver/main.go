@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -75,6 +74,7 @@ func main() {
 
 	var store *storage.ShardedStore
 	var walRegs []*obs.Registry
+	var compact func() (storage.CompactionStats, error) // nil without a WAL
 	if *walDir != "" {
 		policy, err := storage.ParseSyncPolicy(*fsyncMode)
 		if err != nil {
@@ -90,6 +90,7 @@ func main() {
 			log.Fatalf("fpserver: wal recovery: %v", err)
 		}
 		walRegs = []*obs.Registry{walReg}
+		compact = store.Compact
 		stats := sstats.RecoveryStats
 		banner := fmt.Sprintf("wal recovery: %d records, %d values replayed from %d segments",
 			stats.Records, stats.Values, stats.Segments)
@@ -112,35 +113,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("fpserver: %v", err)
 	}
-	fmt.Printf("fpserver listening on %s\n", lis.Addr())
-
+	var adminLis net.Listener
 	if *adminAddr != "" {
-		regs := append([]*obs.Registry{srv.Metrics()}, walRegs...)
-		regs = append(regs, obs.NewRuntimeRegistry())
-		health := func() obs.HealthStatus {
-			st := obs.HealthStatus{Healthy: true}
-			if srv.Draining() {
-				st.Draining = true
-				st.Detail = "draining: refusing new connections"
-			}
-			if werr := store.WALError(); werr != nil {
-				st.Healthy = false
-				st.WALError = werr.Error()
-			}
-			return st
-		}
-		adminLis, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
+		if adminLis, err = net.Listen("tcp", *adminAddr); err != nil {
 			log.Fatalf("fpserver: admin listener: %v", err)
 		}
-		fmt.Printf("admin endpoint on http://%s (/metrics /varz /healthz /debug/pprof/)\n", adminLis.Addr())
-		go func() {
-			// The admin server lives for the whole process: scrapes keep
-			// working during a drain, which is exactly when they matter.
-			if err := http.Serve(adminLis, obs.NewAdminHandler(health, regs...)); err != nil {
-				log.Printf("fpserver: admin server: %v", err)
-			}
-		}()
 	}
 
 	if *statsEvery > 0 {
@@ -153,39 +130,11 @@ func main() {
 		}()
 	}
 
-	if *compactEvery > 0 {
-		if *walDir == "" {
-			log.Fatalf("fpserver: -compact-every requires -wal-dir")
-		}
-		go func() {
-			for range time.Tick(*compactEvery) {
-				cs, err := store.Compact()
-				if err != nil {
-					log.Printf("fpserver: compaction: %v", err)
-					continue
-				}
-				if cs.CoveredSeg == 0 {
-					continue // every shard was idle
-				}
-				fmt.Printf("compaction: snapshot %d records, %d values (%d bytes); %d segments removed\n",
-					cs.Records, cs.Values, cs.SnapshotBytes, cs.SegmentsRemoved)
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Println("\ndraining: refusing new connections, finishing in-flight submissions ...")
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("fpserver: drain incomplete, closed %v connections early: %v", *drainTimeout, err)
-		}
-	}()
-
-	if err := srv.Serve(lis); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	regs := append([]*obs.Registry{srv.Metrics()}, walRegs...)
+	if err := collector.RunDaemon(ctx, srv.ConnServer, lis, adminLis, store.WALError, regs,
+		*compactEvery, compact, *drainTimeout); err != nil {
 		log.Fatalf("fpserver: %v", err)
 	}
 	// Final fsync: everything accepted is on stable storage before the

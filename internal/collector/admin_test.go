@@ -48,17 +48,7 @@ func startWALServer(t *testing.T, opts storage.WALOptions) (*Server, *storage.Sh
 		store.CloseWALs()
 	})
 
-	health := func() obs.HealthStatus {
-		st := obs.HealthStatus{Healthy: true}
-		if srv.Draining() {
-			st.Draining = true
-		}
-		if werr := store.WALError(); werr != nil {
-			st.Healthy = false
-			st.WALError = werr.Error()
-		}
-		return st
-	}
+	health := func() obs.HealthStatus { return Health(srv.ConnServer, store.WALError) }
 	admin := httptest.NewServer(obs.NewAdminHandler(health, srv.Metrics(), opts.Registry, obs.NewRuntimeRegistry()))
 	t.Cleanup(admin.Close)
 	return srv, store, lis.Addr().String(), admin

@@ -17,14 +17,15 @@ import (
 	"fpdyn/internal/storage"
 )
 
-// Default connection-hygiene settings. NewConnServer sets the timeouts;
-// each server's constructor passes its own frame limit and drain grace
-// (these two for the collector). Override the fields before Serve.
+// Default connection-hygiene settings. NewConnServer sets the read
+// timeout; each server's constructor passes its own frame limit and
+// drain grace (these two for the collector). Override the fields before
+// Serve. writeTimeout bounds one response write.
 const (
-	DefaultReadTimeout  = 2 * time.Minute
-	DefaultWriteTimeout = 30 * time.Second
-	DefaultMaxFrame     = 8 << 20 // one request line, blobs included
-	DefaultDrainGrace   = 500 * time.Millisecond
+	DefaultReadTimeout = 2 * time.Minute
+	DefaultMaxFrame    = 8 << 20 // one request line, blobs included
+	DefaultDrainGrace  = 500 * time.Millisecond
+	writeTimeout       = 30 * time.Second
 )
 
 // Reply is a protocol's answer to one request payload.
@@ -54,11 +55,10 @@ type Reply struct {
 // NAME_bytes_received_total and NAME_frames_rejected_total.
 type ConnServer struct {
 	// ReadTimeout bounds the wait for the next request on an idle
-	// connection; WriteTimeout bounds one response write. Slow or
+	// connection (writeTimeout bounds one response write). Slow or
 	// stalled clients are disconnected rather than pinning a handler
 	// goroutine forever. Zero or negative disables.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
+	ReadTimeout time.Duration
 	// MaxFrame caps one request line or frame in bytes (the
 	// inbound-blob guard): a client exceeding it gets an error reply
 	// and is disconnected before the payload is buffered in full.
@@ -93,11 +93,10 @@ type ConnServer struct {
 // and DrainGrace.
 func NewConnServer(name string, reg *obs.Registry, maxFrame int, drainGrace time.Duration, handle func(payload []byte) Reply) *ConnServer {
 	return &ConnServer{
-		ReadTimeout:  DefaultReadTimeout,
-		WriteTimeout: DefaultWriteTimeout,
-		MaxFrame:     maxFrame,
-		DrainGrace:   drainGrace,
-		Logf:         log.Printf,
+		ReadTimeout: DefaultReadTimeout,
+		MaxFrame:    maxFrame,
+		DrainGrace:  drainGrace,
+		Logf:        log.Printf,
 
 		name:   name,
 		handle: handle,
@@ -193,8 +192,8 @@ func (s *ConnServer) Close() error {
 // immediately, lets in-flight requests on existing connections finish
 // (bounded by DrainGrace, and never past ctx's own deadline), then
 // closes. A connection opened after Shutdown begins is refused. If ctx
-// expires first, remaining connections are closed abruptly and ctx.Err
-// is returned.
+// expires first, remaining connections are closed abruptly, their
+// count is logged, and ctx.Err is returned.
 func (s *ConnServer) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -252,7 +251,9 @@ func (s *ConnServer) Shutdown(ctx context.Context) error {
 		for c := range s.conns {
 			c.Close()
 		}
+		n := len(s.conns)
 		s.mu.Unlock()
+		s.Logf("%s: drain incomplete, closed %d connections early: %v", s.name, n, ctx.Err())
 		s.wg.Wait()
 		return ctx.Err()
 	}
@@ -367,9 +368,7 @@ func (s *ConnServer) serveConn(conn net.Conn) error {
 }
 
 func (s *ConnServer) write(conn net.Conn, enc *json.Encoder, binary bool, wbuf *[]byte, resp any) error {
-	if s.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if !binary {
 		return enc.Encode(resp)
 	}

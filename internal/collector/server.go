@@ -12,9 +12,9 @@ import (
 // answers dedup checks against its value store, and appends
 // reconstructed records to the backing store. It runs on a ConnServer
 // (accept loop, framing, drain), which supplies Serve, Close, Shutdown,
-// Draining and the connection fields (ReadTimeout, WriteTimeout,
-// MaxFrame, DrainGrace, Logf); the collector's own part is decoding
-// and dispatching one request. A request line that does not decode is
+// Draining and the connection fields (ReadTimeout, MaxFrame,
+// DrainGrace, Logf); the collector's own part is decoding and
+// dispatching one request. A request line that does not decode is
 // answered "malformed request" and costs the connection.
 //
 // Every record lands through the store's AppendBatchDurable — a single

@@ -1,8 +1,6 @@
 package dynamics
 
 import (
-	"strings"
-
 	"fpdyn/internal/canvas"
 	"fpdyn/internal/diff"
 	"fpdyn/internal/fingerprint"
@@ -224,8 +222,8 @@ func pluginDeltaIsFlash(fd *diff.FieldDelta) bool {
 // sameAspect reports whether two WxH strings have the same aspect ratio
 // within 1.5% (zoom preserves the ratio up to rounding).
 func sameAspect(a, b string) bool {
-	w1, h1, ok1 := parseRes(a)
-	w2, h2, ok2 := parseRes(b)
+	w1, h1, ok1 := fingerprint.ParseResolution(a)
+	w2, h2, ok2 := fingerprint.ParseResolution(b)
 	if !ok1 || !ok2 || h1 == 0 || h2 == 0 {
 		return false
 	}
@@ -236,30 +234,6 @@ func sameAspect(a, b string) bool {
 		d = -d
 	}
 	return d/r1 < 0.015
-}
-
-func parseRes(s string) (w, h int, ok bool) {
-	i := strings.IndexByte(s, 'x')
-	if i <= 0 || i == len(s)-1 {
-		return 0, 0, false
-	}
-	w, okW := atoi(s[:i])
-	h, okH := atoi(s[i+1:])
-	return w, h, okW && okH
-}
-
-func atoi(s string) (int, bool) {
-	n := 0
-	if s == "" {
-		return 0, false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, false
-		}
-		n = n*10 + int(s[i]-'0')
-	}
-	return n, true
 }
 
 // fontCause matches a font delta against the known software signatures

@@ -97,6 +97,33 @@ func primaryLang(s string) string {
 	return strings.TrimSpace(s)
 }
 
+// ParseResolution parses a WxH screen resolution such as "1920x1080"
+// into its width and height. ok is false unless both sides are
+// non-empty runs of ASCII digits around the first 'x'.
+func ParseResolution(s string) (w, h int, ok bool) {
+	i := strings.IndexByte(s, 'x')
+	if i < 0 {
+		return 0, 0, false
+	}
+	w, okW := atoi(s[:i])
+	h, okH := atoi(s[i+1:])
+	return w, h, okW && okH
+}
+
+func atoi(s string) (int, bool) {
+	if s == "" {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		n = n*10 + int(s[i]-'0')
+	}
+	return n, true
+}
+
 // boolStr renders a boolean feature the way the collection script
 // reports it.
 func boolStr(b bool) string {

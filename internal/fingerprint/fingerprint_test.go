@@ -246,3 +246,31 @@ func BenchmarkRecordMarshal(b *testing.B) {
 		}
 	}
 }
+
+func TestParseResolution(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		w, h int
+		ok   bool
+	}{
+		{"1920x1080", 1920, 1080, true},
+		{"375x812", 375, 812, true},
+		{"0x0", 0, 0, true}, // parses; callers reject zero sides
+		{"007x09", 7, 9, true},
+		{"", 0, 0, false},
+		{"1920", 0, 0, false},
+		{"x1080", 0, 0, false},
+		{"1920x", 0, 0, false},
+		{"x", 0, 0, false},
+		{"1920X1080", 0, 0, false},
+		{"1920x1080x24", 0, 0, false},
+		{" 1920x1080", 0, 0, false},
+		{"-1x5", 0, 0, false},
+		{"1e3x5", 0, 0, false},
+	} {
+		w, h, ok := ParseResolution(tc.in)
+		if ok != tc.ok || (ok && (w != tc.w || h != tc.h)) {
+			t.Errorf("ParseResolution(%q) = %d, %d, %v; want %d, %d, %v", tc.in, w, h, ok, tc.w, tc.h, tc.ok)
+		}
+	}
+}

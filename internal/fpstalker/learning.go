@@ -249,9 +249,10 @@ func appendPairVector(dst []float64, known, query *entry) []float64 {
 }
 
 // jaccardSorted is the Jaccard similarity of two sorted unique hash
-// sets (see sortedHashSet): a single merge walk, no allocation. It
-// agrees with jaccard over the original string lists up to 64-bit
-// element-hash collisions.
+// sets (see sortedHashSet): a single merge walk, no allocation. Over
+// sortedHashSet of two string lists it is their set Jaccard (both
+// sides deduplicated, 1 when both are empty) up to 64-bit element-hash
+// collisions.
 func jaccardSorted(a, b []uint64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -270,36 +271,6 @@ func jaccardSorted(a, b []uint64) float64 {
 		}
 	}
 	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// jaccard is the set Jaccard similarity of two string lists. Both
-// sides are deduplicated, so the result is a true Jaccard in [0, 1]
-// regardless of upstream hygiene — duplicated entries in either list
-// neither inflate the intersection nor the union.
-func jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	setA := make(map[string]bool, len(a))
-	for _, s := range a {
-		setA[s] = true
-	}
-	setB := make(map[string]bool, len(b))
-	inter := 0
-	for _, s := range b {
-		if setB[s] {
-			continue
-		}
-		setB[s] = true
-		if setA[s] {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // trainPair is one labelled training example with its provenance kept

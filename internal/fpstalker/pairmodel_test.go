@@ -24,6 +24,9 @@ func TestJaccardDeduplicates(t *testing.T) {
 		{"disjoint with duplicates", []string{"a", "a"}, []string{"b", "b", "b"}, 0},
 		{"one side empty", []string{"a"}, nil, 0},
 	}
+	// The production path: the string lists become sorted unique hash
+	// sets, and the merge walk compares those.
+	jaccard := func(a, b []string) float64 { return jaccardSorted(sortedHashSet(a), sortedHashSet(b)) }
 	for _, tc := range cases {
 		if got := jaccard(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: jaccard = %v, want %v", tc.name, got, tc.want)

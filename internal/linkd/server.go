@@ -16,8 +16,8 @@ const DefaultDrainGrace = 2 * time.Second
 // Service. It runs on the collector's connection server
 // (collector.ConnServer), which supplies the accept loop, the
 // newline-JSON-then-binary framing, Serve, Close, Shutdown and the
-// connection fields (ReadTimeout, WriteTimeout, MaxFrame, DrainGrace,
-// Logf; MaxFrame defaults to DefaultMaxFrame), and registers the
+// connection fields (ReadTimeout, MaxFrame, DrainGrace, Logf;
+// MaxFrame defaults to DefaultMaxFrame), and registers the
 // linkd_* connection series on the Service's registry. linkd's own
 // part is decoding and dispatching one request; a request that does
 // not decode is answered TypeError and the connection keeps serving.

@@ -247,18 +247,14 @@ func Open(opts Options) (*Service, storage.JournalReplayStats, error) {
 // Metrics returns the service's metric registry.
 func (s *Service) Metrics() *obs.Registry { return s.m.reg }
 
-// Health is the service's /healthz status: unhealthy, naming the
-// error, once the journal has failed a write or fsync — every later
-// add is refused until a restart recovers the journal.
-func (s *Service) Health() obs.HealthStatus {
-	st := obs.HealthStatus{Healthy: true}
-	if s.wal != nil {
-		if err := s.wal.Err(); err != nil {
-			st.Healthy = false
-			st.WALError = err.Error()
-		}
+// WALError returns the journal's sticky write or fsync error, or nil
+// (no journal, or a healthy one). Once it is set every later add is
+// refused until a restart recovers the journal.
+func (s *Service) WALError() error {
+	if s.wal == nil {
+		return nil
 	}
-	return st
+	return s.wal.Err()
 }
 
 // Len returns the number of live instances.

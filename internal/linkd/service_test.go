@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -722,8 +721,8 @@ func TestCompactWithoutJournal(t *testing.T) {
 
 // TestJournalFaultSurfacesInHealth: the journal's metrics land on the
 // registry passed in WAL.Registry (compaction included), and once a
-// journal fsync fails the add is refused and Health reports the
-// journal's sticky error.
+// journal fsync fails the add is refused and WALError reports the
+// journal's sticky error, which /healthz serves.
 func TestJournalFaultSurfacesInHealth(t *testing.T) {
 	reg := obs.NewRegistry()
 	failNewSegments := false
@@ -749,8 +748,8 @@ func TestJournalFaultSurfacesInHealth(t *testing.T) {
 	}
 	defer svc.Close()
 	addN(t, svc, 3)
-	if h := svc.Health(); !h.Healthy || h.WALError != "" {
-		t.Fatalf("health before the fault = %+v", h)
+	if werr := svc.WALError(); werr != nil {
+		t.Fatalf("WALError before the fault = %v", werr)
 	}
 	failNewSegments = true // the segment Compact rotates to fails its first fsync
 	if _, err := svc.Compact(); err != nil {
@@ -764,9 +763,8 @@ func TestJournalFaultSurfacesInHealth(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("add over a failing fsync: err = %v, want the injected fault", err)
 	}
-	h := svc.Health()
-	if h.Healthy || !strings.Contains(h.WALError, faultinject.ErrInjected.Error()) {
-		t.Fatalf("health after the fault = %+v, want unhealthy naming the injected fault", h)
+	if werr := svc.WALError(); !errors.Is(werr, faultinject.ErrInjected) {
+		t.Fatalf("WALError after the fault = %v, want the injected fault", werr)
 	}
 	if got := reg.Snapshot().Gauges["wal_sticky_error"]; got != 1 {
 		t.Fatalf("wal_sticky_error = %v, want 1", got)

@@ -79,13 +79,8 @@ func stripQValues(s string) string {
 // aspectClass maps a WxH resolution to a coarse aspect-ratio class
 // ("16:9", "16:10", "4:3", "mobile-tall", or "other").
 func aspectClass(res string) string {
-	i := strings.IndexByte(res, 'x')
-	if i <= 0 {
-		return "other"
-	}
-	w, okW := atoi(res[:i])
-	h, okH := atoi(res[i+1:])
-	if !okW || !okH || h == 0 || w == 0 {
+	w, h, ok := fingerprint.ParseResolution(res)
+	if !ok || h == 0 || w == 0 {
 		return "other"
 	}
 	r := float64(w) / float64(h)
@@ -108,20 +103,6 @@ func approx(a, b float64) bool {
 		d = -d
 	}
 	return d < 0.03
-}
-
-func atoi(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, false
-		}
-		n = n*10 + int(s[i]-'0')
-	}
-	return n, true
 }
 
 // GainAccumulator compares raw and stemmed dynamics one
