@@ -14,9 +14,10 @@ BENCHTIME_MATCH ?= 2000x
 ## the obs metrics registry, the forest trainer and the external sorter
 ## plus its spill/merge consumers (the streaming pipeline) get an
 ## explicit vet + race pass so CI keeps gating them even if the package
-## list is ever narrowed. It also runs a 10 s smoke of the binary
-## record codec's fuzz target (new-input minimization capped at one
-## run, so the budget goes to fuzzing rather than shrinking inputs) and
+## list is ever narrowed. It also runs 10 s smokes of the binary
+## record codec's fuzz target and of the collector's request handler
+## (new-input minimization capped at one run, so the budget goes to
+## fuzzing rather than shrinking inputs) and
 ## the benchmark module's own tests (perfbench is a separate module, so
 ## ./... does not reach it).
 check: fmt-check lint-determinism bench-compile
@@ -37,6 +38,7 @@ check: fmt-check lint-determinism bench-compile
 	$(GO) test -race -run 'TestSpill|TestStreamReport|TestSimulateGolden|TestShardedWorkerCountInvariance' ./internal/population/ ./internal/report/
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s -fuzzminimizetime=1x ./internal/fingerprint/
+	$(GO) test -run=NONE -fuzz='^FuzzServerHandle$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/collector/
 	cd perfbench && $(GO) test .
 
 ## fmt-check: fail if any Go file of either module (the root and
@@ -80,8 +82,8 @@ chaos:
 ## fuzz: run every fuzz target for FUZZTIME each (default 10s), one
 ## -fuzz='^Name$$' run per target, since go test fuzzes one target at a
 ## time. New-input minimization is capped at one run, as in check's
-## codec smoke. Eleven targets take about two minutes, so this is not
-## a CI step; `make check` keeps its one 10 s codec smoke.
+## smokes. Eleven targets take about two minutes, so this is not
+## a CI step; `make check` keeps its two 10 s smokes.
 FUZZTIME ?= 10s
 fuzz:
 	@for f in $$(find . -name .bench_build -prune -o -path ./perfbench -prune -o -name '*_test.go' -print | xargs grep -l '^func Fuzz' | sort); do \

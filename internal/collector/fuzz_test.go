@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"fpdyn/internal/hashutil"
 	"fpdyn/internal/storage"
 )
 
@@ -16,7 +17,10 @@ import (
 //   - a batch reply is the committed prefix of the batch plus at most
 //     one error ack, last;
 //   - the store grows by exactly the non-dup acks (a batch's, or the
-//     submit verb's single one).
+//     submit verb's single one);
+//   - a value whose content does not hash to its key is refused: the
+//     walk stops at or before the first item carrying one, and every
+//     value the store holds hashes to its key.
 func FuzzServerHandle(f *testing.F) {
 	seed := func(req *Request) {
 		payload, err := json.Marshal(req)
@@ -46,6 +50,13 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add([]byte(`{"type":"reboot"}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
+	// A value under another value's hash: alone, after an honest item
+	// that landed the real content, and on the submit verb.
+	forged := map[string][]byte{refs[FieldFonts]: blobs[refs[FieldPlugins]]}
+	seed(&Request{Type: TypeBatch, ClientID: "c", Batch: []BatchItem{{Record: wire, Refs: refs, Values: forged, Seq: 1}}})
+	seed(&Request{Type: TypeBatch, ClientID: "c",
+		Batch: []BatchItem{{Record: wire, Refs: refs, Values: blobs, Seq: 1}, {Record: wire, Refs: refs, Values: forged, Seq: 2}}})
+	seed(&Request{Type: TypeSubmit, ClientID: "c", Seq: 1, Record: wire, Refs: refs, Values: forged})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		store := storage.NewShardedStore(1)
@@ -71,6 +82,14 @@ func FuzzServerHandle(f *testing.F) {
 			t.Fatalf("decodable payload hung up: %v (reply %+v)", r.Close, resp)
 		}
 
+		forged := func(values map[string][]byte) bool {
+			for h, content := range values {
+				if hashutil.SHA1HexBytes(content) != h {
+					return true
+				}
+			}
+			return false
+		}
 		grew := 0
 		switch req.Type {
 		case TypeBatch:
@@ -84,6 +103,11 @@ func FuzzServerHandle(f *testing.F) {
 			if committed > len(req.Batch) {
 				t.Fatalf("%d acks committed for a %d-item batch", committed, len(req.Batch))
 			}
+			for i := range req.Batch[:committed] {
+				if forged(req.Batch[i].Values) {
+					t.Fatalf("item %d carries a value that does not match its hash, yet was committed: %+v", i, resp.Acks)
+				}
+			}
 			for i, a := range resp.Acks[:committed] {
 				if a.Error != "" {
 					t.Fatalf("ack %d of %d is an error (%q) before the end: %+v", i, len(resp.Acks), a.Error, resp.Acks)
@@ -93,8 +117,25 @@ func FuzzServerHandle(f *testing.F) {
 				}
 			}
 		case TypeSubmit:
+			if resp.Type == TypeOK && forged(req.Values) {
+				t.Fatalf("submit carrying a value that does not match its hash answered %+v", resp)
+			}
 			if resp.Type == TypeOK && !resp.Dup {
 				grew = 1
+			}
+		}
+		held := map[string][]byte{}
+		for h := range req.Values {
+			held[h], _ = store.Value(h)
+		}
+		for _, it := range req.Batch {
+			for h := range it.Values {
+				held[h], _ = store.Value(h)
+			}
+		}
+		for h, content := range held {
+			if content != nil && hashutil.SHA1HexBytes(content) != h {
+				t.Fatalf("store holds %q under %s, which is not its hash", content, h)
 			}
 		}
 		if store.Len() != grew {

@@ -2,8 +2,10 @@ package collector
 
 import (
 	"encoding/json"
+	"sort"
 	"time"
 
+	"fpdyn/internal/hashutil"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
 )
@@ -27,6 +29,9 @@ type Server struct {
 	*ConnServer
 
 	store *storage.ShardedStore
+	// lists decodes each stored list value once, for every record
+	// restored from it.
+	lists *ValueLists
 
 	// metrics backs both Stats() and the /metrics scrape, so the two
 	// views can never disagree.
@@ -74,7 +79,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 
 // NewServer creates a server over the given store.
 func NewServer(store *storage.ShardedStore) *Server {
-	s := &Server{store: store, metrics: newServerMetrics(obs.NewRegistry())}
+	s := &Server{store: store, lists: NewValueLists(store.Value), metrics: newServerMetrics(obs.NewRegistry())}
 	s.ConnServer = NewConnServer("collector", s.metrics.reg, DefaultMaxFrame, DefaultDrainGrace, s.handle)
 	return s
 }
@@ -176,7 +181,9 @@ func (s *Server) dispatchInner(req *Request) *Response {
 
 // ingest lands a batch's records; it is the one path every record takes
 // into the store. Two phases. First walk the items in order, landing
-// each item's blobs and restoring its record; a bad item stops the walk
+// each item's blobs in hash order (so identical requests write
+// identical WAL bytes) and restoring its record; a blob whose content
+// does not hash to its key is refused. A bad item stops the walk
 // — items after it are not attempted, so the client's per-seq
 // retransmission invariant (in order, head-blocking) holds within
 // batches too. Then group-commit every restored record in one
@@ -195,14 +202,24 @@ walk:
 			itemErr = "submit without record"
 			break
 		}
-		for h, content := range it.Values {
+		hashes := make([]string, 0, len(it.Values))
+		for h := range it.Values {
+			hashes = append(hashes, h)
+		}
+		sort.Strings(hashes)
+		for _, h := range hashes {
+			content := it.Values[h]
+			if hashutil.SHA1HexBytes(content) != h {
+				itemErr = "value " + h + " does not match its hash"
+				break walk
+			}
 			if err := s.store.PutValueDurable(h, content); err != nil {
 				itemErr = "value not durable: " + err.Error()
 				break walk
 			}
 			s.metrics.valuesReceived.Inc()
 		}
-		rec, err := RestoreRecord(it.Record, it.Refs, s.store.Value)
+		rec, err := RestoreRecord(it.Record, it.Refs, s.lists)
 		if err != nil {
 			itemErr = err.Error()
 			break
