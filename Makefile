@@ -8,13 +8,8 @@ BENCHTIME_MATCH ?= 2000x
 .PHONY: check fmt-check lint-determinism bench-compile build vet test race bench bench-ingest bench-linkd chaos fuzz loc
 
 ## check: the full gate — gofmt, build, vet, determinism lint, the
-## bench-compile smoke, and the race-enabled test suite. The
-## worker-pool primitives behind the analytic pipeline, the
-## crash-safety stack (WAL storage, collector drain, fault injection),
-## the obs metrics registry, the forest trainer and the external sorter
-## plus its spill/merge consumers (the streaming pipeline) get an
-## explicit vet + race pass so CI keeps gating them even if the package
-## list is ever narrowed. It also runs 10 s smokes of the binary
+## bench-compile smoke, and the race-enabled test suite over every
+## package of the root module. It also runs 10 s smokes of the binary
 ## record codec's fuzz target and of the collector's request handler
 ## (new-input minimization capped at one run, so the budget goes to
 ## fuzzing rather than shrinking inputs) and
@@ -23,19 +18,6 @@ BENCHTIME_MATCH ?= 2000x
 check: fmt-check lint-determinism bench-compile
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) vet ./internal/parallel/
-	$(GO) vet ./internal/storage/ ./internal/collector/ ./internal/faultinject/
-	$(GO) vet ./internal/obs/
-	$(GO) vet ./internal/mlearn/
-	$(GO) vet ./internal/extsort/
-	$(GO) vet ./internal/linkd/
-	$(GO) test -race ./internal/parallel/
-	$(GO) test -race ./internal/storage/ ./internal/collector/ ./internal/faultinject/
-	$(GO) test -race ./internal/obs/
-	$(GO) test -race ./internal/mlearn/
-	$(GO) test -race ./internal/extsort/
-	$(GO) test -race ./internal/linkd/
-	$(GO) test -race -run 'TestSpill|TestStreamReport|TestSimulateGolden|TestShardedWorkerCountInvariance' ./internal/population/ ./internal/report/
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s -fuzzminimizetime=1x ./internal/fingerprint/
 	$(GO) test -run=NONE -fuzz='^FuzzServerHandle$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/collector/

@@ -8,7 +8,9 @@
 // written from the k-way merged record stream in (time, serial) order,
 // so memory stays bounded by -mem-budget at any -users. Each output is
 // replaced atomically (see storage.WriteFileAtomic): a failed run never
-// leaves a truncated snapshot or sidecar behind.
+// leaves a truncated snapshot or sidecar behind. The simulation runs on
+// GOMAXPROCS workers; its output is the same for every worker count,
+// so GOMAXPROCS=1 gives the serial run.
 //
 // Usage:
 //
@@ -34,7 +36,6 @@ func main() {
 	deployment := flag.Bool("deployment", false, "simulate the §2.2.2 hot patches and partial outage")
 	out := flag.String("o", "dataset.jsonl", "output snapshot path")
 	truth := flag.String("truth", "", "optional path for the ground-truth sidecar (instance serials and cause labels)")
-	workers := flag.Int("workers", 0, "simulation worker count: 1 = serial, 0 or -1 = NumCPU; the output is the same for every value")
 	stageTiming := flag.String("stage-timing", "", "path for the per-stage wall-time/records-per-sec JSON (empty disables)")
 	spillDir := flag.String("spill-dir", "", "spill directory for the simulation's run files (empty = temp dir, removed afterwards)")
 	memBudget := flag.Int64("mem-budget", 256, "approximate in-flight memory budget for simulation batching, in MiB")
@@ -46,7 +47,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.SimulateDeployment = *deployment
-	cfg.Workers = *workers
 
 	var timings *obs.Timings
 	if *stageTiming != "" {

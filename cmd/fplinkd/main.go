@@ -31,14 +31,16 @@
 //     in-flight queries within -drain-timeout, snapshots, and exits;
 //     /healthz answers 503 (draining) from the drain's start.
 //
-// The learning linker needs a pair model; -train-users simulates a
-// population and trains one at startup. -rule-only skips training and
-// serves every query rule-based.
+// The learning linker needs a pair model: at startup fplinkd simulates
+// a 2,000-user population (seed 1) and trains one on it. -rule-only
+// skips training and serves every query rule-based.
+//
+// Under -fsync interval the journal is fsynced every 100 ms.
 //
 // Usage:
 //
 //	fplinkd -addr 127.0.0.1:9500 -admin-addr 127.0.0.1:9501 \
-//	        -wal-dir linkwal/ -window 720h -train-users 2000
+//	        -wal-dir linkwal/ -window 720h
 package main
 
 import (
@@ -55,10 +57,16 @@ import (
 	"fpdyn/internal/collector"
 	"fpdyn/internal/fpstalker"
 	"fpdyn/internal/linkd"
-	"fpdyn/internal/mlearn"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/population"
 	"fpdyn/internal/storage"
+)
+
+// The pair model's training population: its size in users and the
+// seed of both the simulation and the forest.
+const (
+	trainUsers = 2000
+	trainSeed  = 1
 )
 
 func main() {
@@ -66,7 +74,6 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "admin HTTP listener for /metrics, /varz, /healthz, /debug/pprof/ (empty disables)")
 	walDir := flag.String("wal-dir", "", "add-journal directory (empty = in-memory only, adds lost on crash)")
 	fsyncMode := flag.String("fsync", "always", "journal fsync policy: always | interval | never")
-	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync interval")
 	window := flag.Duration("window", 0, "sliding collect window; instances older than this (by record time) are evicted (0 disables)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently scoring queries (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 0, "max queries waiting for a slot before shedding (0 = 4×max-inflight)")
@@ -74,8 +81,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight queries on shutdown")
 	compactEvery := flag.Duration("compact-every", 0, "journal compaction period (0 disables)")
 	sampleEvery := flag.Duration("sample-every", 5*time.Second, "overload-sampling and eviction period")
-	trainUsers := flag.Int("train-users", 2000, "simulated users for pair-model training")
-	trainSeed := flag.Int64("train-seed", 1, "training simulation seed")
 	ruleOnly := flag.Bool("rule-only", false, "skip pair-model training; serve every query rule-based")
 	flag.Parse()
 
@@ -90,13 +95,12 @@ func main() {
 	}
 
 	if !*ruleOnly {
-		fmt.Printf("training pair model on %d simulated users (seed %d) ...\n", *trainUsers, *trainSeed)
+		fmt.Printf("training pair model on %d simulated users (seed %d) ...\n", trainUsers, trainSeed)
 		start := time.Now()
-		cfg := population.DefaultConfig(*trainUsers)
-		cfg.Seed = *trainSeed
+		cfg := population.DefaultConfig(trainUsers)
+		cfg.Seed = trainSeed
 		ds := population.Simulate(cfg)
-		forest, err := fpstalker.TrainPairModel(ds.Records, ds.TrueInstance,
-			mlearn.ForestConfig{Seed: *trainSeed, NumTrees: 15, MaxDepth: 8})
+		forest, err := fpstalker.TrainPairModel(ds.Records, ds.TrueInstance, fpstalker.PairModelConfig(trainSeed))
 		if err != nil {
 			log.Fatalf("fplinkd: train: %v", err)
 		}
@@ -113,7 +117,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("fplinkd: %v", err)
 		}
-		opts.WAL = storage.WALOptions{Dir: *walDir, Policy: policy, Interval: *fsyncEvery, Registry: obs.NewRegistry()}
+		opts.WAL = storage.WALOptions{Dir: *walDir, Policy: policy, Registry: obs.NewRegistry()}
 	} else {
 		fmt.Println("warning: no -wal-dir; adds do not survive a crash")
 	}

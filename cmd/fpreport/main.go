@@ -13,7 +13,8 @@
 // partition. Every section is folded from the partitions' record walk
 // in memory bounded by one partition's bytes plus instances, users and
 // distinct values (see internal/report), so the same command runs at
-// any scale.
+// any scale. The pipeline runs on GOMAXPROCS workers; its output is the
+// same for every worker count, so GOMAXPROCS=1 gives the serial run.
 //
 // Usage:
 //
@@ -40,7 +41,6 @@ func main() {
 	scenario := flag.String("scenario", population.ScenarioPaper,
 		"population preset: "+strings.Join(population.Scenarios(), ", "))
 	what := flag.String("what", "all", "comma-separated artifacts: "+strings.Join(report.Sections(), ",")+" or all")
-	workers := flag.Int("workers", 0, "worker count for the simulate/ground-truth/diff/classify pipeline: 1 = serial, 0 or -1 = NumCPU; the output is the same for every value")
 	stageTiming := flag.String("stage-timing", "", "path for the per-stage wall-time/records-per-sec JSON (empty disables)")
 	spillDir := flag.String("spill-dir", "", "directory for the simulation's sorted run files (empty = temp dir, removed afterwards)")
 	memBudget := flag.Int64("mem-budget", 256, "approximate in-flight memory budget for a simulation batch, which is also a report partition, in MiB")
@@ -62,7 +62,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	fmt.Printf("simulating %d users (scenario %s, seed %d) over %s → %s ...\n",
 		cfg.Users, *scenario, cfg.Seed, cfg.Start.Format("2006-01-02"), cfg.End.Format("2006-01-02"))
 
@@ -95,11 +94,7 @@ func run(cfg population.Config, sections []string, spillDir string, memBudgetMiB
 		sd.Records, sd.Runs(), float64(sd.SpilledBytes())/(1<<20))
 
 	r, err := report.NewStream(report.SpillSource(sd), dynamics.MapImages(sd.CanvasImages), os.Stdout,
-		report.StreamOptions{
-			Workers:  cfg.Workers,
-			Registry: reg,
-			Timings:  timings,
-		}, sections...)
+		report.StreamOptions{Registry: reg, Timings: timings}, sections...)
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,13 @@
 // Command fpserver runs the data-storage server of the measurement
 // platform (Figure 1) standalone: it accepts collection-client
-// connections, answers hash-dedup checks, and periodically reports
-// ingest statistics.
+// connections and answers hash-dedup checks; its ingest counters are
+// served on -admin-addr's /metrics.
 //
 // With -wal-dir the store is crash-safe: every accepted record is
-// framed, checksummed and fsynced (per -fsync) to a write-ahead log
-// before the client is ACKed, and on startup the log is replayed —
-// truncating a torn tail frame if the previous run died mid-write.
+// framed, checksummed and written to a write-ahead log before the
+// client is ACKed, fsynced per -fsync (-fsync interval syncs every
+// 100 ms), and on startup the log is replayed — truncating a torn
+// tail frame if the previous run died mid-write.
 // The paper's deployment survived an eight-day outage because clients
 // kept retrying (§2.2); the WAL covers the server half of that story.
 //
@@ -59,10 +60,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9400", "listen address")
 	adminAddr := flag.String("admin-addr", "", "admin HTTP listener for /metrics, /varz, /healthz, /debug/pprof/ (empty disables)")
 	out := flag.String("o", "collected.jsonl", "snapshot path written on shutdown")
-	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 disables)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory (empty = in-memory only, records lost on crash)")
 	fsyncMode := flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
-	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync interval")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight submissions on shutdown")
 	shards := flag.Int("shards", 1, "number of store shards (the WAL lives in wal-dir/shard-NN/)")
 	compactEvery := flag.Duration("compact-every", 0, "WAL compaction period: snapshot live state, truncate replayed segments (0 disables)")
@@ -83,7 +82,7 @@ func main() {
 		walReg := obs.NewRegistry()
 		var sstats storage.ShardedRecoveryStats
 		store, sstats, err = storage.RecoverSharded(storage.ShardedWALOptions{
-			WALOptions: storage.WALOptions{Dir: *walDir, Policy: policy, Interval: *fsyncEvery, Registry: walReg},
+			WALOptions: storage.WALOptions{Dir: *walDir, Policy: policy, Registry: walReg},
 			Shards:     *shards,
 		})
 		if err != nil {
@@ -100,6 +99,9 @@ func main() {
 		}
 		if stats.Truncated {
 			banner += fmt.Sprintf(" (torn tail: %d bytes truncated)", stats.TruncatedBytes)
+		}
+		if stats.BadValues > 0 {
+			banner += fmt.Sprintf(" (%d values dropped: content does not match hash)", stats.BadValues)
 		}
 		fmt.Println(banner)
 		fmt.Printf("wal: dir=%s shards=%d fsync=%s\n", *walDir, *shards, policy)
@@ -118,16 +120,6 @@ func main() {
 		if adminLis, err = net.Listen("tcp", *adminAddr); err != nil {
 			log.Fatalf("fpserver: admin listener: %v", err)
 		}
-	}
-
-	if *statsEvery > 0 {
-		go func() {
-			for range time.Tick(*statsEvery) {
-				s := srv.Stats()
-				fmt.Printf("records=%d duped=%d values=%d deduped=%d bytes=%d\n",
-					s.RecordsAccepted, s.RecordsDuped, s.ValuesReceived, s.ValuesDeduped, s.BytesReceived)
-			}
-		}()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

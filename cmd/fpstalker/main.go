@@ -138,7 +138,7 @@ func benchTime(sizes []int, variant string, seed int64, k int, cfg engineCfg) {
 	if variant != "rule" {
 		var err error
 		forest, err = fpstalker.TrainPairModel(ds.Records[:maxSize/2], ds.TrueInstance[:maxSize/2],
-			mlearn.ForestConfig{Seed: seed, NumTrees: 15, MaxDepth: 8})
+			fpstalker.PairModelConfig(seed))
 		if err != nil {
 			log.Fatalf("fpstalker: train: %v", err)
 		}
@@ -214,7 +214,7 @@ func benchF1(users int, variant string, seed int64, k int, ecfg engineCfg) {
 			rows = append(rows, f1Row(n, "rule", res))
 		}
 		if variant != "rule" {
-			forest, err := fpstalker.TrainPairModel(recs, inst, mlearn.ForestConfig{Seed: seed, NumTrees: 15, MaxDepth: 8})
+			forest, err := fpstalker.TrainPairModel(recs, inst, fpstalker.PairModelConfig(seed))
 			if err != nil {
 				log.Fatalf("fpstalker: train: %v", err)
 			}

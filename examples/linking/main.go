@@ -28,8 +28,7 @@ func main() {
 		fmt.Printf("rule-based     n=%-6d F1=%.3f P=%.3f R=%.3f mean-match=%v\n",
 			n, rule.F1(), rule.Precision(), rule.Recall(), rule.MeanMatchTime)
 
-		forest, err := fpstalker.TrainPairModel(recs, inst,
-			mlearn.ForestConfig{Seed: 1, NumTrees: 15, MaxDepth: 8})
+		forest, err := fpstalker.TrainPairModel(recs, inst, fpstalker.PairModelConfig(1))
 		if err != nil {
 			log.Fatal(err)
 		}

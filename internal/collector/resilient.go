@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fpdyn/internal/fingerprint"
-	"fpdyn/internal/obs"
 )
 
 // ResilientClient wraps the transfer module with reconnection and
@@ -350,25 +349,4 @@ func (r *ResilientClient) Close() error {
 		return err
 	}
 	return nil
-}
-
-// Instrument registers the client's delivery outcomes as live gauges
-// on reg, sampled at scrape time: records sent/dropped, retransmits,
-// redials, and the current backlog depth. Metric names carry the
-// client ID as a label so several clients can share one registry.
-func (r *ResilientClient) Instrument(reg *obs.Registry) {
-	labels := []string{"client", r.ClientID}
-	stat := func(pick func(ResilientStats) int64) func() float64 {
-		return func() float64 { return float64(pick(r.Stats())) }
-	}
-	reg.GaugeFunc("client_records_sent", "Records ACKed by the server.",
-		stat(func(s ResilientStats) int64 { return s.Sent }), labels...)
-	reg.GaugeFunc("client_records_dropped", "Records evicted from the buffer, never delivered.",
-		stat(func(s ResilientStats) int64 { return s.Dropped }), labels...)
-	reg.GaugeFunc("client_retransmits", "Deliveries the server identified as duplicates.",
-		stat(func(s ResilientStats) int64 { return s.Retransmits }), labels...)
-	reg.GaugeFunc("client_redials", "Successful reconnections.",
-		stat(func(s ResilientStats) int64 { return s.Redials }), labels...)
-	reg.GaugeFunc("client_pending_records", "Records currently buffered awaiting delivery.",
-		func() float64 { return float64(r.Pending()) }, labels...)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
 )
 
@@ -146,35 +145,5 @@ func TestDialAfterCloseStillWorks(t *testing.T) {
 	}
 	if store.Len() != 1 || r.Pending() != 0 {
 		t.Fatalf("stored=%d pending=%d", store.Len(), r.Pending())
-	}
-}
-
-// TestResilientInstrumentGauges wires a client into a registry and
-// checks the delivery stats surface as live gauges.
-func TestResilientInstrumentGauges(t *testing.T) {
-	_, store, addr := startServer(t)
-	r := fastResilient(addr)
-	defer r.Close()
-
-	reg := obs.NewRegistry()
-	r.Instrument(reg)
-	for i := 0; i < 3; i++ {
-		if err := r.Submit(sampleRecord()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if store.Len() != 3 {
-		t.Fatalf("stored = %d", store.Len())
-	}
-	snap := reg.Snapshot()
-	key := func(name string) string { return name + `{client="` + r.ClientID + `"}` }
-	if got := snap.Gauges[key("client_records_sent")]; got != 3 {
-		t.Errorf("client_records_sent = %v, want 3 (gauges: %+v)", got, snap.Gauges)
-	}
-	if got := snap.Gauges[key("client_pending_records")]; got != 0 {
-		t.Errorf("client_pending_records = %v, want 0", got)
-	}
-	if got := snap.Gauges[key("client_redials")]; got != 1 {
-		t.Errorf("client_redials = %v, want 1 (the initial dial)", got)
 	}
 }

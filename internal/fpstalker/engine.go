@@ -3,11 +3,11 @@ package fpstalker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"fpdyn/internal/hashutil"
+	"fpdyn/internal/parallel"
 )
 
 // The matching engine: what turns the paper's Figure 9 linear scan into
@@ -378,7 +378,7 @@ func putCandBuf(bp *[]Candidate) {
 // scoreTopK applies score to each candidate row's entry view (the
 // whole table when cs.all is set), ranks the accepted ones best-first
 // and returns the top k as a fresh slice. workers ≤ 0 sizes the pool
-// to GOMAXPROCS; workers == 1 or a small candidate set keeps it
+// by parallel.Resolve (GOMAXPROCS); workers == 1 or a small candidate set keeps it
 // serial. Parallel chunks are merged before the deterministic sort, so
 // blocked, parallel and serial runs return identical rankings. A
 // non-nil ctx is polled between cancelSlice-sized index ranges: a
@@ -484,9 +484,7 @@ func (g *engine) rankChunks(ctx context.Context, n, workers, k int, run func(lo,
 	}
 	bufp := candPool.Get().(*[]Candidate)
 	buf := (*bufp)[:0]
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = parallel.Resolve(workers)
 	if workers == 1 || n < minParallel {
 		if ctx == nil {
 			buf = run(0, n, buf)

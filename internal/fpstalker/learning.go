@@ -401,7 +401,7 @@ func pairTrainingSet(records []*fingerprint.Record, instances []int, rng *rand.R
 // TrainPairModel fits — rows in sampling order and their 0/1 labels —
 // for callers that train or benchmark the forest directly. seed must
 // match the ForestConfig seed for the pair stream TrainPairModel would
-// draw; workers follows the package convention (1 serial, else NumCPU)
+// draw; workers follows the package convention (1 serial, else GOMAXPROCS)
 // and never changes the output.
 func PairTrainingSet(records []*fingerprint.Record, instances []int, seed int64, workers int) ([][]float64, []int, error) {
 	if len(records) != len(instances) {
@@ -418,6 +418,13 @@ func PairTrainingSet(records []*fingerprint.Record, instances []int, seed int64,
 		X[i], y[i] = p.x, p.label
 	}
 	return X, y, nil
+}
+
+// PairModelConfig is the pair-model forest every trainer in the
+// repository fits — fplinkd, fpstalker's Figure 9 and 10 sweeps and
+// the linking example: 15 trees of depth at most 8, seeded with seed.
+func PairModelConfig(seed int64) mlearn.ForestConfig {
+	return mlearn.ForestConfig{Seed: seed, NumTrees: 15, MaxDepth: 8}
 }
 
 // TrainPairModel builds a training set from a labelled record stream

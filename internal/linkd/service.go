@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,6 +14,7 @@ import (
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/fpstalker"
 	"fpdyn/internal/obs"
+	"fpdyn/internal/parallel"
 	"fpdyn/internal/storage"
 )
 
@@ -84,7 +84,7 @@ func (o *Options) maxInFlight() int {
 	if o.MaxInFlight > 0 {
 		return o.MaxInFlight
 	}
-	return runtime.GOMAXPROCS(0)
+	return parallel.Resolve(0)
 }
 
 func (o *Options) queueDepth() int {

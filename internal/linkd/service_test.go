@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"fpdyn/internal/faultinject"
 	"fpdyn/internal/fpstalker"
 	"fpdyn/internal/obs"
+	"fpdyn/internal/parallel"
 	"fpdyn/internal/storage"
 )
 
@@ -820,5 +822,20 @@ func TestConcurrentAddsQueriesEvict(t *testing.T) {
 	wg.Wait()
 	if r, _ := svc.IndexDigests(); r == "" {
 		t.Fatal("empty rule digest after churn")
+	}
+}
+
+// TestCoreCountRule pins the one "all cores" rule: parallel.Resolve
+// follows GOMAXPROCS, not the machine's CPU count, and the admission
+// default takes its value from Resolve. It changes GOMAXPROCS, so it
+// must not run in parallel with other tests.
+func TestCoreCountRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := parallel.Resolve(0); got != 1 {
+		t.Fatalf("parallel.Resolve(0) = %d under GOMAXPROCS=1, want 1", got)
+	}
+	var o Options
+	if got, want := o.maxInFlight(), parallel.Resolve(0); got != want {
+		t.Fatalf("zero-value maxInFlight() = %d, want parallel.Resolve(0) = %d", got, want)
 	}
 }

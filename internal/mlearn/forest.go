@@ -41,7 +41,7 @@ type ForestConfig struct {
 	FeatureFrac float64
 	Seed        int64
 	// Workers caps the tree-training pool: 1 is serial, anything else
-	// resolves to NumCPU. The trained forest is identical for every
+	// resolves to GOMAXPROCS. The trained forest is identical for every
 	// setting — each tree derives its RNG from Seed and its own index,
 	// never from scheduling — so Workers is purely a throughput knob.
 	Workers int

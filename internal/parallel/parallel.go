@@ -2,13 +2,15 @@
 // analytic pipeline: simulate → ground truth → diff → classify all fan
 // work out through the helpers here. The design constraint is
 // determinism, not raw throughput: every helper collects results in
-// input order, so a stage run on one worker and on NumCPU workers
+// input order, so a stage run on one worker and on GOMAXPROCS workers
 // returns byte-identical output. Scheduling only decides *when* an
 // index is computed, never *where* its result lands.
 //
 // The convention for worker knobs in this package is: a count >= 1 is
 // used as given (1 = serial, in-order execution on the calling
-// goroutine), anything else resolves to runtime.NumCPU().
+// goroutine), anything else resolves to runtime.GOMAXPROCS(0). Resolve
+// is the one place the repository decides how many cores "all cores"
+// means, so GOMAXPROCS=1 runs every default-sized pool serially.
 package parallel
 
 import (
@@ -18,12 +20,12 @@ import (
 )
 
 // Resolve maps a workers knob to an effective worker count: n >= 1 is
-// used as given, anything else becomes runtime.NumCPU().
+// used as given, anything else becomes runtime.GOMAXPROCS(0).
 func Resolve(workers int) int {
 	if workers >= 1 {
 		return workers
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // ForEach runs fn(i) for every i in [0, n) on up to workers

@@ -13,12 +13,12 @@ func TestResolve(t *testing.T) {
 	if got := Resolve(1); got != 1 {
 		t.Fatalf("Resolve(1) = %d", got)
 	}
-	ncpu := runtime.NumCPU()
-	if got := Resolve(0); got != ncpu {
-		t.Fatalf("Resolve(0) = %d, want NumCPU %d", got, ncpu)
+	procs := runtime.GOMAXPROCS(0)
+	if got := Resolve(0); got != procs {
+		t.Fatalf("Resolve(0) = %d, want GOMAXPROCS %d", got, procs)
 	}
-	if got := Resolve(-4); got != ncpu {
-		t.Fatalf("Resolve(-4) = %d, want NumCPU %d", got, ncpu)
+	if got := Resolve(-4); got != procs {
+		t.Fatalf("Resolve(-4) = %d, want GOMAXPROCS %d", got, procs)
 	}
 }
 

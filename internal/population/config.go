@@ -11,7 +11,7 @@ type Config struct {
 
 	// Workers is the simulation's worker-pool size, resolved by
 	// parallel.Resolve: 1 runs serially, 0 (the zero value) or negative
-	// uses runtime.NumCPU(). Every user draws from its own sub-RNG, so
+	// uses runtime.GOMAXPROCS(0). Every user draws from its own sub-RNG, so
 	// the output is identical for every value.
 	Workers int
 

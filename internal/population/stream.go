@@ -270,13 +270,12 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 
 // Stream returns a bounded-memory iterator over the merged (time,
 // serial) record sequence. It can be called repeatedly; each call
-// replays the identical sequence from the spilled runs.
-func (sd *SpilledDataset) Stream() (*RecordStream, error) {
-	st, err := sd.sorter.Merge()
-	if err != nil {
-		return nil, err
-	}
-	return &RecordStream{st: st}, nil
+// replays the identical sequence from the spilled runs. Next yields
+// items in (time, serial) order, ok=false at the end; a torn or
+// corrupt run file poisons the stream. Close releases the merge
+// readers.
+func (sd *SpilledDataset) Stream() (*extsort.Stream[StreamItem], error) {
+	return sd.sorter.Merge()
 }
 
 // EachBatch hands fn the records of one simulation batch at a time, in
@@ -361,15 +360,3 @@ func (sd *SpilledDataset) Load() (*Dataset, error) {
 		ds.Truth = append(ds.Truth, item.Truth)
 	}
 }
-
-// RecordStream iterates the merged record sequence.
-type RecordStream struct {
-	st *extsort.Stream[StreamItem]
-}
-
-// Next yields the next item in (time, serial) order; ok=false at the
-// end. Errors (torn or corrupt run files) poison the stream.
-func (rs *RecordStream) Next() (StreamItem, bool, error) { return rs.st.Next() }
-
-// Close releases the merge readers.
-func (rs *RecordStream) Close() error { return rs.st.Close() }

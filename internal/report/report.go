@@ -101,7 +101,7 @@ func SpillSource(sd *population.SpilledDataset) RecordSource {
 // StreamOptions configures the report pipeline.
 type StreamOptions struct {
 	// Workers is the pool size for decoding, hashing, diffing and
-	// classifying (1 = serial; 0 or negative = NumCPU, via
+	// classifying (1 = serial; 0 or negative = GOMAXPROCS, via
 	// parallel.Resolve). Output is identical for every value.
 	Workers int
 	// SpillDir is ignored: the report reads each partition once and

@@ -93,7 +93,8 @@ func TestRecoverStatsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			if err := st.PutValueDurable(fmt.Sprintf("late-%d", i), []byte("late")); err != nil {
+			v := fmt.Sprintf("late-%d", i)
+			if err := st.PutValueDurable(valueKey(v), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 		}

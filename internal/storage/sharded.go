@@ -50,9 +50,8 @@ func shardIndex(key string, n int) int {
 
 // ShardedWALOptions configures RecoverSharded. The embedded
 // WALOptions apply to every shard; Dir is the root directory under
-// which shard-NN subdirectories live. MetricLabels must be empty —
-// each shard gets its own ("shard", "NN") labels on the shared
-// registry.
+// which shard-NN subdirectories live. Each shard's metrics carry its
+// own ("shard", "NN") labels on the shared registry.
 type ShardedWALOptions struct {
 	WALOptions
 	// Shards is the number of partitions (default 1). The count is
@@ -60,7 +59,7 @@ type ShardedWALOptions struct {
 	// different count is an error.
 	Shards int
 	// RecoveryWorkers bounds the goroutines replaying shards on
-	// recovery; <= 0 resolves to NumCPU. Replay order never affects
+	// recovery; <= 0 resolves to GOMAXPROCS. Replay order never affects
 	// the recovered state: shards are disjoint.
 	RecoveryWorkers int
 }
@@ -165,8 +164,7 @@ func RecoverSharded(opts ShardedWALOptions) (*ShardedStore, ShardedRecoveryStats
 	parallel.ForEach(parallel.Resolve(opts.RecoveryWorkers), n, func(i int) {
 		shardOpts := opts.WALOptions
 		shardOpts.Dir = filepath.Join(opts.Dir, shardDirName(i))
-		shardOpts.MetricLabels = append(append([]string(nil), opts.MetricLabels...),
-			"shard", fmt.Sprintf("%02d", i))
+		shardOpts.metricLabels = []string{"shard", fmt.Sprintf("%02d", i)}
 		st, rstats, err := recoverShard(shardOpts)
 		if err != nil {
 			errs[i] = fmt.Errorf("storage: shard %d: %w", i, err)
@@ -361,14 +359,17 @@ func (ss *ShardedStore) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom loads JSON lines produced by WriteTo (or a SnapshotWriter),
 // routing each record and value to its shard and appending to current
-// contents. It implements io.ReaderFrom: the count is the number of
-// bytes read from r (on a clean EOF, exactly what the matching WriteTo
+// contents. A value line whose content does not hash to its key is
+// refused with an error naming the hash, and nothing after it is
+// loaded: a stored value is shared by every record that references its
+// hash. It implements io.ReaderFrom: the count is the number of bytes
+// read from r (on a clean EOF, exactly what the matching WriteTo
 // returned).
 func (ss *ShardedStore) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReadFrom{r: r}
 	dec := json.NewDecoder(bufio.NewReader(cr))
 	for {
-		var line snapshotLine
+		var line walEntry
 		if err := dec.Decode(&line); err == io.EOF {
 			return cr.n, nil
 		} else if err != nil {
@@ -378,6 +379,9 @@ func (ss *ShardedStore) ReadFrom(r io.Reader) (int64, error) {
 		case line.Record != nil:
 			ss.Append(line.Record)
 		case line.Hash != "":
+			if !line.valueMatchesHash() {
+				return cr.n, fmt.Errorf("storage: value %s does not match its hash", line.Hash)
+			}
 			ss.PutValue(line.Hash, line.Value)
 		}
 	}

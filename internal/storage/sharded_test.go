@@ -33,7 +33,8 @@ func shardedOpts(t *testing.T, shards int) ShardedWALOptions {
 func fillSharded(t *testing.T, ss *ShardedStore, records, values int) {
 	t.Helper()
 	for i := 0; i < values; i++ {
-		if err := ss.PutValueDurable(fmt.Sprintf("hash-%03d", i), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+		v := fmt.Sprintf("value-%d", i)
+		if err := ss.PutValueDurable(valueKey(v), []byte(v)); err != nil {
 			t.Fatalf("put value %d: %v", i, err)
 		}
 	}
@@ -66,7 +67,7 @@ func TestShardedRoutingAndTotals(t *testing.T) {
 	}
 	// Every value resolves through its owning shard.
 	for i := 0; i < 10; i++ {
-		h := fmt.Sprintf("hash-%03d", i)
+		h := valueKey(fmt.Sprintf("value-%d", i))
 		if !ss.HasValue(h) {
 			t.Fatalf("HasValue(%s) = false", h)
 		}

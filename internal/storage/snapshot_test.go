@@ -25,7 +25,8 @@ import (
 func populate(t *testing.T, st *Store, records, values int) {
 	t.Helper()
 	for i := 0; i < values; i++ {
-		if err := st.PutValueDurable(fmt.Sprintf("hash-%03d", i), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+		v := fmt.Sprintf("value-%d", i)
+		if err := st.PutValueDurable(valueKey(v), []byte(v)); err != nil {
 			t.Fatalf("put value %d: %v", i, err)
 		}
 	}
@@ -101,7 +102,8 @@ func TestWriteToDeterministic(t *testing.T) {
 	// not in map/insertion order.
 	other := newStore()
 	for i := 11; i >= 0; i-- {
-		other.PutValue(fmt.Sprintf("hash-%03d", i), []byte(fmt.Sprintf("value-%d", i)))
+		v := fmt.Sprintf("value-%d", i)
+		other.PutValue(valueKey(v), []byte(v))
 	}
 	for i := 0; i < 30; i++ {
 		other.Append(mkRecord(i))

@@ -233,21 +233,15 @@ func (s *Store) NumValues() int {
 	return len(s.values)
 }
 
-// snapshotLine is the JSONL persistence envelope: exactly one of the
-// fields is set per line.
-type snapshotLine struct {
-	Record *fingerprint.Record `json:"rec,omitempty"`
-	Hash   string              `json:"hash,omitempty"`
-	Value  []byte              `json:"val,omitempty"`
-}
-
 // SnapshotWriter writes the JSONL export incrementally, record by
 // record, without materializing a store: ShardedStore.WriteTo writes
 // through it, and so does the streaming generator, in its own record
 // order (fpgen writes time order). Values (content-addressed canvas
 // blobs) go first, in sorted hash order; for record-only snapshots
-// just stream the records. Close flushes; bufio's sticky error
-// surfaces any earlier write failure there.
+// just stream the records. Each line is a walEntry holding one value
+// under its hash or one record, the WAL's payload shape. Close
+// flushes; bufio's sticky error surfaces any earlier write failure
+// there.
 type SnapshotWriter struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
@@ -261,12 +255,12 @@ func NewSnapshotWriter(w io.Writer) *SnapshotWriter {
 
 // Value writes one content-addressed value line.
 func (sw *SnapshotWriter) Value(hash string, val []byte) error {
-	return sw.enc.Encode(snapshotLine{Hash: hash, Value: val})
+	return sw.enc.Encode(&walEntry{Hash: hash, Value: val})
 }
 
 // Record writes one record line.
 func (sw *SnapshotWriter) Record(r *fingerprint.Record) error {
-	return sw.enc.Encode(snapshotLine{Record: r})
+	return sw.enc.Encode(&walEntry{Record: r})
 }
 
 // Close flushes the buffer (it does not close the underlying writer).

@@ -9,7 +9,12 @@ import (
 	"time"
 
 	"fpdyn/internal/fingerprint"
+	"fpdyn/internal/hashutil"
 )
+
+// valueKey returns content's SHA-1 hex, its content address: recovery
+// and ReadFrom keep a value only under the key its content hashes to.
+func valueKey(content string) string { return hashutil.SHA1HexBytes([]byte(content)) }
 
 func mkRecord(i int) *fingerprint.Record {
 	return &fingerprint.Record{
@@ -102,8 +107,8 @@ func TestRoundTripSerialization(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		s.Append(mkRecord(i))
 	}
-	s.PutValue("hash-a", []byte{1, 2, 3})
-	s.PutValue("hash-b", []byte("fonts"))
+	s.PutValue(valueKey("\x01\x02\x03"), []byte{1, 2, 3})
+	s.PutValue(valueKey("fonts"), []byte("fonts"))
 
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -122,7 +127,7 @@ func TestRoundTripSerialization(t *testing.T) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	if v, ok := s2.Value("hash-b"); !ok || string(v) != "fonts" {
+	if v, ok := s2.Value(valueKey("fonts")); !ok || string(v) != "fonts" {
 		t.Fatal("value lost in round trip")
 	}
 	// Indexes must be rebuilt on load.

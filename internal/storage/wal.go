@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"fpdyn/internal/fingerprint"
+	"fpdyn/internal/hashutil"
 	"fpdyn/internal/obs"
 )
 
@@ -43,7 +44,7 @@ const (
 	// SyncAlways fsyncs after every append: an ACK implies the record
 	// survives power loss. The durable default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs from a background ticker (Options.Interval):
+	// SyncInterval fsyncs from a background ticker every syncInterval:
 	// an ACK survives process crash but may lose the last interval to
 	// power loss.
 	SyncInterval
@@ -95,9 +96,6 @@ type WALOptions struct {
 	Dir string
 	// Policy is the fsync policy (default SyncAlways).
 	Policy SyncPolicy
-	// Interval is the background fsync period under SyncInterval
-	// (default 100ms).
-	Interval time.Duration
 	// SegmentSize is the rotation threshold in bytes (default 64 MiB).
 	SegmentSize int64
 	// MaxFrame bounds a single payload (default 16 MiB); larger
@@ -111,11 +109,14 @@ type WALOptions struct {
 	// bytes written, rotations, recovery counters). Nil allocates a
 	// private registry, reachable via WAL.Metrics.
 	Registry *obs.Registry
-	// MetricLabels are constant key/value label pairs attached to every
-	// metric this WAL registers. A sharded store passes ("shard", "NN")
-	// so all shards can share one registry without colliding.
-	MetricLabels []string
+	// metricLabels are constant key/value label pairs attached to every
+	// metric this WAL registers. RecoverSharded sets ("shard", "NN") so
+	// all shards can share one registry without colliding.
+	metricLabels []string
 }
+
+// syncInterval is the background fsync period under SyncInterval.
+const syncInterval = 100 * time.Millisecond
 
 func (o *WALOptions) segmentSize() int64 {
 	if o.SegmentSize <= 0 {
@@ -129,13 +130,6 @@ func (o *WALOptions) maxFrame() int {
 		return 16 << 20
 	}
 	return o.MaxFrame
-}
-
-func (o *WALOptions) interval() time.Duration {
-	if o.Interval <= 0 {
-		return 100 * time.Millisecond
-	}
-	return o.Interval
 }
 
 func (o *WALOptions) openFile(path string) (SegmentFile, error) {
@@ -158,6 +152,12 @@ type walEntry struct {
 	Hash   string              `json:"hash,omitempty"`
 	Value  []byte              `json:"val,omitempty"`
 	Seqs   map[string]seqEntry `json:"seqs,omitempty"`
+}
+
+// valueMatchesHash reports whether a value entry's content hashes to
+// its key, the content address every reader of the value relies on.
+func (e *walEntry) valueMatchesHash() bool {
+	return hashutil.SHA1HexBytes(e.Value) == e.Hash
 }
 
 // seqEntry is one client's row of the idempotency table as persisted
@@ -268,7 +268,7 @@ func (w *WAL) setErrLocked(err error) {
 }
 
 func openWALAt(opts WALOptions, seg int) (*WAL, error) {
-	w := &WAL{opts: opts, seg: seg - 1, metrics: newWALMetrics(opts.Registry, opts.MetricLabels)}
+	w := &WAL{opts: opts, seg: seg - 1, metrics: newWALMetrics(opts.Registry, opts.metricLabels)}
 	if err := w.rotateLocked(); err != nil {
 		return nil, err
 	}
@@ -483,7 +483,7 @@ func (w *WAL) syncLocked() error {
 
 func (w *WAL) syncLoop() {
 	defer close(w.syncDone)
-	t := time.NewTicker(w.opts.interval())
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -584,6 +584,7 @@ type RecoveryStats struct {
 	Segments       int   // segment files replayed (excludes those covered by the snapshot)
 	Records        int   // record entries replayed from segments
 	Values         int   // value entries replayed from segments
+	BadValues      int   // value entries dropped, segments and snapshot alike: content does not hash to the key
 	TruncatedBytes int64 // torn tail bytes dropped from the last segment
 	Truncated      bool  // whether a torn tail was truncated
 
@@ -597,6 +598,7 @@ func (s *RecoveryStats) Add(other RecoveryStats) {
 	s.Segments += other.Segments
 	s.Records += other.Records
 	s.Values += other.Values
+	s.BadValues += other.BadValues
 	s.TruncatedBytes += other.TruncatedBytes
 	s.Truncated = s.Truncated || other.Truncated
 	if other.SnapshotSeg > 0 {
@@ -636,6 +638,7 @@ func recoverShard(opts WALOptions) (*Store, RecoveryStats, error) {
 	stats.TruncatedBytes, stats.Truncated = js.TruncatedBytes, js.Truncated
 	stats.SnapshotSeg = js.SnapshotSeg
 	stats.SnapshotRecords, stats.SnapshotValues = snap.Records, snap.Values
+	stats.BadValues += snap.BadValues
 	// ReplayJournal's gauges count frames; the store's count record and
 	// value entries.
 	w.metrics.recoveredRecords.SetInt(int64(stats.Records))
@@ -685,7 +688,10 @@ func (s *Store) restoreSeqLocked(cid string, seq uint64, idx int) {
 }
 
 // applyEntry replays one WAL or snapshot entry into the store without
-// re-logging it (recovery attaches the WAL only after replay).
+// re-logging it (recovery attaches the WAL only after replay). A value
+// whose content does not hash to its key is dropped and counted in
+// stats.BadValues; no record is lost, since records are stored whole,
+// and the next client that references the hash is asked for it again.
 func (s *Store) applyEntry(e *walEntry, stats *RecoveryStats) {
 	switch {
 	case e.Record != nil:
@@ -696,6 +702,8 @@ func (s *Store) applyEntry(e *walEntry, stats *RecoveryStats) {
 		}
 		s.mu.Unlock()
 		stats.Records++
+	case e.Hash != "" && !e.valueMatchesHash():
+		stats.BadValues++
 	case e.Hash != "":
 		s.mu.Lock()
 		if _, ok := s.values[e.Hash]; !ok {

@@ -36,7 +36,7 @@ func TestWALAppendRecoverRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.PutValueDurable("h1", []byte("fonts-blob")); err != nil {
+	if err := st.PutValueDurable(valueKey("fonts-blob"), []byte("fonts-blob")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -285,13 +285,13 @@ func TestWALShortWritesSurfaceAsErrors(t *testing.T) {
 }
 
 func TestWALSyncIntervalPolicy(t *testing.T) {
-	opts := WALOptions{Dir: t.TempDir(), Policy: SyncInterval, Interval: 5 * time.Millisecond}
+	opts := WALOptions{Dir: t.TempDir(), Policy: SyncInterval}
 	st, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Append(mkRecord(0))
-	time.Sleep(25 * time.Millisecond) // let the background sync run
+	time.Sleep(syncInterval + 25*time.Millisecond) // let the background sync run
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +366,52 @@ func crcOf(p []byte) uint32 {
 	return crc32.Checksum(p, castagnoli)
 }
 
+// TestRecoverDropsValueNotMatchingItsHash replays a value entry whose
+// content does not hash to its key, from a segment and from a
+// snapshot: recovery drops it and counts it, and keeps every record
+// and every honest value.
+func TestRecoverDropsValueNotMatchingItsHash(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshot=%v", compact), func(t *testing.T) {
+			opts := walOpts(t)
+			st, w, _, err := recoverDir(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := appendOne(st, mkRecord(0), "cid", 1); err != nil {
+				t.Fatal(err)
+			}
+			forged, honest := valueKey("fonts"), valueKey("plugins")
+			if err := st.PutValueDurable(forged, []byte("Comic Sans")); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutValueDurable(honest, []byte("plugins")); err != nil {
+				t.Fatal(err)
+			}
+			if compact {
+				if _, err := st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2, w2, stats, err := recoverDir(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if stats.BadValues != 1 || stats.Values+stats.SnapshotValues != 1 {
+				t.Fatalf("stats = %+v, want 1 bad value and 1 good one", stats)
+			}
+			if st2.Len() != 1 || st2.HasValue(forged) || !st2.HasValue(honest) {
+				t.Fatalf("recovered %d records, forged value kept %v, honest kept %v",
+					st2.Len(), st2.HasValue(forged), st2.HasValue(honest))
+			}
+		})
+	}
+}
+
 func TestLegacyAppendIsLoggedBestEffort(t *testing.T) {
 	opts := walOpts(t)
 	st, w, _, err := recoverDir(opts)
@@ -373,7 +419,7 @@ func TestLegacyAppendIsLoggedBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Append(mkRecord(0))
-	st.PutValue("h", []byte("v"))
+	st.PutValue(valueKey("v"), []byte("v"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
