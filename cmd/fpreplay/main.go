@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -29,6 +30,11 @@ func main() {
 	speedup := flag.Float64("speedup", 5_000_000, "timeline compression factor (1 = real time)")
 	report := flag.Int("report", 1000, "progress report interval in records")
 	flag.Parse()
+	if err := checkFlags(*speedup, *report); err != nil {
+		fmt.Fprintf(os.Stderr, "fpreplay: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	store, err := storage.LoadFile(*in)
 	if err != nil {
@@ -67,4 +73,18 @@ func main() {
 	st := client.Stats()
 	fmt.Printf("done in %v: %d sent, %d still pending, %d dropped, %d retransmits\n",
 		time.Since(start).Round(time.Millisecond), st.Sent, client.Pending(), st.Dropped, st.Retransmits)
+}
+
+// checkFlags refuses pacing flags the replay loop cannot honour: a
+// -speedup that is not positive makes every due time infinite, NaN or
+// negative, so the replay would run unpaced without saying so, and a
+// -report below 1 divides by zero.
+func checkFlags(speedup float64, report int) error {
+	if !(speedup > 0) {
+		return fmt.Errorf("-speedup %v: must be positive", speedup)
+	}
+	if report < 1 {
+		return fmt.Errorf("-report %d: must be at least 1", report)
+	}
+	return nil
 }

@@ -24,7 +24,7 @@ import (
 //
 // Both levers are pure optimizations: the per-entry scoring functions
 // remain the complete filters, so blocked/parallel runs return exactly
-// the rankings of the serial linear scan (sortCandidates' total order —
+// the rankings of the serial linear scan (Rank's total order —
 // score descending, then ID — is deterministic, and instance IDs are
 // unique).
 //
@@ -56,8 +56,9 @@ type famKey struct {
 
 // engine is the shared storage and candidate-generation core behind
 // both linkers: an RWMutex-guarded SoA entry table plus the blocking
-// indexes. The mutex makes Add/TopK safe for concurrent callers, the
-// same contract internal/storage gives the collection server.
+// and exact-match indexes. The mutex makes Add/TopK safe for
+// concurrent callers, the same contract internal/storage gives the
+// collection server.
 type engine struct {
 	mu   sync.RWMutex
 	tab  soa
@@ -70,6 +71,7 @@ type engine struct {
 	fams     map[uint32][]int // parsed rows by famKey handle
 	raw      map[uint32][]int // unparsed rows by interned-UA handle
 	unparsed []int            // every unparsed row
+	byHash   map[uint64][]int // every row by fingerprint hash (the rule linker's exact-match index)
 }
 
 func newEngine() *engine {
@@ -78,6 +80,7 @@ func newEngine() *engine {
 		blocks: make(map[uint32][]int),
 		fams:   make(map[uint32][]int),
 		raw:    make(map[uint32][]int),
+		byHash: make(map[uint64][]int),
 	}
 	g.tab.init()
 	g.blockReg.init()
@@ -93,68 +96,51 @@ func (g *engine) size() int {
 
 // add registers e as the latest fingerprint of id, replacing the
 // instance's previous row in place (row indexes stay stable) and
-// releasing the replaced row's interned payloads. It returns the row
-// index and, for a replacement, the displaced fingerprint hash so the
-// rule linker can repair its exact-match index. Callers must hold mu.
-func (g *engine) add(id string, e *entry) (i int, oldFPHash uint64, replaced bool) {
+// releasing the replaced row's interned payloads. Callers must hold
+// mu.
+func (g *engine) add(id string, e *entry) {
 	if i, ok := g.byID[id]; ok {
-		oldFPHash = g.tab.cold[i].fpHash
 		g.unindex(i)
 		g.tab.releaseRow(i)
 		g.tab.setRow(i, id, e)
 		g.index(i)
-		return i, oldFPHash, true
+		return
 	}
-	i = g.tab.appendRow(id, e)
+	i := g.tab.appendRow(id, e)
 	g.byID[id] = i
 	g.index(i)
-	return i, 0, false
 }
 
-// removal describes what remove did to the table, for callers that
-// keep side indexes over row positions (the rule linker's exact-match
-// hash index): the removed row's position and fingerprint hash, plus
-// the swap-move that refilled the vacated slot (movedFrom == -1 when
-// the removed row was last).
-type removal struct {
-	index       int
-	fpHash      uint64
-	movedFrom   int
-	movedTo     int
-	movedFPHash uint64
-}
-
-// remove deletes id's row from the table and every blocking structure,
-// releasing its interned payloads (the eviction decref path). The
-// vacated slot is filled by swap-moving the last row down, so the
-// table stays dense. Callers must hold mu.
-func (g *engine) remove(id string) (removal, bool) {
+// remove deletes id's row from the table and every index, releasing
+// its interned payloads (the eviction decref path), and reports
+// whether the instance was known. The vacated slot is filled by
+// swap-moving the last row down, so the table stays dense. Callers
+// must hold mu.
+func (g *engine) remove(id string) bool {
 	i, ok := g.byID[id]
 	if !ok {
-		return removal{}, false
+		return false
 	}
-	rm := removal{index: i, fpHash: g.tab.cold[i].fpHash, movedFrom: -1}
 	g.unindex(i)
 	g.tab.releaseRow(i)
 	delete(g.byID, id)
 	last := g.tab.len() - 1
 	if i != last {
-		// Re-point every blocking bucket holding the moved row from its
-		// old slot to its new one. Its bucket handles move with the row,
-		// so rebucketing needs no key recomputation.
+		// Re-point every bucket holding the moved row from its old slot
+		// to its new one. Its bucket handles and hash move with the
+		// row, so rebucketing needs no key recomputation.
 		g.unindex(last)
 		g.tab.moveRow(last, i)
 		g.byID[g.tab.ids[i]] = i
 		g.rebucket(i)
-		rm.movedFrom, rm.movedTo = last, i
-		rm.movedFPHash = g.tab.cold[i].fpHash
 	}
 	g.tab.truncate()
-	return rm, true
+	return true
 }
 
 // indexDigest is a canonical SHA-1 over the entry table and every
-// blocking structure: entries sorted by instance ID with their
+// blocking structure (the rule linker's IndexDigest adds the
+// exact-match index): entries sorted by instance ID with their
 // fingerprint hash and timestamp, then each bucket rendered as its key
 // plus the sorted member IDs. Bucket *order* is deliberately excluded —
 // swap-deletes reorder buckets without changing rankings — so a
@@ -220,13 +206,14 @@ func (g *engine) index(i int) {
 	g.rebucket(i)
 }
 
-// rebucket appends row i to the buckets its stored handles name — the
-// cheap half of index, reused when a swap-move repositions a row whose
-// handles are already right.
+// rebucket appends row i to the buckets its stored handles and
+// fingerprint hash name — the cheap half of index, reused when a
+// swap-move repositions a row whose handles are already right.
 func (g *engine) rebucket(i int) {
 	h := &g.tab.hot[i]
+	c := &g.tab.cold[i]
+	g.byHash[c.fpHash] = append(g.byHash[c.fpHash], i)
 	if h.flags&rowOK != 0 {
-		c := &g.tab.cold[i]
 		g.blocks[c.blockID] = append(g.blocks[c.blockID], i)
 		g.fams[c.famID] = append(g.fams[c.famID], i)
 		return
@@ -235,11 +222,13 @@ func (g *engine) rebucket(i int) {
 	g.unparsed = append(g.unparsed, i)
 }
 
-// unindex removes row i from every bucket its stored handles name.
+// unindex removes row i from every bucket its stored handles and
+// fingerprint hash name.
 func (g *engine) unindex(i int) {
 	h := &g.tab.hot[i]
+	c := &g.tab.cold[i]
+	removeFromBucket(g.byHash, c.fpHash, i)
 	if h.flags&rowOK != 0 {
-		c := &g.tab.cold[i]
 		removeFromBucket(g.blocks, c.blockID, i)
 		removeFromBucket(g.fams, c.famID, i)
 		return
@@ -375,45 +364,21 @@ func putCandBuf(bp *[]Candidate) {
 	candPool.Put(bp)
 }
 
-// scoreTopK applies score to each candidate row's entry view (the
-// whole table when cs.all is set), ranks the accepted ones best-first
-// and returns the top k as a fresh slice. workers ≤ 0 sizes the pool
-// by parallel.Resolve (GOMAXPROCS); workers == 1 or a small candidate set keeps it
-// serial. Parallel chunks are merged before the deterministic sort, so
-// blocked, parallel and serial runs return identical rankings. A
-// non-nil ctx is polled between cancelSlice-sized index ranges: a
-// canceled query stops scoring mid-scan and returns ctx's error
-// instead of burning CPU on an answer nobody is waiting for. Callers
-// must hold mu (read side suffices: scoring never mutates the table).
-func (g *engine) scoreTopK(ctx context.Context, cs candSet, workers, k int, score func(*entry) (float64, bool)) ([]Candidate, error) {
-	n := g.candLen(cs)
-	return g.rankChunks(ctx, n, workers, k, func(lo, hi int, out []Candidate) []Candidate {
-		var v entry // per-call view scratch: each worker chunk fills its own
-		for j := lo; j < hi; j++ {
-			g.tab.fillView(g.candIdx(cs, j), &v)
-			if s, ok := score(&v); ok {
-				out = append(out, Candidate{ID: v.id, Score: s})
-			}
-		}
-		return out
-	})
-}
-
-// scoreBlock is the candidate-block size the batch scorers work in:
-// large enough that a batch forest pass amortizes its per-block setup,
-// small enough that a block of pair vectors stays cache-resident.
+// scoreBlock is the candidate-block size the scorers work in: large
+// enough that a batch forest pass amortizes its per-block setup, small
+// enough that a block of pair vectors stays cache-resident.
 const scoreBlock = 256
 
-// viewBlock is one worker's batch-scoring scratch: scoreBlock entry
-// views plus stable pointers to them in the shape the batch scorer
-// consumes. Fixed capacity, so unlike a grown slice it cannot pin a
-// worst-case query's memory when pooled.
+// viewBlock is one worker's scoring scratch: scoreBlock entry views
+// plus stable pointers to them in the shape the block scorer consumes.
+// Fixed capacity, so unlike a grown slice it cannot pin a worst-case
+// query's memory when pooled.
 type viewBlock struct {
 	views [scoreBlock]entry
 	ptrs  []*entry
 }
 
-// blockPool recycles the per-block view buffers of scoreTopKBatch.
+// blockPool recycles the per-block view buffers of scoreTopK.
 var blockPool = sync.Pool{New: func() any {
 	b := new(viewBlock)
 	b.ptrs = make([]*entry, scoreBlock)
@@ -423,12 +388,22 @@ var blockPool = sync.Pool{New: func() any {
 	return b
 }}
 
-// scoreTopKBatch is scoreTopK for scorers that evaluate candidates a
-// block at a time (the learning linker's batch forest kernel): score
-// receives up to scoreBlock entry views and appends the accepted ones
-// to out, preserving block order, so the merged ranking is identical
-// to the per-entry path. Callers must hold mu.
-func (g *engine) scoreTopKBatch(ctx context.Context, cs candSet, workers, k int, score func(es []*entry, out []Candidate) []Candidate) ([]Candidate, error) {
+// scoreTopK is the one candidate loop of both linkers: it materializes
+// the candidate rows' entry views (the whole table when cs.all is set)
+// a block at a time, hands each block of up to scoreBlock views to
+// score, which appends the accepted ones to out in block order, and
+// returns the top k under Rank's order as a fresh slice. The rule
+// linker's score walks the block entry by entry; the learning
+// linker's scores it with one batch forest pass. workers ≤ 0 sizes
+// the pool by parallel.Resolve (GOMAXPROCS); workers == 1 or a small
+// candidate set keeps it serial. Parallel chunks are merged before the
+// deterministic ranking, so blocked, parallel and serial runs return
+// identical rankings. A non-nil ctx is polled between cancelSlice-sized
+// index ranges: a canceled query stops scoring mid-scan and returns
+// ctx's error instead of burning CPU on an answer nobody is waiting
+// for. Callers must hold mu (read side suffices: scoring never mutates
+// the table).
+func (g *engine) scoreTopK(ctx context.Context, cs candSet, workers, k int, score func(es []*entry, out []Candidate) []Candidate) ([]Candidate, error) {
 	n := g.candLen(cs)
 	return g.rankChunks(ctx, n, workers, k, func(lo, hi int, out []Candidate) []Candidate {
 		b := blockPool.Get().(*viewBlock)
@@ -452,32 +427,33 @@ func (g *engine) scoreTopKBatch(ctx context.Context, cs candSet, workers, k int,
 // read inside ctx.Err) vanishes against scoring 4096 candidates, fine
 // enough that a timed-out scan over a million-entry bucket stops within
 // a fraction of a millisecond of the deadline. A multiple of scoreBlock
-// so slicing never splits a batch block.
+// so slicing never splits a block.
 const cancelSlice = 4096
 
-// runSliced invokes run over [lo, hi) in cancelSlice-sized sub-ranges,
-// polling ctx between them; sub-ranges are visited in ascending index
-// order, so the appended output is identical to one run(lo, hi) call.
-// Returns false as soon as ctx is canceled.
-func runSliced(ctx context.Context, lo, hi int, out *[]Candidate, run func(lo, hi int, out []Candidate) []Candidate) bool {
-	for lo < hi {
-		if ctx.Err() != nil {
-			return false
-		}
+// runSliced invokes run over [lo, hi) and returns the extended out. A
+// nil ctx takes one run(lo, hi) call; otherwise run goes over
+// cancelSlice-sized sub-ranges in ascending index order, so the output
+// is identical, polling ctx between them and stopping as soon as it is
+// canceled.
+func runSliced(ctx context.Context, lo, hi int, out []Candidate, run func(lo, hi int, out []Candidate) []Candidate) []Candidate {
+	if ctx == nil {
+		return run(lo, hi, out)
+	}
+	for lo < hi && ctx.Err() == nil {
 		end := min(lo+cancelSlice, hi)
-		*out = run(lo, end, *out)
+		out = run(lo, end, out)
 		lo = end
 	}
-	return true
+	return out
 }
 
-// rankChunks runs the chunked scoring loop shared by the per-entry and
-// batch scorers: run(lo, hi, out) scores index range [lo, hi) appending
-// accepted candidates in index order. Parallel chunks are merged in
-// chunk order before the deterministic top-k selection, so every
-// (workers, chunking, ctx) configuration returns identical rankings.
-// A nil ctx (the plain TopK path) adds no per-candidate cost; a
-// canceled non-nil ctx aborts the scan and returns ctx's error.
+// rankChunks runs the chunked scoring loop: run(lo, hi, out) scores
+// index range [lo, hi) appending accepted candidates in index order.
+// Parallel chunks are merged in chunk order before the deterministic
+// top-k selection, so every (workers, chunking, ctx) configuration
+// returns identical rankings. A nil ctx (the plain TopK path) adds no
+// per-candidate cost; a non-nil ctx canceled by the end of scoring
+// returns ctx's error.
 func (g *engine) rankChunks(ctx context.Context, n, workers, k int, run func(lo, hi int, out []Candidate) []Candidate) ([]Candidate, error) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // context.Background etc: not cancelable, skip the polling
@@ -486,17 +462,9 @@ func (g *engine) rankChunks(ctx context.Context, n, workers, k int, run func(lo,
 	buf := (*bufp)[:0]
 	workers = parallel.Resolve(workers)
 	if workers == 1 || n < minParallel {
-		if ctx == nil {
-			buf = run(0, n, buf)
-		} else if !runSliced(ctx, 0, n, &buf, run) {
-			*bufp = buf
-			putCandBuf(bufp)
-			return nil, ctx.Err()
-		}
+		buf = runSliced(ctx, 0, n, buf, run)
 	} else {
-		if workers > n {
-			workers = n
-		}
+		workers = min(workers, n)
 		chunk := (n + workers - 1) / workers
 		parts := make([]*[]Candidate, workers)
 		var wg sync.WaitGroup
@@ -510,12 +478,7 @@ func (g *engine) rankChunks(ctx context.Context, n, workers, k int, run func(lo,
 			go func(w, lo, hi int) {
 				defer wg.Done()
 				bp := candPool.Get().(*[]Candidate)
-				*bp = (*bp)[:0]
-				if ctx == nil {
-					*bp = run(lo, hi, *bp)
-				} else {
-					runSliced(ctx, lo, hi, bp, run)
-				}
+				*bp = runSliced(ctx, lo, hi, (*bp)[:0], run)
 				parts[w] = bp
 			}(w, lo, hi)
 		}
@@ -527,44 +490,16 @@ func (g *engine) rankChunks(ctx context.Context, n, workers, k int, run func(lo,
 			buf = append(buf, *bp...)
 			putCandBuf(bp)
 		}
-		if ctx != nil && ctx.Err() != nil {
-			*bufp = buf
-			putCandBuf(bufp)
-			return nil, ctx.Err()
-		}
 	}
-	res := topK(buf, k)
+	var res []Candidate
+	var err error
+	if ctx != nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		res = Rank(buf, k)
+	}
 	*bufp = buf
 	putCandBuf(bufp)
-	return res, nil
-}
-
-// topK ranks candidates best-first and returns a copy of the leading
-// k, leaving cands free for reuse. For large accepted sets it selects
-// instead of sorting: one insertion pass through a k-sized ordered
-// buffer under the same total order as sortCandidates, so the result
-// is identical to sort-then-truncate.
-func topK(cands []Candidate, k int) []Candidate {
-	if len(cands) == 0 {
-		return nil
-	}
-	if len(cands) <= k {
-		out := append(make([]Candidate, 0, len(cands)), cands...)
-		sortCandidates(out)
-		return out
-	}
-	best := make([]Candidate, 0, k+1)
-	for _, c := range cands {
-		if len(best) == k && !rankBefore(c, best[k-1]) {
-			continue
-		}
-		best = append(best, c)
-		for i := len(best) - 1; i > 0 && rankBefore(best[i], best[i-1]); i-- {
-			best[i], best[i-1] = best[i-1], best[i]
-		}
-		if len(best) > k {
-			best = best[:k]
-		}
-	}
-	return best
+	return res, err
 }

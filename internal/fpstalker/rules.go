@@ -44,8 +44,7 @@ type RuleLinker struct {
 	// Workers caps the scoring pool: 0 means GOMAXPROCS, 1 is serial.
 	Workers int
 
-	eng    *engine
-	byHash map[uint64][]int // fingerprint hash → entry indexes
+	eng *engine
 }
 
 // maxDiffs is rule 5's overall differing-feature budget.
@@ -53,10 +52,7 @@ const maxDiffs = 5
 
 // NewRuleLinker returns an empty rule-based linker.
 func NewRuleLinker() *RuleLinker {
-	return &RuleLinker{
-		eng:    newEngine(),
-		byHash: make(map[uint64][]int),
-	}
+	return &RuleLinker{eng: newEngine()}
 }
 
 // Len implements Linker.
@@ -66,12 +62,8 @@ func (l *RuleLinker) Len() int { return l.eng.size() }
 func (l *RuleLinker) Add(id string, rec *fingerprint.Record) {
 	e := newEntry(id, rec)
 	l.eng.mu.Lock()
-	defer l.eng.mu.Unlock()
-	i, oldHash, replaced := l.eng.add(id, e)
-	if replaced {
-		removeFromBucket(l.byHash, oldHash, i)
-	}
-	l.byHash[e.fpHash] = append(l.byHash[e.fpHash], i)
+	l.eng.add(id, e)
+	l.eng.mu.Unlock()
 }
 
 // Remove implements DynamicLinker: it deletes id's entry from the
@@ -81,19 +73,7 @@ func (l *RuleLinker) Add(id string, rec *fingerprint.Record) {
 func (l *RuleLinker) Remove(id string) bool {
 	l.eng.mu.Lock()
 	defer l.eng.mu.Unlock()
-	// The hash index must be fixed in two steps: drop the removed
-	// row's old slot, then re-point the swap-moved row (which held the
-	// table's last slot) to its new position.
-	rm, known := l.eng.remove(id)
-	if !known {
-		return false
-	}
-	removeFromBucket(l.byHash, rm.fpHash, rm.index)
-	if rm.movedFrom >= 0 {
-		removeFromBucket(l.byHash, rm.movedFPHash, rm.movedFrom)
-		l.byHash[rm.movedFPHash] = append(l.byHash[rm.movedFPHash], rm.movedTo)
-	}
-	return true
+	return l.eng.remove(id)
 }
 
 // IndexDigest implements DynamicLinker: a canonical digest over the
@@ -103,8 +83,8 @@ func (l *RuleLinker) IndexDigest() string {
 	defer l.eng.mu.RUnlock()
 	var b []byte
 	b = append(b, l.eng.indexDigest()...)
-	lines := make([]string, 0, len(l.byHash))
-	for h, bucket := range l.byHash {
+	lines := make([]string, 0, len(l.eng.byHash))
+	for h, bucket := range l.eng.byHash {
 		lines = append(lines, fmt.Sprintf("hash %016x%s", h, bucketIDs(l.eng, bucket)))
 	}
 	sort.Strings(lines)
@@ -138,7 +118,7 @@ func (l *RuleLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k int
 	// Rule 1: exact match via the index (hash bucket, then the
 	// fingerprint.Equal-equivalent check over the stored hashes).
 	if !l.NoExactIndex {
-		if idxs := l.byHash[q.fpHash]; len(idxs) > 0 {
+		if idxs := l.eng.byHash[q.fpHash]; len(idxs) > 0 {
 			cands := make([]Candidate, 0, len(idxs))
 			for _, i := range idxs {
 				if l.eng.exactMatch(i, q) {
@@ -146,22 +126,20 @@ func (l *RuleLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k int
 				}
 			}
 			if len(cands) > 0 {
-				return topK(cands, k), nil
+				return Rank(cands, k), nil
 			}
 		}
 	}
 
 	cs := l.eng.ruleCandidates(q, l.NoBlocking)
-	score := func(e *entry) (float64, bool) { return l.score(q, e) }
-	if !cs.all && q.ok {
-		// Every entry in the query's bucket shares its browser family,
-		// OS family, form factor and storage toggles by construction —
-		// rules 2 and 4 are already satisfied, so the blocked path only
-		// evaluates the remaining filters. score would accept exactly
-		// the same set.
-		score = func(e *entry) (float64, bool) { return l.scoreBlocked(q, e) }
-	}
-	return l.eng.scoreTopK(ctx, cs, l.Workers, k, score)
+	return l.eng.scoreTopK(ctx, cs, l.Workers, k, func(es []*entry, out []Candidate) []Candidate {
+		for _, e := range es {
+			if s, ok := l.score(q, e); ok {
+				out = append(out, Candidate{ID: e.id, Score: s})
+			}
+		}
+		return out
+	})
 }
 
 // score applies rules 2–5 and returns the similarity score. It is the
@@ -190,25 +168,6 @@ func (l *RuleLinker) score(q, e *entry) (float64, bool) {
 		return 0, false
 	}
 
-	return l.scoreTail(q, e)
-}
-
-// scoreBlocked is score for candidates served from the query's
-// blocking bucket: rules 2 and 4 are the bucket key, so only the
-// version ordering (rule 3) and the difference budgets (rule 5) remain
-// to check.
-func (l *RuleLinker) scoreBlocked(q, e *entry) (float64, bool) {
-	if q.ua.BrowserVersion.Compare(e.ua.BrowserVersion) < 0 {
-		return 0, false
-	}
-	if q.ua.OSVersion.Compare(e.ua.OSVersion) < 0 {
-		return 0, false
-	}
-	return l.scoreTail(q, e)
-}
-
-// scoreTail applies rule 5 and ranks the surviving candidate.
-func (l *RuleLinker) scoreTail(q, e *entry) (float64, bool) {
 	// Rule 5: difference budgets, over the precomputed keys.
 	total, ok := countKeyDiffsBudget(q.keys, e.keys, maxDiffs, 2)
 	if !ok {
@@ -217,7 +176,7 @@ func (l *RuleLinker) scoreTail(q, e *entry) (float64, bool) {
 
 	// Rank by number of identical features; nudge with recency so ties
 	// break toward fresher entries.
-	score := float64(numNonIP - total)
+	score := float64(fingerprint.NumNonIP - total)
 	if q.hasTime && e.hasTime && q.hrs > e.hrs {
 		age := q.hrs - e.hrs
 		score += 1.0 / (1.0 + age/24.0) // ≤ 1 point for recency

@@ -20,8 +20,6 @@
 package linker
 
 import (
-	"sort"
-
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/fpstalker"
 	"fpdyn/internal/hashutil"
@@ -192,11 +190,7 @@ func (h *Hybrid) TopK(rec *fingerprint.Record, k int) []fpstalker.Candidate {
 			}
 		}
 		if len(cands) > 0 {
-			sortCands(cands)
-			if len(cands) > k {
-				cands = cands[:k]
-			}
-			return cands
+			return fpstalker.Rank(cands, k)
 		}
 	}
 
@@ -230,18 +224,5 @@ func (h *Hybrid) TopK(rec *fingerprint.Record, k int) []fpstalker.Candidate {
 			cands = append(cands, fpstalker.Candidate{ID: e.id, Score: score})
 		}
 	}
-	sortCands(cands)
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
-}
-
-func sortCands(cands []fpstalker.Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].ID < cands[j].ID
-	})
+	return fpstalker.Rank(cands, k)
 }

@@ -199,13 +199,7 @@ func (h *Hybrid) score(rec *fingerprint.Record, qUA useragent.UA, qOK bool, e *e
 		return 0, false
 	}
 
-	nonIP := 0
-	for _, desc := range fingerprint.Schema {
-		if !desc.IsIP {
-			nonIP++
-		}
-	}
-	score := float64(nonIP) - float64(changed) - penalty - 2*float64(unexplained)
+	score := float64(fingerprint.NumNonIP) - float64(changed) - penalty - 2*float64(unexplained)
 
 	// Advice 8: release-calendar timing — an update toward a version
 	// released shortly before the query time is expected.

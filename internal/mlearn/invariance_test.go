@@ -196,14 +196,24 @@ func pinMatrix(n int, seed int64) ([][]float64, []int) {
 }
 
 // forestDigest is SHA-256 over every trained byte of f: the tree roots,
-// the node arrays (thresholds and leaf probabilities by their bits) and
-// the normalized importances.
+// the nodes' split features, left and right children, split values and
+// leaf probabilities (floats by their bits) and the normalized
+// importances. Each node field is written as one array, so the byte
+// stream is that of a feature/left/right/threshold node layout. A leaf
+// has split value 0 and both children at its tree's root.
 func forestDigest(f *Forest) string {
+	n := len(f.knodes)
+	feature, left, right := make([]int32, n), make([]int32, n), make([]int32, n)
+	threshold := make([]float64, n)
+	for i, nd := range f.knodes {
+		feature[i], threshold[i] = nd.feat, nd.val
+		left[i], right[i] = int32(uint32(nd.child)), int32(uint32(nd.child>>32))
+	}
 	h := sha256.New()
-	for _, v := range []any{f.roots, f.feature, f.left, f.right} {
+	for _, v := range []any{f.roots, feature, left, right} {
 		binary.Write(h, binary.LittleEndian, v)
 	}
-	for _, v := range [][]float64{f.threshold, f.prob, f.Importances()} {
+	for _, v := range [][]float64{threshold, f.prob, f.Importances()} {
 		for _, x := range v {
 			binary.Write(h, binary.LittleEndian, math.Float64bits(x))
 		}

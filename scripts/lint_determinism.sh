@@ -91,9 +91,15 @@ done
 # would poison every digest comparison. evaluate.go is exempt: it
 # legitimately times match latency (the paper's Figure 9 measurement);
 # learning.go's seeded rand.New sampling passes the global-rand rule.
+# The hybrid linker (internal/linker, non-test files) gets the same
+# guard: its rankings are pinned beside the two FP-Stalker variants'.
 for f in internal/fpstalker/intern.go internal/fpstalker/store.go \
     internal/fpstalker/engine.go internal/fpstalker/fpstalker.go \
-    internal/fpstalker/rules.go internal/fpstalker/learning.go; do
+    internal/fpstalker/rules.go internal/fpstalker/learning.go \
+    internal/linker/*.go; do
+    case "$f" in
+    *_test.go) continue ;;
+    esac
     [ -f "$f" ] || { echo "determinism lint: missing $f (store layout moved?)" >&2; fail=1; continue; }
     if grep -n 'time\.Now(\|time\.Since(' "$f"; then
         echo "determinism lint: $f reads the wall clock — entry state must derive from record timestamps" >&2
