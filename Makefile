@@ -9,10 +9,14 @@ BENCHTIME_MATCH ?= 2000x
 
 ## check: the full gate — gofmt, build, vet, determinism lint, the
 ## bench-compile smoke, and the race-enabled test suite over every
-## package of the root module. It also runs 10 s smokes of the binary
-## record codec's fuzz target and of the collector's request handler
-## (new-input minimization capped at one run, so the budget goes to
-## fuzzing rather than shrinking inputs) and
+## package of the root module. That suite carries the root's two
+## inventory gates: the flag inventory (flags_test.go,
+## TestCommandFlagInventory) and the dead-API gate (api_test.go,
+## TestNoDeadInternalAPI: no exported identifier of internal/ without a
+## non-test use in the root module or perfbench). It also runs 10 s
+## smokes of the binary record codec's fuzz target and of the
+## collector's request handler (new-input minimization capped at one
+## run, so the budget goes to fuzzing rather than shrinking inputs) and
 ## the benchmark module's own tests (perfbench is a separate module, so
 ## ./... does not reach it).
 check: fmt-check lint-determinism bench-compile

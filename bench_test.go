@@ -58,13 +58,25 @@ func world(b *testing.B) *benchWorld {
 
 // --- Table/Figure regeneration benches -------------------------------
 
+// BenchmarkFigure2AnonymitySets times the report's Figure 2 fold: one
+// AnonymityAccumulator fed each browser instance's records
+// contiguously, then the curve up to set size 10.
 func BenchmarkFigure2AnonymitySets(b *testing.B) {
 	w := world(b)
-	inst := func(i int) string { return w.gt.IDs[i] }
+	groups := make([][]*fingerprint.Record, 0, len(w.gt.Instances))
+	for _, recs := range w.gt.Instances {
+		groups = append(groups, recs)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.AnonymitySets(w.ds.Records, inst, true, 10)
+		acc := stats.NewAnonymityAccumulator()
+		for ord, recs := range groups {
+			for _, r := range recs {
+				acc.Add(ord+1, r.FP.Hash(true))
+			}
+		}
+		acc.Curve(10)
 	}
 }
 
@@ -423,12 +435,20 @@ func BenchmarkInsight1GPUInference(b *testing.B) {
 	}
 }
 
+// BenchmarkInsight1Velocity times the report's Insight 1.4 fold: one
+// VelocityAccumulator fed every instance's consecutive visit pairs.
 func BenchmarkInsight1Velocity(b *testing.B) {
 	w := world(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inference.Velocity(w.gt.Instances, w.ds.Geo)
+		acc := inference.NewVelocityAccumulator(w.ds.Geo)
+		for id, recs := range w.gt.Instances {
+			for j := 1; j < len(recs); j++ {
+				acc.Add(id, recs[j-1], recs[j])
+			}
+		}
+		acc.Report()
 	}
 }
 

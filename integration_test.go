@@ -112,7 +112,20 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Stage 5: identifiability and linking sanity on the same store.
-	curve := stats.AnonymitySets(records, func(i int) string { return gt.IDs[i] }, true, 5)
+	// Figure 2's accumulator, fed as the report feeds it: each browser
+	// instance's records contiguous under the instance's ordinal.
+	ids := make([]string, 0, len(gt.Instances))
+	for id := range gt.Instances {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	anon := stats.NewAnonymityAccumulator()
+	for ord, id := range ids {
+		for _, r := range gt.Instances[id] {
+			anon.Add(ord+1, r.FP.Hash(true))
+		}
+	}
+	curve := anon.Curve(5)
 	for k := 1; k < 5; k++ {
 		if curve.PctIdentifiable[k] < curve.PctIdentifiable[k-1] {
 			t.Fatal("anonymity curve not monotone")

@@ -186,17 +186,3 @@ func (gt *GroundTruth) Accumulate() *EstimateAccumulator {
 
 // Estimate computes the §2.3.3 false positive/negative rates.
 func (gt *GroundTruth) Estimate() Rates { return gt.Accumulate().Rates() }
-
-// MultiBrowserUserShare returns the fraction of users seen with more
-// than one browser instance (the paper: 14% of users use multiple
-// devices; over 15% use more than one browser).
-func (gt *GroundTruth) MultiBrowserUserShare() float64 {
-	return gt.Accumulate().MultiBrowserUserShare()
-}
-
-// CookieClearingShare returns the fraction of browser instances with
-// more than one cookie — the instances that cleared cookies at least
-// once (paper: ~32%).
-func (gt *GroundTruth) CookieClearingShare() float64 {
-	return gt.Accumulate().CookieClearingShare()
-}

@@ -138,7 +138,7 @@ func TestCookieClearingShare(t *testing.T) {
 		rec(at(1), "u2", "c3", "Firefox", "Windows", "", 4),
 	}
 	gt := Build(recs)
-	if got := gt.CookieClearingShare(); got != 0.5 {
+	if got := gt.Accumulate().CookieClearingShare(); got != 0.5 {
 		t.Fatalf("clearing share = %v, want 0.5", got)
 	}
 }
@@ -150,7 +150,7 @@ func TestMultiBrowserUserShare(t *testing.T) {
 		rec(at(0), "u2", "c3", "Chrome", "Windows", "", 4),
 	}
 	gt := Build(recs)
-	if got := gt.MultiBrowserUserShare(); got != 0.5 {
+	if got := gt.Accumulate().MultiBrowserUserShare(); got != 0.5 {
 		t.Fatalf("multi-browser share = %v, want 0.5", got)
 	}
 }
@@ -279,7 +279,7 @@ func TestBuildManyInstancesScale(t *testing.T) {
 	if gt.NumInstances() != 500 {
 		t.Fatalf("instances = %d, want 500", gt.NumInstances())
 	}
-	if gt.MultiBrowserUserShare() != 0 {
+	if gt.Accumulate().MultiBrowserUserShare() != 0 {
 		t.Fatal("no user has multiple browsers here")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // distinct instances and (user, cookie) pairs — never the records
 // themselves:
 //
-//	observe: for each record in time order, b.Observe(r)
+//	observe: for each record in time order, b.ObserveWithID(r, InitialID(r))
 //	         b.Seal()
 //	resolve: b.CanonicalOf(InitialID(r)) per record
 //
@@ -42,18 +42,14 @@ func NewStreamBuilder() *StreamBuilder {
 	}
 }
 
-// Observe feeds one record. Records must arrive in time order —
-// the owner of a (user, cookie) pair is the first initial ID seen with
-// it, which is what makes the linking deterministic.
-func (b *StreamBuilder) Observe(r *fingerprint.Record) { b.ObserveWithID(r, InitialID(r)) }
-
-// ObserveWithID is Observe with the initial ID precomputed — callers
-// that already hold the ID (Build, the streaming report, which hashes
-// IDs on a worker pool) skip the second hash. id must equal
-// InitialID(r).
+// ObserveWithID feeds one record with its initial ID, which must equal
+// InitialID(r): callers (Build, the streaming report, which hashes IDs
+// on a worker pool) already hold it. Records must arrive in time order
+// — the owner of a (user, cookie) pair is the first initial ID seen
+// with it, which is what makes the linking deterministic.
 func (b *StreamBuilder) ObserveWithID(r *fingerprint.Record, id string) {
 	if b.sealed {
-		panic("browserid: Observe after Seal")
+		panic("browserid: ObserveWithID after Seal")
 	}
 	b.uf.union(id, id) // ensure present
 	if r.Cookie == "" {

@@ -126,10 +126,6 @@ func (img *Image) Hash() string {
 	return hashutil.SHA1HexBytes(flat)
 }
 
-// RenderHash is a convenience for Render(p).Hash() that avoids exposing
-// the pixels when only the fingerprint value is needed.
-func RenderHash(p Params) string { return Render(p).Hash() }
-
 // GPUInfo identifies a graphics stack for GPU-image rendering.
 type GPUInfo struct {
 	Vendor   string // e.g. "NVIDIA Corporation"

@@ -13,7 +13,7 @@ func TestRenderDeterministic(t *testing.T) {
 }
 
 func TestHashFormat(t *testing.T) {
-	h := RenderHash(Params{})
+	h := Render(Params{}).Hash()
 	if len(h) != 40 {
 		t.Fatalf("canvas hash length = %d, want 40 (SHA-1 hex)", len(h))
 	}
@@ -178,7 +178,7 @@ func TestDiffSymmetryProperty(t *testing.T) {
 func TestRenderPureProperty(t *testing.T) {
 	f := func(a, b, c, d uint8) bool {
 		p := Params{int(a), int(b), int(c), int(d)}
-		return RenderHash(p) == RenderHash(p)
+		return Render(p).Hash() == Render(p).Hash()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

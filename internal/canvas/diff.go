@@ -18,8 +18,6 @@ type PixelDiff struct {
 type Subtype string
 
 const (
-	// SubtypeNone means the canvases are identical.
-	SubtypeNone Subtype = "none"
 	// SubtypeTextWidth: the width of the rendered text changed.
 	SubtypeTextWidth Subtype = "text width"
 	// SubtypeTextDetail: glyph texture details changed at equal width.

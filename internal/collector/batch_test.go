@@ -33,14 +33,14 @@ func TestNegotiateSwitchesToBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Framing(); got != FramingJSON {
+	if got := c.framing(); got != FramingJSON {
 		t.Fatalf("initial framing = %q", got)
 	}
 	f, err := c.Negotiate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f != FramingBinary || c.Framing() != FramingBinary {
+	if f != FramingBinary || c.framing() != FramingBinary {
 		t.Fatalf("negotiated framing = %q", f)
 	}
 	// Every verb works over binary frames on the same connection.
@@ -112,7 +112,7 @@ func TestNegotiateDeclinedStaysJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f != FramingJSON || c.Framing() != FramingJSON {
+		if f != FramingJSON || c.framing() != FramingJSON {
 			t.Fatalf("hello reply %s: framing = %q, want json", hello, f)
 		}
 		if err := c.Ping(); err != nil {
@@ -137,8 +137,8 @@ func TestUnnegotiatedConnectionSubmitsAndBatches(t *testing.T) {
 	if acks, err := c.SubmitBatch(batchOf(t, 3, "js", 1), "js"); err != nil || len(acks) != 3 {
 		t.Fatalf("json batch: %d acks, %v", len(acks), err)
 	}
-	if c.Framing() != FramingJSON {
-		t.Fatalf("framing = %q, want json", c.Framing())
+	if c.framing() != FramingJSON {
+		t.Fatalf("framing = %q, want json", c.framing())
 	}
 	if store.Len() != 4 {
 		t.Fatalf("store len = %d", store.Len())
@@ -185,8 +185,14 @@ func TestBatchAbortsAtFirstFailure(t *testing.T) {
 	if store.Len() != 2 {
 		t.Fatalf("store len = %d, want 2", store.Len())
 	}
-	if seq, _ := store.LastSeq("ab"); seq != 2 {
-		t.Fatalf("lastSeq = %d, want 2", seq)
+	// The idempotency table stops at the last applied seq: a resend of
+	// seq 2 is a dup, and seq 3 is still fresh.
+	acks, err := c.SubmitBatch(batchOf(t, 3, "ab", 1)[1:], "ab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acks) != 2 || !acks[0].Dup || acks[1].Dup || acks[1].Error != "" {
+		t.Fatalf("resend of seqs 2, 3: acks %+v, want a dup then a fresh append", acks)
 	}
 }
 
@@ -333,7 +339,7 @@ func TestBinaryOversizedFrameRejected(t *testing.T) {
 		huge[i] = fmt.Sprintf("Font Family %04d With A Long Name", i)
 	}
 	rec.FP.Fonts = huge
-	if _, err := c.SubmitRaw(rec); err == nil {
+	if _, err := c.Submit(rec); err == nil {
 		t.Fatal("oversized binary frame accepted")
 	}
 }

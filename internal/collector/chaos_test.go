@@ -446,7 +446,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		huge[i] = fmt.Sprintf("Font Family %04d With A Long Name", i)
 	}
 	rec.FP.Fonts = huge
-	if _, err := c.SubmitRaw(rec); err == nil {
+	if _, err := c.Submit(rec); err == nil {
 		t.Fatal("oversized submit accepted")
 	}
 	// The server itself is still healthy for well-behaved clients.

@@ -328,8 +328,8 @@ func (c *Client) Negotiate() (string, error) {
 	}
 }
 
-// Framing returns the framing mode the connection is currently in.
-func (c *Client) Framing() string {
+// framing returns the framing mode the connection is currently in.
+func (c *Client) framing() string {
 	if c.binary {
 		return FramingBinary
 	}
@@ -435,18 +435,6 @@ func (c *Client) sendBatch(items []BatchItem, clientID string) ([]Ack, error) {
 		}
 	}
 	return resp.Acks, nil
-}
-
-// SubmitRaw transfers one record without dedup (the ablation baseline:
-// every value travels every time): a batch of one with every blob
-// attached and no hash check.
-func (c *Client) SubmitRaw(rec *fingerprint.Record) (int, error) {
-	wire, refs, blobs := StripRecord(rec)
-	acks, err := c.sendBatch([]BatchItem{{Record: wire, Refs: refs, Values: blobs}}, "")
-	if err != nil {
-		return 0, err
-	}
-	return firstAck(acks)
 }
 
 // firstAck returns the record index a one-record batch was ACKed with,

@@ -275,23 +275,6 @@ func TestDedupSavesTransfer(t *testing.T) {
 	}
 }
 
-func TestSubmitRawNoDedup(t *testing.T) {
-	srv, _, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := c.SubmitRaw(sampleRecord()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := srv.Stats(); s.ValuesDeduped != 0 {
-		t.Fatalf("raw path should never dedup: %+v", s)
-	}
-}
-
 func TestLegacySubmitVerbIdempotent(t *testing.T) {
 	// The single-record submit verb over newline-JSON: a fresh
 	// (cid, seq) ACKs with its index, a resend of the latest seq is a dup

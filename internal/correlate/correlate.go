@@ -300,18 +300,3 @@ func (a *AdoptionAccumulator) Series(totalInstances int) []AdoptionPoint {
 	}
 	return a.series
 }
-
-// PeakAfter returns the index of the series' maximum at or after the
-// given time — used to verify that adoption peaks follow releases.
-func PeakAfter(series []AdoptionPoint, t time.Time) (int, bool) {
-	best, bestIdx := -1, -1
-	for i, p := range series {
-		if p.Start.Before(t) {
-			continue
-		}
-		if p.Count > best {
-			best, bestIdx = p.Count, i
-		}
-	}
-	return bestIdx, bestIdx >= 0
-}

@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"fpdyn/internal/fingerprint"
-	"fpdyn/internal/hashutil"
 	"fpdyn/internal/useragent"
 )
 
@@ -137,9 +136,6 @@ func (d *Delta) Key() string {
 	}
 	return strings.Join(parts, ";")
 }
-
-// Hash returns a compact 64-bit identity derived from Key.
-func (d *Delta) Hash() uint64 { return hashutil.Hash64(d.Key()) }
 
 // FeatureIDs returns the IDs of all changed features in schema order.
 func (d *Delta) FeatureIDs() []fingerprint.ID {

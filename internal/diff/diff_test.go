@@ -167,13 +167,13 @@ func TestDeltaKeyEmpty(t *testing.T) {
 	}
 }
 
-func TestDeltaHashDistinguishes(t *testing.T) {
+func TestDeltaKeyDistinguishes(t *testing.T) {
 	a := baseFP()
 	b1, b2 := a.Clone(), a.Clone()
 	b1.CookieEnabled = false
 	b2.TimezoneOffset = 0
-	if Diff(a, b1).Hash() == Diff(a, b2).Hash() {
-		t.Fatal("different deltas hashed equal")
+	if Diff(a, b1).Key() == Diff(a, b2).Key() {
+		t.Fatal("different deltas keyed equal")
 	}
 }
 
@@ -197,6 +197,40 @@ func TestDiffSubfieldsEmptyToFull(t *testing.T) {
 	if len(edits) != 2 || edits[0].Op != OpDelete || edits[1].Op != OpDelete {
 		t.Fatalf("edits = %+v", edits)
 	}
+}
+
+// ApplySubfields replays an edit script produced by DiffSubfields
+// against the original sequence and returns the edited sequence:
+// ApplySubfields(a, DiffSubfields(a, b)) == b. It is the oracle that
+// shows an edit script is exact: knowing the Firefox 57→58 delta lets
+// a fingerprinting tool precompute the updated fingerprint of every
+// stale instance (Insight 4).
+func ApplySubfields(a []string, edits []SubfieldEdit) []string {
+	out := make([]string, 0, len(a))
+	e := 0
+	for i := 0; i <= len(a); i++ {
+		// Inserts anchored before position i apply first, in script order.
+		for e < len(edits) && edits[e].Pos == i && edits[e].Op == OpInsert {
+			out = append(out, edits[e].New)
+			e++
+		}
+		if i == len(a) {
+			break
+		}
+		if e < len(edits) && edits[e].Pos == i {
+			switch edits[e].Op {
+			case OpDelete:
+				e++
+				continue
+			case OpReplace:
+				out = append(out, edits[e].New)
+				e++
+				continue
+			}
+		}
+		out = append(out, a[i])
+	}
+	return out
 }
 
 func TestApplySubfieldsRoundTrip(t *testing.T) {

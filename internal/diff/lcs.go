@@ -9,9 +9,10 @@ package diff
 // property relies on.
 //
 // Each edit carries its position in the *original* sequence, which
-// makes the script exactly replayable (ApplySubfields); positions are
-// excluded from FieldDelta.Key so identical updates still collide
-// across instances whose strings have different shapes.
+// makes the script exactly replayable (the tests replay it with
+// ApplySubfields); positions are excluded from FieldDelta.Key so
+// identical updates still collide across instances whose strings have
+// different shapes.
 func DiffSubfields(a, b []string) []SubfieldEdit {
 	n, m := len(a), len(b)
 	if n == 0 && m == 0 {
@@ -73,38 +74,4 @@ func prevTok(a []string, i int) string {
 		return ""
 	}
 	return a[i-1]
-}
-
-// ApplySubfields replays an edit script produced by DiffSubfields
-// against the original sequence and returns the edited sequence:
-// ApplySubfields(a, DiffSubfields(a, b)) == b. The linker's
-// dynamics-aware prediction uses this (Insight 4: knowing the Firefox
-// 57→58 delta lets a fingerprinting tool precompute the updated
-// fingerprint of every stale instance).
-func ApplySubfields(a []string, edits []SubfieldEdit) []string {
-	out := make([]string, 0, len(a))
-	e := 0
-	for i := 0; i <= len(a); i++ {
-		// Inserts anchored before position i apply first, in script order.
-		for e < len(edits) && edits[e].Pos == i && edits[e].Op == OpInsert {
-			out = append(out, edits[e].New)
-			e++
-		}
-		if i == len(a) {
-			break
-		}
-		if e < len(edits) && edits[e].Pos == i {
-			switch edits[e].Op {
-			case OpDelete:
-				e++
-				continue
-			case OpReplace:
-				out = append(out, edits[e].New)
-				e++
-				continue
-			}
-		}
-		out = append(out, a[i])
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"slices"
 	"testing"
 
 	"fpdyn/internal/fingerprint"
@@ -57,7 +58,7 @@ func TestTransferDeltaFontInstall(t *testing.T) {
 	if !ok {
 		t.Fatal("transfer failed")
 	}
-	if !predicted.HasFont("MT Extra") || !predicted.HasFont("Comic Sans MS") {
+	if !slices.Contains(predicted.Fonts, "MT Extra") || !slices.Contains(predicted.Fonts, "Comic Sans MS") {
 		t.Fatalf("fonts = %v", predicted.Fonts)
 	}
 }

@@ -98,9 +98,6 @@ func (cl Classification) Categories() []Category {
 	return out
 }
 
-// Composite reports whether more than one top-level category applies.
-func (cl Classification) Composite() bool { return len(cl.Categories()) > 1 }
-
 // Empty reports whether no cause was found.
 func (cl Classification) Empty() bool { return len(cl.Causes) == 0 }
 

@@ -71,7 +71,7 @@ func TestClassifyBrowserUpdate(t *testing.T) {
 	if c.Has(CauseCanvasEmoji) || c.Has(CauseCanvasText) {
 		t.Error("canvas change must be attributed to the update, not environment")
 	}
-	if c.Composite() {
+	if len(c.Categories()) > 1 {
 		t.Errorf("single-category expected, got %v", c.Categories())
 	}
 }
@@ -338,7 +338,7 @@ func TestCompositeClassification(t *testing.T) {
 		r.FP.TimezoneOffset = 0
 	})
 	c := classify(t, d)
-	if !c.Composite() {
+	if len(c.Categories()) < 2 {
 		t.Fatalf("want composite, got %v", c.Categories())
 	}
 	if ComboLabel(c.Categories()) != "Browser Updates + User Actions" {

@@ -41,7 +41,7 @@ func ExampleClassifier_Classify() {
 	for _, cause := range c.Causes {
 		fmt.Println(cause)
 	}
-	fmt.Println("composite:", c.Composite())
+	fmt.Println("composite:", len(c.Categories()) > 1)
 	// Output:
 	// browser update
 	// change timezone

@@ -2,6 +2,7 @@ package dynamics
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"fpdyn/internal/browserid"
@@ -17,7 +18,7 @@ func categoryOf(ev population.EventType) Category {
 		return CatBrowserUpdate
 	case ev == population.EvOSUpdate:
 		return CatOSUpdate
-	case ev.IsUserAction():
+	case strings.HasPrefix(string(ev), "ua-"):
 		return CatUserAction
 	default:
 		return CatEnvironment

@@ -77,7 +77,6 @@ type Sorter[T any] struct {
 
 	runs    []string
 	spilled int64
-	count   int64
 	scratch []byte
 	frozen  bool // set once Merge has been called; no more writes
 
@@ -150,7 +149,6 @@ func (s *Sorter[T]) WriteRun(items []T) error {
 	}
 	s.runs = append(s.runs, path)
 	s.spilled += written
-	s.count += int64(len(items))
 	if s.mRuns != nil {
 		s.mRuns.Inc()
 		s.mBytes.Add(written)
@@ -164,9 +162,6 @@ func (s *Sorter[T]) Runs() int { return len(s.runs) }
 
 // SpilledBytes returns the total bytes written to run files.
 func (s *Sorter[T]) SpilledBytes() int64 { return s.spilled }
-
-// Count returns the total items spilled into runs.
-func (s *Sorter[T]) Count() int64 { return s.count }
 
 // Merge returns a stream yielding every spilled item in Less order.
 // Merge may be called repeatedly — each call re-opens the run files and

@@ -52,16 +52,6 @@ func (s *Script) Stalled() {
 	}
 }
 
-// Tripped reports whether the byte-budget fault has fired.
-func (s *Script) Tripped() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tripped
-}
-
 func (s *Script) err() error {
 	if s.Err != nil {
 		return s.Err
@@ -100,6 +90,8 @@ func (s *Script) admit(n int) (allow int, short bool, err error) {
 }
 
 // Writer wraps an io.Writer with a fault script.
+//
+// api: a test seam; storage's export tests fault a writer through it.
 type Writer struct {
 	W      io.Writer
 	Script *Script
@@ -124,6 +116,8 @@ func (w *Writer) Write(p []byte) (int, error) {
 // scripts. A tripped write script also closes the underlying
 // connection when CloseOnTrip is set, simulating a peer torn away
 // mid-frame.
+//
+// api: a test seam; collector's chaos tests tear connections through it.
 type Conn struct {
 	net.Conn
 	ReadScript  *Script
@@ -195,6 +189,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 // File wraps a WAL segment file (anything with Write/Sync/Close),
 // injecting write faults via Script and fsync failures via FailSyncAt.
 // It satisfies storage.SegmentFile.
+//
+// api: a test seam; the storage, extsort, population, collector and
+// linkd tests fail writes and fsyncs through it.
 type File struct {
 	F interface {
 		io.Writer
@@ -242,10 +239,3 @@ func (f *File) Sync() error {
 }
 
 func (f *File) Close() error { return f.F.Close() }
-
-// Syncs returns the number of Sync calls observed.
-func (f *File) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
-}

@@ -28,7 +28,7 @@ func TestWriterFailAfterBytes(t *testing.T) {
 	if n, err := w.Write([]byte("x")); n != 0 || !errors.Is(err, ErrInjected) {
 		t.Fatalf("post-trip write: n=%d err=%v", n, err)
 	}
-	if !w.Script.Tripped() {
+	if !w.Script.tripped {
 		t.Fatal("script not marked tripped")
 	}
 }
@@ -59,10 +59,6 @@ func TestNilScriptPassesThrough(t *testing.T) {
 	w := &Writer{W: &buf}
 	if n, err := w.Write([]byte("hello")); n != 5 || err != nil {
 		t.Fatalf("n=%d err=%v", n, err)
-	}
-	var s *Script
-	if s.Tripped() {
-		t.Fatal("nil script tripped")
 	}
 }
 
@@ -167,8 +163,8 @@ func TestFileFailSyncAt(t *testing.T) {
 	if mf.syncs != 1 {
 		t.Fatalf("underlying synced %d times, want 1", mf.syncs)
 	}
-	if f.Syncs() != 3 {
-		t.Fatalf("observed %d syncs, want 3", f.Syncs())
+	if f.syncs != 3 {
+		t.Fatalf("observed %d syncs, want 3", f.syncs)
 	}
 }
 

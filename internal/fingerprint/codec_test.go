@@ -30,12 +30,12 @@ func binaryRoundTrip(t testing.TB, r *Record) *Record {
 
 func jsonRoundTrip(t testing.TB, r *Record) *Record {
 	t.Helper()
-	b, err := r.Marshal()
+	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalRecord(b)
-	if err != nil {
+	got := new(Record)
+	if err := json.Unmarshal(b, got); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -471,14 +471,14 @@ func BenchmarkDecodeRecord(b *testing.B) {
 }
 
 func BenchmarkJSONUnmarshalRecord(b *testing.B) {
-	p, err := sampleRecord().Marshal()
+	p, err := json.Marshal(sampleRecord())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(p)))
 	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalRecord(p); err != nil {
+		if err := json.Unmarshal(p, new(Record)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -186,16 +186,6 @@ func equalSlices(a, b []string) bool {
 	return true
 }
 
-// HasFont reports whether the fingerprint's font list contains name.
-func (fp *Fingerprint) HasFont(name string) bool {
-	for _, f := range fp.Fonts {
-		if f == name {
-			return true
-		}
-	}
-	return false
-}
-
 // AddFonts returns fp's font list with the given fonts added (absent
 // ones only), sorted. It does not mutate fp. When both lists are
 // already sorted it merges them; otherwise it deduplicates through a

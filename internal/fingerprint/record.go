@@ -1,9 +1,6 @@
 package fingerprint
 
-import (
-	"encoding/json"
-	"time"
-)
+import "time"
 
 // Record is one visit as stored by the collection server: the
 // fingerprint plus the out-of-band identifiers the study uses for
@@ -19,16 +16,4 @@ type Record struct {
 	OS      string       `json:"os"`      // parsed OS family
 	Device  string       `json:"device"`  // parsed device model
 	Mobile  bool         `json:"mobile"`
-}
-
-// Marshal encodes the record as JSON (the wire and storage format).
-func (r *Record) Marshal() ([]byte, error) { return json.Marshal(r) }
-
-// UnmarshalRecord decodes a record from its JSON form.
-func UnmarshalRecord(b []byte) (*Record, error) {
-	var r Record
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

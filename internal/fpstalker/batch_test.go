@@ -9,10 +9,10 @@ import (
 	"fpdyn/internal/mlearn"
 )
 
-// scalarTopK is the per-pair oracle for the learning linker's batch
+// scalarTopK is the per-pair oracle for the learning linker's block
 // scorer: the same candidate set, candidate loop and family prefilter,
-// but each pair vector built and scored on its own instead of gathered
-// into the block matrix that PredictProbaAtLeastBatch scores.
+// but each pair vector built into a fresh slice instead of the buffer
+// the linker reuses across a block.
 func scalarTopK(l *LearnLinker, rec *fingerprint.Record, k int) []Candidate {
 	q := newPairEntry("", rec)
 	l.eng.mu.RLock()

@@ -365,8 +365,8 @@ func putCandBuf(bp *[]Candidate) {
 }
 
 // scoreBlock is the candidate-block size the scorers work in: large
-// enough that a batch forest pass amortizes its per-block setup, small
-// enough that a block of pair vectors stays cache-resident.
+// enough to amortize a block's pool round trip and cancellation poll,
+// small enough that a block of entry views stays cache-resident.
 const scoreBlock = 256
 
 // viewBlock is one worker's scoring scratch: scoreBlock entry views
@@ -393,8 +393,8 @@ var blockPool = sync.Pool{New: func() any {
 // a block at a time, hands each block of up to scoreBlock views to
 // score, which appends the accepted ones to out in block order, and
 // returns the top k under Rank's order as a fresh slice. The rule
-// linker's score walks the block entry by entry; the learning
-// linker's scores it with one batch forest pass. workers ≤ 0 sizes
+// linker's score walks the block entry by entry, and so does the
+// learning linker's, one forest evaluation per kept pair. workers ≤ 0 sizes
 // the pool by parallel.Resolve (GOMAXPROCS); workers == 1 or a small
 // candidate set keeps it serial. Parallel chunks are merged before the
 // deterministic ranking, so blocked, parallel and serial runs return

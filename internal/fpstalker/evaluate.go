@@ -84,8 +84,8 @@ func Evaluate(l Linker, records []*fingerprint.Record, instances []int, k int) E
 
 // TimeMatching measures the mean TopK latency of l for the given
 // queries — the Figure 9 measurement. Each linker is timed on its
-// production path: for LearnLinker that is block-batched forest
-// scoring (one forest pass per candidate block).
+// production path: for LearnLinker that is one early-exit forest
+// evaluation per kept candidate pair.
 //
 // Protocol: one untimed warm-up pass over the full query set (so the
 // UA parse memo, the exact-match index buckets and the CPU caches are

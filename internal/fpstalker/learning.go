@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"fpdyn/internal/fingerprint"
@@ -98,58 +97,28 @@ func (l *LearnLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k in
 	reject := func(e *entry) bool {
 		return q.ok && e.ok && (q.ua.Browser != e.ua.Browser || q.ua.Mobile != e.ua.Mobile)
 	}
-	// Each candidate block becomes one row-major matrix of pair vectors
-	// that PredictProbaAtLeastBatch scores row by row.
+	// Each kept pair's vector is built into one buffer the block
+	// reuses, then scored on its own.
 	return l.eng.scoreTopK(ctx, cs, l.Workers, k, func(es []*entry, out []Candidate) []Candidate {
-		s := batchPool.Get().(*batchScratch)
-		kept, xs := s.kept[:0], s.xs[:0]
+		var buf [NumPairFeatures]float64
 		for _, e := range es {
 			if reject(e) {
 				continue
 			}
-			xs = appendPairVector(xs, e, q)
-			kept = append(kept, e)
-		}
-		if len(kept) > 0 {
-			probs := s.probs[:len(kept)]
-			oks := s.oks[:len(kept)]
-			l.Forest.PredictProbaAtLeastBatch(xs, linkThreshold, probs, oks)
-			for i, e := range kept {
-				if oks[i] {
-					out = append(out, Candidate{ID: e.id, Score: probs[i]})
-				}
+			if p, ok := l.Forest.PredictProbaAtLeast(appendPairVector(buf[:0], e, q), linkThreshold); ok {
+				out = append(out, Candidate{ID: e.id, Score: p})
 			}
 		}
-		s.kept, s.xs = kept, xs
-		batchPool.Put(s)
 		return out
 	})
 }
 
-// batchScratch holds one scoring worker's per-block buffers: the
-// row-major pair-vector matrix, the surviving entries, and the
-// per-row verdicts. Sized to scoreBlock so a block never reallocates.
-type batchScratch struct {
-	xs    []float64
-	kept  []*entry
-	probs []float64
-	oks   []bool
-}
-
-var batchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		xs:    make([]float64, 0, scoreBlock*NumPairFeatures),
-		kept:  make([]*entry, 0, scoreBlock),
-		probs: make([]float64, scoreBlock),
-		oks:   make([]bool, scoreBlock),
-	}
-}}
-
-// NumPairFeatures is the dimensionality of PairVector.
+// NumPairFeatures is the dimensionality of the pair vector
+// appendPairVector builds.
 const NumPairFeatures = 16
 
-// PairFeatureNames labels PairVector's dimensions, in order — used to
-// report the trained model's feature importances.
+// PairFeatureNames labels the pair vector's dimensions, in order —
+// used to report the trained model's feature importances.
 var PairFeatureNames = [NumPairFeatures]string{
 	"same browser family",
 	"browser version movement",
@@ -169,28 +138,12 @@ var PairFeatureNames = [NumPairFeatures]string{
 	"time gap",
 }
 
-// PairVector builds the similarity feature vector for a (known, query)
-// fingerprint pair — per-feature equality indicators, Jaccard
-// similarities for set features, version movement, and the time gap —
+// appendPairVector builds the similarity feature vector for a (known,
+// query) pair into dst — per-feature equality indicators, Jaccard
+// similarities for set features, version movement, and the time gap,
 // the same flavour of features the original FP-Stalker model uses.
-// User agents are parsed through the memoizing CachedParse; callers
-// that already hold parsed UAs and precomputed feature keys (the
-// linker's entries) use pairVectorEntries directly.
-func PairVector(known, query *fingerprint.Record) []float64 {
-	return pairVectorEntries(newPairEntry("", known), newPairEntry("", query))
-}
-
-// pairVectorEntries is PairVector with both sides already preprocessed
-// — the cached path the matching engine threads its per-entry UAs and
-// feature keys through, so scoring N candidates costs zero re-parses
-// and zero key rebuilds.
-func pairVectorEntries(known, query *entry) []float64 {
-	return appendPairVector(make([]float64, 0, NumPairFeatures), known, query)
-}
-
-// appendPairVector builds the pair feature vector into dst, which the
-// scoring hot path recycles through a pool so a query over an
-// N-candidate bucket performs no per-pair allocation.
+// The scoring hot path passes one buffer per candidate block, so a
+// query over an N-candidate bucket performs no per-pair allocation.
 func appendPairVector(dst []float64, known, query *entry) []float64 {
 	eq := func(cond bool) float64 {
 		if cond {
@@ -369,7 +322,7 @@ func samplePairSpecs(instances []int, rng *rand.Rand) []pairSpec {
 // order preserved) followed by a parallel construction pass that
 // preprocesses each referenced record once (UA parse, feature keys,
 // sorted set hashes) and builds the pair vectors on the worker pool.
-// The PairVector builds dominate TrainPairModel preprocessing; both
+// The pair-vector builds dominate TrainPairModel preprocessing; both
 // the output pairs and their order are identical for every worker
 // count, and to the historical fully-serial builder.
 func pairTrainingSet(records []*fingerprint.Record, instances []int, rng *rand.Rand, workers int) []trainPair {

@@ -10,6 +10,25 @@ import (
 	"fpdyn/internal/useragent"
 )
 
+// PairVector builds the similarity feature vector for a (known, query)
+// fingerprint pair — per-feature equality indicators, Jaccard
+// similarities for set features, version movement, and the time gap —
+// the same flavour of features the original FP-Stalker model uses.
+// User agents are parsed through the memoizing CachedParse; callers
+// that already hold parsed UAs and precomputed feature keys (the
+// linker's entries) use pairVectorEntries directly.
+func PairVector(known, query *fingerprint.Record) []float64 {
+	return pairVectorEntries(newPairEntry("", known), newPairEntry("", query))
+}
+
+// pairVectorEntries is PairVector with both sides already preprocessed
+// — the cached path the matching engine threads its per-entry UAs and
+// feature keys through, so scoring N candidates costs zero re-parses
+// and zero key rebuilds.
+func pairVectorEntries(known, query *entry) []float64 {
+	return appendPairVector(make([]float64, 0, NumPairFeatures), known, query)
+}
+
 func TestJaccardDeduplicates(t *testing.T) {
 	cases := []struct {
 		name string

@@ -15,8 +15,6 @@ package geoip
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -148,30 +146,12 @@ func (db *DB) ByName(name string) (City, bool) {
 }
 
 // IPFor synthesizes a stable dotted-quad address for (city index, host).
-// The first two octets encode the city so Lookup can invert it; the rest
-// encode the host. Addresses stay within 100.64.0.0/10-adjacent space to
+// The first two octets encode the city, so the address inverts to it
+// (the tests' Lookup); the rest encode the host. Addresses stay within 100.64.0.0/10-adjacent space to
 // avoid colliding with documented real ranges in reports.
 func (db *DB) IPFor(cityIdx, host int) string {
 	cityIdx %= len(db.cities)
 	return fmt.Sprintf("%d.%d.%d.%d", 100+cityIdx/200, cityIdx%200+1, (host/250)%250+1, host%250+1)
-}
-
-// Lookup resolves an address produced by IPFor back to its city.
-func (db *DB) Lookup(ip string) (City, bool) {
-	parts := strings.Split(ip, ".")
-	if len(parts) != 4 {
-		return City{}, false
-	}
-	a, err1 := strconv.Atoi(parts[0])
-	b, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil || a < 100 || b < 1 {
-		return City{}, false
-	}
-	idx := (a-100)*200 + b - 1
-	if idx < 0 || idx >= len(db.cities) {
-		return City{}, false
-	}
-	return db.cities[idx], true
 }
 
 const earthRadiusKm = 6371.0

@@ -123,6 +123,18 @@ func TestGPUInferenceEmpty(t *testing.T) {
 	}
 }
 
+// Velocity runs a VelocityAccumulator over every instance's
+// consecutive visit pairs, as the report does per partition.
+func Velocity(instances map[string][]*fingerprint.Record, geo *geoip.DB) VelocityReport {
+	a := NewVelocityAccumulator(geo)
+	for id, recs := range instances {
+		for i := 1; i < len(recs); i++ {
+			a.Add(id, recs[i-1], recs[i])
+		}
+	}
+	return a.Report()
+}
+
 func TestVelocityCrafted(t *testing.T) {
 	geo := geoip.New(0)
 	t0 := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)

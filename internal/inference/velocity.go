@@ -93,15 +93,3 @@ func (a *VelocityAccumulator) Report() VelocityReport {
 	}
 	return rep
 }
-
-// Velocity runs a VelocityAccumulator over every instance's
-// consecutive visit pairs.
-func Velocity(instances map[string][]*fingerprint.Record, geo *geoip.DB) VelocityReport {
-	a := NewVelocityAccumulator(geo)
-	for id, recs := range instances {
-		for i := 1; i < len(recs); i++ {
-			a.Add(id, recs[i-1], recs[i])
-		}
-	}
-	return a.Report()
-}

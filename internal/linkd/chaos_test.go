@@ -22,6 +22,18 @@ type chaosAdd struct {
 	t   time.Duration
 }
 
+// Abandon tears the service down without closing the journal cleanly —
+// the chaos tests' in-process kill -9: whatever the WAL already wrote
+// (and fsynced, per policy) is on disk, everything else is lost, and
+// no goroutine keeps running.
+func (s *Service) Abandon() {
+	s.closed.Store(true)
+	if s.stopSample != nil {
+		close(s.stopSample)
+		<-s.sampleDone
+	}
+}
+
 // runChaos exercises the crash-safety contract: a service with a
 // SyncAlways journal takes adds (single adder, so the ACKed set is a
 // prefix) under concurrent query load, dies mid-stream via Abandon —

@@ -150,7 +150,7 @@ func TestOverloadDecisionsPinned(t *testing.T) {
 			t.Fatalf("interval %d (n=%d slow=%d mid=%d shed=%d): SampleOverload = %v, want %v",
 				i, n, nSlow, nMid, shed, got, want)
 		}
-		if got := svc.Degraded(); got != want {
+		if got := svc.degraded.Load(); got != want {
 			t.Fatalf("interval %d: Degraded = %v, want %v", i, got, want)
 		}
 	}

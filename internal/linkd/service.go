@@ -260,10 +260,6 @@ func (s *Service) WALError() error {
 // Len returns the number of live instances.
 func (s *Service) Len() int { return s.rule.Len() }
 
-// Degraded reports whether queries are currently served rule-based
-// because of overload.
-func (s *Service) Degraded() bool { return s.degraded.Load() }
-
 // applyLocked installs one observation into the table, the evictor and
 // both linkers, without journaling. Callers hold s.mu (or own the
 // service exclusively during recovery).
@@ -532,16 +528,4 @@ func (s *Service) Close() error {
 		return s.wal.Close()
 	}
 	return nil
-}
-
-// Abandon tears the service down without closing the journal cleanly —
-// the chaos tests' in-process kill -9: whatever the WAL already wrote
-// (and fsynced, per policy) is on disk, everything else is lost, and
-// no goroutine keeps running.
-func (s *Service) Abandon() {
-	s.closed.Store(true)
-	if s.stopSample != nil {
-		close(s.stopSample)
-		<-s.sampleDone
-	}
 }

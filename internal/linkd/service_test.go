@@ -397,7 +397,7 @@ func TestSampleOverloadModeSwitch(t *testing.T) {
 	if !svc.SampleOverload() { // bad streak 3 → flip
 		t.Fatalf("not degraded after %d bad intervals", degradeAfter)
 	}
-	if !svc.Degraded() {
+	if !svc.degraded.Load() {
 		t.Fatal("Degraded() = false in degraded mode")
 	}
 	if got := svc.m.modeRule.Value(); got != 1 {
@@ -415,12 +415,12 @@ func TestSampleOverloadModeSwitch(t *testing.T) {
 	// degraded query above took far less than 0.1 s.
 	for i := 1; i < recoverAfter; i++ {
 		svc.SampleOverload()
-		if !svc.Degraded() {
+		if !svc.degraded.Load() {
 			t.Fatalf("recovered after %d good intervals", i)
 		}
 	}
 	svc.SampleOverload()
-	if svc.Degraded() {
+	if svc.degraded.Load() {
 		t.Fatalf("not recovered after %d good intervals", recoverAfter)
 	}
 	if got := svc.m.modeRule.Value(); got != 0 {

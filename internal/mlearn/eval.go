@@ -12,23 +12,6 @@ type Confusion struct {
 	FN int // predicted 0, truth 1
 }
 
-// Observe counts one (truth, predicted) outcome.
-func (c *Confusion) Observe(truth, predicted int) {
-	switch {
-	case truth == 1 && predicted == 1:
-		c.TP++
-	case truth == 1:
-		c.FN++
-	case predicted == 1:
-		c.FP++
-	default:
-		c.TN++
-	}
-}
-
-// Total is the number of observed outcomes.
-func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // Precision is TP / (TP + FP), 0 when nothing was predicted positive.
 func (c Confusion) Precision() float64 {
 	if c.TP+c.FP == 0 {
@@ -52,12 +35,4 @@ func (c Confusion) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// Accuracy is the fraction of correct predictions, 0 on no data.
-func (c Confusion) Accuracy() float64 {
-	if c.Total() == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(c.Total())
 }

@@ -16,26 +16,9 @@ func TestConfusionMetrics(t *testing.T) {
 	if f := c.F1(); f < 0.8-1e-12 || f > 0.8+1e-12 {
 		t.Fatalf("f1 = %v", f)
 	}
-	if a := c.Accuracy(); a != 18.0/22 {
-		t.Fatalf("accuracy = %v", a)
-	}
-	if tot := c.Total(); tot != 22 {
-		t.Fatalf("total = %v", tot)
-	}
 	var zero Confusion
-	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 || zero.Accuracy() != 0 {
+	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 {
 		t.Fatal("zero confusion must yield zero metrics, not NaN")
-	}
-}
-
-func TestConfusionObserve(t *testing.T) {
-	var c Confusion
-	c.Observe(1, 1)
-	c.Observe(1, 0)
-	c.Observe(0, 1)
-	c.Observe(0, 0)
-	if c != (Confusion{TP: 1, FN: 1, FP: 1, TN: 1}) {
-		t.Fatalf("counts = %+v", c)
 	}
 }
 

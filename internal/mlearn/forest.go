@@ -201,9 +201,9 @@ func (f *Forest) Importances() []float64 {
 }
 
 // predictTree walks one tree (by root node index) for a single vector
-// and returns its leaf probability. It is the forest's one walk:
-// PredictProba and PredictProbaAtLeast call it, and the block form
-// PredictProbaAtLeastBatch calls PredictProbaAtLeast.
+// and returns its leaf probability. It is the forest's one walk, and
+// PredictProbaAtLeast is its one caller. A NaN feature fails the
+// trainer's x <= val test, so it goes right.
 func (f *Forest) predictTree(root int32, x []float64) float64 {
 	knodes := f.knodes // a local, so the walk loop does not reload the slice header
 	c := root
@@ -219,28 +219,17 @@ func (f *Forest) predictTree(root int32, x []float64) float64 {
 	return f.prob[c]
 }
 
-// PredictProba returns the forest-averaged probability of class 1.
-func (f *Forest) PredictProba(x []float64) float64 {
-	if len(x) != f.numFeatures {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, root := range f.roots {
-		sum += f.predictTree(root, x)
-	}
-	return sum / float64(len(f.roots))
-}
-
 // PredictProbaAtLeast evaluates trees until the forest-averaged
 // probability of class 1 either is fully determined or provably cannot
 // reach threshold. When the probability clears the threshold it is
-// returned exactly (every tree evaluated, identical to PredictProba);
+// returned exactly (every tree evaluated, the full forest average);
 // otherwise ok=false after however many trees settled it — each tree
 // emits a probability in [0, 1], so once the partial sum plus the
 // remaining tree count falls below threshold·len(trees) no suffix of
 // evaluations can recover. Candidate-filtering hot paths that discard
 // below-threshold pairs use this to skip most of the ensemble on clear
-// rejects.
+// rejects; threshold 0 walks every tree and always reports ok. A
+// vector of the wrong dimension returns NaN, false.
 func (f *Forest) PredictProbaAtLeast(x []float64, threshold float64) (p float64, ok bool) {
 	if len(x) != f.numFeatures {
 		return math.NaN(), false
@@ -257,9 +246,3 @@ func (f *Forest) PredictProbaAtLeast(x []float64, threshold float64) (p float64,
 	p = sum / float64(n)
 	return p, p >= threshold
 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.roots) }
-
-// NumFeatures returns the trained dimensionality.
-func (f *Forest) NumFeatures() int { return f.numFeatures }

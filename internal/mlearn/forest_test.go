@@ -39,11 +39,25 @@ func xorData(n int, seed int64) ([][]float64, []int) {
 	return X, y
 }
 
+// predictProba is the forest-averaged probability of class 1 with
+// every tree walked: the oracle PredictProbaAtLeast's early exit is
+// held to. NaN on a vector of the wrong dimension.
+func predictProba(f *Forest, x []float64) float64 {
+	if len(x) != f.numFeatures {
+		return math.NaN()
+	}
+	sum := 0.0
+	for _, root := range f.roots {
+		sum += f.predictTree(root, x)
+	}
+	return sum / float64(len(f.roots))
+}
+
 func accuracy(f *Forest, X [][]float64, y []int) float64 {
 	hit := 0
 	for i, x := range X {
 		pred := 0
-		if f.PredictProba(x) >= 0.5 {
+		if predictProba(f, x) >= 0.5 {
 			pred = 1
 		}
 		if pred == y[i] {
@@ -121,7 +135,7 @@ func TestDeterministicTraining(t *testing.T) {
 	f2, _ := TrainForest(X, y, ForestConfig{Seed: 7})
 	for i := 0; i < 50; i++ {
 		x := []float64{float64(i) / 50, float64(50-i) / 50}
-		if f1.PredictProba(x) != f2.PredictProba(x) {
+		if predictProba(f1, x) != predictProba(f2, x) {
 			t.Fatal("same seed gave different forests")
 		}
 	}
@@ -129,7 +143,7 @@ func TestDeterministicTraining(t *testing.T) {
 	diff := false
 	for i := 0; i < 50 && !diff; i++ {
 		x := []float64{float64(i) / 50, 0.3}
-		if f1.PredictProba(x) != f3.PredictProba(x) {
+		if predictProba(f1, x) != predictProba(f3, x) {
 			diff = true
 		}
 	}
@@ -145,7 +159,7 @@ func TestPureClassShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := f.PredictProba([]float64{2}); p != 1 {
+	if p := predictProba(f, []float64{2}); p != 1 {
 		t.Fatalf("pure-positive forest predicts %v", p)
 	}
 }
@@ -153,8 +167,8 @@ func TestPureClassShortcut(t *testing.T) {
 func TestPredictDimensionMismatch(t *testing.T) {
 	X, y := linearlySeparable(100, 9)
 	f, _ := TrainForest(X, y, ForestConfig{Seed: 1})
-	if !math.IsNaN(f.PredictProba([]float64{1})) {
-		t.Fatal("dimension mismatch not flagged")
+	if p, ok := f.PredictProbaAtLeast([]float64{1}, 0); !math.IsNaN(p) || ok {
+		t.Fatalf("dimension mismatch not flagged: p=%v ok=%v", p, ok)
 	}
 }
 
@@ -199,8 +213,8 @@ func TestZeroConfigBackCompat(t *testing.T) {
 func TestNumTrees(t *testing.T) {
 	X, y := linearlySeparable(100, 11)
 	f, _ := TrainForest(X, y, ForestConfig{Seed: 1, NumTrees: 7})
-	if f.NumTrees() != 7 {
-		t.Fatalf("NumTrees = %d", f.NumTrees())
+	if len(f.roots) != 7 {
+		t.Fatalf("%d trees, want 7", len(f.roots))
 	}
 }
 
@@ -209,7 +223,7 @@ func TestProbaRangeProperty(t *testing.T) {
 	X, y := xorData(300, 13)
 	f, _ := TrainForest(X, y, ForestConfig{Seed: 13})
 	fn := func(a, b uint8) bool {
-		p := f.PredictProba([]float64{float64(a) / 255, float64(b) / 255})
+		p, _ := f.PredictProbaAtLeast([]float64{float64(a) / 255, float64(b) / 255}, 0)
 		return p >= 0 && p <= 1
 	}
 	if err := quick.Check(fn, nil); err != nil {
@@ -232,7 +246,7 @@ func TestConstantFeatureProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := f.PredictProba([]float64{1.0})
+	p, _ := f.PredictProbaAtLeast([]float64{1.0}, 0)
 	if p < 0.1 || p > 0.45 {
 		t.Fatalf("base-rate prediction %v far from 0.25", p)
 	}
@@ -255,7 +269,7 @@ func BenchmarkPredict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictProba(x)
+		f.PredictProbaAtLeast(x, 0)
 	}
 }
 
@@ -302,8 +316,8 @@ func TestImportancesDegenerate(t *testing.T) {
 
 func TestPredictProbaAtLeastAgrees(t *testing.T) {
 	// The early-exit path must be a pure optimization: above the
-	// threshold it returns exactly PredictProba, below it only the
-	// accept/reject verdict may be short-circuited.
+	// threshold it returns exactly the full forest average, below it
+	// only the accept/reject verdict may be short-circuited.
 	X, y := linearlySeparable(400, 7)
 	f, err := TrainForest(X, y, ForestConfig{Seed: 7, NumTrees: 15})
 	if err != nil {
@@ -313,10 +327,10 @@ func TestPredictProbaAtLeastAgrees(t *testing.T) {
 	for _, threshold := range []float64{0, 0.3, 0.5, 0.9} {
 		for i := 0; i < 500; i++ {
 			x := []float64{rng.Float64() * 1.5, rng.Float64() * 1.5}
-			want := f.PredictProba(x)
+			want := predictProba(f, x)
 			p, ok := f.PredictProbaAtLeast(x, threshold)
 			if ok != (want >= threshold) {
-				t.Fatalf("threshold %v, x %v: ok=%v but PredictProba=%v", threshold, x, ok, want)
+				t.Fatalf("threshold %v, x %v: ok=%v but the full average is %v", threshold, x, ok, want)
 			}
 			if ok && p != want {
 				t.Fatalf("threshold %v, x %v: p=%v, want exact %v", threshold, x, p, want)
@@ -325,5 +339,84 @@ func TestPredictProbaAtLeastAgrees(t *testing.T) {
 	}
 	if _, ok := f.PredictProbaAtLeast([]float64{1}, 0.5); ok {
 		t.Fatal("dimension mismatch must not report ok")
+	}
+}
+
+// TestNaNRoutesRight is the NaN-routing regression test. The trainer
+// sends a row left when x <= val, so a NaN feature, which fails every
+// comparison, goes right at every split, exactly as +Inf does.
+// PredictProbaAtLeast must follow that rule across forests and
+// thresholds; the -Inf comparison proves the NaN rows reach splits on
+// the NaN feature, so the check is not vacuous.
+func TestNaNRoutesRight(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, cfg := range []ForestConfig{
+		{Seed: 1, NumTrees: 1},
+		{Seed: 2, NumTrees: 15, MaxDepth: 4},
+		{Seed: 3, NumTrees: 30},
+	} {
+		X, y := xorData(400, cfg.Seed)
+		f, err := TrainForest(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := 0
+		for i := 0; i < 1000; i++ {
+			base := make([]float64, f.numFeatures)
+			for k := range base {
+				base[k] = rng.Float64() * 1.5
+			}
+			j := rng.Intn(len(base))
+			row := func(v float64) []float64 {
+				x := append([]float64(nil), base...)
+				x[j] = v
+				return x
+			}
+			nan, inf := row(math.NaN()), row(math.Inf(1))
+			for _, threshold := range []float64{0, 0.3, 0.5, 0.9, 1} {
+				gotP, gotOK := f.PredictProbaAtLeast(nan, threshold)
+				wantP, wantOK := f.PredictProbaAtLeast(inf, threshold)
+				if gotP != wantP || gotOK != wantOK {
+					t.Fatalf("cfg %+v thr=%v row %v: NaN gives (%v,%v), +Inf (%v,%v)",
+						cfg, threshold, nan, gotP, gotOK, wantP, wantOK)
+				}
+			}
+			if predictProba(f, nan) != predictProba(f, row(math.Inf(-1))) {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("cfg %+v: no row's prediction depends on which way its NaN goes", cfg)
+		}
+	}
+}
+
+func BenchmarkTrain20K(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	n, d := 20000, 16
+	X := make([][]float64, n)
+	y := make([]int, n)
+	for i := range X {
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = rng.Float64()
+		}
+		if row[0]+row[3]+row[13]+0.2*rng.NormFloat64() > 1.5 {
+			y[i] = 1
+		}
+		X[i] = row
+	}
+	for _, mode := range []struct {
+		name    string
+		workers int
+	}{{"workers-1", 1}, {"workers-ncpu", 0}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := TrainForest(X, y, ForestConfig{Seed: 1, Workers: mode.workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -36,7 +36,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 200; i++ {
 			x := []float64{rng.Float64(), rng.Float64()}
-			if ref.PredictProba(x) != f.PredictProba(x) {
+			if predictProba(ref, x) != predictProba(f, x) {
 				t.Fatalf("Workers=%d probability differs at %v", workers, x)
 			}
 		}

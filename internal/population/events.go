@@ -43,13 +43,6 @@ const (
 	EvColorDepth     EventType = "env-colordepth"
 )
 
-// IsUserAction reports whether the event is in the user-action category.
-func (e EventType) IsUserAction() bool { return len(e) > 3 && e[:3] == "ua-" }
-
-// IsEnvironment reports whether the event is in the environment-update
-// category.
-func (e EventType) IsEnvironment() bool { return len(e) > 4 && e[:4] == "env-" }
-
 // advance applies all instance-level background changes scheduled in
 // (from, to]: browser release adoptions and their canvas/plugin side
 // effects, plus the Firefox DirectX quirk. It returns the ground-truth

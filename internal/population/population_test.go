@@ -1,6 +1,7 @@
 package population
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -119,7 +120,7 @@ func TestVisitDistribution(t *testing.T) {
 func TestCookieClearingShareCalibration(t *testing.T) {
 	ds := world(t)
 	gt := browserid.Build(ds.Records)
-	share := gt.CookieClearingShare()
+	share := gt.Accumulate().CookieClearingShare()
 	// Paper: ~32% of instances have more than one cookie.
 	if share < 0.12 || share > 0.55 {
 		t.Errorf("cookie clearing share = %.2f, want roughly 0.32", share)
@@ -129,7 +130,7 @@ func TestCookieClearingShareCalibration(t *testing.T) {
 func TestMultiBrowserUsers(t *testing.T) {
 	ds := world(t)
 	gt := browserid.Build(ds.Records)
-	share := gt.MultiBrowserUserShare()
+	share := gt.Accumulate().MultiBrowserUserShare()
 	// Paper: ~14% of users have multiple devices (plus second browsers).
 	if share < 0.05 || share > 0.35 {
 		t.Errorf("multi-browser user share = %.2f, want roughly 0.15", share)
@@ -324,9 +325,9 @@ func TestEventCategoryMixRoughlyCalibrated(t *testing.T) {
 				browser++
 			case l == EvOSUpdate:
 				os++
-			case l.IsUserAction():
+			case strings.HasPrefix(string(l), "ua-"):
 				action++
-			case l.IsEnvironment():
+			case strings.HasPrefix(string(l), "env-"):
 				env++
 			}
 		}

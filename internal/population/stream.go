@@ -328,35 +328,3 @@ func (sd *SpilledDataset) Close() error {
 	}
 	return err
 }
-
-// Load drains the stream into an in-memory Dataset — the legacy slice
-// adapter. It exists for the digest-equality tests and for callers that
-// want the spill-path generation but the slice-consuming analyses; at
-// large scale use Stream instead.
-func (sd *SpilledDataset) Load() (*Dataset, error) {
-	ds := &Dataset{
-		Cfg:          sd.Cfg,
-		CanvasImages: sd.CanvasImages,
-		GPUImageInfo: sd.GPUImageInfo,
-		Geo:          sd.Geo,
-		NumInstances: sd.NumInstances,
-	}
-	st, err := sd.Stream()
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	for {
-		item, ok, err := st.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return ds, nil
-		}
-		ds.Records = append(ds.Records, item.Rec)
-		ds.TrueInstance = append(ds.TrueInstance, item.Instance)
-		ds.VisitIndex = append(ds.VisitIndex, item.VisitIndex)
-		ds.Truth = append(ds.Truth, item.Truth)
-	}
-}

@@ -16,6 +16,36 @@ import (
 	"fpdyn/internal/storage"
 )
 
+// Load drains the stream into an in-memory Dataset: the oracle the
+// digest-equality tests hold the spill path to against Simulate.
+func (sd *SpilledDataset) Load() (*Dataset, error) {
+	ds := &Dataset{
+		Cfg:          sd.Cfg,
+		CanvasImages: sd.CanvasImages,
+		GPUImageInfo: sd.GPUImageInfo,
+		Geo:          sd.Geo,
+		NumInstances: sd.NumInstances,
+	}
+	st, err := sd.Stream()
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	for {
+		item, ok, err := st.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return ds, nil
+		}
+		ds.Records = append(ds.Records, item.Rec)
+		ds.TrueInstance = append(ds.TrueInstance, item.Instance)
+		ds.VisitIndex = append(ds.VisitIndex, item.VisitIndex)
+		ds.Truth = append(ds.Truth, item.Truth)
+	}
+}
+
 func streamTestConfig(workers int) Config {
 	cfg := DefaultConfig(150)
 	cfg.Seed = 42

@@ -8,12 +8,6 @@
 // holds; the slice entry points are loops over the same accumulators.
 package stats
 
-import (
-	"sort"
-
-	"fpdyn/internal/fingerprint"
-)
-
 // AnonymityCurve is the Figure 2 series: for each anonymous-set size
 // threshold k (1-indexed), the percentage of fingerprints whose
 // anonymous set has at most k members.
@@ -78,25 +72,4 @@ func (a *AnonymityAccumulator) Curve(maxK int) AnonymityCurve {
 		curve.PctIdentifiable[k-1] = 100 * float64(cum) / float64(a.records)
 	}
 	return curve
-}
-
-// AnonymitySets computes the identifiability curve over a record set;
-// instanceOf gives each record its instance identity (browser ID).
-// includeIP adds the IP city/region/country features, matching Figure
-// 2's caption.
-func AnonymitySets(records []*fingerprint.Record, instanceOf func(i int) string, includeIP bool, maxK int) AnonymityCurve {
-	idx := make([]int, len(records))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return instanceOf(idx[a]) < instanceOf(idx[b]) })
-	acc := NewAnonymityAccumulator()
-	inst := 0
-	for k, i := range idx {
-		if k == 0 || instanceOf(i) != instanceOf(idx[k-1]) {
-			inst++
-		}
-		acc.Add(inst, records[i].FP.Hash(includeIP))
-	}
-	return acc.Curve(maxK)
 }

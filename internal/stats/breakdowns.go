@@ -31,12 +31,6 @@ func (h Histogram) ShareOf(k, total int) float64 {
 	return float64(h[k]) / float64(total)
 }
 
-// Share returns the fraction (0–1) of mass at bucket k. It re-sums the
-// histogram; inside loops prefer Total + ShareOf.
-func (h Histogram) Share(k int) float64 {
-	return h.ShareOf(k, h.Total())
-}
-
 // VisitBucket is one time bucket of Figure 4.
 type VisitBucket struct {
 	Start     time.Time

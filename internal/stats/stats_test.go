@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -22,9 +23,30 @@ func world(t testing.TB) (*population.Dataset, *browserid.GroundTruth) {
 	return statsWorld, statsGT
 }
 
+// anonymityCurve feeds an AnonymityAccumulator the way the report's
+// Figure 2 fold does: each browser instance's records contiguous under
+// the instance's own ordinal, keeping only the records keep accepts
+// (nil keeps all).
+func anonymityCurve(gt *browserid.GroundTruth, keep func(*fingerprint.Record) bool, includeIP bool, maxK int) AnonymityCurve {
+	ids := make([]string, 0, len(gt.Instances))
+	for id := range gt.Instances {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	acc := NewAnonymityAccumulator()
+	for ord, id := range ids {
+		for _, r := range gt.Instances[id] {
+			if keep == nil || keep(r) {
+				acc.Add(ord+1, r.FP.Hash(includeIP))
+			}
+		}
+	}
+	return acc.Curve(maxK)
+}
+
 func TestAnonymityCurveMonotonic(t *testing.T) {
-	ds, gt := world(t)
-	curve := AnonymitySets(ds.Records, func(i int) string { return gt.IDs[i] }, true, 10)
+	_, gt := world(t)
+	curve := anonymityCurve(gt, nil, true, 10)
 	if len(curve.PctIdentifiable) != 10 {
 		t.Fatalf("curve length %d", len(curve.PctIdentifiable))
 	}
@@ -41,10 +63,9 @@ func TestAnonymityCurveMonotonic(t *testing.T) {
 }
 
 func TestAnonymityIPIncreasesIdentifiability(t *testing.T) {
-	ds, gt := world(t)
-	inst := func(i int) string { return gt.IDs[i] }
-	withIP := AnonymitySets(ds.Records, inst, true, 5)
-	without := AnonymitySets(ds.Records, inst, false, 5)
+	_, gt := world(t)
+	withIP := anonymityCurve(gt, nil, true, 5)
+	without := anonymityCurve(gt, nil, false, 5)
 	if withIP.PctIdentifiable[0] < without.PctIdentifiable[0] {
 		t.Errorf("IP features reduced identifiability: %v vs %v",
 			withIP.PctIdentifiable[0], without.PctIdentifiable[0])
@@ -52,7 +73,10 @@ func TestAnonymityIPIncreasesIdentifiability(t *testing.T) {
 }
 
 func TestAnonymityEmpty(t *testing.T) {
-	curve := AnonymitySets(nil, func(int) string { return "" }, true, 3)
+	curve := NewAnonymityAccumulator().Curve(3)
+	if len(curve.PctIdentifiable) != 3 {
+		t.Fatalf("curve length %d", len(curve.PctIdentifiable))
+	}
 	for _, v := range curve.PctIdentifiable {
 		if v != 0 {
 			t.Fatal("empty input must give a zero curve")
@@ -65,24 +89,24 @@ func TestMobileFirefoxMostIdentifiable(t *testing.T) {
 	// identifiable than default-browser users, because installing a
 	// non-default browser is itself identifying.
 	ds, gt := world(t)
-	subset := func(browser string) ([]*fingerprint.Record, func(int) string) {
-		var recs []*fingerprint.Record
-		var ids []string
-		for i, r := range ds.Records {
-			if r.Browser == browser {
-				recs = append(recs, r)
-				ids = append(ids, gt.IDs[i])
+	browser := func(name string) func(*fingerprint.Record) bool {
+		return func(r *fingerprint.Record) bool { return r.Browser == name }
+	}
+	count := func(keep func(*fingerprint.Record) bool) int {
+		n := 0
+		for _, r := range ds.Records {
+			if keep(r) {
+				n++
 			}
 		}
-		return recs, func(i int) string { return ids[i] }
+		return n
 	}
-	ffRecs, ffInst := subset(useragent.FirefoxMobile)
-	safRecs, safInst := subset(useragent.MobileSafari)
-	if len(ffRecs) < 30 || len(safRecs) < 30 {
+	isFF, isSafari := browser(useragent.FirefoxMobile), browser(useragent.MobileSafari)
+	if count(isFF) < 30 || count(isSafari) < 30 {
 		t.Skip("not enough mobile records at this scale")
 	}
-	ff := AnonymitySets(ffRecs, ffInst, true, 5)
-	saf := AnonymitySets(safRecs, safInst, true, 5)
+	ff := anonymityCurve(gt, isFF, true, 5)
+	saf := anonymityCurve(gt, isSafari, true, 5)
 	t.Logf("Firefox Mobile k=5: %.1f%%; Mobile Safari k=5: %.1f%%",
 		ff.PctIdentifiable[4], saf.PctIdentifiable[4])
 	if ff.PctIdentifiable[4] < saf.PctIdentifiable[4] {
@@ -160,11 +184,12 @@ func TestUserBrowserCookieHistograms(t *testing.T) {
 	_, gt := world(t)
 	users, cookies := gt.Accumulate().IdentifierCounts()
 	perUser, perBrowser := Histogram(users), Histogram(cookies)
-	if perUser.Share(1) < 0.6 {
-		t.Errorf("single-browser users = %.2f, paper ~0.86", perUser.Share(1))
+	userTotal, browserTotal := perUser.Total(), perBrowser.Total()
+	if perUser.ShareOf(1, userTotal) < 0.6 {
+		t.Errorf("single-browser users = %.2f, paper ~0.86", perUser.ShareOf(1, userTotal))
 	}
-	multi := 1 - perBrowser.Share(0) - perBrowser.Share(1)
-	t.Logf("users with 1 browser: %.2f; instances with >1 cookie: %.2f", perUser.Share(1), multi)
+	multi := 1 - perBrowser.ShareOf(0, browserTotal) - perBrowser.ShareOf(1, browserTotal)
+	t.Logf("users with 1 browser: %.2f; instances with >1 cookie: %.2f", perUser.ShareOf(1, userTotal), multi)
 	if multi < 0.1 {
 		t.Errorf("cookie clearing share %.2f too low (paper ~0.32)", multi)
 	}
@@ -255,7 +280,7 @@ func TestStabilityBreakdown(t *testing.T) {
 
 func TestHistogramShareEmpty(t *testing.T) {
 	var h Histogram = map[int]int{}
-	if h.Share(1) != 0 {
+	if h.ShareOf(1, h.Total()) != 0 {
 		t.Fatal("empty histogram share must be 0")
 	}
 }
@@ -277,34 +302,22 @@ func BenchmarkFeatureTable(b *testing.B) {
 	}
 }
 
-func BenchmarkAnonymitySets(b *testing.B) {
-	ds, gt := world(b)
-	inst := func(i int) string { return gt.IDs[i] }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AnonymitySets(ds.Records, inst, true, 10)
-	}
-}
-
-// TestHistogramTotalShare pins the cached-sum contract: ShareOf with a
-// hoisted Total agrees with Share, and the zero-mass edge returns 0.
+// TestHistogramTotalShare pins the cached-sum contract: ShareOf is a
+// bucket's mass over the hoisted Total, and the zero-mass edge returns
+// 0.
 func TestHistogramTotalShare(t *testing.T) {
 	h := Histogram{1: 6, 2: 3, 5: 1}
 	if got := h.Total(); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
 	}
 	total := h.Total()
-	for k := 0; k <= 5; k++ {
-		if got, want := h.ShareOf(k, total), h.Share(k); got != want {
-			t.Errorf("bucket %d: ShareOf = %v, Share = %v", k, got, want)
+	for k, want := range map[int]float64{0: 0, 1: 0.6, 2: 0.3, 3: 0, 5: 0.1} {
+		if got := h.ShareOf(k, total); got != want {
+			t.Errorf("bucket %d: ShareOf = %v, want %v", k, got, want)
 		}
 	}
-	if got := h.Share(1); got != 0.6 {
-		t.Errorf("Share(1) = %v, want 0.6", got)
-	}
 	var empty Histogram
-	if empty.Total() != 0 || empty.Share(3) != 0 || empty.ShareOf(3, 0) != 0 {
+	if empty.Total() != 0 || empty.ShareOf(3, empty.Total()) != 0 {
 		t.Error("empty histogram must report zero total and shares")
 	}
 }

@@ -1,6 +1,7 @@
 package stemming
 
 import (
+	"sort"
 	"testing"
 
 	"fpdyn/internal/browserid"
@@ -126,15 +127,21 @@ func TestStemmingClaimsOnWorld(t *testing.T) {
 	}
 
 	// Claim 2: stemming grows anonymous sets — identifiability drops.
-	inst := func(i int) string { return gt.IDs[i] }
-	rawCurve := stats.AnonymitySets(ds.Records, inst, false, 5)
-	stemmed := make([]*fingerprint.Record, len(ds.Records))
-	for i, r := range ds.Records {
-		cp := *r
-		cp.FP = Stem(r.FP)
-		stemmed[i] = &cp
+	// The report's accumulators, fed each instance's records
+	// contiguously under the instance's ordinal.
+	ids := make([]string, 0, len(gt.Instances))
+	for id := range gt.Instances {
+		ids = append(ids, id)
 	}
-	stemCurve := stats.AnonymitySets(stemmed, inst, false, 5)
+	sort.Strings(ids)
+	raw, stemmed := stats.NewAnonymityAccumulator(), stats.NewAnonymityAccumulator()
+	for ord, id := range ids {
+		for _, r := range gt.Instances[id] {
+			raw.Add(ord+1, r.FP.Hash(false))
+			stemmed.Add(ord+1, Stem(r.FP).Hash(false))
+		}
+	}
+	rawCurve, stemCurve := raw.Curve(5), stemmed.Curve(5)
 	t.Logf("identifiable at k=1: raw %.1f%%, stemmed %.1f%%",
 		rawCurve.PctIdentifiable[0], stemCurve.PctIdentifiable[0])
 	if stemCurve.PctIdentifiable[0] >= rawCurve.PctIdentifiable[0] {

@@ -53,9 +53,6 @@ func TestWriteFileAtomicWriteFault(t *testing.T) {
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("faulted export returned %v, want the injected fault", err)
 			}
-			if !script.Tripped() {
-				t.Fatal("fault never fired: the test is vacuous")
-			}
 			got, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

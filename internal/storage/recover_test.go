@@ -407,7 +407,7 @@ func TestRecoverRefusesOtherShardLayout(t *testing.T) {
 		}
 		for _, cid := range []string{"cid", "cid-0", "cid-1"} {
 			wantSeq, wantOK := st.LastSeq(cid)
-			if seq, ok := ss.LastSeq(cid); seq != wantSeq || ok != wantOK || !ok {
+			if seq, ok := ss.lastSeq(cid); seq != wantSeq || ok != wantOK || !ok {
 				t.Fatalf("LastSeq(%s) = %d, %v after the migration, want %d, true", cid, seq, ok, wantSeq)
 			}
 		}

@@ -187,12 +187,6 @@ func RecoverSharded(opts ShardedWALOptions) (*ShardedStore, ShardedRecoveryStats
 	return ss, stats, nil
 }
 
-// Shards returns the shard count.
-func (ss *ShardedStore) Shards() int { return len(ss.stores) }
-
-// Shard returns the i-th underlying store.
-func (ss *ShardedStore) Shard(i int) *Store { return ss.stores[i] }
-
 func (ss *ShardedStore) recordShard(userID string) *Store {
 	return ss.stores[shardIndex(userID, len(ss.stores))]
 }
@@ -265,9 +259,9 @@ func (ss *ShardedStore) PutValue(hash string, content []byte) {
 	ss.valueShard(hash).PutValue(hash, content)
 }
 
-// LastSeq returns the highest sequence ID applied for a client across
+// lastSeq returns the highest sequence ID applied for a client across
 // all shards.
-func (ss *ShardedStore) LastSeq(clientID string) (uint64, bool) {
+func (ss *ShardedStore) lastSeq(clientID string) (uint64, bool) {
 	var best uint64
 	found := false
 	for _, st := range ss.stores {
@@ -290,8 +284,8 @@ func (ss *ShardedStore) Len() int {
 	return n
 }
 
-// NumValues returns the total distinct value count across shards.
-func (ss *ShardedStore) NumValues() int {
+// numValues returns the total distinct value count across shards.
+func (ss *ShardedStore) numValues() int {
 	n := 0
 	for _, st := range ss.stores {
 		n += st.NumValues()

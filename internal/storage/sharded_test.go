@@ -62,8 +62,8 @@ func TestShardedRoutingAndTotals(t *testing.T) {
 	if ss.Len() != 30 {
 		t.Fatalf("Len = %d, want 30", ss.Len())
 	}
-	if ss.NumValues() != 10 {
-		t.Fatalf("NumValues = %d, want 10", ss.NumValues())
+	if ss.numValues() != 10 {
+		t.Fatalf("numValues = %d, want 10", ss.numValues())
 	}
 	// Every value resolves through its owning shard.
 	for i := 0; i < 10; i++ {
@@ -83,7 +83,7 @@ func TestShardedRoutingAndTotals(t *testing.T) {
 		}
 	}
 	// The per-client sequence table spans shards.
-	if seq, ok := ss.LastSeq("cid"); !ok || seq != 30 {
+	if seq, ok := ss.lastSeq("cid"); !ok || seq != 30 {
 		t.Fatalf("LastSeq = %d, %v, want 30", seq, ok)
 	}
 }
@@ -316,8 +316,8 @@ func TestAppendBatchDurableGroupCommit(t *testing.T) {
 			fsyncs += v
 		}
 	}
-	if fsyncs == 0 || fsyncs > ss.Shards() {
-		t.Fatalf("batch cost %d fsyncs, want 1..%d (one per touched shard)", fsyncs, ss.Shards())
+	if fsyncs == 0 || fsyncs > len(ss.stores) {
+		t.Fatalf("batch cost %d fsyncs, want 1..%d (one per touched shard)", fsyncs, len(ss.stores))
 	}
 
 	results, err = ss.AppendBatchDurable(items, "gc")
@@ -342,7 +342,7 @@ func TestAppendBatchDurableGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.CloseWALs()
-	if seq, ok := got.LastSeq("gc"); !ok || seq != n {
+	if seq, ok := got.lastSeq("gc"); !ok || seq != n {
 		t.Fatalf("recovered LastSeq = %d, %v, want %d", seq, ok, n)
 	}
 	if canonDigest(t, got) != want {

@@ -77,9 +77,9 @@ func TestWriteToReadFromByteCounts(t *testing.T) {
 	if read != written {
 		t.Fatalf("ReadFrom consumed %d bytes, WriteTo wrote %d", read, written)
 	}
-	if loaded.Len() != st.Len() || loaded.NumValues() != st.NumValues() {
+	if loaded.Len() != st.Len() || loaded.numValues() != st.NumValues() {
 		t.Fatalf("round trip lost data: %d/%d records, %d/%d values",
-			loaded.Len(), st.Len(), loaded.NumValues(), st.NumValues())
+			loaded.Len(), st.Len(), loaded.numValues(), st.NumValues())
 	}
 }
 

@@ -118,8 +118,8 @@ func TestRoundTripSerialization(t *testing.T) {
 	if _, err := s2.ReadFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 25 || s2.NumValues() != 2 {
-		t.Fatalf("round trip: %d records, %d values", s2.Len(), s2.NumValues())
+	if s2.Len() != 25 || s2.numValues() != 2 {
+		t.Fatalf("round trip: %d records, %d values", s2.Len(), s2.numValues())
 	}
 	got, want := s2.Records(), s.Records()
 	for i := 0; i < 25; i++ {

@@ -210,8 +210,6 @@ type WAL struct {
 // events. Updates are atomic; nothing here allocates on the append
 // path.
 type walMetrics struct {
-	reg *obs.Registry
-
 	appendSeconds *obs.Histogram
 	fsyncSeconds  *obs.Histogram
 	fsyncFailures *obs.Counter
@@ -236,7 +234,6 @@ func newWALMetrics(reg *obs.Registry, labels []string) walMetrics {
 		reg = obs.NewRegistry()
 	}
 	return walMetrics{
-		reg:           reg,
 		appendSeconds: reg.Histogram("wal_append_seconds", "Latency of one framed append (fsync included under the always policy).", nil, labels...),
 		fsyncSeconds:  reg.Histogram("wal_fsync_seconds", "Latency of one segment fsync, successful or not.", nil, labels...),
 		fsyncFailures: reg.Counter("wal_fsync_failures_total", "Segment fsync calls that returned an error.", labels...),
@@ -256,9 +253,6 @@ func newWALMetrics(reg *obs.Registry, labels []string) walMetrics {
 		snapshotValues:    reg.Gauge("wal_recovered_snapshot_values", "Values loaded from the compaction snapshot by the last recovery.", labels...),
 	}
 }
-
-// Metrics returns the WAL's metric registry for the admin endpoint.
-func (w *WAL) Metrics() *obs.Registry { return w.metrics.reg }
 
 // setErrLocked records the sticky error and flips the gauge. Callers
 // hold w.mu.
@@ -458,27 +452,6 @@ func (w *WAL) Rotate() (active int, err error) {
 		return 0, err
 	}
 	return w.seg, nil
-}
-
-// Sync forces an fsync of the active segment.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLocked() error {
-	if w.closed {
-		return ErrWALClosed
-	}
-	if w.err != nil {
-		return fmt.Errorf("%w: %w", ErrWALSticky, w.err)
-	}
-	if err := w.fsyncLocked(); err != nil {
-		w.setErrLocked(err)
-		return fmt.Errorf("storage: wal fsync: %w", err)
-	}
-	return nil
 }
 
 func (w *WAL) syncLoop() {

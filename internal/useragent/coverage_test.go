@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func TestIsMobileFamily(t *testing.T) {
-	for _, f := range []string{ChromeMobile, FirefoxMobile, MobileSafari, Samsung} {
-		if !IsMobileFamily(f) {
-			t.Errorf("%s should be mobile", f)
-		}
-	}
-	for _, f := range []string{Chrome, Firefox, Safari, Edge, Opera, IE, Maxthon} {
-		if IsMobileFamily(f) {
-			t.Errorf("%s should not be mobile", f)
-		}
-	}
-}
-
-func TestVersionLessAndIsZero(t *testing.T) {
-	if !V(56).Less(V(57)) || V(57).Less(V(56)) {
-		t.Fatal("Less wrong")
-	}
-	if !(Version{-1, -1, -1, -1}).IsZero() {
-		t.Fatal("unset version should be zero")
-	}
-	if V(1).IsZero() {
-		t.Fatal("set version should not be zero")
-	}
-}
-
 func TestWebkitForSafariGenerations(t *testing.T) {
 	cases := []struct {
 		v    Version

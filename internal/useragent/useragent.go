@@ -56,16 +56,6 @@ type UA struct {
 	Mobile         bool    // whether this is a mobile-form-factor UA
 }
 
-// IsMobileFamily reports whether a browser family name denotes a mobile
-// browser.
-func IsMobileFamily(browser string) bool {
-	switch browser {
-	case ChromeMobile, FirefoxMobile, MobileSafari, Samsung:
-		return true
-	}
-	return false
-}
-
 // webkitFor returns the AppleWebKit token version appropriate for the
 // browser generation; Safari's engine version tracks its own release.
 func (u UA) webkitFor() string {

@@ -104,9 +104,3 @@ func (v Version) Compare(o Version) int {
 	}
 	return cmp(v.Build, o.Build)
 }
-
-// Less reports whether v sorts before o.
-func (v Version) Less(o Version) bool { return v.Compare(o) < 0 }
-
-// IsZero reports whether the version is entirely unset.
-func (v Version) IsZero() bool { return v.Major < 0 }
