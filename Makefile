@@ -12,19 +12,22 @@ BENCHTIME_MATCH ?= 2000x
 ## package of the root module. That suite carries the root's two
 ## inventory gates: the flag inventory (flags_test.go,
 ## TestCommandFlagInventory) and the dead-API gate (api_test.go,
-## TestNoDeadInternalAPI: no exported identifier of internal/ without a
-## non-test use in the root module or perfbench). It also runs 10 s
-## smokes of the binary record codec's fuzz target and of the
-## collector's request handler (new-input minimization capped at one
-## run, so the budget goes to fuzzing rather than shrinking inputs) and
-## the benchmark module's own tests (perfbench is a separate module, so
-## ./... does not reach it).
+## TestNoDeadInternalAPI). The dead-API gate fails, counting only
+## non-test code of the root module and perfbench, on an exported
+## identifier of internal/ that nothing uses, on a struct field that
+## nothing reads, and on an exported struct field that nothing sets.
+## It also runs 10 s smokes of the binary record codec's fuzz target
+## and of the collector's request handler (new-input minimization
+## capped at one run, so the budget goes to fuzzing rather than
+## shrinking inputs), and vets and tests the benchmark module
+## (perfbench is a separate module, so ./... does not reach it).
 check: fmt-check lint-determinism bench-compile
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -fuzz=FuzzRecordCodec -fuzztime=10s -fuzzminimizetime=1x ./internal/fingerprint/
 	$(GO) test -run=NONE -fuzz='^FuzzServerHandle$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/collector/
+	cd perfbench && $(GO) vet .
 	cd perfbench && $(GO) test .
 
 ## fmt-check: fail if any Go file of either module (the root and

@@ -10,10 +10,10 @@
 //	fpstalker -bench cases
 //
 // By default both FP-Stalker variants run on the blocked, parallel
-// matching engine. To reproduce the paper's Figure 9 linear-scan
-// numbers, disable both levers:
+// matching engine, scoring on GOMAXPROCS workers. To reproduce the
+// paper's Figure 9 linear-scan numbers, disable both levers:
 //
-//	fpstalker -bench time -noblocking -workers 1
+//	GOMAXPROCS=1 fpstalker -bench time -noblocking
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"fpdyn/internal/fpstalker"
 	"fpdyn/internal/linker"
 	"fpdyn/internal/mlearn"
+	"fpdyn/internal/parallel"
 	"fpdyn/internal/population"
 	"fpdyn/internal/textplot"
 	"fpdyn/internal/useragent"
@@ -43,10 +44,9 @@ func main() {
 	variant := flag.String("variant", "both", "rule, learning, or both")
 	k := flag.Int("k", 10, "top-k candidates (the paper reports top 10)")
 	noBlocking := flag.Bool("noblocking", false, "disable candidate blocking — the paper's full linear scan (Figure 9 ablation)")
-	workers := flag.Int("workers", 0, "scoring workers per query: 0 = all cores, 1 = serial")
 	flag.Parse()
 
-	cfg := engineCfg{noBlocking: *noBlocking, workers: *workers}
+	cfg := engineCfg{noBlocking: *noBlocking}
 	switch *bench {
 	case "time":
 		benchTime(parseSizes(*sizes), *variant, *seed, *k, cfg)
@@ -61,39 +61,34 @@ func main() {
 	}
 }
 
-// engineCfg carries the matching-engine flags into each sweep.
+// engineCfg carries the matching-engine flag into each sweep. The
+// scoring pool follows parallel.Resolve: GOMAXPROCS workers.
 type engineCfg struct {
 	noBlocking bool
-	workers    int
 }
 
 func (c engineCfg) rule() *fpstalker.RuleLinker {
 	l := fpstalker.NewRuleLinker()
 	l.NoBlocking = c.noBlocking
-	l.Workers = c.workers
 	return l
 }
 
 func (c engineCfg) learn(f *mlearn.Forest) *fpstalker.LearnLinker {
 	l := fpstalker.NewLearnLinker(f)
 	l.NoBlocking = c.noBlocking
-	l.Workers = c.workers
 	return l
 }
 
+// String names the blocking mode and the resolved scoring pool size.
 func (c engineCfg) String() string {
 	mode := "blocking on"
 	if c.noBlocking {
 		mode = "linear scan"
 	}
-	w := "all cores"
-	switch {
-	case c.workers == 1:
-		w = "serial"
-	case c.workers > 1:
-		w = fmt.Sprintf("%d workers", c.workers)
+	if w := parallel.Resolve(0); w > 1 {
+		return fmt.Sprintf("%s, %d scoring workers", mode, w)
 	}
-	return mode + ", " + w
+	return mode + ", serial"
 }
 
 func parseSizes(s string) []int {

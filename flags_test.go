@@ -21,7 +21,7 @@ var commandFlags = map[string][]string{
 	"fpreplay":  {"addr", "in", "report", "speedup"},
 	"fpreport":  {"mem-budget", "scenario", "seed", "spill-dir", "stage-timing", "users", "what"},
 	"fpserver":  {"addr", "admin-addr", "compact-every", "drain-timeout", "fsync", "o", "shards", "wal-dir"},
-	"fpstalker": {"bench", "k", "noblocking", "seed", "sizes", "users", "variant", "workers"},
+	"fpstalker": {"bench", "k", "noblocking", "seed", "sizes", "users", "variant"},
 }
 
 // TestCommandFlagInventory parses cmd/*/main.go and collects the name

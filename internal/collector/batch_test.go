@@ -233,7 +233,7 @@ func TestResilientClientCoalescesBacklog(t *testing.T) {
 	r := NewResilientClient(addr)
 	r.MaxRetries = 2
 	r.Backoff = time.Millisecond
-	r.BatchSize = 8
+	r.batchSize = 8
 	defer r.Close()
 
 	for i := 0; i < 24; i++ {
@@ -255,7 +255,7 @@ func TestResilientClientCoalescesBacklog(t *testing.T) {
 }
 
 // TestResilientClientBatchDrainAfterOutage: the queue built up while
-// the server is down drains in ceil(n/BatchSize) batch requests once
+// the server is down drains in ceil(n/batchSize) batch requests once
 // it returns.
 func TestResilientClientBatchDrainAfterOutage(t *testing.T) {
 	// Reserve an address, keep the server down while buffering.
@@ -265,7 +265,7 @@ func TestResilientClientBatchDrainAfterOutage(t *testing.T) {
 	r := NewResilientClient(addr)
 	r.MaxRetries = 1
 	r.Backoff = time.Millisecond
-	r.BatchSize = 8
+	r.batchSize = 8
 	defer r.Close()
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -294,7 +294,8 @@ func TestResilientClientBatchDrainAfterOutage(t *testing.T) {
 	if st2.Len() != n {
 		t.Fatalf("delivered %d records, want %d", st2.Len(), n)
 	}
-	// ceil(20/8) = 3 batch round trips, not 20 per-record submits.
+	// ceil(20/8) = 3 batch round trips, not 20 one-record ones, and no
+	// request the server does not know.
 	var b strings.Builder
 	if err := srv2.Metrics().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -303,8 +304,8 @@ func TestResilientClientBatchDrainAfterOutage(t *testing.T) {
 	if !strings.Contains(scrape, `collector_requests_total{verb="batch"} 3`) {
 		t.Errorf("scrape missing 3 batch requests:\n%s", scrape)
 	}
-	if !strings.Contains(scrape, `collector_requests_total{verb="submit"} 0`) {
-		t.Errorf("per-record submits used despite batching:\n%s", scrape)
+	if !strings.Contains(scrape, `collector_requests_total{verb="other"} 0`) {
+		t.Errorf("unknown requests sent:\n%s", scrape)
 	}
 	stats := r.Stats()
 	if stats.Sent != n || stats.Dropped != 0 {
@@ -341,5 +342,46 @@ func TestBinaryOversizedFrameRejected(t *testing.T) {
 	rec.FP.Fonts = huge
 	if _, err := c.Submit(rec); err == nil {
 		t.Fatal("oversized binary frame accepted")
+	}
+}
+
+// recordingConn keeps a copy of every byte written to the connection.
+type recordingConn struct {
+	net.Conn
+	sent []byte
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.sent = append(c.sent, p...)
+	return c.Conn.Write(p)
+}
+
+// TestCheckFrameDeterministic: the same batch sends the same check
+// request every time, on fresh connections to a server that already
+// holds the values.
+func TestCheckFrameDeterministic(t *testing.T) {
+	_, _, addr := startServer(t)
+	batch := batchOf(t, 3, "det", 1)
+	for i, b := range batch {
+		b.Rec.FP.Fonts = append(b.Rec.FP.Fonts, fmt.Sprintf("Font %d", i))
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := &recordingConn{Conn: conn}
+		c := NewClient(rc)
+		if _, err := c.SubmitBatch(batch, ""); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		check, _, _ := strings.Cut(string(rc.sent), "\n")
+		if i == 0 {
+			first = check
+		} else if check != first {
+			t.Fatalf("submission %d sent check\n%s\nfirst sent\n%s", i, check, first)
+		}
 	}
 }

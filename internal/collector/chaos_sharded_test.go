@@ -52,7 +52,7 @@ func runShardedChaos(t *testing.T, shards int) string {
 	r := NewResilientClient(addr)
 	r.MaxRetries = 1
 	r.Backoff = time.Millisecond
-	r.BatchSize = 8
+	r.batchSize = 8
 	defer r.Close()
 
 	const total = 48

@@ -301,8 +301,8 @@ func TestSeqIdempotentAcrossRecovery(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("len = %d", st.Len())
 	}
-	if s := srv.Stats(); s.RecordsAccepted != 1 || s.RecordsDuped != 1 {
-		t.Fatalf("stats = %+v", s)
+	if s, duped := srv.Stats(), srv.metrics.recordsDuped.Value(); s.RecordsAccepted != 1 || duped != 1 {
+		t.Fatalf("stats = %+v, duped = %d", s, duped)
 	}
 	c.Close()
 	srv.Close()

@@ -384,12 +384,15 @@ func (c *Client) SubmitBatch(batch []BatchRecord, clientID string) ([]Ack, error
 	items := make([]BatchItem, len(batch))
 	blobs := make(map[string][]byte)
 	hashes := make([]string, 0, len(batch)*len(DedupFields))
+	// The check lists each hash once, in record order and then
+	// DedupFields order, so identical batches send identical frames.
 	for i, b := range batch {
 		wire, refs, bl := StripRecord(b.Rec)
 		items[i] = BatchItem{Record: wire, Refs: refs, Seq: b.Seq}
-		for h, v := range bl {
+		for _, field := range DedupFields {
+			h := refs[field]
 			if _, ok := blobs[h]; !ok {
-				blobs[h] = v
+				blobs[h] = bl[h]
 				hashes = append(hashes, h)
 			}
 		}

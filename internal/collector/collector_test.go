@@ -275,29 +275,30 @@ func TestDedupSavesTransfer(t *testing.T) {
 	}
 }
 
-func TestLegacySubmitVerbIdempotent(t *testing.T) {
-	// The single-record submit verb over newline-JSON: a fresh
-	// (cid, seq) ACKs with its index, a resend of the latest seq is a dup
-	// with the same index, and an older seq is a dup with index -1.
+func TestJSONBatchOfOneIdempotent(t *testing.T) {
+	// One-record batches over newline-JSON: a fresh (cid, seq) ACKs with
+	// its index, a resend of the latest seq is a dup with the same index,
+	// and an older seq is a dup with index -1.
 	srv, store, addr := startServer(t)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	submit := func(seq uint64, cookie string) *Response {
+	submit := func(seq uint64, cookie string) Ack {
 		t.Helper()
 		rec := sampleRecord()
 		rec.Cookie = cookie
 		wire, refs, blobs := StripRecord(rec)
-		resp, err := c.roundTrip(&Request{Type: TypeSubmit, Record: wire, Refs: refs, Values: blobs, ClientID: "legacy", Seq: seq})
+		resp, err := c.roundTrip(&Request{Type: TypeBatch, ClientID: "legacy",
+			Batch: []BatchItem{{Record: wire, Refs: refs, Values: blobs, Seq: seq}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Type != TypeOK {
-			t.Fatalf("seq %d: reply %q", seq, resp.Type)
+		if resp.Type != TypeOK || len(resp.Acks) != 1 || resp.Acks[0].Error != "" {
+			t.Fatalf("seq %d: reply %+v", seq, resp)
 		}
-		return resp
+		return resp.Acks[0]
 	}
 	for _, step := range []struct {
 		seq   uint64
@@ -309,16 +310,16 @@ func TestLegacySubmitVerbIdempotent(t *testing.T) {
 		{2, 1, true},
 		{1, -1, true},
 	} {
-		resp := submit(step.seq, "ck-"+string(rune('0'+step.seq)))
-		if resp.Index != step.index || resp.Dup != step.dup {
-			t.Fatalf("seq %d: index=%d dup=%v, want index=%d dup=%v", step.seq, resp.Index, resp.Dup, step.index, step.dup)
+		a := submit(step.seq, "ck-"+string(rune('0'+step.seq)))
+		if a.Index != step.index || a.Dup != step.dup {
+			t.Fatalf("seq %d: index=%d dup=%v, want index=%d dup=%v", step.seq, a.Index, a.Dup, step.index, step.dup)
 		}
 	}
 	if store.Len() != 2 {
 		t.Fatalf("store len = %d, want 2", store.Len())
 	}
-	if s := srv.Stats(); s.RecordsAccepted != 2 || s.RecordsDuped != 2 {
-		t.Fatalf("stats = %+v", s)
+	if s, duped := srv.Stats(), srv.metrics.recordsDuped.Value(); s.RecordsAccepted != 2 || duped != 2 {
+		t.Fatalf("stats = %+v, duped = %d", s, duped)
 	}
 }
 
@@ -329,8 +330,9 @@ func TestServerRejectsBadSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.roundTrip(&Request{Type: TypeSubmit}); err == nil {
-		t.Fatal("expected error for empty submit")
+	resp, err := c.roundTrip(&Request{Type: TypeBatch, Batch: []BatchItem{{}}})
+	if err != nil || len(resp.Acks) != 1 || resp.Acks[0].Error == "" {
+		t.Fatalf("batch item without a record answered %+v, %v; want one error ack", resp, err)
 	}
 	if _, err := c.roundTrip(&Request{Type: "bogus"}); err == nil {
 		t.Fatal("expected error for unknown type")

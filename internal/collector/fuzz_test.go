@@ -16,8 +16,7 @@ import (
 //     request" and hangs up; no other payload hangs up;
 //   - a batch reply is the committed prefix of the batch plus at most
 //     one error ack, last;
-//   - the store grows by exactly the non-dup acks (a batch's, or the
-//     submit verb's single one);
+//   - the store grows by exactly the batch's non-dup acks;
 //   - a value whose content does not hash to its key is refused: the
 //     walk stops at or before the first item carrying one, and every
 //     value the store holds hashes to its key.
@@ -46,17 +45,18 @@ func FuzzServerHandle(f *testing.F) {
 		Batch: []BatchItem{{Record: wire, Refs: refs, Values: blobs, Seq: 1}, {Record: wire, Refs: refs, Seq: 1}, {Seq: 2}, {Record: wire, Refs: refs, Seq: 3}}})
 	// Refs whose values never arrived.
 	seed(&Request{Type: TypeBatch, ClientID: "c", Batch: []BatchItem{{Record: wire, Refs: refs, Seq: 1}}})
-	seed(&Request{Type: TypeSubmit, ClientID: "c", Seq: 1, Record: sampleRecord()})
+	// A record sent whole, with no refs.
+	seed(&Request{Type: TypeBatch, ClientID: "c", Batch: []BatchItem{{Record: sampleRecord(), Seq: 1}}})
 	f.Add([]byte(`{"type":"reboot"}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	// A value under another value's hash: alone, after an honest item
-	// that landed the real content, and on the submit verb.
+	// that landed the real content, and with no client ID.
 	forged := map[string][]byte{refs[FieldFonts]: blobs[refs[FieldPlugins]]}
 	seed(&Request{Type: TypeBatch, ClientID: "c", Batch: []BatchItem{{Record: wire, Refs: refs, Values: forged, Seq: 1}}})
 	seed(&Request{Type: TypeBatch, ClientID: "c",
 		Batch: []BatchItem{{Record: wire, Refs: refs, Values: blobs, Seq: 1}, {Record: wire, Refs: refs, Values: forged, Seq: 2}}})
-	seed(&Request{Type: TypeSubmit, ClientID: "c", Seq: 1, Record: wire, Refs: refs, Values: forged})
+	seed(&Request{Type: TypeBatch, Batch: []BatchItem{{Record: wire, Refs: refs, Values: forged}}})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		store := storage.NewShardedStore(1)
@@ -116,18 +116,8 @@ func FuzzServerHandle(f *testing.F) {
 					grew++
 				}
 			}
-		case TypeSubmit:
-			if resp.Type == TypeOK && forged(req.Values) {
-				t.Fatalf("submit carrying a value that does not match its hash answered %+v", resp)
-			}
-			if resp.Type == TypeOK && !resp.Dup {
-				grew = 1
-			}
 		}
 		held := map[string][]byte{}
-		for h := range req.Values {
-			held[h], _ = store.Value(h)
-		}
 		for _, it := range req.Batch {
 			for h := range it.Values {
 				held[h], _ = store.Value(h)

@@ -20,11 +20,10 @@ import (
 // JSON over a single TCP connection; every request gets exactly one
 // response.
 const (
-	TypeCheck  = "check"  // client → server: which of these value hashes do you have?
-	TypeSubmit = "submit" // client → server: one record plus any values you were missing (served as a batch of one)
-	TypePing   = "ping"   // client → server: liveness probe
-	TypeHello  = "hello"  // client → server: framing negotiation
-	TypeBatch  = "batch"  // client → server: many submits in one frame
+	TypeCheck = "check" // client → server: which of these value hashes do you have?
+	TypePing  = "ping"  // client → server: liveness probe
+	TypeHello = "hello" // client → server: framing negotiation
+	TypeBatch = "batch" // client → server: records plus any values the server was missing
 
 	TypeNeed  = "need"  // server → client: the hashes it does not have
 	TypeOK    = "ok"    // server → client: record accepted
@@ -44,14 +43,20 @@ const (
 	FramingBinary = "binary"
 )
 
-// BatchItem is one submit inside a TypeBatch request. The batch shares
+// BatchItem is one record inside a TypeBatch request. The batch shares
 // one ClientID (on the Request); each item carries its own sequence
 // number and any value blobs the server was missing.
 type BatchItem struct {
 	Record *fingerprint.Record `json:"record"`
-	Refs   map[string]string   `json:"refs,omitempty"`
-	Values map[string][]byte   `json:"values,omitempty"`
-	Seq    uint64              `json:"seq,omitempty"`
+	// Refs maps dedup field names to the hash of their content; the
+	// record is sent with those fields stripped.
+	Refs map[string]string `json:"refs,omitempty"`
+	// Values carries the content for hashes the server reported missing.
+	Values map[string][]byte `json:"values,omitempty"`
+	// Seq is monotonic per ClientID; a reconnecting client resubmits an
+	// un-ACKed record under its original Seq and the server appends it
+	// at most once.
+	Seq uint64 `json:"seq,omitempty"`
 }
 
 // Ack is one record's outcome inside a TypeBatch response. A non-empty
@@ -70,23 +75,14 @@ type Ack struct {
 
 // Request is a client→server message.
 type Request struct {
-	Type   string              `json:"type"`
-	Hashes []string            `json:"hashes,omitempty"`
-	Record *fingerprint.Record `json:"record,omitempty"`
-	// Refs maps dedup field names to the hash of their content; the
-	// record is sent with those fields stripped.
-	Refs map[string]string `json:"refs,omitempty"`
-	// Values carries the content for hashes the server reported missing.
-	Values map[string][]byte `json:"values,omitempty"`
-	// ClientID/Seq form the client-assigned sequence ID of a submit.
-	// Seq is monotonic per ClientID; a reconnecting client resubmits an
-	// un-ACKed record under its original Seq and the server appends it
-	// at most once. Empty ClientID opts out (legacy submits).
+	Type   string   `json:"type"`
+	Hashes []string `json:"hashes,omitempty"`
+	// ClientID and each item's Seq form the client-assigned sequence ID
+	// of a batch's records. Empty ClientID opts out of deduplication.
 	ClientID string `json:"cid,omitempty"`
-	Seq      uint64 `json:"seq,omitempty"`
 	// Framing is the framing mode a hello requests.
 	Framing string `json:"framing,omitempty"`
-	// Batch carries the submits of a TypeBatch request, in sequence
+	// Batch carries the records of a TypeBatch request, in sequence
 	// order.
 	Batch []BatchItem `json:"batch,omitempty"`
 }
@@ -95,11 +91,7 @@ type Request struct {
 type Response struct {
 	Type   string   `json:"type"`
 	Hashes []string `json:"hashes,omitempty"`
-	Index  int      `json:"index,omitempty"`
 	Error  string   `json:"error,omitempty"`
-	// Dup marks an OK reply for a submit whose (ClientID, Seq) the
-	// server had already applied: the record was not appended again.
-	Dup bool `json:"dup,omitempty"`
 	// Framing is the framing mode a hello reply confirms.
 	Framing string `json:"framing,omitempty"`
 	// Acks are the per-record outcomes of a TypeBatch request.

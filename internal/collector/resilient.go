@@ -31,11 +31,6 @@ type ResilientClient struct {
 	// Backoff is the base delay between redials, doubled per attempt
 	// (default 50ms; tests use ~1ms).
 	Backoff time.Duration
-	// MaxBackoff caps the doubled delay (default 5s). Each sleep is
-	// full-jittered: uniform in (0, min(backoff, MaxBackoff)], so a
-	// fleet of clients recovering from the same outage does not redial
-	// in lockstep.
-	MaxBackoff time.Duration
 	// BufferLimit caps the number of records held while the server is
 	// unreachable (default 1024); beyond it, the oldest are dropped —
 	// which is what the paper's deployment effectively did.
@@ -43,12 +38,17 @@ type ResilientClient struct {
 	// ClientID identifies this client in sequence IDs; NewResilientClient
 	// assigns a random one.
 	ClientID string
-	// BatchSize caps how many pending records one flush round trip
+
+	// maxBackoff caps the doubled delay (default 5s). Each sleep is
+	// full-jittered: uniform in (0, min(backoff, maxBackoff)], so a
+	// fleet of clients recovering from the same outage does not redial
+	// in lockstep.
+	maxBackoff time.Duration
+	// batchSize caps how many pending records one flush round trip
 	// carries (default 32). During an outage the queue grows; on
-	// reconnect the backlog drains BatchSize records per batch request
-	// instead of two round trips per record. 1 sends a batch of one
-	// per round trip.
-	BatchSize int
+	// reconnect the backlog drains batchSize records per batch request
+	// instead of two round trips per record.
+	batchSize int
 
 	// sendMu serializes flushers. Dial backoff sleeps hold only sendMu,
 	// never mu, so Submit buffering, Pending and Stats stay prompt
@@ -84,7 +84,6 @@ type ResilientStats struct {
 	Sent        int64 // records ACKed by the server
 	Dropped     int64 // records evicted from the buffer, never delivered
 	Retransmits int64 // deliveries the server identified as duplicates
-	Redials     int64 // successful reconnections
 }
 
 // NewResilientClient builds a resilient client for addr. No connection
@@ -131,13 +130,16 @@ func (r *ResilientClient) Flush() error {
 }
 
 // flush delivers pending records in order until the queue is empty or
-// delivery fails, coalescing up to BatchSize records per round trip.
+// delivery fails, coalescing up to batchSize records per round trip.
 // The buffered-count context is attached once, at the point of return
 // — not re-wrapped per record.
 func (r *ResilientClient) flush() error {
 	r.sendMu.Lock()
 	defer r.sendMu.Unlock()
-	size := r.batchSize()
+	size := r.batchSize
+	if size <= 0 {
+		size = 32
+	}
 	for {
 		r.mu.Lock()
 		if len(r.pending) == 0 {
@@ -162,7 +164,6 @@ func (r *ResilientClient) flush() error {
 			}
 			r.mu.Lock()
 			r.client = nc
-			r.stats.Redials++
 			r.mu.Unlock()
 			c = nc
 		}
@@ -205,13 +206,6 @@ func (r *ResilientClient) flush() error {
 			return r.bufferedErr(fmt.Errorf("server rejected record: %s", itemErr))
 		}
 	}
-}
-
-func (r *ResilientClient) batchSize() int {
-	if r.BatchSize <= 0 {
-		return 32
-	}
-	return r.BatchSize
 }
 
 // bufferedErr wraps a delivery error with the current backlog size.
@@ -272,7 +266,7 @@ func (r *ResilientClient) dial() (*Client, error) {
 }
 
 // backoffDelay computes the sleep before dial attempt n (n ≥ 1): the
-// base backoff doubled per attempt, capped at MaxBackoff, with full
+// base backoff doubled per attempt, capped at maxBackoff, with full
 // jitter — uniform in (0, cap]. Full jitter (the AWS architecture-blog
 // recommendation) trades a slightly longer expected recovery for
 // de-synchronizing a fleet of clients that all lost the same server.
@@ -281,7 +275,7 @@ func (r *ResilientClient) backoffDelay(n int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	maxB := r.MaxBackoff
+	maxB := r.maxBackoff
 	if maxB <= 0 {
 		maxB = 5 * time.Second
 	}

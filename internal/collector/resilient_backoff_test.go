@@ -11,11 +11,11 @@ import (
 
 // TestBackoffDelayCapAndJitter pins the dial backoff contract: every
 // delay is full-jittered into (0, cap], the exponential doubling never
-// exceeds MaxBackoff, and the default cap is ~5s.
+// exceeds maxBackoff, and the default cap is ~5s.
 func TestBackoffDelayCapAndJitter(t *testing.T) {
 	r := NewResilientClient("127.0.0.1:1")
 	r.Backoff = 10 * time.Millisecond
-	r.MaxBackoff = 40 * time.Millisecond
+	r.maxBackoff = 40 * time.Millisecond
 
 	for attempt := 1; attempt <= 12; attempt++ {
 		// Uncapped doubling would reach 10ms<<11 ≈ 20s; the cap bounds
@@ -25,8 +25,8 @@ func TestBackoffDelayCapAndJitter(t *testing.T) {
 			if d <= 0 {
 				t.Fatalf("attempt %d: non-positive delay %v", attempt, d)
 			}
-			if d > r.MaxBackoff {
-				t.Fatalf("attempt %d: delay %v exceeds MaxBackoff %v", attempt, d, r.MaxBackoff)
+			if d > r.maxBackoff {
+				t.Fatalf("attempt %d: delay %v exceeds maxBackoff %v", attempt, d, r.maxBackoff)
 			}
 		}
 	}
@@ -79,7 +79,7 @@ func TestDialSleepAbortsOnClose(t *testing.T) {
 	r := NewResilientClient(addr)
 	r.MaxRetries = 4
 	r.Backoff = 2 * time.Second
-	r.MaxBackoff = 2 * time.Second
+	r.maxBackoff = 2 * time.Second
 
 	errCh := make(chan error, 1)
 	start := time.Now()

@@ -73,9 +73,9 @@ func TestServerRejectsSubmitWithDanglingRefs(t *testing.T) {
 	defer c.Close()
 	wire, refs, _ := StripRecord(sampleRecord())
 	refs[FieldFonts] = "0000000000000000000000000000000000000000"
-	_, err = c.roundTrip(&Request{Type: TypeSubmit, Record: wire, Refs: refs})
-	if err == nil || !strings.Contains(err.Error(), "missing value") {
-		t.Fatalf("err = %v", err)
+	resp, err := c.roundTrip(&Request{Type: TypeBatch, Batch: []BatchItem{{Record: wire, Refs: refs}}})
+	if err != nil || len(resp.Acks) != 1 || !strings.Contains(resp.Acks[0].Error, "missing value") {
+		t.Fatalf("reply %+v, err = %v", resp, err)
 	}
 	if store.Len() != 0 {
 		t.Fatal("half-restored record stored")
@@ -111,7 +111,8 @@ func TestDispatchTableDriven(t *testing.T) {
 	}{
 		{Request{Type: TypePing}, TypePong},
 		{Request{Type: TypeCheck, Hashes: []string{"x"}}, TypeNeed},
-		{Request{Type: TypeSubmit}, TypeError},
+		{Request{Type: TypeBatch, Batch: []BatchItem{{}}}, TypeOK},
+		{Request{Type: "submit"}, TypeError}, // the retired single-record verb
 		{Request{Type: "nonsense"}, TypeError},
 		{Request{}, TypeError},
 	}
@@ -125,12 +126,12 @@ func TestDispatchTableDriven(t *testing.T) {
 func TestRequestJSONStability(t *testing.T) {
 	// The wire format is a compatibility surface: field names must not
 	// drift silently.
-	req := Request{Type: TypeSubmit, Hashes: []string{"h"}, Refs: map[string]string{"fonts": "h"}}
+	req := Request{Type: TypeBatch, Hashes: []string{"h"}, Batch: []BatchItem{{Refs: map[string]string{"fonts": "h"}}}}
 	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"type"`, `"hashes"`, `"refs"`} {
+	for _, want := range []string{`"type"`, `"hashes"`, `"batch"`, `"refs"`} {
 		if !strings.Contains(string(b), want) {
 			t.Fatalf("wire field %s missing in %s", want, b)
 		}

@@ -19,9 +19,9 @@ import (
 // dispatching one request. A request line that does not decode is
 // answered "malformed request" and costs the connection.
 //
-// Every record lands through the store's AppendBatchDurable — a single
-// submit is a batch of one, group-committed with one WAL write+fsync
-// per touched shard and (client ID, seq) dedup. When the store has
+// Every record lands through the store's AppendBatchDurable — a batch
+// is group-committed with one WAL write+fsync per touched shard and
+// (client ID, seq) dedup. When the store has
 // WALs attached, a record is ACKed only after it is durable; an append
 // error means the batch is not ACKed (the client retransmits, and seq
 // dedup absorbs any sub-batch that did land).
@@ -45,13 +45,12 @@ type Server struct {
 type serverMetrics struct {
 	reg *obs.Registry
 
-	requestsPing   *obs.Counter
-	requestsCheck  *obs.Counter
-	requestsSubmit *obs.Counter
-	requestsHello  *obs.Counter
-	requestsBatch  *obs.Counter
-	requestsOther  *obs.Counter
-	reqLatency     *obs.Histogram
+	requestsPing  *obs.Counter
+	requestsCheck *obs.Counter
+	requestsHello *obs.Counter
+	requestsBatch *obs.Counter
+	requestsOther *obs.Counter
+	reqLatency    *obs.Histogram
 
 	recordsAccepted *obs.Counter
 	recordsDuped    *obs.Counter
@@ -61,17 +60,16 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
 	return serverMetrics{
-		reg:            reg,
-		requestsPing:   reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypePing),
-		requestsCheck:  reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypeCheck),
-		requestsSubmit: reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypeSubmit),
-		requestsHello:  reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypeHello),
-		requestsBatch:  reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypeBatch),
-		requestsOther:  reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", "other"),
-		reqLatency:     reg.Histogram("collector_request_seconds", "Request dispatch latency (decode excluded).", nil),
+		reg:           reg,
+		requestsPing:  reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypePing),
+		requestsCheck: reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypeCheck),
+		requestsHello: reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypeHello),
+		requestsBatch: reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", TypeBatch),
+		requestsOther: reg.Counter("collector_requests_total", "Requests handled, by protocol verb.", "verb", "other"),
+		reqLatency:    reg.Histogram("collector_request_seconds", "Request dispatch latency (decode excluded).", nil),
 
 		recordsAccepted: reg.Counter("collector_records_accepted_total", "Records appended to the store."),
-		recordsDuped:    reg.Counter("collector_records_duped_total", "Submits answered from the idempotency table."),
+		recordsDuped:    reg.Counter("collector_records_duped_total", "Records answered from the idempotency table."),
 		valuesReceived:  reg.Counter("collector_values_received_total", "Content-addressed blobs transferred."),
 		valuesDeduped:   reg.Counter("collector_values_deduped_total", "Blobs skipped thanks to the hash check."),
 	}
@@ -91,7 +89,6 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 // Stats is a snapshot of server counters.
 type Stats struct {
 	RecordsAccepted int64
-	RecordsDuped    int64 // submits answered from the idempotency table
 	ValuesReceived  int64 // blobs actually transferred
 	ValuesDeduped   int64 // blobs skipped thanks to the hash check
 	BytesReceived   int64
@@ -102,7 +99,6 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	return Stats{
 		RecordsAccepted: s.metrics.recordsAccepted.Value(),
-		RecordsDuped:    s.metrics.recordsDuped.Value(),
 		ValuesReceived:  s.metrics.valuesReceived.Value(),
 		ValuesDeduped:   s.metrics.valuesDeduped.Value(),
 		BytesReceived:   s.bytesReceived.Value(),
@@ -129,8 +125,6 @@ func (s *Server) dispatch(req *Request) *Response {
 		s.metrics.requestsPing.Inc()
 	case TypeCheck:
 		s.metrics.requestsCheck.Inc()
-	case TypeSubmit:
-		s.metrics.requestsSubmit.Inc()
 	case TypeHello:
 		s.metrics.requestsHello.Inc()
 	case TypeBatch:
@@ -166,14 +160,6 @@ func (s *Server) dispatchInner(req *Request) *Response {
 			}
 		}
 		return &Response{Type: TypeNeed, Hashes: missing}
-	case TypeSubmit:
-		// The single-record verb is a batch of one, answered in its own
-		// reply shape.
-		a := s.ingest([]BatchItem{{Record: req.Record, Refs: req.Refs, Values: req.Values, Seq: req.Seq}}, req.ClientID)[0]
-		if a.Error != "" {
-			return &Response{Type: TypeError, Error: a.Error}
-		}
-		return &Response{Type: TypeOK, Index: a.Index, Dup: a.Dup}
 	default:
 		return &Response{Type: TypeError, Error: "unknown request type " + req.Type}
 	}

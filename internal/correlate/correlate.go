@@ -34,9 +34,7 @@ func canvasDiffSubtypes(a, b *canvas.Image) []string {
 // Correlation is one mined pair of co-changing features.
 type Correlation struct {
 	A, B     fingerprint.ID
-	Together int // dynamics where both changed
-	CountA   int // dynamics where A changed (at all)
-	CountB   int
+	Together int     // dynamics where both changed
 	Lift     float64 // P(A∧B) / (P(A)·P(B)) over changed dynamics
 }
 
@@ -100,10 +98,7 @@ func (a *ImplicitAccumulator) Correlations(minTogether int) []Correlation {
 		}
 		a, b := pair[0], pair[1]
 		lift := float64(together) * float64(n) / (float64(count[a]) * float64(count[b]))
-		out = append(out, Correlation{
-			A: a, B: b, Together: together,
-			CountA: count[a], CountB: count[b], Lift: lift,
-		})
+		out = append(out, Correlation{A: a, B: b, Together: together, Lift: lift})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Lift != out[j].Lift {

@@ -22,6 +22,9 @@ var ErrInjected = errors.New("faultinject: injected fault")
 // Script is a byte-budget fault plan shared by the writer and conn
 // wrappers. The zero value injects nothing. A Script must not be
 // shared between wrappers unless the combined byte budget is intended.
+//
+// api: a test seam; tests set its fields to script the faults the
+// wrappers inject.
 type Script struct {
 	// FailAfter injects Err once this many bytes have passed through
 	// (0 disables). The operation that crosses the boundary transfers

@@ -9,74 +9,6 @@ import (
 	"fpdyn/internal/mlearn"
 )
 
-// scalarTopK is the per-pair oracle for the learning linker's block
-// scorer: the same candidate set, candidate loop and family prefilter,
-// but each pair vector built into a fresh slice instead of the buffer
-// the linker reuses across a block.
-func scalarTopK(l *LearnLinker, rec *fingerprint.Record, k int) []Candidate {
-	q := newPairEntry("", rec)
-	l.eng.mu.RLock()
-	defer l.eng.mu.RUnlock()
-	cs := l.eng.learnCandidates(q, l.NoBlocking)
-	cands, _ := l.eng.scoreTopK(nil, cs, l.Workers, k, func(es []*entry, out []Candidate) []Candidate {
-		for _, e := range es {
-			if q.ok && e.ok && (q.ua.Browser != e.ua.Browser || q.ua.Mobile != e.ua.Mobile) {
-				continue
-			}
-			if p, ok := l.Forest.PredictProbaAtLeast(pairVectorEntries(e, q), linkThreshold); ok {
-				out = append(out, Candidate{ID: e.id, Score: p})
-			}
-		}
-		return out
-	})
-	return cands
-}
-
-// TestScalarBatchTopKEquivalence pins the learning linker's batch
-// scoring path against the per-pair scalar oracle: both must return
-// identical rankings, with and without blocking, serial and parallel.
-// The block form is one PredictProbaAtLeast call per row, the
-// prefilter is shared, and blocks preserve candidate order, so
-// equality is bitwise.
-func TestScalarBatchTopKEquivalence(t *testing.T) {
-	records, instances := engineWorld(t, 400, 73)
-	forest, err := TrainPairModel(records, instances, mlearn.ForestConfig{Seed: 7, NumTrees: 8, MaxDepth: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name       string
-		noBlocking bool
-		workers    int
-	}{
-		{"blocked-serial", false, 1},
-		{"blocked-parallel", false, 4},
-		{"scan-serial", true, 1},
-		{"scan-parallel", true, 4},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			l := NewLearnLinker(forest)
-			l.NoBlocking = mode.noBlocking
-			l.Workers = mode.workers
-			for i, rec := range records {
-				l.Add(InstanceID(instances[i]), rec)
-			}
-			ranked := 0
-			for qi, q := range goldenQueries(records) {
-				want := scalarTopK(l, q, 10)
-				got := l.TopK(q, 10)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("query %d: batch ranking diverged\n scalar: %v\n batch:  %v", qi, want, got)
-				}
-				ranked += len(want)
-			}
-			if ranked == 0 {
-				t.Fatal("no query ranked any candidate: the comparison is vacuous")
-			}
-		})
-	}
-}
-
 // TestNegPoolMatchesSliceWindow pins the ring buffer against a
 // reference sliding-slice implementation (the historical pool, minus
 // its pinned backing array): same pushes, same logical window, same
@@ -136,16 +68,17 @@ func TestPairTrainingSetOverflowsPool(t *testing.T) {
 		records = append(records, streamRecord(inst, i))
 		instances = append(instances, inst)
 	}
-	pairs := pairTrainingSet(records, instances, rand.New(rand.NewSource(3)), 0)
-	if len(pairs) == 0 {
+	specs := samplePairSpecs(instances, rand.New(rand.NewSource(3)))
+	if len(specs) == 0 {
 		t.Fatal("no pairs")
 	}
-	for _, p := range pairs {
-		if p.label == 0 && p.knownInst == p.queryInst {
-			t.Fatalf("same-instance negative after pool wrap (inst %d)", p.knownInst)
+	for _, s := range specs {
+		known, query := instances[s.known], instances[s.query]
+		if s.label == 0 && known == query {
+			t.Fatalf("same-instance negative after pool wrap (inst %d)", known)
 		}
-		if p.label == 1 && p.knownInst != p.queryInst {
-			t.Fatalf("cross-instance positive (%d vs %d)", p.knownInst, p.queryInst)
+		if s.label == 1 && known != query {
+			t.Fatalf("cross-instance positive (%d vs %d)", known, query)
 		}
 	}
 }

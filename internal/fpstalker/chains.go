@@ -65,7 +65,6 @@ func scoreChains(records []*fingerprint.Record, instances []int, assigned []stri
 	// window over which consecutive visits of the instance kept the
 	// same assigned identity.
 	type span struct {
-		firstSeen time.Time
 		spanStart time.Time
 		lastTime  time.Time
 		lastID    string
@@ -77,7 +76,7 @@ func scoreChains(records []*fingerprint.Record, instances []int, assigned []stri
 		inst := instances[i]
 		s := spans[inst]
 		if s == nil {
-			spans[inst] = &span{firstSeen: rec.Time, spanStart: rec.Time, lastTime: rec.Time, lastID: assigned[i], visits: 1}
+			spans[inst] = &span{spanStart: rec.Time, lastTime: rec.Time, lastID: assigned[i], visits: 1}
 			continue
 		}
 		s.visits++

@@ -77,7 +77,8 @@ func TestGoldenEquivalenceRule(t *testing.T) {
 
 // TestGoldenEquivalenceLearning: same contract for the learning-based
 // variant, which blocks on a coarser key and must still include
-// unparsed entries in every candidate set.
+// unparsed entries in every candidate set. Every blocking × workers
+// mode must rank exactly as the serial linear scan.
 func TestGoldenEquivalenceLearning(t *testing.T) {
 	records, instances := engineWorld(t, 350, 62)
 	forest, err := TrainPairModel(records, instances, mlearn.ForestConfig{Seed: 7, NumTrees: 8, MaxDepth: 6})
@@ -87,17 +88,42 @@ func TestGoldenEquivalenceLearning(t *testing.T) {
 	linear := NewLearnLinker(forest)
 	linear.NoBlocking = true
 	linear.Workers = 1
-	engine := NewLearnLinker(forest)
+	modes := []struct {
+		name       string
+		noBlocking bool
+		workers    int
+	}{
+		{"blocked-serial", false, 1},
+		{"blocked-parallel", false, 8},
+		{"scan-parallel", true, 8},
+	}
+	engines := make([]*LearnLinker, len(modes))
+	for m, mode := range modes {
+		engines[m] = NewLearnLinker(forest)
+		engines[m].NoBlocking = mode.noBlocking
+		engines[m].Workers = mode.workers
+	}
 	for i, rec := range records {
 		linear.Add(InstanceID(instances[i]), rec)
-		engine.Add(InstanceID(instances[i]), rec)
+		for _, e := range engines {
+			e.Add(InstanceID(instances[i]), rec)
+		}
 	}
+	if linear.Len() < minParallel {
+		t.Fatalf("world too small (%d) to exercise the parallel path", linear.Len())
+	}
+	ranked := 0
 	for qi, q := range goldenQueries(records) {
 		want := linear.TopK(q, 10)
-		got := engine.TopK(q, 10)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("query %d: engine ranking diverged\n scan:   %v\n engine: %v", qi, want, got)
+		ranked += len(want)
+		for m, e := range engines {
+			if got := e.TopK(q, 10); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s query %d: engine ranking diverged\n scan:   %v\n engine: %v", modes[m].name, qi, want, got)
+			}
 		}
+	}
+	if ranked == 0 {
+		t.Fatal("no query ranked any candidate: the comparison is vacuous")
 	}
 }
 

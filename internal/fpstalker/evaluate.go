@@ -12,13 +12,11 @@ import (
 // quantities). The confusion counts and the Precision/Recall/F1
 // metrics are promoted from mlearn.Confusion, with the
 // linking-specific reading: TP = truth in the top-k, FN = truth in
-// the DB but missed, FP = candidates that hid or displaced the truth,
-// TN = new instance correctly given no candidates.
+// the DB but missed, FP = candidates that hid or displaced the truth.
 type EvalResult struct {
 	mlearn.Confusion
 	Queries int
 
-	DBSize        int           // instances known at the end
 	MeanMatchTime time.Duration // mean TopK latency
 }
 
@@ -60,18 +58,13 @@ func Evaluate(l Linker, records []*fingerprint.Record, instances []int, k int) E
 					res.FP++
 				}
 			}
-		} else {
-			if len(cands) == 0 {
-				res.TN++
-			} else {
-				res.FP++
-			}
+		} else if len(cands) > 0 {
+			res.FP++
 		}
 
 		l.Add(trueID, rec)
 		seen[inst] = true
 	}
-	res.DBSize = l.Len()
 	if res.Queries > 0 {
 		// Round half-up rather than truncate: integer division would
 		// floor a sub-nanosecond remainder to 0 and report a zero mean

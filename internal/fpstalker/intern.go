@@ -27,8 +27,7 @@ import (
 // instead of copying the parsed UA per candidate.
 type uaSlot struct {
 	str  string
-	ua   useragent.UA
-	ok   bool // str parsed
+	ua   useragent.UA // zero when str does not parse
 	refs int32
 }
 
@@ -57,7 +56,7 @@ func (p *uaPool) intern(s string) uint32 {
 	p.misses++
 	slot := &uaSlot{str: s, refs: 1}
 	if ua, err := useragent.CachedParse(s); err == nil {
-		slot.ua, slot.ok = ua, true
+		slot.ua = ua
 	}
 	var id uint32
 	if n := len(p.free); n > 0 {
@@ -103,7 +102,6 @@ type vecIntern struct {
 	byHash       map[uint64][]uint32
 	slots        []vecSlot // index 0 reserved: the nil/empty handle
 	free         []uint32
-	bytes        int64 // payload bytes currently held
 	hits, misses uint64
 }
 
@@ -137,7 +135,6 @@ func (p *vecIntern) intern(v []uint64) uint32 {
 		id = uint32(len(p.slots) - 1)
 	}
 	p.byHash[h] = append(p.byHash[h], id)
-	p.bytes += int64(8 * len(v))
 	return id
 }
 
@@ -165,7 +162,6 @@ func (p *vecIntern) release(id uint32) {
 	} else {
 		p.byHash[s.hash] = bucket
 	}
-	p.bytes -= int64(8 * len(s.data))
 	*s = vecSlot{}
 	p.free = append(p.free, id)
 }

@@ -225,13 +225,10 @@ func jaccardSorted(a, b []uint64) float64 {
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// trainPair is one labelled training example with its provenance kept
-// so the sampler can be audited.
+// trainPair is one labelled training example.
 type trainPair struct {
-	x         []float64
-	label     int
-	knownInst int // instance of the stored-side record
-	queryInst int // instance of the query-side record
+	x     []float64
+	label int
 }
 
 // negativeDrawTries bounds the resampling when a negative draw hits the
@@ -341,10 +338,8 @@ func pairTrainingSet(records []*fingerprint.Record, instances []int, rng *rand.R
 	return parallel.Map(workers, len(specs), func(i int) trainPair {
 		s := specs[i]
 		return trainPair{
-			x:         appendPairVector(make([]float64, 0, NumPairFeatures), entries[s.known], entries[s.query]),
-			label:     int(s.label),
-			knownInst: instances[s.known],
-			queryInst: instances[s.query],
+			x:     appendPairVector(make([]float64, 0, NumPairFeatures), entries[s.known], entries[s.query]),
+			label: int(s.label),
 		}
 	})
 }

@@ -103,13 +103,13 @@ func TestNegativeSamplingNeverSameInstance(t *testing.T) {
 	}
 
 	for seed := int64(0); seed < 20; seed++ {
-		pairs := pairTrainingSet(records, instances, rand.New(rand.NewSource(seed)), 1)
-		for _, p := range pairs {
-			if p.label == 0 && p.knownInst == p.queryInst {
-				t.Fatalf("seed %d: same-instance pair (inst %d) labelled negative", seed, p.knownInst)
+		for _, s := range samplePairSpecs(instances, rand.New(rand.NewSource(seed))) {
+			known, query := instances[s.known], instances[s.query]
+			if s.label == 0 && known == query {
+				t.Fatalf("seed %d: same-instance pair (inst %d) labelled negative", seed, known)
 			}
-			if p.label == 1 && p.knownInst != p.queryInst {
-				t.Fatalf("seed %d: cross-instance pair (%d vs %d) labelled positive", seed, p.knownInst, p.queryInst)
+			if s.label == 1 && known != query {
+				t.Fatalf("seed %d: cross-instance pair (%d vs %d) labelled positive", seed, known, query)
 			}
 		}
 	}

@@ -15,9 +15,8 @@ import (
 //
 // The rules follow the original paper:
 //
-//  1. exact match wins immediately (optionally served from a hash
-//     index — the paper's Advice 6 caching suggestion; disable with
-//     NoExactIndex for the ablation);
+//  1. exact match wins immediately, served from a hash index — the
+//     paper's Advice 6 caching suggestion;
 //  2. the candidate must share browser family, OS family and platform;
 //  3. the browser version must not move backwards;
 //  4. a small set of user-controlled "must equal" features (cookie and
@@ -35,9 +34,6 @@ import (
 // worker pool; see engine.go. Both are ablatable, and Add/TopK are safe
 // for concurrent callers.
 type RuleLinker struct {
-	// NoExactIndex disables the exact-match hash index, forcing the
-	// full linear scan even for identical fingerprints (ablation).
-	NoExactIndex bool
 	// NoBlocking disables the candidate-blocking index so every query
 	// scans the whole table — the paper's Figure 9 configuration.
 	NoBlocking bool
@@ -117,17 +113,15 @@ func (l *RuleLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k int
 	defer l.eng.mu.RUnlock()
 	// Rule 1: exact match via the index (hash bucket, then the
 	// fingerprint.Equal-equivalent check over the stored hashes).
-	if !l.NoExactIndex {
-		if idxs := l.eng.byHash[q.fpHash]; len(idxs) > 0 {
-			cands := make([]Candidate, 0, len(idxs))
-			for _, i := range idxs {
-				if l.eng.exactMatch(i, q) {
-					cands = append(cands, Candidate{ID: l.eng.tab.ids[i], Score: 1e9})
-				}
+	if idxs := l.eng.byHash[q.fpHash]; len(idxs) > 0 {
+		cands := make([]Candidate, 0, len(idxs))
+		for _, i := range idxs {
+			if l.eng.exactMatch(i, q) {
+				cands = append(cands, Candidate{ID: l.eng.tab.ids[i], Score: 1e9})
 			}
-			if len(cands) > 0 {
-				return Rank(cands, k), nil
-			}
+		}
+		if len(cands) > 0 {
+			return Rank(cands, k), nil
 		}
 	}
 

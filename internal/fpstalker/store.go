@@ -164,18 +164,15 @@ func (t *soa) fillView(i int, v *entry) {
 	v.langs = t.vecs.data(h.langsID)
 }
 
-// StoreStats describes the interned store's occupancy — the
-// observability hook the bench harness and the refcount property test
-// read.
+// StoreStats describes the interned store's sharing — the
+// observability hook the bench harness reads.
 type StoreStats struct {
-	// Entries is the number of rows in the table.
-	Entries int
 	// UAStrings and Vectors count the distinct interned payloads
 	// currently alive (each shared by every entry referencing it).
-	UAStrings int
-	Vectors   int
-	// VectorBytes is the payload bytes held by the vector pool.
-	VectorBytes int64
+	//
+	// api: the root BENCH_linkd.json emitter (bench_linkd_test.go)
+	// reports them until ROADMAP item 9 retires it.
+	UAStrings, Vectors int
 	// InternHits/InternMisses count intern() calls that found a shared
 	// payload vs allocated a new slot, across both pools. The hit rate
 	// is the sharing factor the memory savings come from.
@@ -187,10 +184,8 @@ func (g *engine) storeStats() StoreStats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return StoreStats{
-		Entries:      g.tab.len(),
 		UAStrings:    g.tab.uas.live(),
 		Vectors:      g.tab.vecs.live(),
-		VectorBytes:  g.tab.vecs.bytes,
 		InternHits:   g.tab.uas.hits + g.tab.vecs.hits,
 		InternMisses: g.tab.uas.misses + g.tab.vecs.misses,
 	}

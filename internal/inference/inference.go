@@ -31,8 +31,6 @@ type EmojiLeakReport struct {
 	LeakingDynamics map[string]int
 	// LeakingInstances counts distinct affected browser IDs per family.
 	LeakingInstances map[string]int
-	// Total is the total number of such leaks.
-	Total int
 
 	seen map[[2]string]bool // (family, browser ID) pairs counted
 }
@@ -48,7 +46,6 @@ func (r *EmojiLeakReport) Add(d *dynamics.Dynamics, c dynamics.Classification) {
 	}
 	fam := d.To.Browser
 	r.LeakingDynamics[fam]++
-	r.Total++
 	if key := [2]string{fam, d.BrowserID}; !r.seen[key] {
 		r.seen[key] = true
 		r.LeakingInstances[fam]++

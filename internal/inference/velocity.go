@@ -23,18 +23,18 @@ type VelocityReport struct {
 	// VPNInstances lists browser IDs with at least one impossible hop,
 	// sorted (the paper: 2,916 instances).
 	VPNInstances []string
-	// Cases holds one example hop per VPN instance for manual review.
+	// Cases holds one example hop per VPN instance for manual review,
+	// in VPNInstances order.
 	Cases []VelocityCase
 }
 
 // VelocityCase is one impossible-travel example (the paper's
 // Kaluga→Lagos case study format).
 type VelocityCase struct {
-	BrowserID string
-	FromCity  string
-	ToCity    string
-	Gap       time.Duration
-	SpeedKmh  float64
+	FromCity string
+	ToCity   string
+	Gap      time.Duration
+	SpeedKmh float64
 }
 
 // VelocityAccumulator computes implied movement speeds for consecutive
@@ -71,10 +71,7 @@ func (a *VelocityAccumulator) Add(id string, from, to *fingerprint.Record) {
 	default:
 		a.rep.Impossible++
 		if _, seen := a.vpn[id]; !seen {
-			a.vpn[id] = VelocityCase{
-				BrowserID: id, FromCity: x.Name, ToCity: y.Name,
-				Gap: gap, SpeedKmh: v,
-			}
+			a.vpn[id] = VelocityCase{FromCity: x.Name, ToCity: y.Name, Gap: gap, SpeedKmh: v}
 		}
 	}
 }

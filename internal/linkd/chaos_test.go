@@ -53,7 +53,7 @@ func runChaos(t *testing.T, compactMidway bool) {
 		o := Options{
 			Rule:  fpstalker.NewRuleLinker(),
 			Learn: fpstalker.NewLearnLinker(forest),
-			Clock: clock.Now, Window: 48 * time.Hour,
+			clock: clock.Now, Window: 48 * time.Hour,
 			MaxInFlight: 2, QueueDepth: 8,
 		}
 		if withWAL {

@@ -169,7 +169,7 @@ func TestServerMalformedRequest(t *testing.T) {
 // cancels the stalled query.
 func TestServerDeadline(t *testing.T) {
 	_, _, addr := startServer(t, func(o *Options) {
-		o.Fault = &faultinject.Script{Stall: 200 * time.Millisecond}
+		o.fault = &faultinject.Script{Stall: 200 * time.Millisecond}
 	})
 	c := dialServer(t, addr)
 	if resp := c.roundTrip(t, &Request{Type: TypeAdd, ID: "d1", Record: testRecord(1, tBase)}); resp.Type != TypeOK {
@@ -193,7 +193,7 @@ func TestServerOverloaded(t *testing.T) {
 	svc, _, addr := startServer(t, func(o *Options) {
 		o.MaxInFlight = 1
 		o.QueueDepth = 1
-		o.Fault = &faultinject.Script{Stall: stall}
+		o.fault = &faultinject.Script{Stall: stall}
 	})
 	loader := dialServer(t, addr)
 	for i := 0; i < 5; i++ {
@@ -231,7 +231,7 @@ func TestServerOverloaded(t *testing.T) {
 // the in-flight query finish and deliver its result.
 func TestServerShutdownDrain(t *testing.T) {
 	svc, srv, addr := startServer(t, func(o *Options) {
-		o.Fault = &faultinject.Script{Stall: 300 * time.Millisecond}
+		o.fault = &faultinject.Script{Stall: 300 * time.Millisecond}
 	})
 	srv.DrainGrace = 2 * time.Second
 	c := dialServer(t, addr)

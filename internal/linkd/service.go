@@ -20,7 +20,7 @@ import (
 
 // wallClock is this package's single wall-clock source. Everything
 // that reads time for a *decision* (eviction cutoffs, latency
-// observations, drain deadlines) goes through Options.Clock or this
+// observations, drain deadlines) goes through Options.clock or this
 // variable, never time.Now directly — scripts/lint_determinism.sh
 // enforces it — so tests inject a fake clock and get bit-reproducible
 // eviction and chaos runs.
@@ -62,22 +62,17 @@ type Options struct {
 	MaxInFlight int
 	QueueDepth  int
 
-	// Clock supplies "now" for eviction cutoffs and latency
-	// measurement; defaults to the wall clock. Tests inject a fake.
-	Clock func() time.Time
-
-	// Fault, when set, stalls every admitted query before scoring —
-	// the overload tests' slow-scorer injection point.
-	Fault *faultinject.Script
-
-	// Registry receives the service's metrics; nil allocates a private
-	// one (reachable via Metrics).
-	Registry *obs.Registry
-
 	// SampleEvery starts a background goroutine that calls
 	// SampleOverload and EvictExpired on this period. 0 leaves both to
 	// the caller (tests drive them manually).
 	SampleEvery time.Duration
+
+	// clock supplies "now" for eviction cutoffs and latency
+	// measurement; nil means the wall clock. Tests inject a fake.
+	clock func() time.Time
+	// fault, when set, stalls every admitted query before scoring —
+	// the overload tests' slow-scorer injection point.
+	fault *faultinject.Script
 }
 
 func (o *Options) maxInFlight() int {
@@ -92,13 +87,6 @@ func (o *Options) queueDepth() int {
 		return o.QueueDepth
 	}
 	return 4 * o.maxInFlight()
-}
-
-func (o *Options) clock() func() time.Time {
-	if o.Clock != nil {
-		return o.Clock
-	}
-	return wallClock
 }
 
 // journalEntry is the payload of one journaled add. Evictions are NOT
@@ -130,9 +118,6 @@ type serviceMetrics struct {
 }
 
 func newServiceMetrics(reg *obs.Registry) serviceMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	return serviceMetrics{
 		reg:            reg,
 		queriesOK:      reg.Counter("linkd_queries_total", "Queries by outcome.", "outcome", "ok"),
@@ -205,11 +190,14 @@ func Open(opts Options) (*Service, storage.JournalReplayStats, error) {
 		opts:  opts,
 		rule:  opts.Rule,
 		learn: opts.Learn,
-		now:   opts.clock(),
-		m:     newServiceMetrics(opts.Registry),
+		now:   opts.clock,
+		m:     newServiceMetrics(obs.NewRegistry()),
 		live:  make(map[string]*fingerprint.Record),
 		evict: newWindowEvictor(),
 		sem:   make(chan struct{}, opts.maxInFlight()),
+	}
+	if s.now == nil {
+		s.now = wallClock
 	}
 	s.m.reg.GaugeFunc("linkd_entries", "Live instances in the linking table.", func() float64 {
 		return float64(s.rule.Len())
@@ -344,7 +332,7 @@ func (s *Service) Query(ctx context.Context, rec *fingerprint.Record, k int) ([]
 	s.m.inflight.Add(1)
 	defer s.m.inflight.Add(-1)
 
-	s.opts.Fault.Stalled() // overload tests: the injected slow scorer
+	s.opts.fault.Stalled() // overload tests: the injected slow scorer
 
 	mode := ModeRule
 	var linker fpstalker.DynamicLinker = s.rule

@@ -106,7 +106,7 @@ func TestAdmissionShed(t *testing.T) {
 	svc := openTest(t, func(o *Options) {
 		o.MaxInFlight = 1
 		o.QueueDepth = 1
-		o.Fault = &faultinject.Script{Stall: stall}
+		o.fault = &faultinject.Script{Stall: stall}
 	})
 	addN(t, svc, 10)
 
@@ -157,7 +157,7 @@ func TestQueuedDeadline(t *testing.T) {
 	svc := openTest(t, func(o *Options) {
 		o.MaxInFlight = 1
 		o.QueueDepth = 2
-		o.Fault = &faultinject.Script{Stall: stall}
+		o.fault = &faultinject.Script{Stall: stall}
 	})
 	addN(t, svc, 10)
 
@@ -206,7 +206,7 @@ func TestEvictionWindow(t *testing.T) {
 		clock := newFakeClock(tBase)
 		svc := openTest(t, func(o *Options) {
 			o.Window = 24 * time.Hour
-			o.Clock = clock.Now
+			o.clock = clock.Now
 		})
 		for i := 0; i < 10; i++ {
 			rec := testRecord(i, tBase.Add(time.Duration(i)*time.Hour))
@@ -557,7 +557,7 @@ func TestCompactDropsEvicted(t *testing.T) {
 	open := func() *Service {
 		svc, _, err := Open(Options{
 			Rule: fpstalker.NewRuleLinker(), WAL: wal,
-			Window: 24 * time.Hour, Clock: clock.Now, MaxInFlight: 2,
+			Window: 24 * time.Hour, clock: clock.Now, MaxInFlight: 2,
 		})
 		if err != nil {
 			t.Fatalf("open: %v", err)
@@ -589,7 +589,7 @@ func TestCompactDropsEvicted(t *testing.T) {
 
 	re, stats, err := Open(Options{
 		Rule: fpstalker.NewRuleLinker(), WAL: wal,
-		Window: 24 * time.Hour, Clock: clock.Now, MaxInFlight: 2,
+		Window: 24 * time.Hour, clock: clock.Now, MaxInFlight: 2,
 	})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -620,7 +620,7 @@ func TestCompactIdleWritesNothing(t *testing.T) {
 	clock := newFakeClock(tBase.Add(40 * time.Hour))
 	svc, _, err := Open(Options{
 		Rule: fpstalker.NewRuleLinker(), WAL: storage.WALOptions{Dir: dir, Policy: storage.SyncNever, Registry: reg},
-		Window: 24 * time.Hour, Clock: clock.Now, MaxInFlight: 2,
+		Window: 24 * time.Hour, clock: clock.Now, MaxInFlight: 2,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -683,7 +683,7 @@ func TestCompactReportsCheckpoint(t *testing.T) {
 	clock := newFakeClock(tBase.Add(40 * time.Hour))
 	svc, _, err := Open(Options{
 		Rule: fpstalker.NewRuleLinker(), WAL: storage.WALOptions{Dir: t.TempDir(), Policy: storage.SyncNever},
-		Window: 24 * time.Hour, Clock: clock.Now, MaxInFlight: 2,
+		Window: 24 * time.Hour, clock: clock.Now, MaxInFlight: 2,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -782,7 +782,7 @@ func TestConcurrentAddsQueriesEvict(t *testing.T) {
 	clock := newFakeClock(tBase)
 	svc := openTest(t, func(o *Options) {
 		o.Window = time.Hour
-		o.Clock = clock.Now
+		o.clock = clock.Now
 		o.MaxInFlight = 2
 		o.QueueDepth = 64
 	})

@@ -50,7 +50,7 @@ func TestEvictionPinSurvivesTimedReAdd(t *testing.T) {
 		clock := newFakeClock(tBase)
 		svc := openTest(t, func(o *Options) {
 			o.Window = 24 * time.Hour
-			o.Clock = clock.Now
+			o.clock = clock.Now
 		})
 		if err := svc.Add("pin", testRecord(3, time.Time{})); err != nil {
 			t.Fatalf("pin add: %v", err)
@@ -98,7 +98,7 @@ func TestEvictionPinSurvivesRecovery(t *testing.T) {
 	open := func(clock *fakeClock) *Service {
 		svc, _, err := Open(Options{
 			Rule: fpstalker.NewRuleLinker(), Learn: fpstalker.NewLearnLinker(forest),
-			WAL: wal, Window: 24 * time.Hour, Clock: clock.Now, MaxInFlight: 2,
+			WAL: wal, Window: 24 * time.Hour, clock: clock.Now, MaxInFlight: 2,
 		})
 		if err != nil {
 			t.Fatalf("open: %v", err)
@@ -136,7 +136,7 @@ func TestEvictionPinSurvivesRecovery(t *testing.T) {
 	refClock := newFakeClock(tBase)
 	ref := openTest(t, func(o *Options) {
 		o.Window = 24 * time.Hour
-		o.Clock = refClock.Now
+		o.clock = refClock.Now
 	})
 	for i := 0; i < 6; i++ {
 		if err := ref.Add(fmt.Sprintf("i%d", i), testRecord(i, tBase.Add(time.Duration(i)*time.Hour))); err != nil {

@@ -8,7 +8,6 @@ package mlearn
 type Confusion struct {
 	TP int // predicted 1, truth 1
 	FP int // predicted 1, truth 0
-	TN int // predicted 0, truth 0
 	FN int // predicted 0, truth 1
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestConfusionMetrics(t *testing.T) {
-	c := Confusion{TP: 8, FP: 2, FN: 2, TN: 10}
+	c := Confusion{TP: 8, FP: 2, FN: 2}
 	if p := c.Precision(); p != 0.8 {
 		t.Fatalf("precision = %v", p)
 	}

@@ -44,6 +44,9 @@ type ForestConfig struct {
 	// resolves to GOMAXPROCS. The trained forest is identical for every
 	// setting — each tree derives its RNG from Seed and its own index,
 	// never from scheduling — so Workers is purely a throughput knob.
+	//
+	// api: TestForestBytesPinned and TestWorkerCountInvariance train at
+	// Workers 1 and 0 to pin that invariance.
 	Workers int
 }
 

@@ -70,9 +70,7 @@ type device struct {
 	headerLangExtra string // appended to the Accept-Language value by locale tweaks
 	extraLangs      []string
 
-	hasSamsung  bool
-	win7Old     bool // Windows 7 without the 2014 emoji update
-	osNeverUpd  bool
+	win7Old     bool        // Windows 7 without the 2014 emoji update
 	isClone     bool        // identical twin of another device (lab scenario)
 	schedule    []devChange // future changes, time-ordered
 	applied     []devChange // past changes, time-ordered
@@ -90,7 +88,6 @@ func cloneDevice(src *device) *device {
 	dv.schedule = nil
 	dv.applied = nil
 	dv.scheduleIdx = 0
-	dv.hasSamsung = false
 	return &dv
 }
 

@@ -135,9 +135,6 @@ func buildUser(rng *rand.Rand, cfg Config, geo *geoip.DB, u int) ([]*instance, [
 			in := newInstance(rng, cfg, len(instances), userID, dv, family)
 			instances = append(instances, in)
 			devInstances = append(devInstances, in)
-			if family == useragent.Samsung {
-				dv.hasSamsung = true
-			}
 		}
 		scheduleDevice(rng, cfg, dv, devInstances)
 		if d == 0 {

@@ -3,7 +3,6 @@ package population
 import (
 	"time"
 
-	"fpdyn/internal/fontdb"
 	"fpdyn/internal/useragent"
 )
 
@@ -18,14 +17,11 @@ type Release struct {
 	Date   time.Time
 
 	// Side effects on the adopting instance/device.
-	TextDetail   bool     // canvas text detail changes (glyph rasterizer)
-	TextWidth    bool     // canvas text width changes (font metrics)
-	EmojiType    bool     // new emoji designs
-	EmojiRender  bool     // subtle emoji rendering change
-	FontsAdded   []string // fonts newly visible after the update
-	FontsRemoved []string
-	PluginDrop   string // plugin removed by the update ("" = none)
-	DeviceEmoji  bool   // updates the *device's* emoji pack (visible to co-installed browsers)
+	TextDetail  bool // canvas text detail changes (glyph rasterizer)
+	TextWidth   bool // canvas text width changes (font metrics)
+	EmojiType   bool // new emoji designs
+	EmojiRender bool // subtle emoji rendering change
+	DeviceEmoji bool // updates the *device's* emoji pack (visible to co-installed browsers)
 }
 
 func d(y int, m time.Month, day int) time.Time {
@@ -51,7 +47,7 @@ var BrowserReleases = []Release{
 	// Firefox desktop. 57 (Quantum, Nov 2017) changed font enumeration
 	// (Appendix A.4); 58–61 are the Figure 12 markers. The 57→58/59/60
 	// DirectX fallback dance is Insight 3 example 2, handled in events.
-	{Family: useragent.Firefox, V: useragent.V(57), Date: d(2017, 11, 14), FontsAdded: fontdb.Firefox57, TextWidth: true},
+	{Family: useragent.Firefox, V: useragent.V(57), Date: d(2017, 11, 14), TextWidth: true},
 	{Family: useragent.Firefox, V: useragent.V(58), Date: d(2018, 1, 23)},
 	{Family: useragent.Firefox, V: useragent.V(59), Date: d(2018, 3, 13), TextDetail: true},
 	{Family: useragent.Firefox, V: useragent.V(60), Date: d(2018, 5, 9)},
@@ -63,7 +59,7 @@ var BrowserReleases = []Release{
 	{Family: useragent.FirefoxMobile, V: useragent.V(60), Date: d(2018, 5, 9)},
 
 	// Desktop Safari ships with macOS updates; slower adoption (Figure 12).
-	{Family: useragent.Safari, V: useragent.V(11, 0, 2), Date: d(2017, 12, 6), EmojiRender: true, FontsRemoved: []string{"Big Caslon"}},
+	{Family: useragent.Safari, V: useragent.V(11, 0, 2), Date: d(2017, 12, 6), EmojiRender: true},
 	{Family: useragent.Safari, V: useragent.V(11, 0, 3), Date: d(2018, 1, 23)},
 	{Family: useragent.Safari, V: useragent.V(11, 1), Date: d(2018, 3, 29), EmojiRender: true},
 

@@ -59,15 +59,18 @@ type StreamOptions struct {
 	// UsersPerBatch overrides the derived batch size directly (takes
 	// precedence over MemBudget). Batch size never changes the output,
 	// only peak memory and run count.
+	//
+	// api: TestSimulateGolden and the report's stream tests split small
+	// populations into several runs with it.
 	UsersPerBatch int
 	// Registry receives spill/merge metrics (runs, bytes, heap size,
 	// records in flight). Nil disables.
 	Registry *obs.Registry
 	// Timings, when non-nil, records the simulate+spill stage.
 	Timings *obs.Timings
-	// OpenFile opens run files for writing (fault-injection hook);
+	// openFile opens run files for writing (fault-injection hook);
 	// defaults to os.Create.
-	OpenFile func(path string) (storage.SegmentFile, error)
+	openFile func(path string) (storage.SegmentFile, error)
 }
 
 // bytesPerUserEstimate is the calibrated in-flight cost of one user in
@@ -229,7 +232,7 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 	} else if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("population: spill dir: %w", err)
 	}
-	sorter, err := NewSpillSorter(filepath.Join(root, "sim"), "simulate", opts.Registry, opts.OpenFile)
+	sorter, err := NewSpillSorter(filepath.Join(root, "sim"), "simulate", opts.Registry, opts.openFile)
 	if err != nil {
 		return nil, err
 	}

@@ -261,7 +261,7 @@ func TestSpillWriteFailure(t *testing.T) {
 	cfg := streamTestConfig(1)
 	sd, err := SimulateSpill(cfg, StreamOptions{
 		UsersPerBatch: 50,
-		OpenFile: func(path string) (storage.SegmentFile, error) {
+		openFile: func(path string) (storage.SegmentFile, error) {
 			f, err := os.Create(path)
 			if err != nil {
 				return nil, err

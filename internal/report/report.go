@@ -105,7 +105,10 @@ type StreamOptions struct {
 	// parallel.Resolve). Output is identical for every value.
 	Workers int
 	// SpillDir is ignored: the report reads each partition once and
-	// spills nothing. It stays so that existing callers still compile.
+	// spills nothing.
+	//
+	// api: the perfbench pipeline workload still sets it; ROADMAP item
+	// 10 deletes it with that workload's move to fpreport's entry point.
 	SpillDir string
 	// ChunkSize is the number of records per parallel work chunk
 	// (default 8192). It shapes memory and parallelism, never output.

@@ -12,7 +12,6 @@ package stats
 // threshold k (1-indexed), the percentage of fingerprints whose
 // anonymous set has at most k members.
 type AnonymityCurve struct {
-	MaxK int
 	// PctIdentifiable[k-1] is the share (0–100) of fingerprint
 	// observations that fall in an anonymous set of size ≤ k.
 	PctIdentifiable []float64
@@ -55,7 +54,7 @@ func (a *AnonymityAccumulator) Add(instance int, h uint64) {
 
 // Curve returns the identifiability curve up to set size maxK.
 func (a *AnonymityAccumulator) Curve(maxK int) AnonymityCurve {
-	curve := AnonymityCurve{MaxK: maxK, PctIdentifiable: make([]float64, maxK)}
+	curve := AnonymityCurve{PctIdentifiable: make([]float64, maxK)}
 	if a.records == 0 {
 		return curve
 	}

@@ -15,7 +15,6 @@ import (
 // observed exactly once.
 type FeatureRow struct {
 	Name    string
-	Group   string // empty for group and overall rows
 	IsGroup bool
 
 	Distinct, Unique       int
@@ -140,7 +139,7 @@ func (a *FeatureAccumulator) Rows() []FeatureRow {
 			gr.DynDistinct, gr.DynUnique = distinctUnique(a.dynGroups[d.Group])
 			rows = append(rows, gr)
 		}
-		r := FeatureRow{Name: d.Name, Group: d.Group}
+		r := FeatureRow{Name: d.Name}
 		r.Distinct, r.Unique = distinctUnique(a.perFeature[d.ID])
 		r.DynDistinct, r.DynUnique = distinctUnique(a.dynFeature[d.ID])
 		rows = append(rows, r)

@@ -87,8 +87,7 @@ func (a *TradeoffAccumulator) entropy() map[fingerprint.ID]float64 {
 
 // TradeoffRow scores one feature on both axes.
 type TradeoffRow struct {
-	Feature fingerprint.ID
-	Name    string
+	Name string
 	// EntropyBits is the uniqueness axis.
 	EntropyBits float64
 	// InstabilityPct is the share (0–100) of changed dynamics in which
@@ -110,7 +109,6 @@ func (a *TradeoffAccumulator) Rows() []TradeoffRow {
 			instab = 100 * float64(a.changeCount[desc.ID]) / float64(a.changed)
 		}
 		row := TradeoffRow{
-			Feature:        desc.ID,
 			Name:           desc.Name,
 			EntropyBits:    entropy[desc.ID],
 			InstabilityPct: instab,

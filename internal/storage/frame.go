@@ -38,7 +38,7 @@ func AppendFrame(dst, payload []byte) []byte {
 // unwrapped so callers can inspect them.
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
-		maxFrame = (&WALOptions{}).maxFrame()
+		maxFrame = defaultMaxFrame
 	}
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

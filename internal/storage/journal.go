@@ -76,7 +76,7 @@ func ReplayJournal(opts WALOptions, snapFn, segFn func(payload []byte) error) (*
 		if err != nil {
 			return nil, stats, fmt.Errorf("storage: snapshot read %s: %w", sn.name, err)
 		}
-		off, derr := DecodeSegment(data, opts.maxFrame(), func(payload []byte) error {
+		off, derr := DecodeSegment(data, opts.frameLimit(), func(payload []byte) error {
 			stats.SnapshotFrames++
 			return snapFn(payload)
 		})
@@ -99,7 +99,7 @@ func ReplayJournal(opts WALOptions, snapFn, segFn func(payload []byte) error) (*
 			return nil, stats, fmt.Errorf("storage: wal read %s: %w", seg.name, err)
 		}
 		var fnErr error
-		validLen, derr := DecodeSegment(data, opts.maxFrame(), func(payload []byte) error {
+		validLen, derr := DecodeSegment(data, opts.frameLimit(), func(payload []byte) error {
 			stats.Frames++
 			fnErr = segFn(payload)
 			return fnErr

@@ -61,6 +61,9 @@ type ShardedWALOptions struct {
 	// RecoveryWorkers bounds the goroutines replaying shards on
 	// recovery; <= 0 resolves to GOMAXPROCS. Replay order never affects
 	// the recovered state: shards are disjoint.
+	//
+	// api: TestRecoverShardedWorkerInvariance and collector's
+	// TestChaosShardedMatrix replay one log at several worker counts.
 	RecoveryWorkers int
 }
 
@@ -74,8 +77,7 @@ func (o *ShardedWALOptions) shards() int {
 // ShardedRecoveryStats merges per-shard recovery outcomes.
 type ShardedRecoveryStats struct {
 	RecoveryStats                 // totals across shards (Add semantics)
-	Shards        int             // shard count recovered
-	PerShard      []RecoveryStats // indexed by shard
+	PerShard      []RecoveryStats // indexed by shard; its length is the shard count
 }
 
 // ShardedStore partitions records and values across independent
@@ -147,7 +149,6 @@ func checkShardsMeta(root string, n int) error {
 func RecoverSharded(opts ShardedWALOptions) (*ShardedStore, ShardedRecoveryStats, error) {
 	n := opts.shards()
 	var stats ShardedRecoveryStats
-	stats.Shards = n
 	stats.PerShard = make([]RecoveryStats, n)
 	if opts.Dir == "" {
 		return nil, stats, errors.New("storage: sharded recovery needs a root dir")

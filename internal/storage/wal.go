@@ -97,13 +97,15 @@ type WALOptions struct {
 	// Policy is the fsync policy (default SyncAlways).
 	Policy SyncPolicy
 	// SegmentSize is the rotation threshold in bytes (default 64 MiB).
+	//
+	// api: TestWALBytesDigest and TestRecoverStatsPinned pin segment
+	// bytes and recovery stats at small sizes that force rotation.
 	SegmentSize int64
-	// MaxFrame bounds a single payload (default 16 MiB); larger
-	// appends are rejected and larger on-disk length headers are
-	// treated as corruption during recovery.
-	MaxFrame int
 	// OpenFile opens a new segment for appending; defaults to
 	// os.Create. Fault-injection hooks replace it.
+	//
+	// api: the storage, collector and linkd tests fail segment writes
+	// and fsyncs through it (faultinject.File).
 	OpenFile func(path string) (SegmentFile, error)
 	// Registry receives the WAL's metrics (append/fsync latency,
 	// bytes written, rotations, recovery counters). Nil allocates a
@@ -113,7 +115,14 @@ type WALOptions struct {
 	// metric this WAL registers. RecoverSharded sets ("shard", "NN") so
 	// all shards can share one registry without colliding.
 	metricLabels []string
+	// maxFrame bounds a single payload (default defaultMaxFrame);
+	// larger appends are rejected and larger on-disk length headers
+	// are treated as corruption during recovery.
+	maxFrame int
 }
+
+// defaultMaxFrame is the default bound on one frame's payload.
+const defaultMaxFrame = 16 << 20
 
 // syncInterval is the background fsync period under SyncInterval.
 const syncInterval = 100 * time.Millisecond
@@ -125,11 +134,11 @@ func (o *WALOptions) segmentSize() int64 {
 	return o.SegmentSize
 }
 
-func (o *WALOptions) maxFrame() int {
-	if o.MaxFrame <= 0 {
-		return 16 << 20
+func (o *WALOptions) frameLimit() int {
+	if o.maxFrame <= 0 {
+		return defaultMaxFrame
 	}
-	return o.MaxFrame
+	return o.maxFrame
 }
 
 func (o *WALOptions) openFile(path string) (SegmentFile, error) {
@@ -387,8 +396,8 @@ func (w *WAL) write(payloads ...[]byte) error {
 	}
 	w.buf = w.buf[:0]
 	for _, payload := range payloads {
-		if len(payload) > w.opts.maxFrame() {
-			return fmt.Errorf("%w: %d > %d bytes", ErrFrameSize, len(payload), w.opts.maxFrame())
+		if len(payload) > w.opts.frameLimit() {
+			return fmt.Errorf("%w: %d > %d bytes", ErrFrameSize, len(payload), w.opts.frameLimit())
 		}
 		w.buf = AppendFrame(w.buf, payload)
 	}
@@ -521,7 +530,7 @@ func (w *WAL) Close() error {
 // the default bound.
 func DecodeSegment(data []byte, maxFrame int, fn func(payload []byte) error) (int64, error) {
 	if maxFrame <= 0 {
-		maxFrame = (&WALOptions{}).maxFrame()
+		maxFrame = defaultMaxFrame
 	}
 	off := int64(0)
 	for int(off) < len(data) {

@@ -307,7 +307,7 @@ func TestWALSyncIntervalPolicy(t *testing.T) {
 
 func TestWALRejectsOversizedFrame(t *testing.T) {
 	opts := walOpts(t)
-	opts.MaxFrame = 256
+	opts.maxFrame = 256
 	_, w, _, err := recoverDir(opts)
 	if err != nil {
 		t.Fatal(err)
