@@ -17,7 +17,8 @@ BENCHTIME_MATCH ?= 2000x
 ## identifier of internal/ that nothing uses, on a struct field that
 ## nothing reads, and on an exported struct field that nothing sets.
 ## It also runs 10 s smokes of the binary record codec's fuzz target
-## and of the collector's request handler (new-input minimization
+## and of the collector's request handler, whose target feeds it both
+## newline-JSON and binary-codec payloads (new-input minimization
 ## capped at one run, so the budget goes to fuzzing rather than
 ## shrinking inputs), and vets and tests the benchmark module
 ## (perfbench is a separate module, so ./... does not reach it).
@@ -71,7 +72,7 @@ chaos:
 ## fuzz: run every fuzz target for FUZZTIME each (default 10s), one
 ## -fuzz='^Name$$' run per target, since go test fuzzes one target at a
 ## time. New-input minimization is capped at one run, as in check's
-## smokes. Eleven targets take about two minutes, so this is not
+## smokes. Twelve targets take about two minutes, so this is not
 ## a CI step; `make check` keeps its two 10 s smokes.
 FUZZTIME ?= 10s
 fuzz:

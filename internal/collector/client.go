@@ -196,17 +196,18 @@ func (g *group) Wait() error {
 // Client is the transfer module: it submits collected records over one
 // TCP connection using the hash-dedup protocol. A client starts in
 // newline-JSON framing; Negotiate can switch the connection to binary
-// frames.
+// frames, which carry the binary payload codec.
 type Client struct {
 	conn net.Conn
 	enc  *json.Encoder
 	dec  *json.Decoder
 
 	// binary framing state, set by Negotiate: br reads frames starting
-	// with whatever the JSON decoder had buffered, wbuf is the reused
-	// outbound frame.
+	// with whatever the JSON decoder had buffered; pbuf and wbuf are the
+	// reused outbound payload and frame.
 	binary bool
 	br     *bufio.Reader
+	pbuf   []byte
 	wbuf   []byte
 
 	bytesSent atomic.Int64
@@ -258,13 +259,9 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 // exchange performs one request/response cycle without interpreting
 // TypeError — Negotiate needs the raw reply to fall back gracefully.
 func (c *Client) exchange(req *Request) (*Response, error) {
-	var resp Response
 	if c.binary {
-		payload, err := json.Marshal(req)
-		if err != nil {
-			return nil, fmt.Errorf("collector: send: %w", err)
-		}
-		c.wbuf = storage.AppendFrame(c.wbuf[:0], payload)
+		c.pbuf = appendRequest(c.pbuf[:0], req)
+		c.wbuf = storage.AppendFrame(c.wbuf[:0], c.pbuf)
 		if _, err := c.conn.Write(c.wbuf); err != nil {
 			return nil, fmt.Errorf("collector: send: %w", err)
 		}
@@ -273,11 +270,13 @@ func (c *Client) exchange(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, fmt.Errorf("collector: recv: %w", err)
 		}
-		if err := json.Unmarshal(reply, &resp); err != nil {
+		resp, err := decodeResponse(reply)
+		if err != nil {
 			return nil, fmt.Errorf("collector: recv: %w", err)
 		}
-		return &resp, nil
+		return resp, nil
 	}
+	var resp Response
 	if err := c.enc.Encode(req); err != nil {
 		return nil, fmt.Errorf("collector: send: %w", err)
 	}
@@ -374,9 +373,10 @@ type BatchRecord struct {
 // returned acks parallel the batch prefix the server processed: a
 // short list (or one whose last entry has a non-empty Error) means the
 // remaining records were never attempted and should stay buffered.
-// Records must be in seq order. Works in either framing mode — the
-// win from binary framing is that the whole batch is one frame instead
-// of one syscall-sized line per round trip.
+// Records must be in seq order. Works in either framing mode — binary
+// framing sends the batch as one frame in the binary codec, with its
+// records in the binary record encoding and its values as raw bytes,
+// where newline-JSON sends a JSON line with base64 values.
 func (c *Client) SubmitBatch(batch []BatchRecord, clientID string) ([]Ack, error) {
 	if len(batch) == 0 {
 		return nil, nil

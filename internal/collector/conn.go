@@ -3,7 +3,6 @@ package collector
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"log"
@@ -30,13 +29,16 @@ const (
 
 // Reply is a protocol's answer to one request payload.
 type Reply struct {
-	// Resp is encoded with encoding/json in the connection's framing.
-	Resp any
+	// Payload is the encoded response, in the framing the request
+	// arrived in: the connection server adds the newline or the frame
+	// header.
+	Payload []byte
 	// Binary switches the connection to binary frames from the next
-	// message on, in both directions; Resp itself (the hello reply that
-	// negotiated the switch) goes out in the old framing.
+	// message on, in both directions; Payload itself (the hello reply
+	// that negotiated the switch) goes out in the old framing.
 	Binary bool
-	// Close, when non-nil, hangs up after Resp is written; Serve logs it.
+	// Close, when non-nil, hangs up after Payload is written; Serve
+	// logs it.
 	Close error
 }
 
@@ -46,9 +48,12 @@ type Reply struct {
 // abrupt (Close) and graceful (Shutdown) stops. A connection starts in
 // newline-JSON; a Reply with Binary set switches both sides to
 // CRC-32C, length-prefixed frames (storage.AppendFrame/ReadFrame, the
-// WAL's frame format) carrying the same JSON payloads. What a payload
-// means is the protocol's business: its handle function decodes and
-// dispatches one payload to a Reply.
+// WAL's frame format). What a payload holds in either framing is the
+// protocol's business: its handle function decodes one payload, told
+// which framing it arrived in, and encodes the Reply in that framing,
+// and its refuse function encodes the error reply to a request the
+// server drops unread (one over MaxFrame). The collector's binary
+// frames carry its binary codec; linkd's carry JSON.
 //
 // It registers five series under its name on the owner's registry:
 // NAME_active_connections, NAME_draining, NAME_drain_seconds,
@@ -71,7 +76,8 @@ type ConnServer struct {
 	Logf func(format string, args ...any)
 
 	name   string
-	handle func(payload []byte) Reply
+	handle func(payload []byte, binary bool) Reply
+	refuse func(msg string, binary bool) []byte
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -88,10 +94,12 @@ type ConnServer struct {
 }
 
 // NewConnServer creates a connection server that answers every request
-// payload with handle. name prefixes its log lines and its metric names
-// on reg; maxFrame and drainGrace are the owner's defaults for MaxFrame
-// and DrainGrace.
-func NewConnServer(name string, reg *obs.Registry, maxFrame int, drainGrace time.Duration, handle func(payload []byte) Reply) *ConnServer {
+// payload with handle, and a request it drops unread with refuse's
+// error reply. name prefixes its log lines and its metric names on reg;
+// maxFrame and drainGrace are the owner's defaults for MaxFrame and
+// DrainGrace.
+func NewConnServer(name string, reg *obs.Registry, maxFrame int, drainGrace time.Duration,
+	handle func(payload []byte, binary bool) Reply, refuse func(msg string, binary bool) []byte) *ConnServer {
 	return &ConnServer{
 		ReadTimeout: DefaultReadTimeout,
 		MaxFrame:    maxFrame,
@@ -100,6 +108,7 @@ func NewConnServer(name string, reg *obs.Registry, maxFrame int, drainGrace time
 
 		name:   name,
 		handle: handle,
+		refuse: refuse,
 		conns:  make(map[net.Conn]struct{}),
 
 		activeConns:    reg.Gauge(name+"_active_connections", "Currently open client connections."),
@@ -276,10 +285,6 @@ func (cr countingReader) Read(p []byte) (int, error) {
 // framing below, and stands for storage.ErrFrameSize on binary frames.
 var ErrFrameTooLong = errors.New("request frame too large")
 
-// frameLimitReply answers a request over MaxFrame. Both protocols on a
-// ConnServer share the {"type":"error","error":...} reply shape.
-var frameLimitReply = &Response{Type: TypeError, Error: "request exceeds frame limit"}
-
 // ReadLine accumulates one newline-terminated request from br, bounded
 // by maxLine. Unlike bufio.Scanner it reads through a plain
 // *bufio.Reader, so bytes the reader has buffered past the line — the
@@ -315,9 +320,8 @@ func ReadLine(br *bufio.Reader, maxLine int) ([]byte, error) {
 // serveConn runs the request loop for one connection.
 func (s *ConnServer) serveConn(conn net.Conn) error {
 	br := bufio.NewReader(countingReader{conn, s.bytesReceived})
-	enc := json.NewEncoder(conn)
 	binary := false
-	var wbuf []byte // reused binary response frame
+	var wbuf []byte // reused response line or frame
 	for {
 		if !s.draining.Load() && s.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
@@ -339,7 +343,7 @@ func (s *ConnServer) serveConn(conn net.Conn) error {
 			case errors.Is(err, ErrFrameTooLong):
 				// Best-effort rejection before hanging up.
 				s.framesRejected.Inc()
-				s.write(conn, enc, binary, &wbuf, frameLimitReply)
+				s.write(conn, binary, &wbuf, s.refuse("request exceeds frame limit", binary))
 				return ErrFrameTooLong
 			case s.draining.Load() && errors.Is(err, os.ErrDeadlineExceeded):
 				return nil // drained: the connection went idle past the grace
@@ -350,8 +354,8 @@ func (s *ConnServer) serveConn(conn net.Conn) error {
 		if len(payload) == 0 {
 			continue
 		}
-		r := s.handle(payload)
-		if err := s.write(conn, enc, binary, &wbuf, r.Resp); err != nil {
+		r := s.handle(payload, binary)
+		if err := s.write(conn, binary, &wbuf, r.Payload); err != nil {
 			return err
 		}
 		if r.Close != nil {
@@ -367,16 +371,14 @@ func (s *ConnServer) serveConn(conn net.Conn) error {
 	}
 }
 
-func (s *ConnServer) write(conn net.Conn, enc *json.Encoder, binary bool, wbuf *[]byte, resp any) error {
+// write sends one encoded reply as a line or a frame.
+func (s *ConnServer) write(conn net.Conn, binary bool, wbuf *[]byte, payload []byte) error {
+	if binary {
+		*wbuf = storage.AppendFrame((*wbuf)[:0], payload)
+	} else {
+		*wbuf = append(append((*wbuf)[:0], payload...), '\n')
+	}
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if !binary {
-		return enc.Encode(resp)
-	}
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	*wbuf = storage.AppendFrame((*wbuf)[:0], payload)
-	_, err = conn.Write(*wbuf)
+	_, err := conn.Write(*wbuf)
 	return err
 }

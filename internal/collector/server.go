@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/hashutil"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
@@ -16,8 +17,11 @@ import (
 // (accept loop, framing, drain), which supplies Serve, Close, Shutdown,
 // Draining and the connection fields (ReadTimeout, MaxFrame,
 // DrainGrace, Logf); the collector's own part is decoding and
-// dispatching one request. A request line that does not decode is
-// answered "malformed request" and costs the connection.
+// dispatching one request, in newline-JSON or, once a hello switched
+// the connection to binary frames, in the binary payload codec. A
+// request that does not decode in its connection's framing — a JSON
+// payload in a binary frame among them — is answered "malformed
+// request" and costs the connection.
 //
 // Every record lands through the store's AppendBatchDurable — a batch
 // is group-committed with one WAL write+fsync per touched shard and
@@ -78,7 +82,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 // NewServer creates a server over the given store.
 func NewServer(store *storage.ShardedStore) *Server {
 	s := &Server{store: store, lists: NewValueLists(store.Value), metrics: newServerMetrics(obs.NewRegistry())}
-	s.ConnServer = NewConnServer("collector", s.metrics.reg, DefaultMaxFrame, DefaultDrainGrace, s.handle)
+	s.ConnServer = NewConnServer("collector", s.metrics.reg, DefaultMaxFrame, DefaultDrainGrace, s.handle, refuse)
 	return s
 }
 
@@ -105,14 +109,39 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// handle decodes one request payload and dispatches it.
-func (s *Server) handle(payload []byte) Reply {
+// handle decodes one request payload, in the framing it arrived in,
+// dispatches it and encodes the reply in that framing. A binary
+// request is read with a record decoder of its own from the pool.
+func (s *Server) handle(payload []byte, binary bool) Reply {
 	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return Reply{Resp: &Response{Type: TypeError, Error: "malformed request"}, Close: err}
+	var err error
+	if binary {
+		dec := decoders.Get().(*fingerprint.Decoder)
+		err = decodeRequest(payload, &req, dec)
+		decoders.Put(dec)
+	} else {
+		err = json.Unmarshal(payload, &req)
+	}
+	if err != nil {
+		return Reply{Payload: encodeResponse(&Response{Type: TypeError, Error: "malformed request"}, binary), Close: err}
 	}
 	resp := s.dispatch(&req)
-	return Reply{Resp: resp, Binary: resp.Type == TypeHello && resp.Framing == FramingBinary}
+	return Reply{Payload: encodeResponse(resp, binary), Binary: resp.Type == TypeHello && resp.Framing == FramingBinary}
+}
+
+// encodeResponse encodes resp for the given framing.
+func encodeResponse(resp *Response, binary bool) []byte {
+	if binary {
+		return appendResponse(nil, resp)
+	}
+	b, _ := json.Marshal(resp) // a Response holds only strings, ints and bools
+	return b
+}
+
+// refuse encodes the error reply to a request the connection server
+// dropped unread.
+func refuse(msg string, binary bool) []byte {
+	return encodeResponse(&Response{Type: TypeError, Error: msg}, binary)
 }
 
 // dispatch processes one request, counting it by verb and timing it

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/storage"
 )
 
@@ -81,13 +83,9 @@ func (w *wireConn) closed() {
 	w.got = append(w.got, rest...)
 }
 
-func jsonFrame(t *testing.T, v any) []byte {
-	t.Helper()
-	payload, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return storage.AppendFrame(nil, payload)
+// binFrame is req as a binary frame in the binary payload codec.
+func binFrame(req *Request) []byte {
+	return storage.AppendFrame(nil, appendRequest(nil, req))
 }
 
 // oversizeFrame is a binary frame header announcing a payload far past
@@ -101,8 +99,9 @@ func oversizeFrame() []byte {
 // TestWireTranscript pins the collector's wire bytes for one scripted
 // session: ping and a malformed line in newline-JSON (the malformed
 // line costs the connection), then on a second connection hello →
-// binary, a check and a batch in CRC frames, a repeated check the
-// dedup answers in full, and an oversize frame that ends the session.
+// binary, a check and a batch in CRC frames of the binary payload
+// codec, a repeated check the dedup answers in full, and an oversize
+// frame that ends the session.
 func TestWireTranscript(t *testing.T) {
 	_, _, addr := startServer(t)
 
@@ -122,25 +121,125 @@ func TestWireTranscript(t *testing.T) {
 		hashes = append(hashes, h)
 	}
 	sort.Strings(hashes)
-	check := jsonFrame(t, &Request{Type: TypeCheck, Hashes: hashes})
+	check := binFrame(&Request{Type: TypeCheck, Hashes: hashes})
 	c2 := dialWire(t, addr)
 	c2.line(`{"type":"hello","framing":"binary"}`)
 	c2.frame(check)
-	c2.frame(jsonFrame(t, &Request{Type: TypeBatch, ClientID: "transcript",
+	c2.frame(binFrame(&Request{Type: TypeBatch, ClientID: "transcript",
 		Batch: []BatchItem{{Record: wire, Refs: refs, Values: blobs, Seq: 1}}}))
 	c2.frame(check)
 	c2.frame(oversizeFrame())
 	c2.closed()
-	// Each binary reply is a frame: a little-endian payload length, the
-	// payload's CRC-32C, then the JSON payload.
+	// Each binary reply is a frame: a little-endian payload length and
+	// the payload's CRC-32C, then the binary payload: version 1, the
+	// length-prefixed type, then its fields. The need carries a count and
+	// four 40-byte ("(") hashes; the ok one ack (index 0, not a dup, no
+	// error).
 	want2 := "{\"type\":\"hello\",\"framing\":\"binary\"}\n" +
-		"\xc6\x00\x00\x00\x14 \f\x82{\"type\":\"need\",\"hashes\":[" +
-		"\"53ad41c52dcf573f056ba410f8a239a97dc70c9d\",\"71a18cc6a1b5f6d2f1d5ed811017026aa3074007\"," +
-		"\"c854a009bacf4ab9786429dba37ebdc18825f71e\",\"db3f5a6859bfdfcc99cc74303b9dec18ee5b710e\"]}" +
-		"\"\x00\x00\x00\xf3\x99V&{\"type\":\"ok\",\"acks\":[{\"index\":0}]}" +
-		"\x0f\x00\x00\x00\x0e\x1c\x1b\xaa{\"type\":\"need\"}" +
-		"6\x00\x00\x00\xdc\xcbo7{\"type\":\"error\",\"error\":\"request exceeds frame limit\"}"
+		"\xab\x00\x00\x00\x71\x6d\x8a\xfd" + "\x01\x04need\x04" +
+		"(53ad41c52dcf573f056ba410f8a239a97dc70c9d(71a18cc6a1b5f6d2f1d5ed811017026aa3074007" +
+		"(c854a009bacf4ab9786429dba37ebdc18825f71e(db3f5a6859bfdfcc99cc74303b9dec18ee5b710e" +
+		"\x08\x00\x00\x00\xcd\xf1\x45\x04" + "\x01\x02ok\x01\x00\x00\x00" +
+		"\x07\x00\x00\x00\x06\x1d\x7d\x11" + "\x01\x04need\x00" +
+		"\x23\x00\x00\x00\xdd\x38\x0b\x9b" + "\x01\x05error\x1brequest exceeds frame limit"
 	if string(c2.got) != want2 {
 		t.Fatalf("binary session:\n got %q\nwant %q", c2.got, want2)
+	}
+}
+
+// TestJSONPayloadInBinaryFrameRefused: once hello switched the
+// connection to binary, a frame whose payload is JSON — what binary
+// frames carried before the binary codec — is answered "malformed
+// request" in the binary codec, and the server hangs up without
+// touching the store.
+func TestJSONPayloadInBinaryFrameRefused(t *testing.T) {
+	wire, refs, blobs := StripRecord(sampleRecord())
+	batch, err := json.Marshal(&Request{Type: TypeBatch, ClientID: "old",
+		Batch: []BatchItem{{Record: wire, Refs: refs, Values: blobs, Seq: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{`{"type":"ping"}`, string(batch)} {
+		_, store, addr := startServer(t)
+		c := dialWire(t, addr)
+		c.line(`{"type":"hello","framing":"binary"}`)
+		c.frame(storage.AppendFrame(nil, []byte(payload)))
+		c.closed()
+		want := "{\"type\":\"hello\",\"framing\":\"binary\"}\n" +
+			string(storage.AppendFrame(nil, appendResponse(nil, &Response{Type: TypeError, Error: "malformed request"})))
+		if string(c.got) != want {
+			t.Fatalf("JSON payload %.20s… in a binary frame:\n got %q\nwant %q", payload, c.got, want)
+		}
+		if store.Len() != 0 || store.HasValue(refs[FieldFonts]) {
+			t.Fatalf("refused payload stored %d records, or its fonts value", store.Len())
+		}
+	}
+}
+
+// TestClientRefusesReplyOfAnotherCodec: a binary reply whose version
+// byte is not the codec's — the next version's, or a JSON payload from
+// a server that predates the codec — gives the client an error, never
+// a misread reply. The peer is a fake that upgrades on hello and then
+// answers every frame with the scripted payload.
+func TestClientRefusesReplyOfAnotherCodec(t *testing.T) {
+	ok := appendResponse(nil, &Response{Type: TypeOK, Acks: []Ack{{Index: 7}}})
+	for name, reply := range map[string][]byte{
+		"version 2": append([]byte{wireVersion + 1}, ok[1:]...),
+		"json":      []byte(`{"type":"ok","acks":[{"index":7}]}`),
+	} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			if _, err := br.ReadBytes('\n'); err != nil {
+				return
+			}
+			conn.Write([]byte(`{"type":"hello","framing":"binary"}` + "\n"))
+			for {
+				if _, err := storage.ReadFrame(br, 0); err != nil {
+					return
+				}
+				conn.Write(storage.AppendFrame(nil, reply))
+			}
+		}()
+		c, err := Dial(lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if f, err := c.Negotiate(); err != nil || f != FramingBinary {
+			t.Fatalf("%s: negotiate %q, %v", name, f, err)
+		}
+		acks, err := c.sendBatch([]BatchItem{{Record: sampleRecord(), Seq: 1}}, "c")
+		if err == nil || acks != nil || c.Submitted() != 0 {
+			t.Fatalf("%s: reply read as acks %+v (err %v, %d submitted), want an error", name, acks, err, c.Submitted())
+		}
+		if name == "version 2" && !strings.Contains(err.Error(), "version 2, want 1") {
+			t.Fatalf("%s: error %q does not name the version", name, err)
+		}
+	}
+}
+
+// TestSmallestBatchItem: a batch item with an empty record — the epoch
+// time, no strings, no fingerprint — no refs and no values encodes to
+// minItemBytes, so the decoder's item-count bound refuses no real
+// batch.
+func TestSmallestBatchItem(t *testing.T) {
+	empty := appendRequest(nil, &Request{Type: TypeBatch})
+	p := appendRequest(nil, &Request{Type: TypeBatch, Batch: []BatchItem{{Record: &fingerprint.Record{Time: time.Unix(0, 0).UTC()}}}})
+	if n := len(p) - len(empty); n != minItemBytes {
+		t.Fatalf("smallest item encodes to %d bytes, minItemBytes is %d", n, minItemBytes)
+	}
+	var req Request
+	if err := decodeRequest(p, &req, fingerprint.NewDecoder()); err != nil || len(req.Batch) != 1 {
+		t.Fatalf("smallest item: %d items, %v", len(req.Batch), err)
 	}
 }

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,17 +12,15 @@ import (
 	"fpdyn/internal/storage"
 )
 
-// handleBatch sends one TypeBatch request through the server's decode
-// and dispatch, as a connection would, and returns its acks.
+// handleBatch sends one TypeBatch request through the server's binary
+// decode and dispatch, as a binary-framed connection would, and
+// returns its acks.
 func handleBatch(t *testing.T, srv *Server, clientID string, items ...BatchItem) []Ack {
 	t.Helper()
-	payload, err := json.Marshal(&Request{Type: TypeBatch, ClientID: clientID, Batch: items})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, ok := srv.handle(payload).Resp.(*Response)
-	if !ok || resp.Type != TypeOK {
-		t.Fatalf("batch answered %+v", resp)
+	r := srv.handle(appendRequest(nil, &Request{Type: TypeBatch, ClientID: clientID, Batch: items}), true)
+	resp, err := decodeResponse(r.Payload)
+	if err != nil || resp.Type != TypeOK || r.Close != nil {
+		t.Fatalf("batch answered %+v, %v; close %v", resp, err, r.Close)
 	}
 	return resp.Acks
 }

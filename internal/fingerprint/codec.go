@@ -14,10 +14,13 @@ package fingerprint
 //	  then their elements in that order, then the 17 string features
 //	  (fpStrings) and the 3 int features (fpInts, zigzag).
 //
-// A version byte leads so a format change is refused, not misread. The
-// decoder interns repeated strings (fonts, plugins, UA, GPU, ...) in a
-// bounded per-decoder table; user, cookie and IP identifiers are read
-// plain because they rarely repeat.
+// A version byte leads so a format change is refused, not misread.
+// Decoding is strict: a record decodes only if AppendRecord gives back
+// the bytes it was read from, so a non-minimal varint or a flag bit the
+// format does not define is refused. The decoder interns repeated
+// strings (fonts, plugins, UA, GPU, ...) in a bounded per-decoder
+// table; user, cookie and IP identifiers are read plain because they
+// rarely repeat.
 
 import (
 	"encoding/binary"
@@ -43,6 +46,11 @@ const (
 	flagFP = 1 << iota
 	flagMobile
 	flagBoolBase
+
+	// flagsFP is every bit a record with a fingerprint may set: FP,
+	// Mobile and the nine booleans. Without a fingerprint only Mobile
+	// may be set.
+	flagsFP = flagBoolBase<<9 - 1
 )
 
 // The fingerprint's fields by kind, in wire order. Encode and decode
@@ -175,9 +183,15 @@ func (r *reader) fail() {
 	r.p = nil
 }
 
+// minimal reports whether the n-byte varint at the front of p is in its
+// shortest form: only a one-byte varint may end in a zero byte.
+func minimal(p []byte, n int) bool {
+	return n == 1 || (n > 1 && p[n-1] != 0)
+}
+
 func (r *reader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.p)
-	if n <= 0 {
+	if !minimal(r.p, n) {
 		r.fail()
 		return 0
 	}
@@ -187,7 +201,7 @@ func (r *reader) uvarint() uint64 {
 
 func (r *reader) varint() int64 {
 	v, n := binary.Varint(r.p)
-	if n <= 0 {
+	if !minimal(r.p, n) {
 		r.fail()
 		return 0
 	}
@@ -257,6 +271,13 @@ func (d *Decoder) decode(p []byte, rec *Record, keyOnly bool) ([]byte, error) {
 	}
 	if nsec >= uint64(time.Second) {
 		return nil, fmt.Errorf("%w: nanoseconds %d out of range", ErrMalformedRecord, nsec)
+	}
+	allowed := uint64(flagMobile)
+	if flags&flagFP != 0 {
+		allowed = flagsFP
+	}
+	if flags&^allowed != 0 {
+		return nil, fmt.Errorf("%w: flags %#x", ErrMalformedRecord, flags)
 	}
 	var fp *Fingerprint
 	if flags&flagFP != 0 {

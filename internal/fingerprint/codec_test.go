@@ -282,15 +282,38 @@ func TestDecodeOversizedFailsWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsMalformed covers version, truncation and range
-// errors.
+// flagged re-encodes p, an encoded record, with its flags replaced by
+// flags.
+func flagged(p []byte, flags uint64) []byte {
+	var r Record
+	rest, err := NewDecoder().Decode(p, &r)
+	if err != nil || len(rest) != 0 {
+		panic(err)
+	}
+	// The flags follow the time and the five strings.
+	head := AppendRecord(nil, &Record{Time: r.Time, UserID: r.UserID, Cookie: r.Cookie, Browser: r.Browser, OS: r.OS, Device: r.Device})
+	head = head[:len(head)-1] // drop the zero flags byte
+	_, n := binary.Uvarint(p[len(head):])
+	return append(binary.AppendUvarint(head, flags), p[len(head)+n:]...)
+}
+
+// TestDecodeRejectsMalformed covers version, truncation, range and
+// non-canonical encoding errors.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	good := AppendRecord(nil, sampleRecord())
+	epoch := AppendRecord(nil, &Record{Time: time.Unix(0, 0).UTC()})
+	if _, err := NewDecoder().Decode(epoch, &Record{}); err != nil {
+		t.Fatal(err)
+	}
 	bad := map[string][]byte{
 		"empty":     nil,
 		"version":   append([]byte{recordCodecVersion + 1}, good[1:]...),
 		"nanos":     append(binary.AppendUvarint(binary.AppendVarint([]byte{recordCodecVersion}, 0), uint64(time.Second)), make([]byte, 8)...),
 		"truncated": good[:len(good)-1],
+		// Zero seconds as the two-byte varint 0x80 0x00.
+		"long varint": append([]byte{recordCodecVersion, 0x80, 0x00}, epoch[2:]...),
+		"flag bit 11": flagged(good, flagsFP+1),
+		"bool no fp":  flagged(AppendRecord(nil, &Record{}), flagBoolBase),
 	}
 	for i := 1; i < len(good); i += 7 {
 		bad["cut at "+strconv.Itoa(i)] = good[:i]
@@ -380,7 +403,7 @@ func fuzzRecord(data []byte, sec int64, nsec uint32, offset int32, flags uint16)
 }
 
 // FuzzRecordCodec: arbitrary bytes never panic the decoder, whatever
-// decodes re-encodes to a fixed point, records built from the input
+// decodes re-encodes to the bytes it was read from, records built from the input
 // round-trip exactly, and DecodeKey agrees with Decode on both.
 func FuzzRecordCodec(f *testing.F) {
 	for _, r := range codecCases() {
@@ -393,8 +416,11 @@ func FuzzRecordCodec(f *testing.F) {
 		checkDecodeKey(t, data)
 		d := NewDecoder()
 		var got Record
-		if _, err := d.Decode(data, &got); err == nil {
+		if rest, err := d.Decode(data, &got); err == nil {
 			enc := AppendRecord(nil, &got)
+			if !bytes.Equal(enc, data[:len(data)-len(rest)]) {
+				t.Fatalf("decoded record re-encodes to other bytes")
+			}
 			var again Record
 			if _, err := d.Decode(enc, &again); err != nil {
 				t.Fatalf("re-decoding a decoded record: %v", err)

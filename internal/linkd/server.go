@@ -2,7 +2,9 @@ package linkd
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"time"
 
 	"fpdyn/internal/collector"
@@ -19,8 +21,9 @@ const DefaultDrainGrace = 2 * time.Second
 // connection fields (ReadTimeout, MaxFrame, DrainGrace, Logf;
 // MaxFrame defaults to DefaultMaxFrame), and registers the
 // linkd_* connection series on the Service's registry. linkd's own
-// part is decoding and dispatching one request; a request that does
-// not decode is answered TypeError and the connection keeps serving.
+// part is decoding, dispatching and encoding one request, as JSON in
+// both framings; a request that does not decode is answered TypeError
+// and the connection keeps serving.
 // Robustness decisions (shedding, deadlines, degradation) live in the
 // Service; the server only translates them onto the wire — crucially,
 // an Overloaded response goes out immediately, from the connection's
@@ -34,20 +37,34 @@ type Server struct {
 // NewServer wraps a Service.
 func NewServer(svc *Service) *Server {
 	s := &Server{svc: svc}
-	s.ConnServer = collector.NewConnServer("linkd", svc.Metrics(), DefaultMaxFrame, DefaultDrainGrace, s.handle)
+	s.ConnServer = collector.NewConnServer("linkd", svc.Metrics(), DefaultMaxFrame, DefaultDrainGrace, s.handle, refuse)
 	return s
 }
 
-// handle decodes one request payload and dispatches it.
-func (s *Server) handle(payload []byte) collector.Reply {
+// handle decodes one request payload and dispatches it. Payloads are
+// JSON in both framings, so the framing is not consulted.
+func (s *Server) handle(payload []byte, _ bool) collector.Reply {
 	req, err := DecodeRequest(payload)
 	if err != nil {
 		// A malformed request costs the client a round trip, not the
 		// connection.
-		return collector.Reply{Resp: &Response{Type: TypeError, Error: err.Error()}}
+		return collector.Reply{Payload: refuse(err.Error(), false)}
 	}
 	resp := s.dispatch(req)
-	return collector.Reply{Resp: resp, Binary: resp.Type == TypeHello && resp.Framing == collector.FramingBinary}
+	b, err := json.Marshal(resp)
+	if err != nil {
+		// A reply JSON cannot carry (a non-finite score) is answered
+		// with the encode error, and the connection ends.
+		err = fmt.Errorf("encode reply: %w", err)
+		return collector.Reply{Payload: refuse(err.Error(), false), Close: err}
+	}
+	return collector.Reply{Payload: b, Binary: resp.Type == TypeHello && resp.Framing == collector.FramingBinary}
+}
+
+// refuse encodes an error reply, in either framing.
+func refuse(msg string, _ bool) []byte {
+	b, _ := json.Marshal(&Response{Type: TypeError, Error: msg}) // two strings always marshal
+	return b
 }
 
 // dispatch executes one validated request against the service.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"fpdyn/internal/canvas"
@@ -336,12 +337,14 @@ func (in *instance) plugins() []string {
 // preserving the aspect ratio (the paper: zoom changes the reported
 // resolution but not the ratio).
 func scaledScreen(base string, zoom float64) string {
-	var w, h int
-	fmt.Sscanf(base, "%dx%d", &w, &h)
-	if zoom == 1.0 || w == 0 {
+	if zoom == 1.0 {
 		return base
 	}
-	return fmt.Sprintf("%dx%d", int(math.Round(float64(w)/zoom)), int(math.Round(float64(h)/zoom)))
+	w, h, ok := fingerprint.ParseResolution(base)
+	if !ok || w == 0 {
+		return base
+	}
+	return strconv.Itoa(int(math.Round(float64(w)/zoom))) + "x" + strconv.Itoa(int(math.Round(float64(h)/zoom)))
 }
 
 func formatPixelRatio(pr float64) string {

@@ -357,3 +357,24 @@ func BenchmarkSimulate1K(b *testing.B) {
 		Simulate(cfg)
 	}
 }
+
+// TestScaledScreen: a zoom divides both sides of the base resolution,
+// rounding each; zoom 1 and an unparseable base pass through unchanged.
+func TestScaledScreen(t *testing.T) {
+	for _, c := range []struct {
+		base string
+		zoom float64
+		want string
+	}{
+		{"1920x1080", 1, "1920x1080"},
+		{"1920x1080", 1.25, "1536x864"},
+		{"1366x768", 1.1, "1242x698"},
+		{"1366x768", 0.9, "1518x853"},
+		{"unknown", 1.25, "unknown"},
+		{"0x0", 1.25, "0x0"},
+	} {
+		if got := scaledScreen(c.base, c.zoom); got != c.want {
+			t.Errorf("scaledScreen(%q, %v) = %q, want %q", c.base, c.zoom, got, c.want)
+		}
+	}
+}
